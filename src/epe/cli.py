@@ -192,7 +192,7 @@ def _cmd_run(args) -> int:
     t = result.timings
     print(
         f"wall seconds: assemble={t.assemble:.3f} factorize={t.factorize:.3f} "
-        f"loop={t.loop:.3f} total={t.total:.3f}"
+        f"initial={t.initial:.3f} loop={t.loop:.3f} total={t.total:.3f}"
     )
     return EXIT_OK
 

@@ -28,7 +28,6 @@ FORM_SPACES = {
     "H_MASS": ("H", "H"),
     "H_CURL_TEST": ("E", "H"),
     "GRAD_P_TO_E": ("E", "P"),
-    "E_TO_GRAD_Q": ("P", "E"),
     "ELASTICITY": ("U", "U"),
     "DIV_COUPLING": ("P", "U"),
     "P_MASS": ("P", "P"),
@@ -159,13 +158,6 @@ def assemble_matrix(
         loc = coeff * six_v[:, None, None] * np.einsum("q,cqix,cmx->cim", w, vals, g)
         rows = np.broadcast_to(mesh.cell_edges[:, :, None], loc.shape)
         cols = np.broadcast_to(mesh.cells[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
-    if form == "E_TO_GRAD_Q":
-        vals = _signed_edge_values(mesh, quad_degree)
-        loc = coeff * six_v[:, None, None] * np.einsum("q,cqjx,cmx->cmj", w, vals, g)
-        rows = np.broadcast_to(mesh.cells[:, :, None], loc.shape)
-        cols = np.broadcast_to(mesh.cell_edges[:, None, :], loc.shape)
         return _to_csr(rows, cols, loc, shape)
 
     if form == "ELASTICITY":

@@ -13,6 +13,7 @@ and column elimination, with solutions extended by zeros afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +40,7 @@ class DofLayout:
         if self.constrained.shape != (self.count,):
             raise LayoutMismatch("constrained mask must cover every DOF")
 
-    @property
+    @cached_property
     def free(self) -> np.ndarray:
         return np.flatnonzero(~self.constrained)
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import epe.schemes
 from epe.core import make_time_grid, validate_params
-from epe.fem.assembly import evaluate_curl_E
+from epe.fem.assembly import assemble_load, evaluate_curl_E
 from epe.fem.dofs import make_layouts
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import example61
@@ -70,7 +71,8 @@ class TestInitialState:
             state.u.reshape(-1, 3)[interior], mesh2.vertices[interior], atol=1e-10
         )
         # H holds exact cell averages of a constant field
-        np.testing.assert_allclose(state.H.reshape(-1, 3), [0.0, 2.0, 0.0], atol=1e-12)
+        H = state.H.reshape(-1, 3)
+        np.testing.assert_allclose(H, np.broadcast_to([0.0, 2.0, 0.0], H.shape), atol=1e-12)
         # constant vectors lie in the edge space: interior moments reproduced
         tangents = mesh2.vertices[mesh2.edges[:, 1]] - mesh2.vertices[mesh2.edges[:, 0]]
         moments = tangents @ np.array([1.0, 0.0, 0.0])
@@ -268,6 +270,47 @@ class TestEnergy:
         assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12))
 
 
+class TestSourceLoads:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_separable_load_matches_quadrature(self, n, params, exact):
+        mesh = build_unit_cube_mesh(n)
+        disc = Discretization(mesh, make_layouts(mesh), params)
+        for space, name in (("E", "j"), ("U", "f"), ("P", "g")):
+            src = getattr(exact, name)
+            layout = getattr(disc.layouts, space)
+            for t in (0.0, 0.037, 0.1):
+                got = disc.load(space, src, t)
+                ref = assemble_load(mesh, layout, lambda t, x: src(t, x), t)
+                scale = np.abs(ref).max()
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_quadrature_calls_inside_the_loop(self, scheme, config, params, exact, monkeypatch):
+        """Separable sources need no quadrature per step; plain callables need three."""
+        calls = []
+        in_loop = []
+
+        def counting(*args, **kwargs):
+            calls.append(bool(in_loop))
+            return assemble_load(*args, **kwargs)
+
+        monkeypatch.setattr(epe.schemes, "assemble_load", counting)
+        mesh = build_unit_cube_mesh(2)
+        disc = Discretization(mesh, make_layouts(mesh), params)
+        cfg = small_config(config, 2, 0.1, 4)
+        plain = Sources(
+            j=lambda t, x: exact.j(t, x),
+            f=lambda t, x: exact.f(t, x),
+            g=lambda t, x: exact.g(t, x),
+        )
+        for sources, per_step in ((Sources(j=exact.j, f=exact.f, g=exact.g), 0), (plain, 3)):
+            calls.clear()
+            in_loop.clear()
+            run(cfg, sources, exact, scheme=scheme, disc=disc,
+                observers=[lambda *_: in_loop.append(True)])
+            assert sum(calls) == per_step * cfg.grid.N
+
+
 class TestRun:
     def test_superposition_of_sources(self, config, params, exact):
         mesh = build_unit_cube_mesh(2)
@@ -301,7 +344,9 @@ class TestRun:
         assert [c[0] for c in calls] == [0, 1, 2, 3, 4]
         assert calls[-1][1] == pytest.approx(0.1, abs=1e-12)
         assert len(res.steps) == 5
-        assert res.timings.total >= res.timings.loop > 0.0
+        t = res.timings
+        assert t.total >= t.loop > 0.0
+        assert t.total >= t.assemble + t.factorize + t.initial + t.loop - 1e-9
 
     def test_per_step_cost_stays_flat_after_factorization(self, config, sources, exact, params):
         mesh = build_unit_cube_mesh(8)
