@@ -10,7 +10,7 @@ backward-Euler schemes stable. The only admissible override is L = 0
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -300,10 +300,3 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
         out=str(values["out"]),
     )
 
-
-def with_grid(config: RunConfig, T: float, N: int) -> RunConfig:
-    return replace(config, grid=make_time_grid(T, N))
-
-
-def with_mesh(config: RunConfig, mesh_n: int) -> RunConfig:
-    return replace(config, mesh_n=mesh_n)

@@ -8,6 +8,8 @@ Space tags and their DOFs:
 
 Constrained DOFs always carry the value 0; the reduction strategy is row
 and column elimination, with solutions extended by zeros afterwards.
+``free_dof_points`` locates each free DOF on the mesh lattice, which is
+what the nested-dissection ordering of the sparse LUs works from.
 """
 
 from __future__ import annotations
@@ -75,6 +77,27 @@ def make_layouts(mesh: TetMesh) -> Layouts:
         U=DofLayout("U", 3 * nv, vec_constrained),
         P=DofLayout("P", nv, mesh.boundary_vertex.copy()),
     )
+
+
+def free_dof_points(mesh: TetMesh, layout: DofLayout) -> np.ndarray:
+    """Location of every free DOF of ``layout`` in lattice units (coordinates times n).
+
+    P: its vertex; U: its vertex, once per component; E: the edge midpoint;
+    H: the cell centroid, once per component. Lattice planes sit at integer
+    coordinates, and the values are exact multiples of 1/4.
+    """
+    lattice = np.rint(mesh.vertices * mesh.n)
+    if layout.space == "E":
+        points = lattice[mesh.edges].mean(axis=1)
+    elif layout.space == "H":
+        points = np.repeat(lattice[mesh.cells].mean(axis=1), 3, axis=0)
+    elif layout.space == "U":
+        points = np.repeat(lattice, 3, axis=0)
+    else:
+        points = lattice
+    if points.shape[0] != layout.count:
+        raise LayoutMismatch(f"layout {layout.space} does not belong to this mesh")
+    return points[layout.free]
 
 
 def reduce_matrix(A: sp.spmatrix, row_layout: DofLayout, col_layout: DofLayout) -> sp.csr_matrix:

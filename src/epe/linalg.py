@@ -5,6 +5,15 @@ and reports it; a solve that cannot meet its tolerance raises instead of
 returning silently wrong results. All paths are deterministic: identical
 inputs produce identical outputs (no randomized pivoting, fixed iteration
 order).
+
+Every sparse LU factors a symmetric permutation K[order][:, order] of its
+matrix, where ``order`` is a permutation of the unknowns given by the
+caller (``None`` keeps their numbering). The schemes pass
+``nested_dissection`` of the unknowns' lattice locations. Any permutation
+gives the exact LU; the fill is only reduced when the points lie on the
+unit-cube lattice, where every coupling spans at most one sub-cube and a
+lattice plane therefore separates the unknowns on either side of it.
+CG-type solves share one Jacobi-preconditioned CG over a matvec.
 """
 
 from __future__ import annotations
@@ -32,6 +41,10 @@ class SingularSystem(RuntimeError):
     """Factorization failed or produced non-finite values."""
 
 
+#: Index sets of at most this many unknowns are not dissected further.
+ND_LEAF = 16
+
+
 @dataclass(frozen=True)
 class LinearSolveReport:
     iterations: int
@@ -57,16 +70,32 @@ def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxiter: int | 
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=float)
-    n = _check_square(A, b)
+    _check_square(A, b)
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    x, iterations = _pcg(lambda v: A @ v, b, A.diagonal(), 0.1 * tol, maxiter)
+    bnorm = np.linalg.norm(b)
+    residual = float(np.linalg.norm(b - A @ x) / bnorm) if bnorm > 0.0 else 0.0
+    if residual > tol:
+        raise NotConverged("conjugate gradients did not reach tolerance", iterations, residual)
+    return x, LinearSolveReport(iterations, residual, time.perf_counter() - start)
+
+
+def _pcg(matvec, b: np.ndarray, diag: np.ndarray, rtol: float, maxiter: int | None = None):
+    """Jacobi-preconditioned CG on an SPD operator given by ``matvec``.
+
+    Stops once the recursive residual satisfies ||r|| <= rtol ||b|| or after
+    ``maxiter`` (default max(1000, 10 n)) iterations and returns
+    (x, iterations); the caller checks the true residual. Nonpositive
+    curvature raises NotConverged with the true residual of the current
+    iterate.
+    """
+    n = b.shape[0]
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0 or n == 0:
-        return np.zeros(n), LinearSolveReport(0, 0.0, time.perf_counter() - start)
+        return np.zeros(n), 0
     if maxiter is None:
         maxiter = max(1000, 10 * n)
-
-    diag = A.diagonal()
     inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
 
     x = np.zeros(n)
@@ -76,28 +105,24 @@ def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxiter: int | 
     rz = r @ z
     iterations = 0
     for iterations in range(1, maxiter + 1):
-        Ap = A @ p
+        Ap = matvec(p)
         pAp = p @ Ap
         if pAp <= 0.0 or not np.isfinite(pAp):
             raise NotConverged(
-                "conjugate gradients hit nonpositive curvature; matrix is not SPD",
+                "conjugate gradients hit nonpositive curvature; operator is not SPD",
                 iterations,
-                float(np.linalg.norm(b - A @ x) / bnorm),
+                float(np.linalg.norm(b - matvec(x)) / bnorm),
             )
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= 0.1 * tol * bnorm:
+        if np.linalg.norm(r) <= rtol * bnorm:
             break
         z = inv_diag * r
         rz_next = r @ z
         p = z + (rz_next / rz) * p
         rz = rz_next
-
-    residual = float(np.linalg.norm(b - A @ x) / bnorm)
-    if residual > tol:
-        raise NotConverged("conjugate gradients did not reach tolerance", iterations, residual)
-    return x, LinearSolveReport(iterations, residual, time.perf_counter() - start)
+    return x, iterations
 
 
 class SpdSolver:
@@ -111,16 +136,61 @@ class SpdSolver:
         return spd_solve(self.A, b, tol=self.tol)
 
 
-class LuSolver:
-    """Sparse LU with honest residual reporting; reusable across solves."""
+def nested_dissection(points: np.ndarray) -> np.ndarray:
+    """Nested-dissection elimination order of unknowns located at ``points``.
 
-    def __init__(self, K: sp.spmatrix, tol: float = 1e-9):
+    ``points`` are (N, 3) coordinates in lattice units: the lattice planes
+    sit at integer coordinates. Each index set is split at the lattice plane
+    nearest the median of its widest axis; the points below the plane come
+    first, then those above, then those on it (the separator), each half
+    ordered recursively down to leaves of ``ND_LEAF`` unknowns. Returns a
+    permutation of ``arange(N)``.
+    """
+    points = np.asarray(points, dtype=float)
+    blocks = []
+
+    def dissect(idx):
+        if len(idx) > ND_LEAF:
+            extent = np.ptp(points[idx], axis=0)
+            axis = int(np.argmax(extent))
+            if extent[axis] >= 1.0:  # else all lie within one lattice slab
+                x = points[idx, axis]
+                mid = np.clip(np.floor(np.median(x) + 0.5), np.ceil(x.min()), np.floor(x.max()))
+                dissect(idx[x < mid])
+                dissect(idx[x > mid])
+                blocks.append(idx[x == mid])
+                return
+        blocks.append(idx)
+
+    dissect(np.arange(points.shape[0]))
+    return np.concatenate(blocks)
+
+
+class LuSolver:
+    """Sparse LU with honest residual reporting; reusable across solves.
+
+    The LU factors the symmetrically permuted matrix K[order][:, order] with
+    SuperLU's NATURAL column order and its default threshold row pivoting;
+    ``order=None`` keeps the given numbering.
+    """
+
+    def __init__(self, K: sp.spmatrix, tol: float = 1e-9, order: np.ndarray | None = None):
         self.K = K.tocsc()
         self.tol = tol
+        n = self.K.shape[0]
+        self.order = np.arange(n) if order is None else np.asarray(order)
+        if not np.array_equal(np.sort(self.order), np.arange(n)):
+            raise DimensionMismatch(f"order is not a permutation of the {n} unknowns")
         try:
-            self.lu = spla.splu(self.K)
+            self.lu = spla.splu(self.K[self.order][:, self.order], permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
+
+    def _apply(self, rhs: np.ndarray) -> np.ndarray:
+        """K^{-1} rhs through the permuted factors, unchecked."""
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order])
+        return x
 
     def solve(self, rhs: np.ndarray):
         start = time.perf_counter()
@@ -129,7 +199,7 @@ class LuSolver:
         rnorm = np.linalg.norm(rhs)
         if rnorm == 0.0:
             return np.zeros(self.K.shape[0]), LinearSolveReport(0, 0.0, time.perf_counter() - start)
-        x = self.lu.solve(rhs)
+        x = self._apply(rhs)
         if not np.all(np.isfinite(x)):
             raise SingularSystem("factorization produced non-finite solution")
         residual = float(np.linalg.norm(rhs - self.K @ x) / rnorm)
@@ -165,18 +235,17 @@ class SaddleSolver:
         C: sp.spmatrix,
         tol: float = 1e-9,
         direct_threshold: int = 200_000,
+        order: np.ndarray | None = None,
     ):
         self.A, self.B, self.C = A.tocsr(), B.tocsr(), C.tocsr()
         self.nu, self.np = A.shape[0], C.shape[0]
         self.tol = tol
         self.direct = (self.nu + self.np) <= direct_threshold
         if self.direct:
-            self._lu = LuSolver(saddle_blocks(A, B, C), tol=tol)
+            self._lu = LuSolver(saddle_blocks(A, B, C), tol=tol, order=order)
         else:
-            try:
-                self._lu_A = spla.splu(self.A.tocsc())
-            except RuntimeError as exc:
-                raise SingularSystem(str(exc)) from exc
+            u_order = None if order is None else order[order < self.nu]
+            self._solve_A = LuSolver(self.A, order=u_order)._apply
 
     def solve(self, f_u: np.ndarray, f_p: np.ndarray):
         start = time.perf_counter()
@@ -193,7 +262,7 @@ class SaddleSolver:
             )
 
         if self.direct:
-            x = self._lu.lu.solve(np.concatenate([f_u, -f_p]))
+            x = self._lu._apply(np.concatenate([f_u, -f_p]))
             if not np.all(np.isfinite(x)):
                 raise SingularSystem("saddle factorization produced non-finite solution")
             u, p = x[: self.nu], x[self.nu :]
@@ -212,47 +281,15 @@ class SaddleSolver:
 
     def _solve_schur(self, f_u, f_p):
         # (C + B A^-1 B^T) p = f_p - B A^-1 f_u, then A u = f_u + B^T p
-        Ainv = self._lu_A.solve
+        Ainv = self._solve_A
         rhs = f_p - self.B @ Ainv(f_u)
 
         def schur_mv(q):
             return self.C @ q + self.B @ Ainv(self.B.T @ q)
 
-        p, iterations = _matfree_cg(
-            schur_mv, rhs, np.maximum(self.C.diagonal(), 1e-300), self.tol * 0.01, self.np
-        )
+        p, iterations = _pcg(schur_mv, rhs, self.C.diagonal(), 0.01 * self.tol)
         u = Ainv(f_u + self.B.T @ p)
         return u, p, iterations
-
-
-def _matfree_cg(matvec, b, diag, tol, n, maxiter=None):
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), 0
-    if maxiter is None:
-        maxiter = max(1000, 10 * n)
-    inv_diag = 1.0 / diag
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
-    iterations = 0
-    for iterations in range(1, maxiter + 1):
-        Ap = matvec(p)
-        pAp = p @ Ap
-        if pAp <= 0.0 or not np.isfinite(pAp):
-            raise NotConverged("Schur CG hit nonpositive curvature", iterations, float("nan"))
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * bnorm:
-            break
-        z = inv_diag * r
-        rz_next = r @ z
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    return x, iterations
 
 
 def saddle_solve(

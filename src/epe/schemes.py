@@ -14,9 +14,13 @@ once). The splitting scheme advances each step in two sub-steps:
        (c0 p + alpha div u, q) + tau kappa (grad p, grad q)
          = (c0 p^{n-1} + alpha div u^{n-1}, q) + tau L (E^n, grad q) + tau (g(t_n), q)
 
-The monolithic reference solves all four equations in one coupled
-(non-symmetric) linear system per step with the pressure coupling taken
-implicitly, via one reused sparse LU factorization.
+The monolithic reference solves all four equations coupled, with the
+pressure coupling taken implicitly. It eliminates H exactly, as sub-step A
+does, and factors the resulting (non-symmetric) 3-block system in (E, u, p)
+once per run; H is recovered from E^n by the same update.
+
+Every sparse LU is ordered by nested dissection of its unknowns' lattice
+locations (``Discretization.order``).
 
 Time-separable sources (``mms.SeparableSource``) have their spatial load
 vectors assembled once, when a scheme is built; a step then combines them
@@ -34,8 +38,8 @@ import scipy.sparse as sp
 
 from epe.core import PhysicalParams, RunConfig
 from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
-from epe.fem.dofs import Layouts, make_layouts, reduce_matrix
-from epe.linalg import LuSolver, SaddleSolver, SpdSolver, spd_solve
+from epe.fem.dofs import Layouts, free_dof_points, make_layouts, reduce_matrix
+from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection, spd_solve
 from epe.mesh import TetMesh, build_unit_cube_mesh
 from epe.mms import zero_scalar_source, zero_vector_source
 
@@ -108,6 +112,11 @@ class Discretization:
         self.K_curl_ff = (self.C_f.T @ inv_mh @ self.C_f).tocsr()
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
 
+    def order(self, *spaces: str) -> np.ndarray:
+        """Nested-dissection order of the free DOFs of ``spaces``, stacked in that order."""
+        points = [free_dof_points(self.mesh, getattr(self.layouts, s)) for s in spaces]
+        return nested_dissection(np.vstack(points))
+
     def load(self, space: str, fn, t: float) -> np.ndarray:
         """Load vector (fn(t, .), basis_i) for every DOF of ``space``."""
         terms = getattr(fn, "terms", None)
@@ -171,7 +180,11 @@ class BhOperator:
     def __init__(self, disc: Discretization, spd_tol: float = 1e-12):
         self.disc = disc
         self.spd_tol = spd_tol
-        self._lu_A = LuSolver(disc.A_el_ff, tol=1e-8) if disc.A_el_ff.shape[0] else None
+        self._lu_A = (
+            LuSolver(disc.A_el_ff, tol=1e-8, order=disc.order("U"))
+            if disc.A_el_ff.shape[0]
+            else None
+        )
 
     def _schur(self, p_free: np.ndarray) -> np.ndarray:
         if self._lu_A is None:
@@ -207,7 +220,7 @@ def discrete_energy(
 
 
 class SplittingScheme:
-    """EM sub-step (condensed SPD solve by default) followed by Biot sub-step."""
+    """EM sub-step (H-condensed SPD solve) followed by the Biot sub-step."""
 
     name = "splitting"
 
@@ -219,35 +232,27 @@ class SplittingScheme:
         spd_tol: float = 1e-10,
         saddle_tol: float = 1e-9,
         direct_threshold: int = 200_000,
-        condensed: bool = True,
     ):
         self.disc = disc
         self.tau = tau
         self.sources = sources
-        self.condensed = condensed
         disc.prepare_loads(sources)
         # the transposed couplings every step applies, formed once
         self._C_f_T = disc.C_f.T.tocsr()
         self._G_pe_T = disc.G_pe.T.tocsr()
         p = disc.params
-        L = disc.layouts
 
         A0 = (p.epsilon + tau * p.sigma) * disc.M_E_ff
-        if condensed:
-            self._em = SpdSolver(A0 + (tau**2 / p.mu) * disc.K_curl_ff, tol=spd_tol)
-        else:
-            if L.E.num_free + L.H.count > 0:
-                K = sp.bmat(
-                    [[A0, -tau * self.disc.C_f.T], [tau * self.disc.C_f, p.mu * disc.M_H]],
-                    format="csc",
-                )
-                self._em_block = LuSolver(K, tol=spd_tol * 10)
-            else:
-                self._em_block = None
+        self._em = SpdSolver(A0 + (tau**2 / p.mu) * disc.K_curl_ff, tol=spd_tol)
 
         C_p = p.c0 * disc.M_P_ff + tau * p.kappa * disc.K_P_ff
         self._saddle = SaddleSolver(
-            disc.A_el_ff, disc.B_ff, C_p, tol=saddle_tol, direct_threshold=direct_threshold
+            disc.A_el_ff,
+            disc.B_ff,
+            C_p,
+            tol=saddle_tol,
+            direct_threshold=direct_threshold,
+            order=disc.order("U", "P"),
         )
 
     def step(self, state: State) -> State:
@@ -256,18 +261,10 @@ class SplittingScheme:
         t_new = state.t + tau
 
         # sub-step A: electromagnetic fields
-        rhs_common = p.epsilon * (disc.M_E @ state.E)
-        rhs_common += tau * p.L * (disc.G_pe @ state.p)
-        rhs_common += tau * disc.load("E", self.sources.j, t_new)
-        if self.condensed:
-            rhs = rhs_common[L.E.free] + tau * (self._C_f_T @ state.H)
-            E_free, _ = self._em.solve(rhs)
-        else:
-            rhs = np.concatenate(
-                [rhs_common[L.E.free], p.mu * (disc.M_H @ state.H)]
-            )
-            x, _ = self._em_block.solve(rhs)
-            E_free = x[: L.E.num_free]
+        rhs = p.epsilon * (disc.M_E @ state.E)
+        rhs += tau * p.L * (disc.G_pe @ state.p)
+        rhs += tau * disc.load("E", self.sources.j, t_new)
+        E_free, _ = self._em.solve(rhs[L.E.free] + tau * (self._C_f_T @ state.H))
         E_new = L.E.extend(E_free)
         H_new = state.H - (tau / p.mu) * (disc.W @ E_new)
 
@@ -289,7 +286,7 @@ class SplittingScheme:
 
 
 class MonolithicScheme:
-    """One coupled backward-Euler solve per step for (E, H, u, p)."""
+    """One coupled backward-Euler solve per step for (E, u, p), with H eliminated exactly."""
 
     name = "monolithic"
 
@@ -304,50 +301,45 @@ class MonolithicScheme:
         self.tau = tau
         self.sources = sources
         disc.prepare_loads(sources)
+        self._C_f_T = disc.C_f.T.tocsr()
         p = disc.params
         L = disc.layouts
-        fE, fU, fP = L.E.free, L.U.free, L.P.free
 
-        A0 = (p.epsilon + tau * p.sigma) * disc.M_E_ff
-        Gpe_f = disc.G_pe.tocsr()[fE][:, fP]
-        B_ffT = disc.B_ff.T
+        A_em = (p.epsilon + tau * p.sigma) * disc.M_E_ff + (tau**2 / p.mu) * disc.K_curl_ff
+        Gpe_f = disc.G_pe.tocsr()[L.E.free][:, L.P.free]
         C_p = p.c0 * disc.M_P_ff + tau * p.kappa * disc.K_P_ff
         K = sp.bmat(
             [
-                [A0, -tau * disc.C_f.T, None, -tau * p.L * Gpe_f],
-                [tau * disc.C_f, p.mu * disc.M_H, None, None],
-                [None, None, disc.A_el_ff, -B_ffT],
-                [-tau * p.L * Gpe_f.T, None, disc.B_ff, C_p],
+                [A_em, None, -tau * p.L * Gpe_f],
+                [None, disc.A_el_ff, -disc.B_ff.T],
+                [-tau * p.L * Gpe_f.T, disc.B_ff, C_p],
             ],
             format="csc",
         )
-        self._sizes = (len(fE), L.H.count, len(fU), len(fP))
-        self._lu = LuSolver(K, tol=saddle_tol)
+        self._lu = LuSolver(K, tol=saddle_tol, order=disc.order("E", "U", "P"))
 
     def step(self, state: State) -> State:
         disc, p, tau = self.disc, self.disc.params, self.tau
         L = disc.layouts
         t_new = state.t + tau
-        nE, nH, nU, nP = self._sizes
 
+        rhs_E = p.epsilon * (disc.M_E @ state.E) + tau * disc.load("E", self.sources.j, t_new)
         rhs = np.concatenate(
             [
-                (p.epsilon * (disc.M_E @ state.E) + tau * disc.load("E", self.sources.j, t_new))[
-                    L.E.free
-                ],
-                p.mu * (disc.M_H @ state.H),
+                rhs_E[L.E.free] + tau * (self._C_f_T @ state.H),
                 disc.load("U", self.sources.f, t_new)[L.U.free],
                 (p.c0 * (disc.M_P @ state.p) + disc.B_div @ state.u)[L.P.free]
                 + tau * disc.load("P", self.sources.g, t_new)[L.P.free],
             ]
         )
         x, _ = self._lu.solve(rhs)
-        oE, oH, oU = nE, nE + nH, nE + nH + nU
+        nE, nU = L.E.num_free, L.U.num_free
+        E_new = L.E.extend(x[:nE])
         return State(
-            E=L.E.extend(x[:oE]),
-            H=x[oE:oH],
-            u=L.U.extend(x[oH:oU]),
-            p=L.P.extend(x[oU:]),
+            E=E_new,
+            H=state.H - (tau / p.mu) * (disc.W @ E_new),
+            u=L.U.extend(x[nE : nE + nU]),
+            p=L.P.extend(x[nE + nU :]),
             n=state.n + 1,
             t=t_new,
         )
@@ -391,9 +383,7 @@ class RunResult:
         return np.array([s.energy for s in self.steps if s.energy is not None])
 
 
-def make_scheme(
-    name: str, disc: Discretization, tau: float, sources: Sources, config: RunConfig, **kw
-):
+def make_scheme(name: str, disc: Discretization, tau: float, sources: Sources, config: RunConfig):
     if name == "splitting":
         return SplittingScheme(
             disc,
@@ -402,7 +392,6 @@ def make_scheme(
             spd_tol=config.spd_tol,
             saddle_tol=config.saddle_tol,
             direct_threshold=config.direct_threshold,
-            **kw,
         )
     if name == "monolithic":
         return MonolithicScheme(disc, tau, sources, saddle_tol=config.saddle_tol)
@@ -416,7 +405,6 @@ def run(
     observers: Sequence[Callable] = (),
     scheme: str | None = None,
     track_energy: bool = False,
-    condensed: bool = True,
     mesh: TetMesh | None = None,
     disc: Discretization | None = None,
     start_state: State | None = None,
@@ -438,8 +426,7 @@ def run(
     t_assemble = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kw = {"condensed": condensed} if scheme_name == "splitting" else {}
-    engine = make_scheme(scheme_name, disc, config.grid.tau, sources, config, **kw)
+    engine = make_scheme(scheme_name, disc, config.grid.tau, sources, config)
     bh = BhOperator(disc) if track_energy else None
     t_factorize = time.perf_counter() - t0
 

@@ -26,12 +26,13 @@ from epe.mms import ErrorNorms, error_norms, example61
 from epe.schemes import Discretization, RunResult, Sources, run
 
 ERROR_FIELDS = ("E_L2", "H_L2", "u_L2", "u_H1", "p_L2")
+TIMING_FIELDS = ("assemble", "factorize", "initial", "loop", "total")
 
 CSV_HEADER = (
     "scheme,n,h,tau,"
     "err_E_L2,err_H_L2,err_u_L2,err_u_H1,err_p_L2,"
     "ord_E_L2,ord_H_L2,ord_u_L2,ord_u_H1,ord_p_L2,"
-    "t_assemble_s,t_factor_s,t_loop_s,t_total_s"
+    "t_assemble_s,t_factor_s,t_initial_s,t_loop_s,t_total_s"
 )
 
 
@@ -47,7 +48,7 @@ class StudyRow:
     tau: float
     errors: dict
     orders: dict          # empty on the first row of a scheme group
-    timings: dict         # assemble / factorize / loop / total seconds
+    timings: dict         # assemble / factorize / initial / loop / total seconds
 
 
 @dataclass
@@ -81,13 +82,7 @@ def _attach_orders(rows, x_field: str) -> None:
 
 
 def _timings(result: RunResult) -> dict:
-    t = result.timings
-    return {
-        "assemble": t.assemble,
-        "factorize": t.factorize,
-        "loop": t.loop,
-        "total": t.total,
-    }
+    return {k: getattr(result.timings, k) for k in TIMING_FIELDS}
 
 
 def spatial_convergence(n_values, config: RunConfig, scheme: str | None = None) -> StudyReport:
@@ -181,7 +176,7 @@ def temporal_convergence(
                 tau=tau,
                 errors=errs.as_dict(),
                 orders={},
-                timings={"assemble": 0.0, "factorize": 0.0, "loop": 0.0, "total": 0.0},
+                timings=dict.fromkeys(TIMING_FIELDS, 0.0),
             )
         )
     _attach_orders(rows, "tau")
@@ -239,9 +234,7 @@ def report_csv(report: StudyReport) -> str:
         cells = [r.scheme, str(r.n), f"{r.h:.15e}", f"{r.tau:.15e}"]
         cells += [f"{r.errors[f]:.15e}" for f in ERROR_FIELDS]
         cells += [f"{r.orders[f]:.6f}" if f in r.orders else "" for f in ERROR_FIELDS]
-        cells += [
-            f"{r.timings[k]:.6f}" for k in ("assemble", "factorize", "loop", "total")
-        ]
+        cells += [f"{r.timings[k]:.15e}" for k in TIMING_FIELDS]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -256,7 +249,7 @@ def parse_report_csv(text: str) -> list:
         cells = ln.split(",")
         errors = {f: float(c) for f, c in zip(ERROR_FIELDS, cells[4:9])}
         orders = {f: float(c) for f, c in zip(ERROR_FIELDS, cells[9:14]) if c != ""}
-        timings = dict(zip(("assemble", "factorize", "loop", "total"), map(float, cells[14:18])))
+        timings = dict(zip(TIMING_FIELDS, map(float, cells[14:19])))
         rows.append(
             StudyRow(
                 scheme=cells[0],

@@ -3,16 +3,20 @@ import pytest
 import scipy.sparse as sp
 
 from epe.fem.assembly import assemble_matrix
-from epe.fem.dofs import make_layouts, reduce_matrix
+from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import (
     DimensionMismatch,
     LinearSolveReport,
     LuSolver,
     NotConverged,
     SaddleSolver,
+    nested_dissection,
+    saddle_blocks,
     saddle_solve,
     spd_solve,
 )
+from epe.mesh import build_unit_cube_mesh
+from epe.schemes import Discretization
 
 
 class TestSpdSolve:
@@ -151,3 +155,62 @@ class TestLuSolver:
         x, rep = solver.solve(b)
         recomputed = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
         assert abs(recomputed - rep.relative_residual) <= 1e-14
+
+    def test_order_gives_the_same_solution(self):
+        rng = np.random.default_rng(6)
+        K = sp.csc_matrix(rng.standard_normal((30, 30)) + 30 * np.eye(30))
+        b = rng.standard_normal(30)
+        x0, _ = LuSolver(K, tol=1e-12).solve(b)
+        x1, rep = LuSolver(K, tol=1e-12, order=rng.permutation(30)).solve(b)
+        np.testing.assert_allclose(x1, x0, atol=1e-12)
+        assert rep.relative_residual <= 1e-12
+
+    def test_order_must_be_a_permutation(self):
+        with pytest.raises(DimensionMismatch):
+            LuSolver(sp.identity(3, format="csc"), order=np.array([0, 1, 1]))
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("spaces", [("E",), ("H",), ("U",), ("P",), ("U", "P"), ("E", "U", "P")])
+    def test_mesh_order_is_a_permutation(self, disc3, spaces):
+        order = disc3.order(*spaces)
+        size = sum(getattr(disc3.layouts, s).num_free for s in spaces)
+        assert np.array_equal(np.sort(order), np.arange(size))
+
+    def test_any_point_set_gives_a_permutation(self):
+        pts = np.random.default_rng(7).random((500, 3)) * 5.0
+        assert np.array_equal(np.sort(nested_dissection(pts)), np.arange(500))
+
+    def test_points_in_lattice_units(self, mesh3):
+        lay = make_layouts(mesh3)
+        for space in ("E", "H", "U", "P"):
+            pts = free_dof_points(mesh3, getattr(lay, space))
+            assert pts.shape == (getattr(lay, space).num_free, 3)
+            assert np.all((pts >= 0.0) & (pts <= 3.0))
+            assert np.array_equal(pts * 4, np.rint(pts * 4))
+
+    def test_top_separator_splits_the_saddle_matrix(self, mesh4, params):
+        """At n = 4 the plane x = 2 splits U and P; no matrix entry couples its two sides."""
+        disc = Discretization(mesh4, make_layouts(mesh4), params)
+        lay = disc.layouts
+        x = np.concatenate([free_dof_points(mesh4, lay.U), free_dof_points(mesh4, lay.P)])[:, 0]
+        K = saddle_blocks(disc.A_el_ff, disc.B_ff, disc.M_P_ff + disc.K_P_ff).tocsr()
+        order = disc.order("U", "P")
+        lo, hi = np.flatnonzero(x < 2), np.flatnonzero(x > 2)
+        # lower half first, then the upper half, then the separator
+        assert set(order[: len(lo)]) == set(lo)
+        assert set(order[len(lo) : len(lo) + len(hi)]) == set(hi)
+        assert np.all(x[order[len(lo) + len(hi) :]] == 2)
+        assert K[lo][:, hi].nnz == 0 and K[hi][:, lo].nnz == 0
+        assert K[lo][:, x == 2].nnz > 0 and K[hi][:, x == 2].nnz > 0
+
+    def test_schur_path_uses_the_u_order(self, mesh3, params):
+        disc = Discretization(mesh3, make_layouts(mesh3), params)
+        A, B, C = disc.A_el_ff, disc.B_ff, disc.M_P_ff + disc.K_P_ff
+        rng = np.random.default_rng(8)
+        f_u, f_p = rng.standard_normal(A.shape[0]), rng.standard_normal(C.shape[0])
+        order = disc.order("U", "P")
+        (u1, p1), _ = saddle_solve(A, B, C, f_u, f_p, tol=1e-11)
+        (u2, p2), _ = SaddleSolver(A, B, C, tol=1e-11, direct_threshold=1, order=order).solve(f_u, f_p)
+        np.testing.assert_allclose(u2, u1, atol=1e-9)
+        np.testing.assert_allclose(p2, p1, atol=1e-9)

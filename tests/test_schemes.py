@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from dataclasses import replace
 
 import epe.schemes
 from epe.core import make_time_grid, validate_params
 from epe.fem.assembly import assemble_load, evaluate_curl_E
 from epe.fem.dofs import make_layouts
+from epe.linalg import LuSolver
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import example61
 from epe.schemes import (
     BhOperator,
     Discretization,
+    MonolithicScheme,
     Sources,
+    SplittingScheme,
     State,
     discrete_energy,
     initial_state,
@@ -29,6 +34,41 @@ def random_admissible_state(layouts, rng):
         n=0,
         t=0.0,
     )
+
+
+class UncondensedSplitting(SplittingScheme):
+    """Oracle: sub-step A solves the 2-block (E, H) system by LU, H not eliminated."""
+
+    def __init__(self, disc, tau, sources, spd_tol=1e-10, saddle_tol=1e-9):
+        super().__init__(disc, tau, sources, spd_tol=spd_tol, saddle_tol=saddle_tol)
+        p = disc.params
+        A0 = (p.epsilon + tau * p.sigma) * disc.M_E_ff
+        K = sp.bmat([[A0, -tau * disc.C_f.T], [tau * disc.C_f, p.mu * disc.M_H]], format="csc")
+        self._em_block = LuSolver(K, tol=spd_tol * 10)
+
+    def step(self, state):
+        disc, p, tau = self.disc, self.disc.params, self.tau
+        L = disc.layouts
+        t_new = state.t + tau
+        rhs = p.epsilon * (disc.M_E @ state.E)
+        rhs += tau * p.L * (disc.G_pe @ state.p)
+        rhs += tau * disc.load("E", self.sources.j, t_new)
+        x, _ = self._em_block.solve(np.concatenate([rhs[L.E.free], p.mu * (disc.M_H @ state.H)]))
+        E_new = L.E.extend(x[: L.E.num_free])
+
+        f_u = disc.load("U", self.sources.f, t_new)[L.U.free]
+        f_p = (p.c0 * (disc.M_P @ state.p) + disc.B_div @ state.u)[L.P.free]
+        f_p += tau * p.L * (disc.G_pe.T @ E_new)[L.P.free]
+        f_p += tau * disc.load("P", self.sources.g, t_new)[L.P.free]
+        (u_free, p_free), _ = self._saddle.solve(f_u, f_p)
+        return State(
+            E=E_new,
+            H=x[L.E.num_free :],
+            u=L.U.extend(u_free),
+            p=L.P.extend(p_free),
+            n=state.n + 1,
+            t=t_new,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -181,10 +221,15 @@ class TestSplittingStep:
 
     def test_condensed_equals_uncondensed(self, config, disc2, sources, exact):
         cfg = small_config(config, 2, 0.1, 10)
-        ra = run(cfg, sources, exact, disc=disc2, condensed=True)
-        rb = run(cfg, sources, exact, disc=disc2, condensed=False)
+        ra = run(cfg, sources, exact, disc=disc2)
+        oracle = UncondensedSplitting(
+            disc2, cfg.grid.tau, sources, spd_tol=cfg.spd_tol, saddle_tol=cfg.saddle_tol
+        )
+        rb = initial_state(disc2, exact, spd_tol=min(cfg.spd_tol, 1e-12))
+        for _ in range(cfg.grid.N):
+            rb = oracle.step(rb)
         for f in ("E", "H", "u", "p"):
-            a, b = getattr(ra.state, f), getattr(rb.state, f)
+            a, b = getattr(ra.state, f), getattr(rb, f)
             denom = max(np.linalg.norm(a), 1e-30)
             assert np.linalg.norm(a - b) / denom <= 10 * cfg.spd_tol
 
@@ -241,6 +286,57 @@ class TestMonolithic:
                 va, vb = getattr(a, f), getattr(b, f)
                 denom = max(np.linalg.norm(va), 1e-12)
                 assert np.linalg.norm(va - vb) / denom <= 10 * cfg.spd_tol
+
+
+    def test_condensed_step_matches_four_block_system(self, config, disc2, sources):
+        """Oracle: one step of the coupled (E, H, u, p) system, H kept as an unknown."""
+        tau, p, L = config.grid.tau, disc2.params, disc2.layouts
+        state = random_admissible_state(L, np.random.default_rng(40))
+        got = MonolithicScheme(disc2, tau, sources).step(state)
+
+        fE, fP = L.E.free, L.P.free
+        Gpe_f = disc2.G_pe.tocsr()[fE][:, fP]
+        C_p = p.c0 * disc2.M_P_ff + tau * p.kappa * disc2.K_P_ff
+        K = sp.bmat(
+            [
+                [(p.epsilon + tau * p.sigma) * disc2.M_E_ff, -tau * disc2.C_f.T, None,
+                 -tau * p.L * Gpe_f],
+                [tau * disc2.C_f, p.mu * disc2.M_H, None, None],
+                [None, None, disc2.A_el_ff, -disc2.B_ff.T],
+                [-tau * p.L * Gpe_f.T, None, disc2.B_ff, C_p],
+            ],
+            format="csc",
+        )
+        t = state.t + tau
+        rhs = np.concatenate(
+            [
+                (p.epsilon * (disc2.M_E @ state.E) + tau * disc2.load("E", sources.j, t))[fE],
+                p.mu * (disc2.M_H @ state.H),
+                disc2.load("U", sources.f, t)[L.U.free],
+                (p.c0 * (disc2.M_P @ state.p) + disc2.B_div @ state.u)[fP]
+                + tau * disc2.load("P", sources.g, t)[fP],
+            ]
+        )
+        x = spla.spsolve(K, rhs)
+        ends = np.cumsum([L.E.num_free, L.H.count, L.U.num_free])
+        E, H, u, pp = np.split(x, ends)
+        expected = {"E": L.E.extend(E), "H": H, "u": L.U.extend(u), "p": L.P.extend(pp)}
+        for f, want in expected.items():
+            have = getattr(got, f)
+            assert np.linalg.norm(have - want) <= 1e-12 * np.linalg.norm(want), f
+
+class TestLuOrdering:
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_mesh_order_reduces_lu_fill(self, scheme, config, params, sources):
+        """The nested-dissection LU of the n = 6 scheme matrix fills less than plain splu."""
+        mesh = build_unit_cube_mesh(6)
+        disc = Discretization(mesh, make_layouts(mesh), params)
+        if scheme == "splitting":
+            lu = SplittingScheme(disc, config.grid.tau, sources)._saddle._lu
+        else:
+            lu = MonolithicScheme(disc, config.grid.tau, sources)._lu
+        plain = spla.splu(lu.K)
+        assert lu.lu.L.nnz + lu.lu.U.nnz < plain.L.nnz + plain.U.nnz
 
 
 class TestEnergy:
