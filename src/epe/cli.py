@@ -22,7 +22,7 @@ from epe.core import (
     parse_config_file,
 )
 from epe.fem.dofs import make_layouts
-from epe.linalg import NotConverged, SingularSystem
+from epe.linalg import LuSolver, NotConverged, SingularSystem
 from epe.mesh import InvalidSubdivision, build_unit_cube_mesh, euler_characteristic, mesh_stats
 from epe.mms import error_norms, example61
 from epe.schemes import Discretization, Sources, run
@@ -30,6 +30,7 @@ from epe.studies import (
     IoError,
     benchmark,
     emit_report,
+    report_markdown,
     spatial_convergence,
     speedups,
     temporal_convergence,
@@ -85,7 +86,6 @@ def _add_common(parser: _Parser) -> None:
     o.add_argument("--spd-tol", type=float, dest="spd_tol", default=None)
     o.add_argument("--saddle-tol", type=float, dest="saddle_tol", default=None)
     o.add_argument("--direct-threshold", type=int, dest="direct_threshold", default=None)
-    o.add_argument("--quad-assembly", type=int, dest="quad_assembly", default=None)
     o.add_argument("--quad-error", type=int, dest="quad_error", default=None)
     o.add_argument("--out", default=None, help="output directory (default report)")
 
@@ -179,7 +179,7 @@ def _cmd_run(args) -> int:
     sources = Sources(j=exact.j, f=exact.f, g=exact.g)
     mesh = build_unit_cube_mesh(config.mesh_n)
     observers = []
-    if args.vtk_every:
+    if args.vtk_every is not None:
         observers.append(VtkObserver(config.out, mesh, every=args.vtk_every))
     result = run(config, sources, exact, observers=observers, mesh=mesh)
     errs = error_norms(result.state, exact, config.grid.T, mesh, config.quad_error)
@@ -197,16 +197,22 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _emit(report, out_dir, stem: str, notes=()) -> int:
+    """Write the report files, print the markdown table and ``notes``, then what was written."""
+    paths = emit_report(report, out_dir, stem=stem)
+    sys.stdout.write(report_markdown(report))
+    for line in notes:
+        print(line)
+    print(f"wrote {', '.join(str(p) for p in paths.values())}")
+    return EXIT_OK
+
+
 def _cmd_convergence(args) -> int:
     config = _config_from_args(args)
     n_values = args.n if args.n else [4, 8, 12]
     if args.full:
         n_values = sorted(set(n_values) | {15, 18})
-    report = spatial_convergence(n_values, config)
-    paths = emit_report(report, config.out, stem="convergence")
-    sys.stdout.write(open(paths["md"]).read())
-    print(f"wrote {', '.join(str(p) for p in paths.values())}")
-    return EXIT_OK
+    return _emit(spatial_convergence(n_values, config), config.out, "convergence")
 
 
 def _cmd_convergence_time(args) -> int:
@@ -215,10 +221,7 @@ def _cmd_convergence_time(args) -> int:
     taus = args.taus if args.taus else [1 / 40, 1 / 80, 1 / 160]
     tau_ref = args.tau_ref if args.tau_ref else 1 / 1280
     report = temporal_convergence(mesh_n, taus, config, tau_ref)
-    paths = emit_report(report, config.out, stem="convergence_time")
-    sys.stdout.write(open(paths["md"]).read())
-    print(f"wrote {', '.join(str(p) for p in paths.values())}")
-    return EXIT_OK
+    return _emit(report, config.out, "convergence_time")
 
 
 def _cmd_bench(args) -> int:
@@ -227,12 +230,8 @@ def _cmd_bench(args) -> int:
     if args.full:
         n_values = sorted(set(n_values) | {15})
     report = benchmark(n_values, config)
-    paths = emit_report(report, config.out, stem="bench")
-    sys.stdout.write(open(paths["md"]).read())
-    for n, ratio in speedups(report).items():
-        print(f"speedup at n={n}: {ratio:.2f}x")
-    print(f"wrote {', '.join(str(p) for p in paths.values())}")
-    return EXIT_OK
+    notes = [f"speedup at n={n}: {ratio:.2f}x" for n, ratio in speedups(report).items()]
+    return _emit(report, config.out, "bench", notes)
 
 
 def _cmd_self_check(args) -> int:
@@ -286,19 +285,22 @@ def _cmd_self_check(args) -> int:
     check(f"pressure-to-dilation operator symmetric (dev {sym_worst:.2e})", sym_worst < 1e-9)
     check(f"pressure-to-dilation operator monotone (min {mono_worst:.2e})", mono_worst > -1e-12)
 
-    mesh = build_unit_cube_mesh(2)
+    # n=3, where u enters the energy; u starts in mechanical equilibrium with p
+    # (a(u, v) = (p, alpha div v)), which is what (Bh p, p) stands for
+    mesh = build_unit_cube_mesh(3)
     layouts = make_layouts(mesh)
     disc = Discretization(mesh, layouts, config.params)
-
+    p_free = rng.standard_normal(layouts.P.num_free)
+    u_free, _ = LuSolver(disc.A_el_ff).solve(disc.B_ff.T @ p_free)
     state = State(
         E=layouts.E.extend(rng.standard_normal(layouts.E.num_free)),
         H=rng.standard_normal(layouts.H.count),
-        u=layouts.U.extend(rng.standard_normal(layouts.U.num_free)),
-        p=layouts.P.extend(rng.standard_normal(layouts.P.num_free)),
+        u=layouts.U.extend(u_free),
+        p=layouts.P.extend(p_free),
         n=0,
         t=0.0,
     )
-    cfg = replace(config, mesh_n=2, grid=core.make_time_grid(0.2, 20))
+    cfg = replace(config, mesh_n=3, grid=core.make_time_grid(0.2, 20))
     result = run(cfg, Sources(), None, disc=disc, start_state=state, track_energy=True)
     trace = result.energy_trace
     increases = float(np.max(trace[1:] / trace[:-1])) if trace.size > 1 else 0.0

@@ -10,7 +10,7 @@ backward-Euler schemes stable. The only admissible override is L = 0
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +90,6 @@ class PhysicalParams:
     c0: float
     kappa: float
 
-    @property
-    def decoupled(self) -> bool:
-        return self.L == 0.0
-
 
 def validate_params(allow_decoupled: bool = False, **raw: float) -> PhysicalParams:
     """Validate the nine named constants and return an immutable parameter set.
@@ -132,10 +128,6 @@ class TimeGrid:
     T: float
     N: int
     tau: float
-    nodes: np.ndarray = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
 
 
 def make_time_grid(T: float, N: int) -> TimeGrid:
@@ -145,8 +137,7 @@ def make_time_grid(T: float, N: int) -> TimeGrid:
     T = float(T)
     if not (math.isfinite(T) and T > 0.0):
         raise InvalidGrid(f"final time must be positive, got {T!r}")
-    nodes = np.linspace(0.0, T, int(N) + 1)
-    return TimeGrid(T=T, N=int(N), tau=T / N, nodes=nodes)
+    return TimeGrid(T=T, N=int(N), tau=T / N)
 
 
 SCHEMES = ("splitting", "monolithic")
@@ -163,7 +154,6 @@ class RunConfig:
     spd_tol: float = 1e-10
     saddle_tol: float = 1e-9
     direct_threshold: int = 200_000
-    quad_assembly: int = 2
     quad_error: int = 5
     out: str = "report"
 
@@ -178,24 +168,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must lie in (0, 1), got {tol!r}")
         if self.quad_error < 4:
             raise ConfigError(f"quad_error must be >= 4, got {self.quad_error}")
-        if self.quad_assembly < 1:
-            raise ConfigError(f"quad_assembly must be >= 1, got {self.quad_assembly}")
-
-    def fingerprint(self) -> str:
-        """Scheme-independent identity of a run setup; used for benchmark fairness."""
-        p = self.params
-        bits = [f"{name}={getattr(p, name)!r}" for name in PARAM_NAMES]
-        bits += [
-            f"T={self.grid.T!r}",
-            f"N={self.grid.N}",
-            f"mesh_n={self.mesh_n}",
-            f"spd_tol={self.spd_tol!r}",
-            f"saddle_tol={self.saddle_tol!r}",
-            f"direct_threshold={self.direct_threshold}",
-            f"quad_assembly={self.quad_assembly}",
-            f"quad_error={self.quad_error}",
-        ]
-        return ";".join(bits)
 
 
 #: Default scalar option values; a missing config key falls back to these.
@@ -207,13 +179,12 @@ DEFAULT_OPTIONS = {
     "spd_tol": 1e-10,
     "saddle_tol": 1e-9,
     "direct_threshold": 200_000,
-    "quad_assembly": 2,
     "quad_error": 5,
     "out": "report",
     "allow_decoupled": False,
 }
 
-_INT_KEYS = {"mesh_n", "direct_threshold", "quad_assembly", "quad_error"}
+_INT_KEYS = {"mesh_n", "direct_threshold", "quad_error"}
 _FLOAT_KEYS = set(PARAM_NAMES) | {"T", "tau", "spd_tol", "saddle_tol"}
 _BOOL_KEYS = {"allow_decoupled"}
 _STR_KEYS = {"scheme", "out"}
@@ -295,7 +266,6 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
         spd_tol=float(values["spd_tol"]),
         saddle_tol=float(values["saddle_tol"]),
         direct_threshold=int(values["direct_threshold"]),
-        quad_assembly=int(values["quad_assembly"]),
         quad_error=int(values["quad_error"]),
         out=str(values["out"]),
     )

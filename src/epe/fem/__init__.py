@@ -1,7 +1,7 @@
 """Reference elements, quadrature, DOF layouts, and Galerkin assembly."""
 
 from epe.fem.assembly import FORM_SPACES, assemble_load, assemble_matrix
-from epe.fem.dofs import DofLayout, Layouts, apply_dirichlet, make_layouts
+from epe.fem.dofs import DofLayout, Layouts, make_layouts
 from epe.fem.elements import DegenerateCell, nedelec_basis, p1_basis
 from epe.fem.quadrature import QuadratureRule, UnsupportedDegree, quadrature_rule
 
@@ -12,7 +12,6 @@ __all__ = [
     "Layouts",
     "QuadratureRule",
     "UnsupportedDegree",
-    "apply_dirichlet",
     "assemble_load",
     "assemble_matrix",
     "make_layouts",

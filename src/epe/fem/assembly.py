@@ -2,7 +2,14 @@
 
 Every matrix is assembled on the FULL DOF set (no boundary elimination);
 reduction happens afterwards through the layout helpers. All integrands are
-polynomial, so the default degree-2 rule integrates every form exactly.
+polynomial of degree at most 2, so the degree-2 rule ``ASSEMBLY_DEGREE``
+integrates every form exactly.
+
+Forms (``FORM_SPACES``): the E, H, P and U masses, the pressure-gradient
+coupling into E, elasticity, the divergence coupling and the P stiffness.
+The curl has no form: curl E_h is cellwise constant, so
+``curl_dof_operator`` (W) is the whole discrete curl, the curl coupling is
+M_H W and the curl-curl block is W^T M_H W.
 
 Conventions:
   - A cell's Nedelec function for local edge i is multiplied by the stored
@@ -21,12 +28,13 @@ from epe.fem.dofs import DofLayout, LayoutMismatch
 from epe.fem.quadrature import quadrature_rule
 from epe.mesh import LOCAL_EDGES, TetMesh
 
+#: Exactness degree of the rule every matrix is assembled with.
+ASSEMBLY_DEGREE = 2
+
 #: test space x trial space of every supported form tag
 FORM_SPACES = {
     "MASS_E": ("E", "E"),
-    "CURL_TO_H": ("H", "E"),
     "H_MASS": ("H", "H"),
-    "H_CURL_TEST": ("E", "H"),
     "GRAD_P_TO_E": ("E", "P"),
     "ELASTICITY": ("U", "U"),
     "DIV_COUPLING": ("P", "U"),
@@ -56,19 +64,21 @@ def _basis_data(mesh: TetMesh, degree: int) -> dict:
     return data
 
 
+def _edge_function(d: dict, a: int, b: int) -> np.ndarray:
+    """Unsigned Nedelec function lam_a grad lam_b - lam_b grad lam_a at rule points, (C, nq, 3)."""
+    lam, g = d["lam"], d["grads"]
+    return lam[None, :, a, None] * g[:, None, b, :] - lam[None, :, b, None] * g[:, None, a, :]
+
+
 def _signed_edge_values(mesh: TetMesh, degree: int) -> np.ndarray:
     """Signed Nedelec values at quadrature points, shape (C, nq, 6, 3)."""
     key = ("nedelec_vals", degree)
     if key in mesh._cache:
         return mesh._cache[key]
     d = _basis_data(mesh, degree)
-    lam, g = d["lam"], d["grads"]
-    nq = lam.shape[0]
-    vals = np.empty((mesh.num_cells, nq, 6, 3))
+    vals = np.empty((mesh.num_cells, d["lam"].shape[0], 6, 3))
     for i, (a, b) in enumerate(LOCAL_EDGES):
-        vals[:, :, i, :] = (
-            lam[None, :, a, None] * g[:, None, b, :] - lam[None, :, b, None] * g[:, None, a, :]
-        )
+        vals[:, :, i, :] = _edge_function(d, a, b)
     vals *= mesh.cell_edge_signs[:, None, :, None]
     mesh._cache[key] = vals
     return vals
@@ -108,7 +118,6 @@ def assemble_matrix(
     col_layout: DofLayout,
     form: str,
     coeff=1.0,
-    quad_degree: int = 2,
 ) -> sp.csr_matrix:
     """Assemble the full (unreduced) Galerkin matrix of ``form``.
 
@@ -124,37 +133,23 @@ def assemble_matrix(
             f"got {row_layout.space} x {col_layout.space}"
         )
     shape = (row_layout.count, col_layout.count)
-    d = _basis_data(mesh, quad_degree)
+    d = _basis_data(mesh, ASSEMBLY_DEGREE)
     w, lam, g, vols = d["w"], d["lam"], d["grads"], d["vols"]
     six_v = 6.0 * vols
 
     if form == "MASS_E":
-        vals = _signed_edge_values(mesh, quad_degree)
+        vals = _signed_edge_values(mesh, ASSEMBLY_DEGREE)
         loc = coeff * six_v[:, None, None] * np.einsum("q,cqix,cqjx->cij", w, vals, vals)
         ce = mesh.cell_edges
         rows = np.broadcast_to(ce[:, :, None], loc.shape)
         cols = np.broadcast_to(ce[:, None, :], loc.shape)
         return _to_csr(rows, cols, loc, shape)
 
-    if form == "CURL_TO_H":
-        curls = signed_curls(mesh)               # (C, 6, 3)
-        loc = coeff * vols[:, None, None] * np.transpose(curls, (0, 2, 1))  # (C, 3, 6)
-        rows = np.broadcast_to(_h_dofs(mesh)[:, :, None], loc.shape)
-        cols = np.broadcast_to(mesh.cell_edges[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
-    if form == "H_CURL_TEST":
-        curls = signed_curls(mesh)
-        loc = coeff * vols[:, None, None] * curls                            # (C, 6, 3)
-        rows = np.broadcast_to(mesh.cell_edges[:, :, None], loc.shape)
-        cols = np.broadcast_to(_h_dofs(mesh)[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
     if form == "H_MASS":
         return sp.diags(np.repeat(coeff * vols, 3)).tocsr()
 
     if form == "GRAD_P_TO_E":
-        vals = _signed_edge_values(mesh, quad_degree)
+        vals = _signed_edge_values(mesh, ASSEMBLY_DEGREE)
         loc = coeff * six_v[:, None, None] * np.einsum("q,cqix,cmx->cim", w, vals, g)
         rows = np.broadcast_to(mesh.cell_edges[:, :, None], loc.shape)
         cols = np.broadcast_to(mesh.cells[:, None, :], loc.shape)
@@ -215,7 +210,9 @@ def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
     """Map E coefficients to the cellwise-constant curl components (3C x E).
 
     Row 3c+d holds (curl E_h)_d on cell c; no volume weighting. This is the
-    exact curl of the discrete field, used for the magnetic-field update.
+    exact curl of the discrete field: the magnetic-field update applies it
+    directly, and the curl coupling and curl-curl block are M_H W and
+    W^T M_H W.
     """
     curls = signed_curls(mesh)                   # (C, 6, 3)
     loc = np.transpose(curls, (0, 2, 1))         # (C, 3, 6)
@@ -225,7 +222,7 @@ def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
 
 
 def assemble_load(
-    mesh: TetMesh, layout: DofLayout, f, t: float, quad_degree: int = 2
+    mesh: TetMesh, layout: DofLayout, f, t: float, quad_degree: int = ASSEMBLY_DEGREE
 ) -> np.ndarray:
     """Load vector (f(t, .), basis_i) for every DOF i of ``layout``.
 
@@ -264,14 +261,17 @@ def assemble_load(
 
 
 def evaluate_E(mesh: TetMesh, coefs: np.ndarray, quad_degree: int) -> np.ndarray:
-    """Discrete E field at the rule points of every cell, shape (C, nq, 3)."""
-    vals = _signed_edge_values(mesh, quad_degree)
-    return np.einsum("cqix,ci->cqx", vals, coefs[mesh.cell_edges])
+    """Discrete E field at the rule points of every cell, shape (C, nq, 3).
 
-
-def evaluate_curl_E(mesh: TetMesh, coefs: np.ndarray) -> np.ndarray:
-    """Cellwise-constant curl of the discrete E field, shape (C, 3)."""
-    return np.einsum("cix,ci->cx", signed_curls(mesh), coefs[mesh.cell_edges])
+    Summed edge by edge: at the error-norm degree, the (C, nq, 6, 3) table of
+    ``_signed_edge_values`` would be a run's largest array (95 MB at n = 16).
+    """
+    d = _basis_data(mesh, quad_degree)
+    signed = coefs[mesh.cell_edges] * mesh.cell_edge_signs      # (C, 6)
+    E = np.zeros((mesh.num_cells, d["lam"].shape[0], 3))
+    for i, (a, b) in enumerate(LOCAL_EDGES):
+        E += signed[:, i, None, None] * _edge_function(d, a, b)
+    return E
 
 
 def evaluate_H(mesh: TetMesh, coefs: np.ndarray) -> np.ndarray:
@@ -297,12 +297,6 @@ def evaluate_P(mesh: TetMesh, coefs: np.ndarray, quad_degree: int) -> np.ndarray
     """Discrete pressure at rule points, shape (C, nq)."""
     d = _basis_data(mesh, quad_degree)
     return np.einsum("qm,cm->cq", d["lam"], coefs[mesh.cells])
-
-
-def evaluate_grad_P(mesh: TetMesh, coefs: np.ndarray) -> np.ndarray:
-    """Cellwise-constant pressure gradient, shape (C, 3)."""
-    g, _ = mesh.cell_geometry()
-    return np.einsum("cm,cmx->cx", coefs[mesh.cells], g)
 
 
 def quadrature_points(mesh: TetMesh, quad_degree: int) -> np.ndarray:

@@ -14,7 +14,7 @@ what the nested-dissection ordering of the sparse LUs works from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -108,14 +108,3 @@ def reduce_matrix(A: sp.spmatrix, row_layout: DofLayout, col_layout: DofLayout) 
             f"({row_layout.count}, {col_layout.count})"
         )
     return A.tocsr()[row_layout.free][:, col_layout.free].tocsr()
-
-
-def apply_dirichlet(A: sp.spmatrix, rhs: np.ndarray, layout: DofLayout):
-    """Eliminate constrained DOFs of a square system; returns (A_ff, rhs_f).
-
-    Homogeneous constraints only, so no lifting term appears on the right
-    side. Use ``layout.extend`` on the reduced solution to recover the full
-    vector with zeros at constrained DOFs.
-    """
-    A_ff = reduce_matrix(A, layout, layout)
-    return A_ff, layout.reduce(rhs)

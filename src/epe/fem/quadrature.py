@@ -80,10 +80,3 @@ def _jacobi_on_unit(m: int, alpha: int):
     """Nodes/weights for integral of (1-t)^alpha f(t) over [0, 1]."""
     nodes, weights = roots_jacobi(m, alpha, 0.0)
     return (1.0 + nodes) / 2.0, weights / 2.0 ** (alpha + 1)
-
-
-def reference_monomial_integral(a: int, b: int, c: int) -> float:
-    """Exact integral of x^a y^b z^c over the reference tetrahedron."""
-    from math import factorial
-
-    return factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 3)

@@ -290,16 +290,3 @@ class SaddleSolver:
         p, iterations = _pcg(schur_mv, rhs, self.C.diagonal(), 0.01 * self.tol)
         u = Ainv(f_u + self.B.T @ p)
         return u, p, iterations
-
-
-def saddle_solve(
-    A: sp.spmatrix,
-    B: sp.spmatrix,
-    C: sp.spmatrix,
-    f_u: np.ndarray,
-    f_p: np.ndarray,
-    tol: float = 1e-9,
-    direct_threshold: int = 200_000,
-):
-    """One-shot saddle solve; see SaddleSolver for the system convention."""
-    return SaddleSolver(A, B, C, tol=tol, direct_threshold=direct_threshold).solve(f_u, f_p)

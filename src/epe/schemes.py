@@ -2,13 +2,14 @@
 
 Both schemes share one Discretization (assembled operators; coefficients
 are time-independent, so every matrix is built once per run and factorized
-once). The splitting scheme advances each step in two sub-steps:
+once). W is the discrete curl (``curl_dof_operator``) and M_H the H mass.
+The splitting scheme advances each step in two sub-steps:
 
   A (electromagnetic): eliminate the cellwise-constant H exactly
-     (H^n = H^{n-1} - (tau/mu) curl E^n, exact because curl E_h is cellwise
+     (H^n = H^{n-1} - (tau/mu) W E^n, exact because curl E_h is cellwise
      constant at lowest order) and solve one SPD system for E^n:
-       (eps + tau*sigma) M_E E + (tau^2/mu) C^T M_H^{-1} C E
-         = eps M_E E^{n-1} + tau C^T H^{n-1} + tau L G_pe p^{n-1} + tau (j(t_n), .)
+       (eps + tau*sigma) M_E E + (tau^2/mu) W^T M_H W E
+         = eps M_E E^{n-1} + tau (M_H W)^T H^{n-1} + tau L G_pe p^{n-1} + tau (j(t_n), .)
   B (Biot): solve the symmetric indefinite saddle system
        a(u, v) - (p, alpha div v)            = (f(t_n), v)
        (c0 p + alpha div u, q) + tau kappa (grad p, grad q)
@@ -17,7 +18,9 @@ once). The splitting scheme advances each step in two sub-steps:
 The monolithic reference solves all four equations coupled, with the
 pressure coupling taken implicitly. It eliminates H exactly, as sub-step A
 does, and factors the resulting (non-symmetric) 3-block system in (E, u, p)
-once per run; H is recovered from E^n by the same update.
+once per run; H is recovered from E^n by the same update. Both schemes
+build the same history right-hand side (``BackwardEuler.history``); the
+splitting step adds its explicit pressure couplings on top.
 
 Every sparse LU is ordered by nested dissection of its unknowns' lattice
 locations (``Discretization.order``).
@@ -74,42 +77,34 @@ class Sources:
 class Discretization:
     """Assembled full-space operators for one mesh and parameter set."""
 
-    def __init__(
-        self,
-        mesh: TetMesh,
-        layouts: Layouts,
-        params: PhysicalParams,
-        quad_assembly: int = 2,
-    ):
+    def __init__(self, mesh: TetMesh, layouts: Layouts, params: PhysicalParams):
         self.mesh = mesh
         self.layouts = layouts
         self.params = params
-        self.quad_assembly = quad_assembly
         L = layouts
 
-        self.M_E = assemble_matrix(mesh, L.E, L.E, "MASS_E", 1.0, quad_assembly)
-        self.C = assemble_matrix(mesh, L.H, L.E, "CURL_TO_H", 1.0, quad_assembly)
-        self.M_H = assemble_matrix(mesh, L.H, L.H, "H_MASS", 1.0, quad_assembly)
+        self.M_E = assemble_matrix(mesh, L.E, L.E, "MASS_E")
+        self.M_H = assemble_matrix(mesh, L.H, L.H, "H_MASS")
         self.W = curl_dof_operator(mesh)
-        self.G_pe = assemble_matrix(mesh, L.E, L.P, "GRAD_P_TO_E", 1.0, quad_assembly)
-        self.A_el = assemble_matrix(
-            mesh, L.U, L.U, "ELASTICITY", (params.lambda_c, params.G), quad_assembly
-        )
-        self.B_div = assemble_matrix(mesh, L.P, L.U, "DIV_COUPLING", params.alpha, quad_assembly)
-        self.M_P = assemble_matrix(mesh, L.P, L.P, "P_MASS", 1.0, quad_assembly)
-        self.K_P = assemble_matrix(mesh, L.P, L.P, "P_STIFF", 1.0, quad_assembly)
-        self.M_U = assemble_matrix(mesh, L.U, L.U, "U_MASS", 1.0, quad_assembly)
+        self.G_pe = assemble_matrix(mesh, L.E, L.P, "GRAD_P_TO_E")
+        self.A_el = assemble_matrix(mesh, L.U, L.U, "ELASTICITY", (params.lambda_c, params.G))
+        self.B_div = assemble_matrix(mesh, L.P, L.U, "DIV_COUPLING", params.alpha)
+        self.M_P = assemble_matrix(mesh, L.P, L.P, "P_MASS")
+        self.K_P = assemble_matrix(mesh, L.P, L.P, "P_STIFF")
+        self.M_U = assemble_matrix(mesh, L.U, L.U, "U_MASS")
 
         self.M_E_ff = reduce_matrix(self.M_E, L.E, L.E)
+        self.G_ff = reduce_matrix(self.G_pe, L.E, L.P)
         self.A_el_ff = reduce_matrix(self.A_el, L.U, L.U)
         self.B_ff = reduce_matrix(self.B_div, L.P, L.U)
         self.M_P_ff = reduce_matrix(self.M_P, L.P, L.P)
         self.K_P_ff = reduce_matrix(self.K_P, L.P, L.P)
-        # C restricted to free E columns; M_H is diagonal, so the condensed
-        # curl-curl block C^T M_H^{-1} C is formed explicitly and stays sparse.
-        self.C_f = self.C.tocsc()[:, L.E.free].tocsr()
-        inv_mh = sp.diags(1.0 / self.M_H.diagonal())
-        self.K_curl_ff = (self.C_f.T @ inv_mh @ self.C_f).tocsr()
+        # W restricted to free E columns. M_H is diagonal, so the curl-curl
+        # block W^T M_H W stays sparse; the curl coupling (M_H W)^T is kept
+        # transposed because every step applies it to H.
+        W_f = self.W.tocsc()[:, L.E.free].tocsr()
+        self.K_curl_ff = (W_f.T @ self.M_H @ W_f).tocsr()
+        self.curl_T_ff = (self.M_H @ W_f).T.tocsr()
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
 
     def order(self, *spaces: str) -> np.ndarray:
@@ -122,7 +117,7 @@ class Discretization:
         terms = getattr(fn, "terms", None)
         if terms is None:
             layout = getattr(self.layouts, space)
-            return assemble_load(self.mesh, layout, fn, t, self.quad_assembly)
+            return assemble_load(self.mesh, layout, fn, t)
         return sum(a(t) * self._term_load(space, phi) for a, phi in terms)
 
     def prepare_loads(self, sources: Sources) -> None:
@@ -136,7 +131,7 @@ class Discretization:
         if key not in self._term_loads:
             layout = getattr(self.layouts, space)
             self._term_loads[key] = assemble_load(
-                self.mesh, layout, lambda t, pts: phi(pts), 0.0, self.quad_assembly
+                self.mesh, layout, lambda t, pts: phi(pts), 0.0
             )
         return self._term_loads[key]
 
@@ -219,7 +214,50 @@ def discrete_energy(
     return S
 
 
-class SplittingScheme:
+class BackwardEuler:
+    """What both schemes share: the sources, the pressure block and the history terms."""
+
+    def __init__(self, disc: Discretization, tau: float, sources: Sources):
+        self.disc = disc
+        self.tau = tau
+        self.sources = sources
+        disc.prepare_loads(sources)
+        p = disc.params
+        self._C_p = p.c0 * disc.M_P_ff + tau * p.kappa * disc.K_P_ff
+
+    def history(self, state: State):
+        """Free-DOF right-hand sides (E, u, p) of the step from ``state`` that both schemes share.
+
+        E: eps M_E E + tau j + tau (M_H W)^T H; u: f; p: c0 M_P p + B u + tau g,
+        with the sources taken at the new time level.
+        """
+        disc, p, tau = self.disc, self.disc.params, self.tau
+        L = disc.layouts
+        t_new = state.t + tau
+        rhs_E = p.epsilon * (disc.M_E @ state.E) + tau * disc.load("E", self.sources.j, t_new)
+        rhs_P = p.c0 * (disc.M_P @ state.p) + disc.B_div @ state.u
+        rhs_P += tau * disc.load("P", self.sources.g, t_new)
+        return (
+            rhs_E[L.E.free] + tau * (disc.curl_T_ff @ state.H),
+            disc.load("U", self.sources.f, t_new)[L.U.free],
+            rhs_P[L.P.free],
+        )
+
+    def advance(self, state: State, E_free, u_free, p_free) -> State:
+        """The next time level from the free DOFs of E, u and p; H follows from E exactly."""
+        L = self.disc.layouts
+        E = L.E.extend(E_free)
+        return State(
+            E=E,
+            H=state.H - (self.tau / self.disc.params.mu) * (self.disc.W @ E),
+            u=L.U.extend(u_free),
+            p=L.P.extend(p_free),
+            n=state.n + 1,
+            t=state.t + self.tau,
+        )
+
+
+class SplittingScheme(BackwardEuler):
     """EM sub-step (H-condensed SPD solve) followed by the Biot sub-step."""
 
     name = "splitting"
@@ -233,59 +271,32 @@ class SplittingScheme:
         saddle_tol: float = 1e-9,
         direct_threshold: int = 200_000,
     ):
-        self.disc = disc
-        self.tau = tau
-        self.sources = sources
-        disc.prepare_loads(sources)
-        # the transposed couplings every step applies, formed once
-        self._C_f_T = disc.C_f.T.tocsr()
-        self._G_pe_T = disc.G_pe.T.tocsr()
+        super().__init__(disc, tau, sources)
+        self._G_ff_T = disc.G_ff.T.tocsr()
         p = disc.params
-
         A0 = (p.epsilon + tau * p.sigma) * disc.M_E_ff
         self._em = SpdSolver(A0 + (tau**2 / p.mu) * disc.K_curl_ff, tol=spd_tol)
-
-        C_p = p.c0 * disc.M_P_ff + tau * p.kappa * disc.K_P_ff
         self._saddle = SaddleSolver(
             disc.A_el_ff,
             disc.B_ff,
-            C_p,
+            self._C_p,
             tol=saddle_tol,
             direct_threshold=direct_threshold,
             order=disc.order("U", "P"),
         )
 
     def step(self, state: State) -> State:
-        disc, p, tau = self.disc, self.disc.params, self.tau
-        L = disc.layouts
-        t_new = state.t + tau
-
-        # sub-step A: electromagnetic fields
-        rhs = p.epsilon * (disc.M_E @ state.E)
-        rhs += tau * p.L * (disc.G_pe @ state.p)
-        rhs += tau * disc.load("E", self.sources.j, t_new)
-        E_free, _ = self._em.solve(rhs[L.E.free] + tau * (self._C_f_T @ state.H))
-        E_new = L.E.extend(E_free)
-        H_new = state.H - (tau / p.mu) * (disc.W @ E_new)
-
-        # sub-step B: Biot consolidation
-        f_u = disc.load("U", self.sources.f, t_new)[L.U.free]
-        f_p = (p.c0 * (disc.M_P @ state.p) + disc.B_div @ state.u)[L.P.free]
-        f_p += tau * p.L * (self._G_pe_T @ E_new)[L.P.free]
-        f_p += tau * disc.load("P", self.sources.g, t_new)[L.P.free]
-        (u_free, p_free), _ = self._saddle.solve(f_u, f_p)
-
-        return State(
-            E=E_new,
-            H=H_new,
-            u=L.U.extend(u_free),
-            p=L.P.extend(p_free),
-            n=state.n + 1,
-            t=t_new,
-        )
+        coupling = self.tau * self.disc.params.L
+        P_free = self.disc.layouts.P.free
+        rhs_E, f_u, f_p = self.history(state)
+        # sub-step A: electromagnetic fields, pressure coupling explicit
+        E_free, _ = self._em.solve(rhs_E + coupling * (self.disc.G_ff @ state.p[P_free]))
+        # sub-step B: Biot consolidation, driven by the new E
+        (u_free, p_free), _ = self._saddle.solve(f_u, f_p + coupling * (self._G_ff_T @ E_free))
+        return self.advance(state, E_free, u_free, p_free)
 
 
-class MonolithicScheme:
+class MonolithicScheme(BackwardEuler):
     """One coupled backward-Euler solve per step for (E, u, p), with H eliminated exactly."""
 
     name = "monolithic"
@@ -297,52 +308,24 @@ class MonolithicScheme:
         sources: Sources,
         saddle_tol: float = 1e-9,
     ):
-        self.disc = disc
-        self.tau = tau
-        self.sources = sources
-        disc.prepare_loads(sources)
-        self._C_f_T = disc.C_f.T.tocsr()
+        super().__init__(disc, tau, sources)
         p = disc.params
-        L = disc.layouts
-
         A_em = (p.epsilon + tau * p.sigma) * disc.M_E_ff + (tau**2 / p.mu) * disc.K_curl_ff
-        Gpe_f = disc.G_pe.tocsr()[L.E.free][:, L.P.free]
-        C_p = p.c0 * disc.M_P_ff + tau * p.kappa * disc.K_P_ff
+        G = tau * p.L * disc.G_ff
         K = sp.bmat(
             [
-                [A_em, None, -tau * p.L * Gpe_f],
+                [A_em, None, -G],
                 [None, disc.A_el_ff, -disc.B_ff.T],
-                [-tau * p.L * Gpe_f.T, disc.B_ff, C_p],
+                [-G.T, disc.B_ff, self._C_p],
             ],
             format="csc",
         )
         self._lu = LuSolver(K, tol=saddle_tol, order=disc.order("E", "U", "P"))
 
     def step(self, state: State) -> State:
-        disc, p, tau = self.disc, self.disc.params, self.tau
-        L = disc.layouts
-        t_new = state.t + tau
-
-        rhs_E = p.epsilon * (disc.M_E @ state.E) + tau * disc.load("E", self.sources.j, t_new)
-        rhs = np.concatenate(
-            [
-                rhs_E[L.E.free] + tau * (self._C_f_T @ state.H),
-                disc.load("U", self.sources.f, t_new)[L.U.free],
-                (p.c0 * (disc.M_P @ state.p) + disc.B_div @ state.u)[L.P.free]
-                + tau * disc.load("P", self.sources.g, t_new)[L.P.free],
-            ]
-        )
-        x, _ = self._lu.solve(rhs)
-        nE, nU = L.E.num_free, L.U.num_free
-        E_new = L.E.extend(x[:nE])
-        return State(
-            E=E_new,
-            H=state.H - (tau / p.mu) * (disc.W @ E_new),
-            u=L.U.extend(x[nE : nE + nU]),
-            p=L.P.extend(x[nE + nU :]),
-            n=state.n + 1,
-            t=t_new,
-        )
+        x, _ = self._lu.solve(np.concatenate(self.history(state)))
+        ends = np.cumsum([self.disc.layouts.E.num_free, self.disc.layouts.U.num_free])
+        return self.advance(state, *np.split(x, ends))
 
 
 @dataclass(frozen=True)
@@ -422,7 +405,7 @@ def run(
     if disc is None:
         if mesh is None:
             mesh = build_unit_cube_mesh(config.mesh_n)
-        disc = Discretization(mesh, make_layouts(mesh), config.params, config.quad_assembly)
+        disc = Discretization(mesh, make_layouts(mesh), config.params)
     t_assemble = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -437,28 +420,22 @@ def run(
         state = initial_state(disc, initial, spd_tol=min(config.spd_tol, 1e-12))
     t_initial = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     records = []
-    energy = (
-        discrete_energy(state, config.params, config.grid.tau, disc, bh) if track_energy else None
-    )
-    records.append(StepRecord(0, 0.0, 0.0, energy))
-    for obs in observers:
-        obs(0, 0.0, state, energy, 0.0)
-    if n_steps is None:
-        n_steps = config.grid.N
-    for n in range(1, n_steps + 1):
+
+    def record(n: int, t: float, state: State, wall: float) -> None:
+        energy = None
+        if track_energy:
+            energy = discrete_energy(state, config.params, config.grid.tau, disc, bh)
+        records.append(StepRecord(n, t, wall, energy))
+        for obs in observers:
+            obs(n, t, state, energy, wall)
+
+    t0 = time.perf_counter()
+    record(0, 0.0, state, 0.0)
+    for n in range(1, (config.grid.N if n_steps is None else n_steps) + 1):
         ts = time.perf_counter()
         state = engine.step(state)
-        wall = time.perf_counter() - ts
-        energy = (
-            discrete_energy(state, config.params, config.grid.tau, disc, bh)
-            if track_energy
-            else None
-        )
-        records.append(StepRecord(n, state.t, wall, energy))
-        for obs in observers:
-            obs(n, state.t, state, energy, wall)
+        record(n, state.t, state, time.perf_counter() - ts)
     t_loop = time.perf_counter() - t0
 
     return RunResult(

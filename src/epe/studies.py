@@ -23,7 +23,7 @@ from epe.fem.assembly import assemble_matrix
 from epe.fem.dofs import make_layouts
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import ErrorNorms, error_norms, example61
-from epe.schemes import Discretization, RunResult, Sources, run
+from epe.schemes import Discretization, Sources, run
 
 ERROR_FIELDS = ("E_L2", "H_L2", "u_L2", "u_H1", "p_L2")
 TIMING_FIELDS = ("assemble", "factorize", "initial", "loop", "total")
@@ -56,7 +56,6 @@ class StudyReport:
     kind: str             # spatial | temporal | benchmark
     rows: list
     x_field: str          # 'h' or 'tau': abscissa of orders and plots
-    fingerprints: dict    # scheme -> configuration fingerprint
 
     def scheme_rows(self, scheme: str) -> list:
         return [r for r in self.rows if r.scheme == scheme]
@@ -81,8 +80,25 @@ def _attach_orders(rows, x_field: str) -> None:
         by_scheme[row.scheme] = row
 
 
-def _timings(result: RunResult) -> dict:
-    return {k: getattr(result.timings, k) for k in TIMING_FIELDS}
+def _row(config: RunConfig, errors: ErrorNorms, timings: dict) -> StudyRow:
+    """The report row of one run of ``config``."""
+    return StudyRow(
+        scheme=config.scheme,
+        n=config.mesh_n,
+        h=1.0 / config.mesh_n,
+        tau=config.grid.tau,
+        errors=errors.as_dict(),
+        orders={},
+        timings=timings,
+    )
+
+
+def _exact_row(config: RunConfig, mesh) -> StudyRow:
+    """Run example 6.1 with ``config`` on ``mesh``; errors against the exact solution at T."""
+    exact = example61(config.params)
+    result = run(config, Sources(j=exact.j, f=exact.f, g=exact.g), exact, mesh=mesh)
+    errs = error_norms(result.state, exact, config.grid.T, mesh, config.quad_error)
+    return _row(config, errs, {k: getattr(result.timings, k) for k in TIMING_FIELDS})
 
 
 def spatial_convergence(n_values, config: RunConfig, scheme: str | None = None) -> StudyReport:
@@ -93,29 +109,12 @@ def spatial_convergence(n_values, config: RunConfig, scheme: str | None = None) 
     the actual cell diameter is sqrt(3)/n, which changes no order).
     """
     scheme = scheme or config.scheme
-    exact = example61(config.params)
-    sources = Sources(j=exact.j, f=exact.f, g=exact.g)
     rows = []
     for n in n_values:
         cfg = replace(config, mesh_n=int(n), scheme=scheme)
-        mesh = build_unit_cube_mesh(cfg.mesh_n)
-        result = run(cfg, sources, exact, scheme=scheme, mesh=mesh)
-        errs = error_norms(result.state, exact, cfg.grid.T, mesh, cfg.quad_error)
-        rows.append(
-            StudyRow(
-                scheme=scheme,
-                n=cfg.mesh_n,
-                h=1.0 / cfg.mesh_n,
-                tau=cfg.grid.tau,
-                errors=errs.as_dict(),
-                orders={},
-                timings=_timings(result),
-            )
-        )
+        rows.append(_exact_row(cfg, build_unit_cube_mesh(cfg.mesh_n)))
     _attach_orders(rows, "h")
-    return StudyReport(
-        kind="spatial", rows=rows, x_field="h", fingerprints={scheme: config.fingerprint()}
-    )
+    return StudyReport(kind="spatial", rows=rows, x_field="h")
 
 
 def temporal_convergence(
@@ -141,23 +140,23 @@ def temporal_convergence(
     sources = Sources(j=exact.j, f=exact.f, g=exact.g)
     mesh = build_unit_cube_mesh(mesh_n)
     layouts = make_layouts(mesh)
-    disc = Discretization(mesh, layouts, config.params, config.quad_assembly)
+    disc = Discretization(mesh, layouts, config.params)
     K_U = assemble_matrix(mesh, layouts.U, layouts.U, "ELASTICITY", (0.0, 1.0))
 
     T = config.grid.T
 
-    def run_at(tau: float) -> RunResult:
-        cfg = replace(config, mesh_n=mesh_n, grid=make_time_grid(T, round(T / tau)), scheme=scheme)
-        return run(cfg, sources, exact, scheme=scheme, disc=disc)
+    def config_at(tau: float) -> RunConfig:
+        return replace(config, mesh_n=mesh_n, grid=make_time_grid(T, round(T / tau)), scheme=scheme)
 
-    ref = run_at(tau_ref).state
+    ref = run(config_at(tau_ref), sources, exact, disc=disc).state
 
     def mass_norm(M, d):
         return float(np.sqrt(max(d @ (M @ d), 0.0)))
 
     rows = []
     for tau in sorted(tau_values, reverse=True):
-        state = run_at(tau).state
+        cfg = config_at(tau)
+        state = run(cfg, sources, exact, disc=disc).state
         dE, dH = state.E - ref.E, state.H - ref.H
         du, dp = state.u - ref.u, state.p - ref.p
         u_l2 = mass_norm(disc.M_U, du)
@@ -168,54 +167,25 @@ def temporal_convergence(
             u_H1=float(np.sqrt(u_l2**2 + du @ (K_U @ du))),
             p_L2=mass_norm(disc.M_P, dp),
         )
-        rows.append(
-            StudyRow(
-                scheme=scheme,
-                n=mesh_n,
-                h=1.0 / mesh_n,
-                tau=tau,
-                errors=errs.as_dict(),
-                orders={},
-                timings=dict.fromkeys(TIMING_FIELDS, 0.0),
-            )
-        )
+        rows.append(_row(cfg, errs, dict.fromkeys(TIMING_FIELDS, 0.0)))
     _attach_orders(rows, "tau")
-    return StudyReport(
-        kind="temporal", rows=rows, x_field="tau", fingerprints={scheme: config.fingerprint()}
-    )
+    return StudyReport(kind="temporal", rows=rows, x_field="tau")
 
 
 def benchmark(n_values, config: RunConfig) -> StudyReport:
     """Serial timing comparison of the two schemes on shared meshes.
 
     Rows run strictly serially (timing integrity); both schemes of one mesh
-    share the mesh object, quadrature degrees, tolerances, and source
-    evaluators, asserted by fingerprint equality in the report.
+    share the mesh object, and their configurations differ in the scheme
+    alone (same sources, quadrature degrees and tolerances).
     """
-    exact = example61(config.params)
-    sources = Sources(j=exact.j, f=exact.f, g=exact.g)
     rows = []
-    fingerprints = {}
     for n in n_values:
         mesh = build_unit_cube_mesh(int(n))
         for scheme in ("splitting", "monolithic"):
-            cfg = replace(config, mesh_n=int(n), scheme=scheme)
-            fingerprints[scheme] = cfg.fingerprint()
-            result = run(cfg, sources, exact, scheme=scheme, mesh=mesh)
-            errs = error_norms(result.state, exact, cfg.grid.T, mesh, cfg.quad_error)
-            rows.append(
-                StudyRow(
-                    scheme=scheme,
-                    n=cfg.mesh_n,
-                    h=1.0 / cfg.mesh_n,
-                    tau=cfg.grid.tau,
-                    errors=errs.as_dict(),
-                    orders={},
-                    timings=_timings(result),
-                )
-            )
+            rows.append(_exact_row(replace(config, mesh_n=int(n), scheme=scheme), mesh))
     rows.sort(key=lambda r: (r.scheme, r.n))
-    return StudyReport(kind="benchmark", rows=rows, x_field="h", fingerprints=fingerprints)
+    return StudyReport(kind="benchmark", rows=rows, x_field="h")
 
 
 def speedups(report: StudyReport) -> dict:

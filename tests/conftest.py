@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from epe.core import build_config
+from epe.fem.assembly import signed_curls
 from epe.fem.dofs import make_layouts
 from epe.mesh import build_unit_cube_mesh
 from epe.schemes import Discretization
@@ -46,6 +47,15 @@ def disc2(mesh2, params):
 @pytest.fixture(scope="session")
 def disc3(mesh3, params):
     return Discretization(mesh3, make_layouts(mesh3), params)
+
+
+def cellwise_curl(mesh, coefs):
+    """Oracle for the discrete curl W: curl of the edge field ``coefs`` per cell, shape (C, 3).
+
+    Sums the signed constant curls of each cell's six edge functions; it
+    does not go through ``curl_dof_operator``.
+    """
+    return np.einsum("cix,ci->cx", signed_curls(mesh), coefs[mesh.cell_edges])
 
 
 def random_tet(rng, min_det=1e-2):

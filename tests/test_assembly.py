@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+import epe.schemes
+from conftest import cellwise_curl
 from epe.fem.assembly import (
+    FORM_SPACES,
     assemble_load,
     assemble_matrix,
     curl_dof_operator,
-    evaluate_curl_E,
+    evaluate_E,
+    quadrature_points,
 )
-from epe.fem.dofs import LayoutMismatch, apply_dirichlet, make_layouts, reduce_matrix
+from epe.fem.dofs import LayoutMismatch, make_layouts, reduce_matrix
 from epe.fem.elements import nedelec_basis
 from epe.mesh import build_unit_cube_mesh
+from epe.schemes import Discretization
 
 SYMMETRIC_FORMS = ["MASS_E", "H_MASS", "P_MASS", "P_STIFF", "U_MASS"]
 
@@ -49,12 +54,27 @@ class TestMatrices:
         K = assemble_matrix(mesh2, lay2.P, lay2.P, "P_STIFF", 2.0)
         assert np.abs(K @ np.ones(lay2.P.count)).max() <= 1e-13
 
-    def test_curl_forms_transpose_pair(self, mesh1):
-        lay = make_layouts(mesh1)
-        C = assemble_matrix(mesh1, lay.H, lay.E, "CURL_TO_H", 1.0)
-        Ct = assemble_matrix(mesh1, lay.E, lay.H, "H_CURL_TEST", 1.0)
-        diff = (C - Ct.T).tocoo()
-        assert diff.nnz == 0 or np.abs(diff.data).max() <= 1e-13
+    def test_curl_of_rotation_field(self, mesh3):
+        # E = b x x lies in the edge space: its edge moments are exact at the
+        # edge midpoints, and curl E = 2b on every cell
+        b = np.array([0.3, -1.2, 0.7])
+        verts, edges = mesh3.vertices, mesh3.edges
+        tangents = verts[edges[:, 1]] - verts[edges[:, 0]]
+        moments = np.einsum("ex,ex->e", np.cross(b, verts[edges].mean(axis=1)), tangents)
+        curl = (curl_dof_operator(mesh3) @ moments).reshape(-1, 3)
+        np.testing.assert_allclose(curl, np.broadcast_to(2.0 * b, curl.shape), rtol=0, atol=1e-12)
+
+    def test_every_form_is_assembled_by_the_discretization(self, mesh2, params, monkeypatch):
+        # a form no Discretization assembles is dead code in the form table
+        forms = []
+
+        def spy(mesh, row_layout, col_layout, form, *args, **kwargs):
+            forms.append(form)
+            return assemble_matrix(mesh, row_layout, col_layout, form, *args, **kwargs)
+
+        monkeypatch.setattr(epe.schemes, "assemble_matrix", spy)
+        Discretization(mesh2, make_layouts(mesh2), params)
+        assert set(forms) == set(FORM_SPACES)
 
     def test_grad_form_of_linear_pressure(self, mesh2, lay2):
         # p = x_0 lies in P1, so G_pe @ p = (grad p, N_i) = (e_0, N_i)
@@ -88,7 +108,19 @@ class TestMatrices:
         egrad = p[mesh2.edges[:, 1]] - p[mesh2.edges[:, 0]]
         W = curl_dof_operator(mesh2)
         assert np.abs(W @ egrad).max() <= 1e-12
-        assert np.abs(evaluate_curl_E(mesh2, egrad)).max() <= 1e-12
+        assert np.abs(cellwise_curl(mesh2, egrad)).max() <= 1e-12
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_E_matches_the_reference_basis(self, mesh2, lay2, degree):
+        rng = np.random.default_rng(22)
+        coefs = rng.standard_normal(lay2.E.count)
+        got = evaluate_E(mesh2, coefs, degree)
+        pts = quadrature_points(mesh2, degree)
+        for cidx in rng.choice(mesh2.num_cells, size=8, replace=False):
+            want = evaluate_in_cell(mesh2, cidx, coefs, pts[cidx])
+            np.testing.assert_allclose(got[cidx], want, rtol=0.0, atol=1e-12)
 
 
 class TestLoads:
@@ -118,7 +150,7 @@ class TestLoads:
 class TestDirichlet:
     def test_n2_pressure_layout_single_interior_dof(self, mesh2, lay2):
         M = assemble_matrix(mesh2, lay2.P, lay2.P, "P_MASS", 1.0)
-        A_ff, b_f = apply_dirichlet(M, np.ones(lay2.P.count), lay2.P)
+        A_ff, b_f = reduce_matrix(M, lay2.P, lay2.P), lay2.P.reduce(np.ones(lay2.P.count))
         assert A_ff.shape == (1, 1) and b_f.shape == (1,)
         assert lay2.P.num_free == (2 - 1) ** 3
 
@@ -126,7 +158,7 @@ class TestDirichlet:
         lay = make_layouts(mesh1)
         assert lay.P.num_free == 0 and lay.U.num_free == 0
         M = assemble_matrix(mesh1, lay.P, lay.P, "P_MASS", 1.0)
-        A_ff, b_f = apply_dirichlet(M, np.ones(lay.P.count), lay.P)
+        A_ff, b_f = reduce_matrix(M, lay.P, lay.P), lay.P.reduce(np.ones(lay.P.count))
         assert A_ff.shape == (0, 0)
         np.testing.assert_array_equal(lay.P.extend(b_f[:0] * 0.0), np.zeros(lay.P.count))
 

@@ -12,7 +12,6 @@ from epe.linalg import (
     SaddleSolver,
     nested_dissection,
     saddle_blocks,
-    saddle_solve,
     spd_solve,
 )
 from epe.mesh import build_unit_cube_mesh
@@ -69,25 +68,19 @@ class TestSpdSolve:
 
 class TestSaddleSolve:
     def test_hand_1x1(self):
-        (u, p), rep = saddle_solve(
-            sp.csr_matrix([[2.0]]),
-            sp.csr_matrix([[1.0]]),
-            sp.csr_matrix([[1.0]]),
-            np.array([1.0]),
-            np.array([0.0]),
+        solver = SaddleSolver(
+            sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])
         )
+        (u, p), rep = solver.solve(np.array([1.0]), np.array([0.0]))
         np.testing.assert_allclose(u, [1 / 3], atol=1e-14)
         np.testing.assert_allclose(p, [-1 / 3], atol=1e-14)
         assert rep.iterations == 0
 
     def test_decoupled_blocks(self):
-        (u, p), _ = saddle_solve(
-            sp.csr_matrix([[2.0]]),
-            sp.csr_matrix([[0.0]]),
-            sp.csr_matrix([[4.0]]),
-            np.array([2.0]),
-            np.array([8.0]),
+        solver = SaddleSolver(
+            sp.csr_matrix([[2.0]]), sp.csr_matrix([[0.0]]), sp.csr_matrix([[4.0]])
         )
+        (u, p), _ = solver.solve(np.array([2.0]), np.array([8.0]))
         np.testing.assert_allclose(u, [1.0])
         np.testing.assert_allclose(p, [2.0])
 
@@ -104,7 +97,7 @@ class TestSaddleSolve:
         C = reduce_matrix(assemble_matrix(mesh2, lay.P, lay.P, "P_MASS", params.c0), lay.P, lay.P)
         rng = np.random.default_rng(3)
         f_u, f_p = rng.standard_normal(A.shape[0]), rng.standard_normal(C.shape[0])
-        (u, p), rep = saddle_solve(A, B, C, f_u, f_p, tol=1e-9)
+        (u, p), rep = SaddleSolver(A, B, C, tol=1e-9).solve(f_u, f_p)
         assert rep.relative_residual <= 1e-9
         ru = A @ u - B.T @ p - f_u
         rp = B @ u + C @ p - f_p
@@ -120,8 +113,8 @@ class TestSaddleSolve:
         Q = rng.standard_normal((m, m))
         C = sp.csr_matrix(Q @ Q.T + m * np.eye(m))
         f_u, f_p = rng.standard_normal(n), rng.standard_normal(m)
-        (u1, p1), _ = saddle_solve(A, B, C, f_u, f_p, tol=1e-11, direct_threshold=10**6)
-        (u2, p2), rep = saddle_solve(A, B, C, f_u, f_p, tol=1e-11, direct_threshold=1)
+        (u1, p1), _ = SaddleSolver(A, B, C, tol=1e-11, direct_threshold=10**6).solve(f_u, f_p)
+        (u2, p2), rep = SaddleSolver(A, B, C, tol=1e-11, direct_threshold=1).solve(f_u, f_p)
         assert rep.iterations > 0
         np.testing.assert_allclose(u1, u2, atol=1e-9)
         np.testing.assert_allclose(p1, p2, atol=1e-9)
@@ -210,7 +203,7 @@ class TestNestedDissection:
         rng = np.random.default_rng(8)
         f_u, f_p = rng.standard_normal(A.shape[0]), rng.standard_normal(C.shape[0])
         order = disc.order("U", "P")
-        (u1, p1), _ = saddle_solve(A, B, C, f_u, f_p, tol=1e-11)
+        (u1, p1), _ = SaddleSolver(A, B, C, tol=1e-11).solve(f_u, f_p)
         (u2, p2), _ = SaddleSolver(A, B, C, tol=1e-11, direct_threshold=1, order=order).solve(f_u, f_p)
         np.testing.assert_allclose(u2, u1, atol=1e-9)
         np.testing.assert_allclose(p2, p1, atol=1e-9)

@@ -1,11 +1,14 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
-from epe.fem.quadrature import (
-    UnsupportedDegree,
-    quadrature_rule,
-    reference_monomial_integral,
-)
+from epe.fem.quadrature import UnsupportedDegree, quadrature_rule
+
+
+def reference_monomial_integral(a: int, b: int, c: int) -> float:
+    """Exact integral of x^a y^b z^c over the reference tetrahedron."""
+    return factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 3)
 
 
 @pytest.mark.parametrize("degree", range(1, 7))

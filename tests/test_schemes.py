@@ -5,8 +5,9 @@ import scipy.sparse.linalg as spla
 from dataclasses import replace
 
 import epe.schemes
-from epe.core import make_time_grid, validate_params
-from epe.fem.assembly import assemble_load, evaluate_curl_E
+from conftest import cellwise_curl
+from epe.core import PARAM_NAMES, make_time_grid, validate_params
+from epe.fem.assembly import assemble_load
 from epe.fem.dofs import make_layouts
 from epe.linalg import LuSolver
 from epe.mesh import build_unit_cube_mesh
@@ -25,6 +26,11 @@ from epe.schemes import (
 )
 
 
+def curl_coupling(disc):
+    """C = M_H W restricted to free E columns: the (curl E, H) coupling with H kept."""
+    return (disc.M_H @ disc.W[:, disc.layouts.E.free]).tocsr()
+
+
 def random_admissible_state(layouts, rng):
     return State(
         E=layouts.E.extend(rng.standard_normal(layouts.E.num_free)),
@@ -36,6 +42,25 @@ def random_admissible_state(layouts, rng):
     )
 
 
+def equilibrium_state(disc, rng):
+    """Random E, H and p, with u in mechanical equilibrium: a(u, v) = (p, alpha div v).
+
+    The energy's (Bh p, p) term stands for (alpha div u, p) only for such u.
+    """
+    L = disc.layouts
+    p_free = rng.standard_normal(L.P.num_free)
+    u_free, _ = LuSolver(disc.A_el_ff).solve(disc.B_ff.T @ p_free)
+    state = random_admissible_state(L, rng)
+    return replace(state, u=L.U.extend(u_free), p=L.P.extend(p_free))
+
+
+def random_admissible_params(rng):
+    """Constants log-uniform in [e^-1.5, e^1.5], and L = r sqrt(sigma kappa) with r < 0.999."""
+    values = dict(zip(PARAM_NAMES, np.exp(rng.uniform(-1.5, 1.5, len(PARAM_NAMES)))))
+    values["L"] = rng.uniform(0.0, 0.999) * np.sqrt(values["sigma"] * values["kappa"])
+    return validate_params(**values)
+
+
 class UncondensedSplitting(SplittingScheme):
     """Oracle: sub-step A solves the 2-block (E, H) system by LU, H not eliminated."""
 
@@ -43,7 +68,8 @@ class UncondensedSplitting(SplittingScheme):
         super().__init__(disc, tau, sources, spd_tol=spd_tol, saddle_tol=saddle_tol)
         p = disc.params
         A0 = (p.epsilon + tau * p.sigma) * disc.M_E_ff
-        K = sp.bmat([[A0, -tau * disc.C_f.T], [tau * disc.C_f, p.mu * disc.M_H]], format="csc")
+        C_f = curl_coupling(disc)
+        K = sp.bmat([[A0, -tau * C_f.T], [tau * C_f, p.mu * disc.M_H]], format="csc")
         self._em_block = LuSolver(K, tol=spd_tol * 10)
 
     def step(self, state):
@@ -213,7 +239,7 @@ class TestSplittingStep:
         run(cfg, sources, exact, observers=[lambda n, t, s, e, w: states.append(s)], disc=disc2)
         worst = 0.0
         for prev, curr in zip(states, states[1:]):
-            resid = params.mu * (curr.H - prev.H) / cfg.grid.tau + evaluate_curl_E(
+            resid = params.mu * (curr.H - prev.H) / cfg.grid.tau + cellwise_curl(
                 mesh2, curr.E
             ).ravel()
             worst = max(worst, float(np.abs(resid).max()))
@@ -297,11 +323,12 @@ class TestMonolithic:
         fE, fP = L.E.free, L.P.free
         Gpe_f = disc2.G_pe.tocsr()[fE][:, fP]
         C_p = p.c0 * disc2.M_P_ff + tau * p.kappa * disc2.K_P_ff
+        C_f = curl_coupling(disc2)
         K = sp.bmat(
             [
-                [(p.epsilon + tau * p.sigma) * disc2.M_E_ff, -tau * disc2.C_f.T, None,
+                [(p.epsilon + tau * p.sigma) * disc2.M_E_ff, -tau * C_f.T, None,
                  -tau * p.L * Gpe_f],
-                [tau * disc2.C_f, p.mu * disc2.M_H, None, None],
+                [tau * C_f, p.mu * disc2.M_H, None, None],
                 [None, None, disc2.A_el_ff, -disc2.B_ff.T],
                 [-tau * p.L * Gpe_f.T, None, disc2.B_ff, C_p],
             ],
@@ -364,6 +391,27 @@ class TestEnergy:
         assert trace.shape == (101,)
         assert np.all(trace >= 0.0)
         assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_monotone_for_random_admissible_parameters(self, scheme, config, mesh3):
+        """Energy stability as a property: 20 random parameter sets with 0 < L < sqrt(sigma kappa).
+
+        n = 3, where the pressure-to-dilation coupling is nonzero, so u and
+        the Bh term enter the energy; every run starts in mechanical equilibrium.
+        """
+        rng = np.random.default_rng(7)
+        layouts = make_layouts(mesh3)
+        cfg = small_config(config, 3, 0.25, 25)
+        for _ in range(20):
+            params = random_admissible_params(rng)
+            disc = Discretization(mesh3, layouts, params)
+            res = run(
+                replace(cfg, params=params), Sources(), None, scheme=scheme, disc=disc,
+                start_state=equilibrium_state(disc, rng), track_energy=True,
+            )
+            trace = res.energy_trace
+            assert trace.shape == (26,)
+            assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12)), (params, trace)
 
 
 class TestSourceLoads:
