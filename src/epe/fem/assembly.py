@@ -64,9 +64,9 @@ def _basis_data(mesh: TetMesh, degree: int) -> dict:
     return data
 
 
-def _edge_function(d: dict, a: int, b: int) -> np.ndarray:
+def _edge_function(d: dict, a: int, b: int, cells=slice(None)) -> np.ndarray:
     """Unsigned Nedelec function lam_a grad lam_b - lam_b grad lam_a at rule points, (C, nq, 3)."""
-    lam, g = d["lam"], d["grads"]
+    lam, g = d["lam"], d["grads"][cells]
     return lam[None, :, a, None] * g[:, None, b, :] - lam[None, :, b, None] * g[:, None, a, :]
 
 
@@ -260,43 +260,43 @@ def assemble_load(
 # Field evaluation at quadrature points (error norms, output) -----------------
 
 
-def evaluate_E(mesh: TetMesh, coefs: np.ndarray, quad_degree: int) -> np.ndarray:
-    """Discrete E field at the rule points of every cell, shape (C, nq, 3).
+def evaluate_E(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
+    """Discrete E field at the rule points of ``cells`` (default all), shape (C, nq, 3).
 
     Summed edge by edge: at the error-norm degree, the (C, nq, 6, 3) table of
     ``_signed_edge_values`` would be a run's largest array (95 MB at n = 16).
     """
     d = _basis_data(mesh, quad_degree)
-    signed = coefs[mesh.cell_edges] * mesh.cell_edge_signs      # (C, 6)
-    E = np.zeros((mesh.num_cells, d["lam"].shape[0], 3))
+    signed = coefs[mesh.cell_edges[cells]] * mesh.cell_edge_signs[cells]     # (C, 6)
+    E = np.zeros((signed.shape[0], d["lam"].shape[0], 3))
     for i, (a, b) in enumerate(LOCAL_EDGES):
-        E += signed[:, i, None, None] * _edge_function(d, a, b)
+        E += signed[:, i, None, None] * _edge_function(d, a, b, cells)
     return E
 
 
-def evaluate_H(mesh: TetMesh, coefs: np.ndarray) -> np.ndarray:
-    """Cellwise-constant H field, shape (C, 3)."""
-    return coefs.reshape(mesh.num_cells, 3)
+def evaluate_H(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarray:
+    """Cellwise-constant H field of ``cells`` (default all), shape (C, 3)."""
+    return coefs.reshape(mesh.num_cells, 3)[cells]
 
 
-def evaluate_U(mesh: TetMesh, coefs: np.ndarray, quad_degree: int) -> np.ndarray:
-    """Discrete displacement at rule points, shape (C, nq, 3)."""
+def evaluate_U(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
+    """Discrete displacement at the rule points of ``cells`` (default all), shape (C, nq, 3)."""
     d = _basis_data(mesh, quad_degree)
-    nodal = coefs.reshape(-1, 3)[mesh.cells]     # (C, 4, 3)
+    nodal = coefs.reshape(-1, 3)[mesh.cells[cells]]     # (C, 4, 3)
     return np.einsum("qm,cmx->cqx", d["lam"], nodal)
 
 
-def evaluate_grad_U(mesh: TetMesh, coefs: np.ndarray) -> np.ndarray:
-    """Cellwise-constant displacement gradient, shape (C, 3, 3): [r, x] = d_x u_r."""
+def evaluate_grad_U(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarray:
+    """Cellwise-constant displacement gradient of ``cells``, shape (C, 3, 3): [r, x] = d_x u_r."""
     g, _ = mesh.cell_geometry()
-    nodal = coefs.reshape(-1, 3)[mesh.cells]
-    return np.einsum("cmr,cmx->crx", nodal, g)
+    nodal = coefs.reshape(-1, 3)[mesh.cells[cells]]
+    return np.einsum("cmr,cmx->crx", nodal, g[cells])
 
 
-def evaluate_P(mesh: TetMesh, coefs: np.ndarray, quad_degree: int) -> np.ndarray:
-    """Discrete pressure at rule points, shape (C, nq)."""
+def evaluate_P(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
+    """Discrete pressure at the rule points of ``cells`` (default all), shape (C, nq)."""
     d = _basis_data(mesh, quad_degree)
-    return np.einsum("qm,cm->cq", d["lam"], coefs[mesh.cells])
+    return np.einsum("qm,cm->cq", d["lam"], coefs[mesh.cells[cells]])
 
 
 def quadrature_points(mesh: TetMesh, quad_degree: int) -> np.ndarray:

@@ -22,8 +22,10 @@ once per run; H is recovered from E^n by the same update. Both schemes
 build the same history right-hand side (``BackwardEuler.history``); the
 splitting step adds its explicit pressure couplings on top.
 
-Every sparse LU is ordered by nested dissection of its unknowns' lattice
-locations (``Discretization.order``).
+Every direct factorization is ordered by nested dissection of its unknowns'
+lattice locations (``Discretization.order``): the symmetric Biot saddle
+system and the elasticity block get a quasi-definite LDL^T, the
+non-symmetric monolithic system an LU.
 
 Time-separable sources (``mms.SeparableSource``) have their spatial load
 vectors assembled once, when a scheme is built; a step then combines them
@@ -107,8 +109,8 @@ class Discretization:
         self.curl_T_ff = (self.M_H @ W_f).T.tocsr()
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
 
-    def order(self, *spaces: str) -> np.ndarray:
-        """Nested-dissection order of the free DOFs of ``spaces``, stacked in that order."""
+    def order(self, *spaces: str) -> list[np.ndarray]:
+        """Nested-dissection blocks of the free DOFs of ``spaces``, stacked in that order."""
         points = [free_dof_points(self.mesh, getattr(self.layouts, s)) for s in spaces]
         return nested_dissection(np.vstack(points))
 
@@ -136,17 +138,6 @@ class Discretization:
         return self._term_loads[key]
 
 
-def zero_state(layouts: Layouts) -> State:
-    return State(
-        E=np.zeros(layouts.E.count),
-        H=np.zeros(layouts.H.count),
-        u=np.zeros(layouts.U.count),
-        p=np.zeros(layouts.P.count),
-        n=0,
-        t=0.0,
-    )
-
-
 def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State:
     """L2-orthogonal projection of the initial fields onto the four spaces.
 
@@ -172,34 +163,21 @@ class BhOperator:
     product (Bh p, q) equals q^T B A^{-1} B^T p on free DOFs.
     """
 
-    def __init__(self, disc: Discretization, spd_tol: float = 1e-12):
+    def __init__(self, disc: Discretization):
         self.disc = disc
-        self.spd_tol = spd_tol
         self._lu_A = (
             LuSolver(disc.A_el_ff, tol=1e-8, order=disc.order("U"))
             if disc.A_el_ff.shape[0]
             else None
         )
 
-    def _schur(self, p_free: np.ndarray) -> np.ndarray:
-        if self._lu_A is None:
-            return np.zeros(0)
-        u_free, _ = self._lu_A.solve(self.disc.B_ff.T @ p_free)
-        return self.disc.B_ff @ u_free
-
-    def apply(self, p_full: np.ndarray) -> np.ndarray:
-        """Coefficients of the L2 representative of alpha div u in the P space."""
-        L = self.disc.layouts.P
-        rhs = self._schur(L.reduce(p_full))
-        if rhs.size == 0:
-            return np.zeros(L.count)
-        x, _ = spd_solve(self.disc.M_P_ff, rhs, tol=self.spd_tol)
-        return L.extend(x)
-
     def inner(self, p_full: np.ndarray, q_full: np.ndarray) -> float:
         """(Bh p, q) in L2."""
+        if self._lu_A is None:
+            return 0.0
         L = self.disc.layouts.P
-        return float(L.reduce(q_full) @ self._schur(L.reduce(p_full)))
+        u_free, _ = self._lu_A.solve(self.disc.B_ff.T @ L.reduce(p_full))
+        return float(L.reduce(q_full) @ (self.disc.B_ff @ u_free))
 
 
 def discrete_energy(

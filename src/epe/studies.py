@@ -62,7 +62,9 @@ class StudyReport:
 
 
 def convergence_order(e_prev: float, e_curr: float, x_prev: float, x_curr: float) -> float:
-    """Two-point order log(e_prev/e_curr) / log(x_prev/x_curr)."""
+    """Two-point order log(e_prev/e_curr) / log(x_prev/x_curr); nan when an error is zero."""
+    if e_prev == 0.0 or e_curr == 0.0:
+        return math.nan
     return math.log(e_prev / e_curr) / math.log(x_prev / x_curr)
 
 
@@ -209,31 +211,6 @@ def report_csv(report: StudyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report_csv(text: str) -> list:
-    """Re-parse an emitted CSV into StudyRow values (round-trip checks)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        errors = {f: float(c) for f, c in zip(ERROR_FIELDS, cells[4:9])}
-        orders = {f: float(c) for f, c in zip(ERROR_FIELDS, cells[9:14]) if c != ""}
-        timings = dict(zip(TIMING_FIELDS, map(float, cells[14:19])))
-        rows.append(
-            StudyRow(
-                scheme=cells[0],
-                n=int(cells[1]),
-                h=float(cells[2]),
-                tau=float(cells[3]),
-                errors=errors,
-                orders=orders,
-                timings=timings,
-            )
-        )
-    return rows
-
-
 def report_markdown(report: StudyReport) -> str:
     if report.kind == "benchmark":
         return _benchmark_markdown(report)
@@ -268,13 +245,17 @@ def _benchmark_markdown(report: StudyReport) -> str:
 
 
 def report_svg(report: StudyReport, width: int = 640, height: int = 480) -> str:
-    """Log-log error plot: one polyline per error field + 2 slope guides."""
+    """Log-log error plot: one polyline per error field + 2 slope guides.
+
+    A zero error has no place on a log axis, so its point is left out.
+    """
     rows = report.rows
     xs = np.array([getattr(r, report.x_field) for r in rows], dtype=float)
     pad, legend_w = 50.0, 120.0
     x0, x1 = math.log10(xs.min()), math.log10(xs.max())
     all_errs = np.array([[r.errors[f] for f in ERROR_FIELDS] for r in rows])
-    y0, y1 = math.log10(all_errs.min()), math.log10(all_errs.max())
+    all_errs = all_errs[all_errs > 0.0]
+    y0, y1 = (math.log10(all_errs.min()), math.log10(all_errs.max())) if all_errs.size else (0.0, 0.0)
     if x1 - x0 < 1e-12:
         x1 = x0 + 1.0
     if y1 - y0 < 1e-12:
@@ -295,6 +276,7 @@ def report_svg(report: StudyReport, width: int = 640, height: int = 480) -> str:
             "{:.2f},{:.2f}".format(*to_px(math.log10(getattr(r, report.x_field)),
                                           math.log10(r.errors[fname])))
             for r in rows
+            if r.errors[fname] > 0.0
         )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'

@@ -5,7 +5,7 @@ from epe.core import build_config
 from epe.fem.assembly import signed_curls
 from epe.fem.dofs import make_layouts
 from epe.mesh import build_unit_cube_mesh
-from epe.schemes import Discretization
+from epe.schemes import Discretization, State
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +70,15 @@ def random_tet(rng, min_det=1e-2):
         if det < 0:
             verts[[2, 3]] = verts[[3, 2]]
         return verts
+
+
+def zero_state(layouts):
+    """The state with every coefficient zero, at n = 0, t = 0."""
+    return State(
+        E=np.zeros(layouts.E.count),
+        H=np.zeros(layouts.H.count),
+        u=np.zeros(layouts.U.count),
+        p=np.zeros(layouts.P.count),
+        n=0,
+        t=0.0,
+    )

@@ -41,3 +41,13 @@ def test_studies_print_the_table_they_write(argv, stem, tmp_path, capsys):
         assert (tmp_path / f"{stem}.{ext}").is_file()
     assert (tmp_path / f"{stem}.md").read_text() in out
     assert out.rstrip().splitlines()[-1].startswith(f"wrote {tmp_path / stem}.csv")
+
+
+def test_convergence_time_reports_nan_for_a_zero_error(tmp_path, capsys):
+    """At n = 2 the coupling block is zero, so u does not depend on tau and its errors are 0."""
+    argv = ["convergence-time", "--n", "2", "--taus", "0.005,0.01", "--tau-ref", "0.000625"]
+    code, out = run_cli(argv + TINY + ["--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    last = (tmp_path / "convergence_time.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[6]) == 0.0 and last[11] == "nan"  # err_u_L2 and its order
+    assert "| nan |" in out

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import zero_state
 from epe.core import (
     ConfigError,
     H1Violated,
@@ -15,7 +16,7 @@ from epe.core import (
     parse_config_file,
     validate_params,
 )
-from epe.schemes import Sources, run, zero_state
+from epe.schemes import Sources, run
 
 GOOD = dict(epsilon=1, sigma=2, L=1, mu=1, lambda_c=2, G=1, alpha=1, c0=1, kappa=2)
 

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import epe.linalg
 from epe.fem.assembly import assemble_matrix
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import (
+    FRONT_MAX,
     DimensionMismatch,
     LinearSolveReport,
     LuSolver,
+    MultifrontalLdl,
     NotConverged,
     SaddleSolver,
+    SingularSystem,
     nested_dissection,
     saddle_blocks,
     spd_solve,
@@ -163,16 +167,119 @@ class TestLuSolver:
             LuSolver(sp.identity(3, format="csc"), order=np.array([0, 1, 1]))
 
 
+def random_sqd(rng, n_pos=40, n_neg=20, density=0.15):
+    """Sparse symmetric quasi-definite [[H, A^T], [A, -G]], H and G SPD, unknowns shuffled.
+
+    Returns (K, positive) with ``positive`` the mask of the H unknowns.
+    """
+
+    def spd(m):
+        R = sp.random(m, m, density=density, random_state=rng)
+        return R @ R.T + sp.identity(m)
+
+    A = sp.random(n_neg, n_pos, density=density, random_state=rng)
+    K = sp.bmat([[spd(n_pos), A.T], [A, -spd(n_neg)]]).tocsc()
+    shuffle = rng.permutation(n_pos + n_neg)
+    return K[shuffle][:, shuffle], shuffle < n_pos
+
+
+def random_blocks(rng, order, max_size=12):
+    """``order`` cut at random points into consecutive blocks."""
+    cuts = np.sort(rng.choice(np.arange(1, order.size), size=order.size // max_size, replace=False))
+    return np.split(order, cuts)
+
+
+class TestMultifrontalLdl:
+    @pytest.mark.parametrize("seed,kind", enumerate(["mixed", "one_sign", "single", "singletons", "none"]))
+    def test_sqd_matches_dense_solve(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            K, positive = random_sqd(rng)
+            n = K.shape[0]
+            perm = rng.permutation(n)
+            if kind == "mixed":
+                order = random_blocks(rng, perm)
+            elif kind == "one_sign":  # every block all-positive or all-negative
+                order = random_blocks(rng, perm[positive[perm]]) + random_blocks(rng, perm[~positive[perm]])
+            elif kind == "single":
+                order = [perm]
+            elif kind == "singletons":
+                order = perm
+            else:
+                order = None
+            solver = LuSolver(K, tol=1e-12, order=order)
+            assert isinstance(solver.lu, MultifrontalLdl)
+            b = rng.standard_normal(n)
+            x, rep = solver.solve(b)
+            want = np.linalg.solve(K.toarray(), b)
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+            assert rep.relative_residual <= 1e-12
+
+    def test_factor_reproduces_the_permuted_matrix(self):
+        rng = np.random.default_rng(10)
+        K, positive = random_sqd(rng)
+        solver = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0])))
+        Kp = K[solver.order][:, solver.order].toarray()
+        L, J = solver.lu.L.toarray(), np.sign(np.diag(Kp))
+        np.testing.assert_array_equal(J > 0, positive[solver.order])
+        assert np.abs(np.triu(L, 1)).max() == 0.0 and np.all(np.diag(L) > 0.0)
+        np.testing.assert_allclose(L @ (J[:, None] * L.T), Kp, atol=1e-12 * np.abs(Kp).max())
+        assert solver.lu.U.nnz == 0
+
+    def test_pure_spd_elasticity_block(self, disc3):
+        A = disc3.A_el_ff
+        solver = LuSolver(A, tol=1e-12, order=disc3.order("U"))
+        assert all(k1 == e - s for s, e, k1, *_ in solver.lu.fronts)  # Cholesky only
+        b = np.random.default_rng(11).standard_normal(A.shape[0])
+        x, _ = solver.solve(b)
+        want = np.linalg.solve(A.toarray(), b)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_symmetric_but_not_quasi_definite_raises(self):
+        with pytest.raises(SingularSystem):
+            LuSolver(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+    def test_two_factorizations_give_bit_identical_solves(self, disc3, params):
+        K = saddle_blocks(disc3.A_el_ff, disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
+        b = np.random.default_rng(12).standard_normal(K.shape[0])
+        order = disc3.order("U", "P")
+        x1, _ = LuSolver(K, order=order).solve(b)
+        x2, _ = LuSolver(K, order=order).solve(b)
+        assert x1.tobytes() == x2.tobytes()
+
+    def test_superlu_only_for_nonsymmetric_matrices(self, disc3, params, monkeypatch):
+        K = saddle_blocks(disc3.A_el_ff, disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
+        calls = []
+        splu = epe.linalg.spla.splu
+        monkeypatch.setattr(epe.linalg.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+        LuSolver(K, order=disc3.order("U", "P"))
+        assert calls == []
+        LuSolver(sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 1.0]])))
+        assert calls == [1]
+
+
 class TestNestedDissection:
     @pytest.mark.parametrize("spaces", [("E",), ("H",), ("U",), ("P",), ("U", "P"), ("E", "U", "P")])
     def test_mesh_order_is_a_permutation(self, disc3, spaces):
-        order = disc3.order(*spaces)
+        order = np.concatenate(disc3.order(*spaces))
         size = sum(getattr(disc3.layouts, s).num_free for s in spaces)
         assert np.array_equal(np.sort(order), np.arange(size))
 
     def test_any_point_set_gives_a_permutation(self):
         pts = np.random.default_rng(7).random((500, 3)) * 5.0
-        assert np.array_equal(np.sort(nested_dissection(pts)), np.arange(500))
+        assert np.array_equal(np.sort(np.concatenate(nested_dissection(pts))), np.arange(500))
+
+    def test_blocks_are_small_subtrees_or_separators(self, params):
+        """Every block is nonempty; a block above FRONT_MAX can only be a separator plane."""
+        mesh = build_unit_cube_mesh(6)
+        disc = Discretization(mesh, make_layouts(mesh), params)
+        lay = disc.layouts
+        pts = np.concatenate([free_dof_points(mesh, lay.U), free_dof_points(mesh, lay.P)])
+        blocks = disc.order("U", "P")
+        assert len(blocks) > 1 and all(b.size for b in blocks)
+        for b in blocks:
+            if b.size > FRONT_MAX:
+                assert np.any(np.ptp(pts[b], axis=0) == 0.0)
 
     def test_points_in_lattice_units(self, mesh3):
         lay = make_layouts(mesh3)
@@ -188,7 +295,7 @@ class TestNestedDissection:
         lay = disc.layouts
         x = np.concatenate([free_dof_points(mesh4, lay.U), free_dof_points(mesh4, lay.P)])[:, 0]
         K = saddle_blocks(disc.A_el_ff, disc.B_ff, disc.M_P_ff + disc.K_P_ff).tocsr()
-        order = disc.order("U", "P")
+        order = np.concatenate(disc.order("U", "P"))
         lo, hi = np.flatnonzero(x < 2), np.flatnonzero(x > 2)
         # lower half first, then the upper half, then the separator
         assert set(order[: len(lo)]) == set(lo)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 import sympy as sym
 
+from conftest import zero_state
 from epe.core import PhysicalParams
 from epe.mms import error_norms, example61, zero_scalar_source, zero_vector_source
-from epe.schemes import zero_state
 from epe.fem.dofs import make_layouts
 
 FD_STEP = 1e-5

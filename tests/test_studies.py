@@ -1,6 +1,37 @@
+import math
+
 import pytest
 
-from epe.studies import TIMING_FIELDS, benchmark, parse_report_csv, report_csv
+from epe.studies import (
+    CSV_HEADER,
+    ERROR_FIELDS,
+    TIMING_FIELDS,
+    StudyRow,
+    benchmark,
+    convergence_order,
+    report_csv,
+)
+
+
+def parse_report_csv(text: str) -> list:
+    """Re-parse an emitted CSV into StudyRow values."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    assert lines[0] == CSV_HEADER
+    rows = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        rows.append(
+            StudyRow(
+                scheme=cells[0],
+                n=int(cells[1]),
+                h=float(cells[2]),
+                tau=float(cells[3]),
+                errors={f: float(c) for f, c in zip(ERROR_FIELDS, cells[4:9])},
+                orders={f: float(c) for f, c in zip(ERROR_FIELDS, cells[9:14]) if c != ""},
+                timings=dict(zip(TIMING_FIELDS, map(float, cells[14:19]))),
+            )
+        )
+    return rows
 
 
 def test_benchmark_csv_roundtrip_and_phases_add_up(config):
@@ -14,3 +45,9 @@ def test_benchmark_csv_roundtrip_and_phases_add_up(config):
         t = parsed.timings
         assert t["initial"] > 0.0
         assert abs(t["assemble"] + t["factorize"] + t["initial"] + t["loop"] - t["total"]) <= 1e-9
+
+
+def test_convergence_order_of_a_zero_error_is_nan():
+    assert convergence_order(0.4, 0.1, 0.5, 0.25) == pytest.approx(2.0, rel=1e-14)
+    for e_prev, e_curr in ((0.0, 0.0), (0.1, 0.0), (0.0, 0.1)):
+        assert math.isnan(convergence_order(e_prev, e_curr, 0.5, 0.25))
