@@ -27,6 +27,8 @@ from epe.mesh import InvalidSubdivision, build_unit_cube_mesh, euler_characteris
 from epe.mms import error_norms, example61
 from epe.schemes import Discretization, Sources, run
 from epe.studies import (
+    DEFAULT_TAU_REF,
+    DEFAULT_TAUS,
     IoError,
     benchmark,
     emit_report,
@@ -85,7 +87,6 @@ def _add_common(parser: _Parser) -> None:
     o.add_argument("--scheme", choices=("splitting", "monolithic"), default=None)
     o.add_argument("--spd-tol", type=float, dest="spd_tol", default=None)
     o.add_argument("--saddle-tol", type=float, dest="saddle_tol", default=None)
-    o.add_argument("--direct-threshold", type=int, dest="direct_threshold", default=None)
     o.add_argument("--quad-error", type=int, dest="quad_error", default=None)
     o.add_argument("--out", default=None, help="output directory (default report)")
 
@@ -218,8 +219,8 @@ def _cmd_convergence(args) -> int:
 def _cmd_convergence_time(args) -> int:
     config = _config_from_args(args)
     mesh_n = args.n if args.n else 8
-    taus = args.taus if args.taus else [1 / 40, 1 / 80, 1 / 160]
-    tau_ref = args.tau_ref if args.tau_ref else 1 / 1280
+    taus = args.taus if args.taus else DEFAULT_TAUS
+    tau_ref = args.tau_ref if args.tau_ref else DEFAULT_TAU_REF
     report = temporal_convergence(mesh_n, taus, config, tau_ref)
     return _emit(report, config.out, "convergence_time")
 
@@ -245,7 +246,7 @@ def _cmd_self_check(args) -> int:
             failures += 1
 
     from epe.fem.elements import nedelec_basis
-    from epe.schemes import BhOperator, State, discrete_energy
+    from epe.schemes import BhOperator, State
 
     for n in (1, 2):
         mesh = build_unit_cube_mesh(n)

@@ -153,7 +153,6 @@ class RunConfig:
     scheme: str = "splitting"
     spd_tol: float = 1e-10
     saddle_tol: float = 1e-9
-    direct_threshold: int = 200_000
     quad_error: int = 5
     out: str = "report"
 
@@ -178,13 +177,12 @@ DEFAULT_OPTIONS = {
     "scheme": "splitting",
     "spd_tol": 1e-10,
     "saddle_tol": 1e-9,
-    "direct_threshold": 200_000,
     "quad_error": 5,
     "out": "report",
     "allow_decoupled": False,
 }
 
-_INT_KEYS = {"mesh_n", "direct_threshold", "quad_error"}
+_INT_KEYS = {"mesh_n", "quad_error"}
 _FLOAT_KEYS = set(PARAM_NAMES) | {"T", "tau", "spd_tol", "saddle_tol"}
 _BOOL_KEYS = {"allow_decoupled"}
 _STR_KEYS = {"scheme", "out"}
@@ -265,7 +263,6 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
         scheme=str(values["scheme"]),
         spd_tol=float(values["spd_tol"]),
         saddle_tol=float(values["saddle_tol"]),
-        direct_threshold=int(values["direct_threshold"]),
         quad_error=int(values["quad_error"]),
         out=str(values["out"]),
     )

@@ -1,9 +1,25 @@
 """Vectorized Galerkin assembly of all bilinear forms and load vectors.
 
 Every matrix is assembled on the FULL DOF set (no boundary elimination);
-reduction happens afterwards through the layout helpers. All integrands are
-polynomial of degree at most 2, so the degree-2 rule ``ASSEMBLY_DEGREE``
-integrates every form exactly.
+reduction happens afterwards through the layout helpers.
+
+Local matrices are closed forms. Every lowest-order integrand is a product
+of barycentric coordinates lam_m and their constant gradients, and
+int_K lam_i lam_j = V (1 + delta_ij) / 20. So each local matrix is the cell
+volume V times a constant, a product of gradients or, for the Nedelec
+forms, a fixed linear map of gg = grad lam . grad lam (C, 4, 4): for edges
+i = (a, b) and j = (c, d),
+  int N_i . N_j          = V/20 [S_ac gg_bd - S_ad gg_bc - S_bc gg_ad + S_bd gg_ac],
+  int N_i . grad lam_k   = V/4 (gg_bk - gg_ak),      S = 1 + delta.
+Cell-local values are summed into CSR through a ``CellPattern``: the
+pattern of one pair of cell index maps (edges or vertices) and a sparse 0/1
+scatter of every local entry into it, built once and shared by the forms on
+that pair. The U forms fill the vertex-pair pattern with 3 x 3 blocks (1 x 3
+for the divergence coupling).
+
+Loads are integrated by the degree-2 rule ``LOAD_DEGREE`` (exact for
+sources linear in x) through per-cell vertex moments F_m = int_K lam_m f;
+the Nedelec load of edge (a, b) is F_a . grad lam_b - F_b . grad lam_a.
 
 Forms (``FORM_SPACES``): the E, H, P and U masses, the pressure-gradient
 coupling into E, elasticity, the divergence coupling and the P stiffness.
@@ -28,8 +44,8 @@ from epe.fem.dofs import DofLayout, LayoutMismatch
 from epe.fem.quadrature import quadrature_rule
 from epe.mesh import LOCAL_EDGES, TetMesh
 
-#: Exactness degree of the rule every matrix is assembled with.
-ASSEMBLY_DEGREE = 2
+#: Exactness degree of the rule every load vector is integrated with.
+LOAD_DEGREE = 2
 
 #: test space x trial space of every supported form tag
 FORM_SPACES = {
@@ -43,73 +59,129 @@ FORM_SPACES = {
     "U_MASS": ("U", "U"),
 }
 
+#: Low and high local vertex of each of the six local edges.
+_A, _B = np.array(LOCAL_EDGES).T
+
+#: int_K lam_i lam_j / V.
+_P1_MASS = (1.0 + np.eye(4)) / 20.0
+
+
+def _edge_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of gg_lm in the unsigned int N_i . N_j / V (16, 36) and
+    int N_i . grad lam_k / V (16, 24)."""
+    mass = np.zeros((4, 4, 6, 6))
+    grad = np.zeros((4, 4, 6, 4))
+    S = _P1_MASS
+    for i, (a, b) in enumerate(LOCAL_EDGES):
+        for j, (c, d) in enumerate(LOCAL_EDGES):
+            mass[b, d, i, j] += S[a, c]
+            mass[b, c, i, j] -= S[a, d]
+            mass[a, d, i, j] -= S[b, c]
+            mass[a, c, i, j] += S[b, d]
+        for k in range(4):
+            grad[b, k, i, k] += 0.25
+            grad[a, k, i, k] -= 0.25
+    return mass.reshape(16, 36), grad.reshape(16, 24)
+
+
+_EDGE_MASS, _EDGE_GRAD = _edge_tables()
+
 
 def _basis_data(mesh: TetMesh, degree: int) -> dict:
-    """Per-mesh cache of quadrature values shared by all forms."""
+    """Per-mesh cache of the rule of ``degree``: weights, lam (nq, 4) and points (C, nq, 3)."""
     key = ("basis", degree)
-    if key in mesh._cache:
-        return mesh._cache[key]
-    rule = quadrature_rule(degree)
-    lam = rule.barycentric()                      # (nq, 4)
-    grads, vols = mesh.cell_geometry()            # (C, 4, 3), (C,)
-    data = {
-        "rule": rule,
-        "w": rule.weights,
-        "lam": lam,
-        "grads": grads,
-        "vols": vols,
-        "points": np.einsum("qm,cmx->cqx", lam, mesh.vertices[mesh.cells]),
-    }
-    mesh._cache[key] = data
-    return data
-
-
-def _edge_function(d: dict, a: int, b: int, cells=slice(None)) -> np.ndarray:
-    """Unsigned Nedelec function lam_a grad lam_b - lam_b grad lam_a at rule points, (C, nq, 3)."""
-    lam, g = d["lam"], d["grads"][cells]
-    return lam[None, :, a, None] * g[:, None, b, :] - lam[None, :, b, None] * g[:, None, a, :]
-
-
-def _signed_edge_values(mesh: TetMesh, degree: int) -> np.ndarray:
-    """Signed Nedelec values at quadrature points, shape (C, nq, 6, 3)."""
-    key = ("nedelec_vals", degree)
-    if key in mesh._cache:
-        return mesh._cache[key]
-    d = _basis_data(mesh, degree)
-    vals = np.empty((mesh.num_cells, d["lam"].shape[0], 6, 3))
-    for i, (a, b) in enumerate(LOCAL_EDGES):
-        vals[:, :, i, :] = _edge_function(d, a, b)
-    vals *= mesh.cell_edge_signs[:, None, :, None]
-    mesh._cache[key] = vals
-    return vals
+    if key not in mesh._cache:
+        rule = quadrature_rule(degree)
+        lam = rule.barycentric()
+        points = lam @ mesh.vertices[mesh.cells]
+        mesh._cache[key] = {"w": rule.weights, "lam": lam, "points": points}
+    return mesh._cache[key]
 
 
 def signed_curls(mesh: TetMesh) -> np.ndarray:
     """Signed constant curls of the cell edge functions, shape (C, 6, 3)."""
-    key = "signed_curls"
-    if key in mesh._cache:
-        return mesh._cache[key]
-    g, _ = mesh.cell_geometry()
-    curls = np.empty((mesh.num_cells, 6, 3))
-    for i, (a, b) in enumerate(LOCAL_EDGES):
-        curls[:, i, :] = 2.0 * np.cross(g[:, a, :], g[:, b, :])
-    curls *= mesh.cell_edge_signs[:, :, None]
-    mesh._cache[key] = curls
-    return curls
+    if "signed_curls" not in mesh._cache:
+        g, _ = mesh.cell_geometry()
+        curls = 2.0 * np.cross(g[:, _A, :], g[:, _B, :])
+        mesh._cache["signed_curls"] = curls * mesh.cell_edge_signs[:, :, None]
+    return mesh._cache["signed_curls"]
 
 
-def _u_dofs(mesh: TetMesh) -> np.ndarray:
-    """(C, 12) global U DOFs in local vertex-major order."""
-    return (3 * mesh.cells[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
+class CellPattern:
+    """CSR pattern of cell-local matrices on a pair of cell index maps, and where local entries go.
+
+    ``rows`` (C, r) and ``cols`` (C, c) are the entities (edges or vertices)
+    each cell's rows and columns hang on; ``shape`` counts those entities.
+    ``scatter`` is the 0/1 map from the C r c local entries to the stored
+    entries they add into.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+        keys = (rows[:, :, None] * shape[1] + cols[:, None, :]).ravel()
+        unique, slot = np.unique(keys, return_inverse=True)
+        self.shape = shape
+        self.indices = unique % shape[1]
+        self.indptr = np.searchsorted(unique, np.arange(shape[0] + 1) * shape[1])
+        self.scatter = sp.csc_matrix(
+            (np.ones(keys.size), slot, np.arange(keys.size + 1)), shape=(unique.size, keys.size)
+        )
+
+    def sum(self, loc: np.ndarray) -> np.ndarray:
+        """Sum local values ``loc`` (C, r, c, ...) into the stored entries, (nnz, ...)."""
+        summed = self.scatter @ loc.reshape(self.scatter.shape[1], -1)
+        return summed.reshape(-1, *loc.shape[3:])
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with stored values ``data``: (nnz,) entries or (nnz, br, bc) blocks."""
+        if data.ndim == 1:
+            return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        shape = (self.shape[0] * data.shape[1], self.shape[1] * data.shape[2])
+        return sp.bsr_matrix((data, self.indices, self.indptr), shape=shape).tocsr()
 
 
-def _h_dofs(mesh: TetMesh) -> np.ndarray:
-    return 3 * np.arange(mesh.num_cells)[:, None] + np.arange(3)[None, :]
+def _gram(mesh: TetMesh) -> np.ndarray:
+    """gg[c, l, m] = grad lam_l . grad lam_m on cell c, shape (C, 4, 4)."""
+    if "gram" not in mesh._cache:
+        g, _ = mesh.cell_geometry()
+        mesh._cache["gram"] = g @ g.transpose(0, 2, 1)
+    return mesh._cache["gram"]
 
 
-def _to_csr(rows, cols, data, shape) -> sp.csr_matrix:
-    mat = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    return mat.tocsr()
+def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern) -> np.ndarray:
+    """Stored values of ``form`` on ``pattern``: (nnz,), or (nnz, br, bc) blocks for U columns."""
+    g, vols = mesh.cell_geometry()
+    V = vols[:, None, None]
+    gg = _gram(mesh)
+    eye3 = np.eye(3)
+    if form == "MASS_E":
+        s = mesh.cell_edge_signs
+        loc = (gg.reshape(-1, 16) @ _EDGE_MASS).reshape(-1, 6, 6)
+        loc *= coeff * V
+        loc *= s[:, :, None] * s[:, None, :]
+        return pattern.sum(loc)
+    if form == "GRAD_P_TO_E":
+        loc = (gg.reshape(-1, 16) @ _EDGE_GRAD).reshape(-1, 6, 4)
+        loc *= coeff * V * mesh.cell_edge_signs[:, :, None]
+        return pattern.sum(loc)
+    if form == "P_MASS":
+        return pattern.sum(coeff * V * _P1_MASS)
+    if form == "P_STIFF":
+        return pattern.sum(coeff * V * gg)
+    if form == "U_MASS":
+        return pattern.sum(coeff * V * _P1_MASS)[:, None, None] * eye3
+    if form == "ELASTICITY":
+        # block (l, m) = V [lambda_c grad lam_l grad lam_m^T + G gg_lm I]
+        lambda_c, shear = coeff
+        outer = g[:, :, None, :, None] * g[:, None, :, None, :]
+        outer *= vols[:, None, None, None, None]
+        summed = lambda_c * pattern.sum(outer)
+        summed += shear * pattern.sum(V * gg)[:, None, None] * eye3
+        return summed
+    if form == "DIV_COUPLING":
+        # row: pressure vertex m; column block: displacement vertex l, component b
+        loc = np.broadcast_to((coeff / 4.0 * V * g)[:, None, :, :], (g.shape[0], 4, 4, 3))
+        return pattern.sum(loc)[:, None, :]
+    raise LayoutMismatch(f"unhandled form {form!r}")
 
 
 def assemble_matrix(
@@ -118,11 +190,14 @@ def assemble_matrix(
     col_layout: DofLayout,
     form: str,
     coeff=1.0,
+    patterns: dict | None = None,
 ) -> sp.csr_matrix:
     """Assemble the full (unreduced) Galerkin matrix of ``form``.
 
     ``coeff`` is a scalar for every form except ELASTICITY, which takes the
-    pair (lambda_c, G).
+    pair (lambda_c, G). ``patterns`` caches each ``CellPattern`` by its pair
+    of entity maps; pass one dict to every form of a mesh to build each
+    pattern once.
     """
     if form not in FORM_SPACES:
         raise LayoutMismatch(f"unknown form {form!r}")
@@ -132,78 +207,18 @@ def assemble_matrix(
             f"form {form} expects spaces {want_row} x {want_col}, "
             f"got {row_layout.space} x {col_layout.space}"
         )
-    shape = (row_layout.count, col_layout.count)
-    d = _basis_data(mesh, ASSEMBLY_DEGREE)
-    w, lam, g, vols = d["w"], d["lam"], d["grads"], d["vols"]
-    six_v = 6.0 * vols
-
-    if form == "MASS_E":
-        vals = _signed_edge_values(mesh, ASSEMBLY_DEGREE)
-        loc = coeff * six_v[:, None, None] * np.einsum("q,cqix,cqjx->cij", w, vals, vals)
-        ce = mesh.cell_edges
-        rows = np.broadcast_to(ce[:, :, None], loc.shape)
-        cols = np.broadcast_to(ce[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
     if form == "H_MASS":
+        _, vols = mesh.cell_geometry()
         return sp.diags(np.repeat(coeff * vols, 3)).tocsr()
-
-    if form == "GRAD_P_TO_E":
-        vals = _signed_edge_values(mesh, ASSEMBLY_DEGREE)
-        loc = coeff * six_v[:, None, None] * np.einsum("q,cqix,cmx->cim", w, vals, g)
-        rows = np.broadcast_to(mesh.cell_edges[:, :, None], loc.shape)
-        cols = np.broadcast_to(mesh.cells[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
-    if form == "ELASTICITY":
-        lambda_c, shear = coeff
-        gflat = g.reshape(-1, 12)                # gflat[c, 3m+a] = d_a lam_m
-        gg = np.einsum("clx,cmx->clm", g, g)
-        eye3 = np.eye(3)
-        loc = lambda_c * vols[:, None, None] * gflat[:, :, None] * gflat[:, None, :]
-        loc += shear * vols[:, None, None] * np.einsum(
-            "clm,ba->clbma", gg, eye3
-        ).reshape(-1, 12, 12)
-        ud = _u_dofs(mesh)
-        rows = np.broadcast_to(ud[:, :, None], loc.shape)
-        cols = np.broadcast_to(ud[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
-    if form == "DIV_COUPLING":
-        gflat = g.reshape(-1, 12)
-        loc = coeff * (vols / 4.0)[:, None, None] * np.broadcast_to(
-            gflat[:, None, :], (mesh.num_cells, 4, 12)
+    key = (want_row == "E", want_col == "E")     # rows and columns on edges, else on vertices
+    patterns = {} if patterns is None else patterns
+    if key not in patterns:
+        (rows, nrow), (cols, ncol) = (
+            (mesh.cell_edges, mesh.num_edges) if on_edges else (mesh.cells, mesh.num_vertices)
+            for on_edges in key
         )
-        rows = np.broadcast_to(mesh.cells[:, :, None], loc.shape)
-        cols = np.broadcast_to(_u_dofs(mesh)[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
-    if form == "P_MASS":
-        S = np.einsum("q,qi,qj->ij", w, lam, lam)
-        loc = coeff * six_v[:, None, None] * S[None, :, :]
-        rows = np.broadcast_to(mesh.cells[:, :, None], loc.shape)
-        cols = np.broadcast_to(mesh.cells[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
-    if form == "P_STIFF":
-        gg = np.einsum("clx,cmx->clm", g, g)
-        loc = coeff * vols[:, None, None] * gg
-        rows = np.broadcast_to(mesh.cells[:, :, None], loc.shape)
-        cols = np.broadcast_to(mesh.cells[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
-    if form == "U_MASS":
-        S = np.einsum("q,qi,qj->ij", w, lam, lam)
-        eye3 = np.eye(3)
-        loc = coeff * six_v[:, None, None] * np.einsum("lm,ba->lbma", S, eye3).reshape(
-            1, 12, 12
-        )
-        ud = _u_dofs(mesh)
-        rows = np.broadcast_to(ud[:, :, None], loc.shape)
-        cols = np.broadcast_to(ud[:, None, :], loc.shape)
-        return _to_csr(rows, cols, loc, shape)
-
-    raise LayoutMismatch(f"unhandled form {form!r}")
+        patterns[key] = CellPattern(rows, cols, (nrow, ncol))
+    return patterns[key].csr(_assembled_values(mesh, form, coeff, patterns[key]))
 
 
 def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
@@ -214,15 +229,17 @@ def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
     directly, and the curl coupling and curl-curl block are M_H W and
     W^T M_H W.
     """
-    curls = signed_curls(mesh)                   # (C, 6, 3)
-    loc = np.transpose(curls, (0, 2, 1))         # (C, 3, 6)
-    rows = np.broadcast_to(_h_dofs(mesh)[:, :, None], loc.shape)
-    cols = np.broadcast_to(mesh.cell_edges[:, None, :], loc.shape)
-    return _to_csr(rows, cols, loc, (3 * mesh.num_cells, mesh.num_edges))
+    # row 3c+d holds the d-th curl component of cell c's six edge functions
+    values = np.transpose(signed_curls(mesh), (0, 2, 1)).ravel()
+    cols = np.repeat(mesh.cell_edges, 3, axis=0).ravel()
+    W = sp.csr_matrix(
+        (values, cols, np.arange(0, values.size + 1, 6)), shape=(3 * mesh.num_cells, mesh.num_edges)
+    )
+    return W.sorted_indices()
 
 
 def assemble_load(
-    mesh: TetMesh, layout: DofLayout, f, t: float, quad_degree: int = ASSEMBLY_DEGREE
+    mesh: TetMesh, layout: DofLayout, f, t: float, quad_degree: int = LOAD_DEGREE
 ) -> np.ndarray:
     """Load vector (f(t, .), basis_i) for every DOF i of ``layout``.
 
@@ -230,31 +247,22 @@ def assemble_load(
     vector spaces E, H, U and (m,) for P.
     """
     d = _basis_data(mesh, quad_degree)
-    w, lam, vols, pts = d["w"], d["lam"], d["vols"], d["points"]
+    w, lam, pts = d["w"], d["lam"], d["points"]
+    g, vols = mesh.cell_geometry()
     nc, nq = pts.shape[0], pts.shape[1]
-    fvals = np.asarray(f(t, pts.reshape(-1, 3)))
-    b = np.zeros(layout.count)
-
+    fvals = np.asarray(f(t, pts.reshape(-1, 3))).reshape(nc, nq, -1)
+    six_v = 6.0 * vols[:, None, None]
+    if layout.space == "H":
+        return (six_v[:, 0] * (w @ fvals)).ravel()
+    moments = six_v * ((w[:, None] * lam).T @ fvals)      # (C, 4, k): int lam_m f
     if layout.space == "E":
-        fvals = fvals.reshape(nc, nq, 3)
-        vals = _signed_edge_values(mesh, quad_degree)
-        loc = 6.0 * vols[:, None] * np.einsum("q,cqix,cqx->ci", w, vals, fvals)
-        np.add.at(b, mesh.cell_edges, loc)
-    elif layout.space == "H":
-        fvals = fvals.reshape(nc, nq, 3)
-        loc = 6.0 * vols[:, None] * np.einsum("q,cqx->cx", w, fvals)
-        np.add.at(b, _h_dofs(mesh), loc)
+        M = moments @ g.transpose(0, 2, 1)                 # M[c, m, n] = F_m . grad lam_n
+        loc, dofs = (M[:, _A, _B] - M[:, _B, _A]) * mesh.cell_edge_signs, mesh.cell_edges
     elif layout.space == "U":
-        fvals = fvals.reshape(nc, nq, 3)
-        loc = 6.0 * vols[:, None, None] * np.einsum("q,qm,cqx->cmx", w, lam, fvals)
-        np.add.at(b, _u_dofs(mesh), loc.reshape(nc, 12))
-    elif layout.space == "P":
-        fvals = fvals.reshape(nc, nq)
-        loc = 6.0 * vols[:, None] * np.einsum("q,qm,cq->cm", w, lam, fvals)
-        np.add.at(b, mesh.cells, loc)
+        loc, dofs = moments, 3 * mesh.cells[:, :, None] + np.arange(3)
     else:
-        raise LayoutMismatch(f"unknown space {layout.space!r}")
-    return b
+        loc, dofs = moments, mesh.cells
+    return np.bincount(dofs.ravel(), loc.ravel(), layout.count)
 
 
 # Field evaluation at quadrature points (error norms, output) -----------------
@@ -263,15 +271,15 @@ def assemble_load(
 def evaluate_E(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
     """Discrete E field at the rule points of ``cells`` (default all), shape (C, nq, 3).
 
-    Summed edge by edge: at the error-norm degree, the (C, nq, 6, 3) table of
-    ``_signed_edge_values`` would be a run's largest array (95 MB at n = 16).
+    With K the antisymmetric (4, 4) matrix of the signed edge coefficients
+    (K_ab = -K_ba = e for edge (a, b)), the field is lam^T K grad lam.
     """
-    d = _basis_data(mesh, quad_degree)
+    g, _ = mesh.cell_geometry()
     signed = coefs[mesh.cell_edges[cells]] * mesh.cell_edge_signs[cells]     # (C, 6)
-    E = np.zeros((signed.shape[0], d["lam"].shape[0], 3))
-    for i, (a, b) in enumerate(LOCAL_EDGES):
-        E += signed[:, i, None, None] * _edge_function(d, a, b, cells)
-    return E
+    K = np.zeros((signed.shape[0], 4, 4))
+    K[:, _A, _B] = signed
+    K[:, _B, _A] = -signed
+    return _basis_data(mesh, quad_degree)["lam"] @ (K @ g[cells])
 
 
 def evaluate_H(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarray:
@@ -282,8 +290,7 @@ def evaluate_H(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarra
 def evaluate_U(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
     """Discrete displacement at the rule points of ``cells`` (default all), shape (C, nq, 3)."""
     d = _basis_data(mesh, quad_degree)
-    nodal = coefs.reshape(-1, 3)[mesh.cells[cells]]     # (C, 4, 3)
-    return np.einsum("qm,cmx->cqx", d["lam"], nodal)
+    return d["lam"] @ coefs.reshape(-1, 3)[mesh.cells[cells]]
 
 
 def evaluate_grad_U(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarray:
@@ -296,7 +303,7 @@ def evaluate_grad_U(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.n
 def evaluate_P(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
     """Discrete pressure at the rule points of ``cells`` (default all), shape (C, nq)."""
     d = _basis_data(mesh, quad_degree)
-    return np.einsum("qm,cm->cq", d["lam"], coefs[mesh.cells[cells]])
+    return coefs[mesh.cells[cells]] @ d["lam"].T
 
 
 def quadrature_points(mesh: TetMesh, quad_degree: int) -> np.ndarray:
@@ -306,5 +313,5 @@ def quadrature_points(mesh: TetMesh, quad_degree: int) -> np.ndarray:
 
 def quadrature_cell_weights(mesh: TetMesh, quad_degree: int):
     """(weights (nq,), 6*volumes (C,)) so that int_K f = 6V_K sum_q w_q f(x_q)."""
-    d = _basis_data(mesh, quad_degree)
-    return d["w"], 6.0 * d["vols"]
+    _, vols = mesh.cell_geometry()
+    return _basis_data(mesh, quad_degree)["w"], 6.0 * vols

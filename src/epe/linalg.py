@@ -16,7 +16,7 @@ the fronts of the LDL^T. Any permutation gives the exact factorization;
 the fill is only reduced when the points lie on the unit-cube lattice,
 where every coupling spans at most one sub-cube and a lattice plane
 therefore separates the unknowns on either side of it.
-CG-type solves share one Jacobi-preconditioned CG over a matvec.
+SPD solves run a Jacobi-preconditioned CG.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxiter: int | 
     _check_square(A, b)
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    x, iterations = _pcg(lambda v: A @ v, b, A.diagonal(), 0.1 * tol, maxiter)
+    x, iterations = _pcg(A, b, 0.1 * tol, maxiter)
     bnorm = np.linalg.norm(b)
     residual = float(np.linalg.norm(b - A @ x) / bnorm) if bnorm > 0.0 else 0.0
     if residual > tol:
@@ -91,8 +91,8 @@ def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxiter: int | 
     return x, LinearSolveReport(iterations, residual, time.perf_counter() - start)
 
 
-def _pcg(matvec, b: np.ndarray, diag: np.ndarray, rtol: float, maxiter: int | None = None):
-    """Jacobi-preconditioned CG on an SPD operator given by ``matvec``.
+def _pcg(A: sp.spmatrix, b: np.ndarray, rtol: float, maxiter: int | None = None):
+    """Jacobi-preconditioned CG on the SPD matrix ``A``.
 
     Stops once the recursive residual satisfies ||r|| <= rtol ||b|| or after
     ``maxiter`` (default max(1000, 10 n)) iterations and returns
@@ -106,6 +106,7 @@ def _pcg(matvec, b: np.ndarray, diag: np.ndarray, rtol: float, maxiter: int | No
         return np.zeros(n), 0
     if maxiter is None:
         maxiter = max(1000, 10 * n)
+    diag = A.diagonal()
     inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
 
     x = np.zeros(n)
@@ -115,13 +116,13 @@ def _pcg(matvec, b: np.ndarray, diag: np.ndarray, rtol: float, maxiter: int | No
     rz = r @ z
     iterations = 0
     for iterations in range(1, maxiter + 1):
-        Ap = matvec(p)
+        Ap = A @ p
         pAp = p @ Ap
         if pAp <= 0.0 or not np.isfinite(pAp):
             raise NotConverged(
                 "conjugate gradients hit nonpositive curvature; operator is not SPD",
                 iterations,
-                float(np.linalg.norm(b - matvec(x)) / bnorm),
+                float(np.linalg.norm(b - A @ x) / bnorm),
             )
         alpha = rz / pAp
         x += alpha * p
@@ -387,10 +388,8 @@ class SaddleSolver:
         A u - B^T p = f_u
         B u + C   p = f_p
     with A and C symmetric positive definite: the matrix is quasi-definite.
-    Below ``direct_threshold`` total unknowns it is factored once as an
-    LDL^T (``LuSolver``) and reused per solve; above it, a Schur-complement
-    CG in the pressure variable runs on an LDL^T of A. ``order`` lists the
-    (u, p) unknowns in blocks, as ``LuSolver`` takes them.
+    It is factored once as an LDL^T (``LuSolver``) and reused per solve.
+    ``order`` lists the (u, p) unknowns in blocks, as ``LuSolver`` takes them.
     """
 
     def __init__(
@@ -399,18 +398,12 @@ class SaddleSolver:
         B: sp.spmatrix,
         C: sp.spmatrix,
         tol: float = 1e-9,
-        direct_threshold: int = 200_000,
         order: np.ndarray | None = None,
     ):
         self.A, self.B, self.C = A.tocsr(), B.tocsr(), C.tocsr()
         self.nu, self.np = A.shape[0], C.shape[0]
         self.tol = tol
-        self.direct = (self.nu + self.np) <= direct_threshold
-        if self.direct:
-            self._lu = LuSolver(saddle_blocks(A, B, C), tol=tol, order=order)
-        else:
-            u_order = None if order is None else [b[b < self.nu] for b in order]
-            self._solve_A = LuSolver(self.A, order=u_order)._apply
+        self._lu = LuSolver(saddle_blocks(A, B, C), tol=tol, order=order)
 
     def solve(self, f_u: np.ndarray, f_p: np.ndarray):
         start = time.perf_counter()
@@ -426,32 +419,14 @@ class SaddleSolver:
                 0, 0.0, time.perf_counter() - start
             )
 
-        if self.direct:
-            x = self._lu._apply(np.concatenate([f_u, -f_p]))
-            if not np.all(np.isfinite(x)):
-                raise SingularSystem("saddle factorization produced non-finite solution")
-            u, p = x[: self.nu], x[self.nu :]
-            iterations = 0
-        else:
-            u, p, iterations = self._solve_schur(f_u, f_p)
+        x = self._lu._apply(np.concatenate([f_u, -f_p]))
+        if not np.all(np.isfinite(x)):
+            raise SingularSystem("saddle factorization produced non-finite solution")
+        u, p = x[: self.nu], x[self.nu :]
 
         ru = self.A @ u - self.B.T @ p - f_u
         rp = self.B @ u + self.C @ p - f_p
         residual = float(np.sqrt(ru @ ru + rp @ rp) / rhs_norm)
         if residual > self.tol:
-            raise NotConverged("saddle solve residual above tolerance", iterations, residual)
-        return (u, p), LinearSolveReport(
-            iterations, residual, time.perf_counter() - start
-        )
-
-    def _solve_schur(self, f_u, f_p):
-        # (C + B A^-1 B^T) p = f_p - B A^-1 f_u, then A u = f_u + B^T p
-        Ainv = self._solve_A
-        rhs = f_p - self.B @ Ainv(f_u)
-
-        def schur_mv(q):
-            return self.C @ q + self.B @ Ainv(self.B.T @ q)
-
-        p, iterations = _pcg(schur_mv, rhs, self.C.diagonal(), 0.01 * self.tol)
-        u = Ainv(f_u + self.B.T @ p)
-        return u, p, iterations
+            raise NotConverged("saddle solve residual above tolerance", 0, residual)
+        return (u, p), LinearSolveReport(0, residual, time.perf_counter() - start)

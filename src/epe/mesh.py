@@ -7,11 +7,19 @@ vertices lexicographically on the lattice, edges and faces as sorted vertex
 tuples in lexicographic order. Every edge is globally oriented from its
 lower to its higher vertex index; each cell stores, for its six local edges,
 the global edge index and the sign relating local to global direction.
+
+Edges are numbered by lattice arithmetic, without a sort: an edge joins a
+vertex v to v + d for one of the seven monotone steps d of ``EDGE_STEPS``,
+whose vertex-id offsets increase in that order, so the lexicographic edge id
+of (v, d) is a running count over the (V, 7) table of steps that stay on
+the lattice (each such step is an edge of some cell). Faces are only needed
+for diagnostics and are numbered (by a sort) on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -27,6 +35,10 @@ LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 #: Local faces (vertex triples) of a tetrahedron.
 LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
+#: Lattice steps from an edge's low vertex to its high vertex, in increasing
+#: order of the vertex-id offset (i, j, k) . (s^2, s, 1), s = n + 1.
+EDGE_STEPS = np.array([(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)])
+
 
 @dataclass(frozen=True)
 class TetMesh:
@@ -38,8 +50,6 @@ class TetMesh:
     edges: np.ndarray             # (E, 2) int, each row (a, b) with a < b
     cell_edges: np.ndarray        # (C, 6) int, global edge index per local edge
     cell_edge_signs: np.ndarray   # (C, 6) int, +1 local matches global, else -1
-    faces: np.ndarray             # (F, 3) int, sorted triples (diagnostics)
-    face_cell_count: np.ndarray   # (F,) int, incident cells per face
     boundary_vertex: np.ndarray   # (V,) bool
     boundary_edge: np.ndarray     # (E,) bool
     h: float                      # max cell diameter = sqrt(3)/n
@@ -60,6 +70,16 @@ class TetMesh:
     @property
     def num_faces(self) -> int:
         return self.faces.shape[0]
+
+    @cached_property
+    def _face_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted vertex triples (F, 3) in lexicographic order, and the cells incident to each."""
+        triples = np.sort(self.cells[:, np.asarray(LOCAL_FACES)], axis=2).reshape(-1, 3)
+        faces, counts = np.unique(triples, axis=0, return_counts=True)
+        return faces.astype(np.int64), counts.astype(np.int64)
+
+    faces = property(lambda self: self._face_table[0], doc="(F, 3) sorted face triples")
+    face_cell_count = property(lambda self: self._face_table[1], doc="(F,) cells incident per face")
 
     def cell_geometry(self) -> tuple[np.ndarray, np.ndarray]:
         """Barycentric gradients (C,4,3) and signed volumes (C,) of all cells."""
@@ -120,9 +140,7 @@ def build_unit_cube_mesh(n: int) -> TetMesh:
     corners = base[:, None, None, :] + corner_tets[None, :, :, :]   # (n^3, 6, 4, 3)
     cells = vid(corners[..., 0], corners[..., 1], corners[..., 2]).reshape(-1, 4)
 
-    edges, cell_edges, cell_edge_signs = _number_edges(cells)
-    faces, face_cell_count = _number_faces(cells)
-
+    edges, cell_edges, cell_edge_signs = _number_edges(lattice, cells, n)
     edge_boundary = _boundary_edges(lattice, edges, n)
 
     mesh = TetMesh(
@@ -132,8 +150,6 @@ def build_unit_cube_mesh(n: int) -> TetMesh:
         edges=edges,
         cell_edges=cell_edges,
         cell_edge_signs=cell_edge_signs,
-        faces=faces,
-        face_cell_count=face_cell_count,
         boundary_vertex=boundary_vertex,
         boundary_edge=edge_boundary,
         h=np.sqrt(3.0) / n,
@@ -150,23 +166,19 @@ def _permutation_parity(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _number_edges(cells: np.ndarray):
-    local = np.asarray(LOCAL_EDGES)
-    pairs = cells[:, local]                      # (C, 6, 2) ordered local pairs
+def _number_edges(lattice: np.ndarray, cells: np.ndarray, n: int):
+    side = n + 1
+    offsets = EDGE_STEPS @ np.array([side * side, side, 1])
+    on_lattice = np.all(lattice[:, None, :] + EDGE_STEPS[None, :, :] <= n, axis=2)   # (V, 7)
+    ids = np.cumsum(on_lattice.ravel()).reshape(on_lattice.shape) - 1
+    low, step = np.nonzero(on_lattice)
+    edges = np.stack([low, low + offsets[step]], axis=1)
+    pairs = cells[:, np.asarray(LOCAL_EDGES)]   # (C, 6, 2) ordered local pairs
     lo = pairs.min(axis=2)
     hi = pairs.max(axis=2)
     signs = np.where(pairs[:, :, 0] == lo, 1, -1).astype(np.int64)
-    keyed = np.stack([lo.ravel(), hi.ravel()], axis=1)
-    edges, inverse = np.unique(keyed, axis=0, return_inverse=True)
-    cell_edges = inverse.reshape(cells.shape[0], 6)
+    cell_edges = ids[lo, np.searchsorted(offsets, hi - lo)]
     return edges.astype(np.int64), cell_edges.astype(np.int64), signs
-
-
-def _number_faces(cells: np.ndarray):
-    local = np.asarray(LOCAL_FACES)
-    triples = np.sort(cells[:, local], axis=2).reshape(-1, 3)
-    faces, counts = np.unique(triples, axis=0, return_counts=True)
-    return faces.astype(np.int64), counts.astype(np.int64)
 
 
 def _boundary_edges(lattice: np.ndarray, edges: np.ndarray, n: int) -> np.ndarray:

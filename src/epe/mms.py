@@ -23,7 +23,6 @@ import numpy as np
 
 from epe.core import PhysicalParams
 from epe.fem import assembly
-from epe.fem.dofs import Layouts
 from epe.mesh import TetMesh
 
 Vec = Callable[[float, np.ndarray], np.ndarray]
@@ -57,21 +56,23 @@ class ExactSolution:
     """Evaluators of the exact fields, their needed derivatives, and sources.
 
     Every evaluator takes (t, pts) with pts of shape (m, 3); vector fields
-    return (m, 3), scalars (m,), and grad_u returns (m, 3, 3) with
-    [r, c] = d_c u_r.
+    return (m, 3) and scalars (m,). ``fields`` returns (E, H, u, grad_u, p)
+    at once, built from one table of sines and cosines of the points;
+    grad_u is (m, 3, 3) with [r, c] = d_c u_r.
     """
 
     E: Vec
     H: Vec
     u: Vec
     p: Vec
-    grad_u: Vec
     j: Vec
     f: Vec
     g: Vec
+    fields: Callable[[float, np.ndarray], tuple[np.ndarray, ...]]
 
 
 def _trig(pts: np.ndarray):
+    """(sin pi x, cos pi x, sin pi y, cos pi y, sin pi z, cos pi z): the table of every field."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     pi = np.pi
     return (
@@ -81,25 +82,28 @@ def _trig(pts: np.ndarray):
     )
 
 
-def _w(pts):
-    sx, _, sy, _, sz, _ = _trig(pts)
+# Spatial factors, each evaluated from a table ``tr`` of ``_trig``.
+
+
+def _w(tr):
+    sx, _, sy, _, sz, _ = tr
     return sx * sy * sz
 
 
-def _grad_w(pts):
-    sx, cx, sy, cy, sz, cz = _trig(pts)
+def _grad_w(tr):
+    sx, cx, sy, cy, sz, cz = tr
     pi = np.pi
     return pi * np.stack([cx * sy * sz, sx * cy * sz, sx * sy * cz], axis=1)
 
 
-def _div_sum(pts):
+def _div_sum(tr):
     """w_x + w_y + w_z (the spatial factor of div u and div E)."""
-    return _grad_w(pts).sum(axis=1)
+    return _grad_w(tr).sum(axis=1)
 
 
-def _grad_div_sum(pts):
+def _grad_div_sum(tr):
     """Gradient of w_x + w_y + w_z."""
-    sx, cx, sy, cy, sz, cz = _trig(pts)
+    sx, cx, sy, cy, sz, cz = tr
     pi2 = np.pi**2
     w = sx * sy * sz
     gx = pi2 * (cx * cy * sz + cx * sy * cz - w)
@@ -108,9 +112,9 @@ def _grad_div_sum(pts):
     return np.stack([gx, gy, gz], axis=1)
 
 
-def _curl_w_ones(pts):
+def _curl_w_ones(tr):
     """curl(w (1,1,1)) / time factor = grad(w) x (1,1,1)."""
-    g = _grad_w(pts)
+    g = _grad_w(tr)
     return np.stack([g[:, 1] - g[:, 2], g[:, 2] - g[:, 0], g[:, 0] - g[:, 1]], axis=1)
 
 
@@ -129,56 +133,70 @@ def example61(params: PhysicalParams) -> ExactSolution:
     pi2 = np.pi**2
     ones3 = np.ones(3)
 
-    def E(t, pts):
-        return np.sin(t) * _w(pts)[:, None] * ones3
+    # The fields at time t from a trig table, in the order of ``fields``.
+    def E(t, tr):
+        return np.sin(t) * _w(tr)[:, None] * ones3
 
-    def H(t, pts):
-        return (np.cos(t) / mu) * _curl_w_ones(pts)
+    def H(t, tr):
+        return (np.cos(t) / mu) * _curl_w_ones(tr)
 
-    def u(t, pts):
-        return np.exp(-t) * _w(pts)[:, None] * ones3
+    def u(t, tr):
+        return np.exp(-t) * _w(tr)[:, None] * ones3
 
-    def p(t, pts):
-        return np.exp(-t) * _w(pts)
+    def grad_u(t, tr):
+        g = np.exp(-t) * _grad_w(tr)             # (m, 3) gradient of each component
+        return np.broadcast_to(g[:, None, :], (g.shape[0], 3, 3))
 
-    def grad_u(t, pts):
-        g = np.exp(-t) * _grad_w(pts)            # (m, 3) gradient of each component
-        return np.repeat(g[:, None, :], 3, axis=1)
+    def p(t, tr):
+        return np.exp(-t) * _w(tr)
+
+    def fields(t, pts):
+        tr = _trig(pts)
+        return tuple(field(t, tr) for field in (E, H, u, grad_u, p))
+
+    def at_points(field):
+        return lambda t, pts: field(t, _trig(pts))
 
     def j_sin(pts):
-        return sigma * _w(pts)[:, None] * ones3
+        return sigma * _w(_trig(pts))[:, None] * ones3
 
     def j_cos(pts):
         # (eps dE/dt - curl H) / cos t, with
         # curl H = (cos t / mu) (grad(div_sum) + 3 pi^2 w (1,1,1))
-        w = _w(pts)
+        tr = _trig(pts)
+        w = _w(tr)
         out = eps * w[:, None] * ones3
-        out -= (_grad_div_sum(pts) + 3.0 * pi2 * w[:, None] * ones3) / mu
+        out -= (_grad_div_sum(tr) + 3.0 * pi2 * w[:, None] * ones3) / mu
         return out
 
     def j_exp(pts):
-        return -L * _grad_w(pts)
+        return -L * _grad_w(_trig(pts))
 
     def f_exp(pts):
-        out = -lam_c * _grad_div_sum(pts)
-        out += 3.0 * G * pi2 * _w(pts)[:, None] * ones3   # -G * Laplacian(u), Lap w = -3 pi^2 w
-        out += alpha * _grad_w(pts)
+        tr = _trig(pts)
+        out = -lam_c * _grad_div_sum(tr)
+        out += 3.0 * G * pi2 * _w(tr)[:, None] * ones3   # -G * Laplacian(u), Lap w = -3 pi^2 w
+        out += alpha * _grad_w(tr)
         return out
 
     def g_exp(pts):
-        w = _w(pts)
-        out = -(c0 * w + alpha * _div_sum(pts))    # d/dt (c0 p + alpha div u)
+        tr = _trig(pts)
+        w = _w(tr)
+        out = -(c0 * w + alpha * _div_sum(tr))    # d/dt (c0 p + alpha div u)
         out += 3.0 * kappa * pi2 * w               # -kappa * Laplacian(p)
         return out
 
     def g_sin(pts):
-        return L * _div_sum(pts)                   # L div E
+        return L * _div_sum(_trig(pts))            # L div E
 
     j = SeparableSource(((np.sin, j_sin), (np.cos, j_cos), (_exp_neg, j_exp)))
     f = SeparableSource(((_exp_neg, f_exp),))
     g = SeparableSource(((_exp_neg, g_exp), (np.sin, g_sin)))
 
-    return ExactSolution(E=E, H=H, u=u, p=p, grad_u=grad_u, j=j, f=f, g=g)
+    return ExactSolution(
+        E=at_points(E), H=at_points(H), u=at_points(u), p=at_points(p), j=j, f=f, g=g,
+        fields=fields,
+    )
 
 
 @dataclass(frozen=True)
@@ -224,34 +242,19 @@ def error_norms(
     sq = np.zeros(5)  # squared errors of E, H, u, grad u, p
     for start in range(0, mesh.num_cells, ERROR_BLOCK_CELLS):
         cells = slice(start, start + ERROR_BLOCK_CELLS)
-        flat = pts[cells].reshape(-1, 3)
-        nc = flat.shape[0] // nq
-        dE = assembly.evaluate_E(mesh, state.E, quad_degree, cells) - exact.E(t, flat).reshape(nc, nq, 3)
-        dH = assembly.evaluate_H(mesh, state.H, cells)[:, None, :] - exact.H(t, flat).reshape(nc, nq, 3)
-        dU = assembly.evaluate_U(mesh, state.u, quad_degree, cells) - exact.u(t, flat).reshape(nc, nq, 3)
-        dGu = assembly.evaluate_grad_U(mesh, state.u, cells)[:, None, :, :] - exact.grad_u(
-            t, flat
-        ).reshape(nc, nq, 3, 3)
-        dP = assembly.evaluate_P(mesh, state.p, quad_degree, cells) - exact.p(t, flat).reshape(nc, nq)
-        pointwise = np.stack(
-            [
-                np.einsum("cqx,cqx->cq", dE, dE),
-                np.einsum("cqx,cqx->cq", dH, dH),
-                np.einsum("cqx,cqx->cq", dU, dU),
-                np.einsum("cqrx,cqrx->cq", dGu, dGu),
-                dP * dP,
-            ]
+        discrete = (
+            assembly.evaluate_E(mesh, state.E, quad_degree, cells),
+            assembly.evaluate_H(mesh, state.H, cells)[:, None, :],
+            assembly.evaluate_U(mesh, state.u, quad_degree, cells),
+            assembly.evaluate_grad_U(mesh, state.u, cells)[:, None, :, :],
+            assembly.evaluate_P(mesh, state.p, quad_degree, cells),
         )
-        sq += (pointwise @ w) @ cell_w[cells]
+        for k, (h, ex) in enumerate(zip(discrete, exact.fields(t, pts[cells].reshape(-1, 3)))):
+            nc = h.shape[0]
+            diff = (h - ex.reshape(nc, nq, *ex.shape[1:])).reshape(nc, nq, -1)
+            sq[k] += (np.einsum("cqx,cqx->cq", diff, diff) @ w) @ cell_w[cells]
     err_E, err_H, err_u, err_gu, err_p = sq
-
-    return ErrorNorms(
-        E_L2=np.sqrt(err_E),
-        H_L2=np.sqrt(err_H),
-        u_L2=np.sqrt(err_u),
-        u_H1=np.sqrt(err_u + err_gu),
-        p_L2=np.sqrt(err_p),
-    )
+    return ErrorNorms(*np.sqrt([err_E, err_H, err_u, err_u + err_gu, err_p]))
 
 
 def zero_vector_source(t, pts):

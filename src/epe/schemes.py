@@ -19,7 +19,8 @@ The monolithic reference solves all four equations coupled, with the
 pressure coupling taken implicitly. It eliminates H exactly, as sub-step A
 does, and factors the resulting (non-symmetric) 3-block system in (E, u, p)
 once per run; H is recovered from E^n by the same update. Both schemes
-build the same history right-hand side (``BackwardEuler.history``); the
+build the same history right-hand side (``BackwardEuler.history``: one
+precomputed operator applied to the stacked state, plus the loads); the
 splitting step adds its explicit pressure couplings on top.
 
 Every direct factorization is ordered by nested dissection of its unknowns'
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,15 +87,17 @@ class Discretization:
         self.params = params
         L = layouts
 
-        self.M_E = assemble_matrix(mesh, L.E, L.E, "MASS_E")
-        self.M_H = assemble_matrix(mesh, L.H, L.H, "H_MASS")
+        # forms on one pair of cell index maps share a CSR pattern, dropped once assembled
+        form = partial(assemble_matrix, mesh, patterns={})
+        self.M_E = form(L.E, L.E, "MASS_E")
+        self.M_H = form(L.H, L.H, "H_MASS")
         self.W = curl_dof_operator(mesh)
-        self.G_pe = assemble_matrix(mesh, L.E, L.P, "GRAD_P_TO_E")
-        self.A_el = assemble_matrix(mesh, L.U, L.U, "ELASTICITY", (params.lambda_c, params.G))
-        self.B_div = assemble_matrix(mesh, L.P, L.U, "DIV_COUPLING", params.alpha)
-        self.M_P = assemble_matrix(mesh, L.P, L.P, "P_MASS")
-        self.K_P = assemble_matrix(mesh, L.P, L.P, "P_STIFF")
-        self.M_U = assemble_matrix(mesh, L.U, L.U, "U_MASS")
+        self.G_pe = form(L.E, L.P, "GRAD_P_TO_E")
+        self.A_el = form(L.U, L.U, "ELASTICITY", (params.lambda_c, params.G))
+        self.B_div = form(L.P, L.U, "DIV_COUPLING", params.alpha)
+        self.M_P = form(L.P, L.P, "P_MASS")
+        self.K_P = form(L.P, L.P, "P_STIFF")
+        self.M_U = form(L.U, L.U, "U_MASS")
 
         self.M_E_ff = reduce_matrix(self.M_E, L.E, L.E)
         self.G_ff = reduce_matrix(self.G_pe, L.E, L.P)
@@ -102,11 +106,9 @@ class Discretization:
         self.M_P_ff = reduce_matrix(self.M_P, L.P, L.P)
         self.K_P_ff = reduce_matrix(self.K_P, L.P, L.P)
         # W restricted to free E columns. M_H is diagonal, so the curl-curl
-        # block W^T M_H W stays sparse; the curl coupling (M_H W)^T is kept
-        # transposed because every step applies it to H.
+        # block W^T M_H W stays sparse.
         W_f = self.W.tocsc()[:, L.E.free].tocsr()
         self.K_curl_ff = (W_f.T @ self.M_H @ W_f).tocsr()
-        self.curl_T_ff = (self.M_H @ W_f).T.tocsr()
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
 
     def order(self, *spaces: str) -> list[np.ndarray]:
@@ -200,26 +202,34 @@ class BackwardEuler:
         self.tau = tau
         self.sources = sources
         disc.prepare_loads(sources)
-        p = disc.params
+        p, L = disc.params, disc.layouts
         self._C_p = p.c0 * disc.M_P_ff + tau * p.kappa * disc.K_P_ff
+        # the stacked state (E, H, u, p) -> the history part of the free right-hand
+        # side (E, u, p); the u rows are empty
+        fE, fP = L.E.free, L.P.free
+        self._history = sp.bmat(
+            [
+                [p.epsilon * disc.M_E[fE], tau * (disc.M_H @ disc.W).T.tocsr()[fE], None, None],
+                [sp.csr_matrix((L.U.num_free, L.E.count)), None, None, None],
+                [None, None, disc.B_div[fP], p.c0 * disc.M_P[fP]],
+            ],
+            format="csr",
+        )
+        self._ends = np.cumsum([L.E.num_free, L.U.num_free])
 
-    def history(self, state: State):
-        """Free-DOF right-hand sides (E, u, p) of the step from ``state`` that both schemes share.
+    def history(self, state: State) -> np.ndarray:
+        """The stacked free-DOF right-hand side (E, u, p) that both schemes share.
 
         E: eps M_E E + tau j + tau (M_H W)^T H; u: f; p: c0 M_P p + B u + tau g,
         with the sources taken at the new time level.
         """
-        disc, p, tau = self.disc, self.disc.params, self.tau
-        L = disc.layouts
+        disc, tau, L = self.disc, self.tau, self.disc.layouts
         t_new = state.t + tau
-        rhs_E = p.epsilon * (disc.M_E @ state.E) + tau * disc.load("E", self.sources.j, t_new)
-        rhs_P = p.c0 * (disc.M_P @ state.p) + disc.B_div @ state.u
-        rhs_P += tau * disc.load("P", self.sources.g, t_new)
-        return (
-            rhs_E[L.E.free] + tau * (disc.curl_T_ff @ state.H),
-            disc.load("U", self.sources.f, t_new)[L.U.free],
-            rhs_P[L.P.free],
-        )
+        rhs = self._history @ np.concatenate([state.E, state.H, state.u, state.p])
+        loads = (("E", self.sources.j, tau), ("U", self.sources.f, 1.0), ("P", self.sources.g, tau))
+        for (space, fn, scale), part in zip(loads, np.split(rhs, self._ends)):
+            part += scale * disc.load(space, fn, t_new)[getattr(L, space).free]
+        return rhs
 
     def advance(self, state: State, E_free, u_free, p_free) -> State:
         """The next time level from the free DOFs of E, u and p; H follows from E exactly."""
@@ -247,7 +257,6 @@ class SplittingScheme(BackwardEuler):
         sources: Sources,
         spd_tol: float = 1e-10,
         saddle_tol: float = 1e-9,
-        direct_threshold: int = 200_000,
     ):
         super().__init__(disc, tau, sources)
         self._G_ff_T = disc.G_ff.T.tocsr()
@@ -259,14 +268,13 @@ class SplittingScheme(BackwardEuler):
             disc.B_ff,
             self._C_p,
             tol=saddle_tol,
-            direct_threshold=direct_threshold,
             order=disc.order("U", "P"),
         )
 
     def step(self, state: State) -> State:
         coupling = self.tau * self.disc.params.L
         P_free = self.disc.layouts.P.free
-        rhs_E, f_u, f_p = self.history(state)
+        rhs_E, f_u, f_p = np.split(self.history(state), self._ends)
         # sub-step A: electromagnetic fields, pressure coupling explicit
         E_free, _ = self._em.solve(rhs_E + coupling * (self.disc.G_ff @ state.p[P_free]))
         # sub-step B: Biot consolidation, driven by the new E
@@ -301,9 +309,8 @@ class MonolithicScheme(BackwardEuler):
         self._lu = LuSolver(K, tol=saddle_tol, order=disc.order("E", "U", "P"))
 
     def step(self, state: State) -> State:
-        x, _ = self._lu.solve(np.concatenate(self.history(state)))
-        ends = np.cumsum([self.disc.layouts.E.num_free, self.disc.layouts.U.num_free])
-        return self.advance(state, *np.split(x, ends))
+        x, _ = self._lu.solve(self.history(state))
+        return self.advance(state, *np.split(x, self._ends))
 
 
 @dataclass(frozen=True)
@@ -347,12 +354,7 @@ class RunResult:
 def make_scheme(name: str, disc: Discretization, tau: float, sources: Sources, config: RunConfig):
     if name == "splitting":
         return SplittingScheme(
-            disc,
-            tau,
-            sources,
-            spd_tol=config.spd_tol,
-            saddle_tol=config.saddle_tol,
-            direct_threshold=config.direct_threshold,
+            disc, tau, sources, spd_tol=config.spd_tol, saddle_tol=config.saddle_tol
         )
     if name == "monolithic":
         return MonolithicScheme(disc, tau, sources, saddle_tol=config.saddle_tol)

@@ -26,6 +26,11 @@ from epe.mms import ErrorNorms, error_norms, example61
 from epe.schemes import Discretization, Sources, run
 
 ERROR_FIELDS = ("E_L2", "H_L2", "u_L2", "u_H1", "p_L2")
+
+#: Steps of the default temporal study, and its reference step.
+DEFAULT_TAUS = (1 / 40, 1 / 80, 1 / 160)
+DEFAULT_TAU_REF = 1 / 1280
+
 TIMING_FIELDS = ("assemble", "factorize", "initial", "loop", "total")
 
 CSV_HEADER = (

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from epe.fem import assembly
 from epe.mesh import TetMesh
 

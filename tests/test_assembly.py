@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import epe.schemes
 from conftest import cellwise_curl
@@ -13,7 +14,8 @@ from epe.fem.assembly import (
 )
 from epe.fem.dofs import LayoutMismatch, make_layouts, reduce_matrix
 from epe.fem.elements import nedelec_basis
-from epe.mesh import build_unit_cube_mesh
+from epe.fem.quadrature import quadrature_rule
+from epe.mesh import LOCAL_EDGES, build_unit_cube_mesh
 from epe.schemes import Discretization
 
 SYMMETRIC_FORMS = ["MASS_E", "H_MASS", "P_MASS", "P_STIFF", "U_MASS"]
@@ -109,6 +111,109 @@ class TestMatrices:
         W = curl_dof_operator(mesh2)
         assert np.abs(W @ egrad).max() <= 1e-12
         assert np.abs(cellwise_curl(mesh2, egrad)).max() <= 1e-12
+
+
+def signed_edge_values(mesh, degree):
+    """Oracle: the signed lam_a grad lam_b - lam_b grad lam_a at the rule points, (C, nq, 6, 3)."""
+    lam = quadrature_rule(degree).barycentric()
+    g, _ = mesh.cell_geometry()
+    vals = np.stack(
+        [lam[None, :, a, None] * g[:, None, b, :] - lam[None, :, b, None] * g[:, None, a, :]
+         for a, b in LOCAL_EDGES],
+        axis=2,
+    )
+    return vals * mesh.cell_edge_signs[:, None, :, None]
+
+
+def quadrature_forms(mesh, lay):
+    """Oracle: MASS_E and GRAD_P_TO_E by the degree-2 rule, which integrates both exactly."""
+    w = quadrature_rule(2).weights
+    g, vols = mesh.cell_geometry()
+    vals = signed_edge_values(mesh, 2)
+    mass = 6.0 * vols[:, None, None] * np.einsum("q,cqix,cqjx->cij", w, vals, vals)
+    grad = 6.0 * vols[:, None, None] * np.einsum("q,cqix,cmx->cim", w, vals, g)
+    ce = mesh.cell_edges
+    M_E = sp.coo_matrix(
+        (mass.ravel(), (np.repeat(ce, 6, axis=1).ravel(), np.tile(ce, 6).ravel())),
+        shape=(lay.E.count, lay.E.count),
+    )
+    G = sp.coo_matrix(
+        (grad.ravel(), (np.repeat(ce, 4, axis=1).ravel(), np.tile(mesh.cells, 6).ravel())),
+        shape=(lay.E.count, lay.P.count),
+    )
+    return {"MASS_E": M_E.tocsr(), "GRAD_P_TO_E": G.tocsr()}
+
+
+def quadrature_load_E(mesh, lay, f):
+    """Oracle: the E load by the degree-2 rule over the signed Nedelec values."""
+    w = quadrature_rule(2).weights
+    _, vols = mesh.cell_geometry()
+    pts = quadrature_points(mesh, 2)
+    fvals = f(0.0, pts.reshape(-1, 3)).reshape(pts.shape)
+    loc = 6.0 * vols[:, None] * np.einsum("q,cqix,cqx->ci", w, signed_edge_values(mesh, 2), fvals)
+    b = np.zeros(lay.E.count)
+    np.add.at(b, mesh.cell_edges, loc)
+    return b
+
+
+def p1_forms_by_cells(mesh, lay, params):
+    """Oracle: the P1 forms summed cell by cell from dense local matrices (U DOF 3 v + comp)."""
+    g, vols = mesh.cell_geometry()
+    S = (1.0 + np.eye(4)) / 20.0
+    out = {
+        "P_MASS": np.zeros((lay.P.count, lay.P.count)),
+        "P_STIFF": np.zeros((lay.P.count, lay.P.count)),
+        "U_MASS": np.zeros((lay.U.count, lay.U.count)),
+        "ELASTICITY": np.zeros((lay.U.count, lay.U.count)),
+        "DIV_COUPLING": np.zeros((lay.P.count, lay.U.count)),
+    }
+    for c, cell in enumerate(mesh.cells):
+        V, G = vols[c], g[c]
+        u = (3 * cell[:, None] + np.arange(3)).ravel()
+        flat = G.ravel()
+        out["P_MASS"][np.ix_(cell, cell)] += V * S
+        out["P_STIFF"][np.ix_(cell, cell)] += V * G @ G.T
+        out["U_MASS"][np.ix_(u, u)] += V * np.kron(S, np.eye(3))
+        out["ELASTICITY"][np.ix_(u, u)] += V * (
+            params.lambda_c * np.outer(flat, flat) + params.G * np.kron(G @ G.T, np.eye(3))
+        )
+        out["DIV_COUPLING"][np.ix_(cell, u)] += params.alpha * V / 4.0 * np.tile(flat, (4, 1))
+    return out
+
+
+def rel_max(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestClosedForms:
+    """Closed-form local matrices, loads and E values against cellwise and quadrature oracles."""
+
+    @pytest.mark.parametrize("form", ["MASS_E", "GRAD_P_TO_E"])
+    def test_edge_forms_match_quadrature(self, mesh3, form):
+        lay = make_layouts(mesh3)
+        want = quadrature_forms(mesh3, lay)[form]
+        got = assemble_matrix(mesh3, lay.E, getattr(lay, FORM_SPACES[form][1]), form)
+        assert rel_max(got.toarray(), want.toarray()) <= 1e-13
+
+    def test_p1_forms_match_the_cellwise_sum(self, mesh2, lay2, params):
+        coeffs = {"ELASTICITY": (params.lambda_c, params.G), "DIV_COUPLING": params.alpha}
+        for form, want in p1_forms_by_cells(mesh2, lay2, params).items():
+            rows, cols = (getattr(lay2, space) for space in FORM_SPACES[form])
+            got = assemble_matrix(mesh2, rows, cols, form, coeffs.get(form, 1.0))
+            assert rel_max(got.toarray(), want) <= 1e-13, form
+
+    def test_E_load_matches_quadrature(self, mesh3):
+        lay = make_layouts(mesh3)
+        f = lambda t, x: np.stack([np.sin(3 * x[:, 1]), x[:, 0] * x[:, 2], np.exp(x[:, 0])], axis=1)
+        got = assemble_load(mesh3, lay.E, f, 0.0)
+        assert rel_max(got, quadrature_load_E(mesh3, lay, f)) <= 1e-13
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_E_evaluation_matches_quadrature(self, mesh3, degree):
+        coefs = np.random.default_rng(23).standard_normal(mesh3.num_edges)
+        signed = coefs[mesh3.cell_edges]
+        want = np.einsum("ci,cqix->cqx", signed, signed_edge_values(mesh3, degree))
+        assert rel_max(evaluate_E(mesh3, coefs, degree), want) <= 1e-13
 
 
 class TestEvaluate:

@@ -108,21 +108,6 @@ class TestSaddleSolve:
         rhs = np.sqrt(f_u @ f_u + f_p @ f_p)
         assert np.sqrt(ru @ ru + rp @ rp) / rhs <= 1e-9
 
-    def test_schur_path_matches_direct(self):
-        rng = np.random.default_rng(4)
-        n, m = 25, 9
-        R = rng.standard_normal((n, n))
-        A = sp.csr_matrix(R @ R.T + n * np.eye(n))
-        B = sp.csr_matrix(rng.standard_normal((m, n)))
-        Q = rng.standard_normal((m, m))
-        C = sp.csr_matrix(Q @ Q.T + m * np.eye(m))
-        f_u, f_p = rng.standard_normal(n), rng.standard_normal(m)
-        (u1, p1), _ = SaddleSolver(A, B, C, tol=1e-11, direct_threshold=10**6).solve(f_u, f_p)
-        (u2, p2), rep = SaddleSolver(A, B, C, tol=1e-11, direct_threshold=1).solve(f_u, f_p)
-        assert rep.iterations > 0
-        np.testing.assert_allclose(u1, u2, atol=1e-9)
-        np.testing.assert_allclose(p1, p2, atol=1e-9)
-
     def test_rhs_shape_mismatch(self):
         solver = SaddleSolver(sp.identity(2, format="csr"), sp.csr_matrix((1, 2)), sp.identity(1, format="csr"))
         with pytest.raises(DimensionMismatch):
@@ -303,14 +288,3 @@ class TestNestedDissection:
         assert np.all(x[order[len(lo) + len(hi) :]] == 2)
         assert K[lo][:, hi].nnz == 0 and K[hi][:, lo].nnz == 0
         assert K[lo][:, x == 2].nnz > 0 and K[hi][:, x == 2].nnz > 0
-
-    def test_schur_path_uses_the_u_order(self, mesh3, params):
-        disc = Discretization(mesh3, make_layouts(mesh3), params)
-        A, B, C = disc.A_el_ff, disc.B_ff, disc.M_P_ff + disc.K_P_ff
-        rng = np.random.default_rng(8)
-        f_u, f_p = rng.standard_normal(A.shape[0]), rng.standard_normal(C.shape[0])
-        order = disc.order("U", "P")
-        (u1, p1), _ = SaddleSolver(A, B, C, tol=1e-11).solve(f_u, f_p)
-        (u2, p2), _ = SaddleSolver(A, B, C, tol=1e-11, direct_threshold=1, order=order).solve(f_u, f_p)
-        np.testing.assert_allclose(u2, u1, atol=1e-9)
-        np.testing.assert_allclose(p2, p1, atol=1e-9)

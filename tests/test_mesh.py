@@ -12,6 +12,16 @@ from epe.mesh import (
 )
 
 
+def number_edges_by_sort(cells):
+    """Oracle for the edge numbering: np.unique over the sorted vertex pairs of all cell edges."""
+    pairs = cells[:, np.asarray(LOCAL_EDGES)]
+    lo, hi = pairs.min(axis=2), pairs.max(axis=2)
+    signs = np.where(pairs[:, :, 0] == lo, 1, -1).astype(np.int64)
+    keyed = np.stack([lo.ravel(), hi.ravel()], axis=1)
+    edges, inverse = np.unique(keyed, axis=0, return_inverse=True)
+    return edges.astype(np.int64), inverse.reshape(cells.shape[0], 6).astype(np.int64), signs
+
+
 def kuhn_reference_counts(n):
     """Independent enumeration of the 6-tet monotone-path subdivision.
 
@@ -96,6 +106,14 @@ class TestGeometry:
 
 
 class TestEdges:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lattice_numbering_equals_the_sorted_numbering(self, n):
+        mesh = build_unit_cube_mesh(n)
+        want = number_edges_by_sort(mesh.cells)
+        for name, ref in zip(("edges", "cell_edges", "cell_edge_signs"), want):
+            got = getattr(mesh, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
     def test_global_orientation(self, mesh3):
         assert np.all(mesh3.edges[:, 0] < mesh3.edges[:, 1])
 
@@ -137,6 +155,12 @@ class TestEdges:
 
 
 class TestConformity:
+    def test_faces_are_numbered_on_first_use(self):
+        mesh = build_unit_cube_mesh(2)
+        assert "_face_table" not in vars(mesh)
+        assert mesh.num_faces == kuhn_reference_counts(2)[2]
+        assert "_face_table" in vars(mesh)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_face_incidence(self, n):
         mesh = build_unit_cube_mesh(n)

@@ -174,6 +174,16 @@ class TestSymbolicOracle:
 
 
 class TestFields:
+    def test_fields_match_the_single_evaluators(self, exact):
+        """``fields`` matches the single evaluators, and its grad_u the difference quotient of u."""
+        rng = np.random.default_rng(43)
+        t, x = 0.07, rng.uniform(0.05, 0.95, size=(40, 3))
+        E, H, u, grad_u, p = exact.fields(t, x)
+        for got, single in ((E, exact.E), (H, exact.H), (u, exact.u), (p, exact.p)):
+            np.testing.assert_array_equal(got, single(t, x))
+        fd = np.stack([fd_x(exact.u, t, x, d) for d in range(3)], axis=2)
+        np.testing.assert_allclose(grad_u, fd, rtol=0.0, atol=1e-8)
+
     def test_initial_values(self, exact):
         rng = np.random.default_rng(1)
         pts = rng.random((40, 3))

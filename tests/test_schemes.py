@@ -505,12 +505,19 @@ class TestRun:
         assert t.total >= t.assemble + t.factorize + t.initial + t.loop - 1e-9
 
     def test_per_step_cost_stays_flat_after_factorization(self, config, sources, exact, params):
+        """The 90th percentile of 100 steps stays under twice their median step.
+
+        A step takes a few milliseconds, about one scheduler quantum, so the
+        slowest step measures preemption; the 90th percentile only moves
+        when more than 10 of the steps are slow, as when a step
+        refactorizes every few steps.
+        """
         mesh = build_unit_cube_mesh(8)
         disc = Discretization(mesh, make_layouts(mesh), params)
-        cfg = small_config(config, 8, 0.1, 20)
+        cfg = small_config(config, 8, 0.1, 100)
         res = run(cfg, sources, exact, disc=disc)
         walls = np.array([s.wall_time for s in res.steps[1:]])
-        assert walls.max() < 2.0 * np.median(walls), walls
+        assert np.quantile(walls, 0.9) < 2.0 * np.median(walls), walls
 
     def test_doubling_steps_roughly_doubles_loop_time(self, config, sources, exact, params):
         mesh = build_unit_cube_mesh(8)

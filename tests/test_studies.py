@@ -4,13 +4,22 @@ import pytest
 
 from epe.studies import (
     CSV_HEADER,
+    DEFAULT_TAU_REF,
+    DEFAULT_TAUS,
     ERROR_FIELDS,
     TIMING_FIELDS,
     StudyRow,
     benchmark,
     convergence_order,
     report_csv,
+    spatial_convergence,
+    temporal_convergence,
 )
+
+#: The paper proves O(tau + h) for the splitting scheme: order 1 in h for
+#: E, H and u in H1, order 1 in tau. The margin covers the pre-asymptotic
+#: range of these coarse meshes and steps, not a lower rate.
+MIN_ORDER = 0.9
 
 
 def parse_report_csv(text: str) -> list:
@@ -51,3 +60,17 @@ def test_convergence_order_of_a_zero_error_is_nan():
     assert convergence_order(0.4, 0.1, 0.5, 0.25) == pytest.approx(2.0, rel=1e-14)
     for e_prev, e_curr in ((0.0, 0.0), (0.1, 0.0), (0.0, 0.1)):
         assert math.isnan(convergence_order(e_prev, e_curr, 0.5, 0.25))
+
+
+def test_spatial_orders_are_first_order(config):
+    orders = spatial_convergence([4, 8, 12], config).rows[-1].orders
+    for field in ("E_L2", "H_L2", "u_H1"):
+        assert orders[field] >= MIN_ORDER, (field, orders)
+
+
+def test_temporal_orders_are_first_order(config):
+    report = temporal_convergence(4, DEFAULT_TAUS, config, DEFAULT_TAU_REF)
+    assert len(report.rows) == len(DEFAULT_TAUS)
+    for row in report.rows[1:]:
+        for field in ("E_L2", "H_L2"):
+            assert row.orders[field] >= MIN_ORDER, (row.tau, field, row.orders)
