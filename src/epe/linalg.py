@@ -6,11 +6,13 @@ returning silently wrong results. All paths are deterministic: identical
 inputs produce identical outputs (no randomized pivoting, fixed iteration
 order), so two factorizations of one matrix give bit-identical solves.
 
-``LuSolver`` factors a symmetric permutation K[order][:, order] of its
-matrix. A symmetric matrix (to rounding) is factored as a quasi-definite
-LDL^T by ``MultifrontalLdl``, dense Cholesky kernels front by front; any
-other matrix gets SuperLU's LU. The order is given by the caller as blocks
-of unknowns (``None`` keeps their numbering). The schemes pass
+Every direct solve is one quasi-definite LDL^T. ``LuSolver`` factors a
+symmetric permutation K[order][:, order] of a symmetric matrix with
+``MultifrontalLdl``, dense Cholesky kernels front by front; a matrix that
+is not symmetric (to rounding) raises ValueError. A system that is
+quasi-definite only up to the signs of some rows is passed with those rows
+negated, as ``SaddleSolver`` does. The order is given by the caller as
+blocks of unknowns (``None`` keeps their numbering). The schemes pass
 ``nested_dissection`` of the unknowns' lattice locations, whose blocks are
 the fronts of the LDL^T. Any permutation gives the exact factorization;
 the fill is only reduced when the points lie on the unit-cube lattice,
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 
@@ -259,8 +260,8 @@ class MultifrontalLdl:
 
     @property
     def U(self) -> sp.csc_matrix:
-        """No upper factor is stored (it is J L^T): an empty matrix, so that
-        ``L.nnz + U.nnz`` counts the stored entries as it does for an LU."""
+        """No upper factor is stored (it is J L^T): an empty matrix, so that an
+        LU's fill count ``L.nnz + U.nnz`` counts the stored entries."""
         return sp.csc_matrix(self.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -317,54 +318,47 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
 class LuSolver:
     """Direct factorization with honest residual reporting; reusable across solves.
 
-    Factors the symmetrically permuted matrix K[order][:, order]. ``order``
-    is a sequence of blocks of unknowns in elimination order (a flat
-    permutation counts as blocks of one unknown); ``None`` keeps the given
-    numbering, cut into blocks of ``FRONT_MAX``. A symmetric K (to
-    ``SYMMETRY_RTOL``) is factored as a quasi-definite LDL^T
-    (``MultifrontalLdl``), each block one front, its positive-diagonal
-    unknowns first; a K that is symmetric but not quasi-definite raises
-    SingularSystem. Any other K gets SuperLU's LU with NATURAL column order
-    and its default threshold row pivoting.
+    Factors the symmetrically permuted matrix K[order][:, order] as a
+    quasi-definite LDL^T (``MultifrontalLdl``). ``order`` is a sequence of
+    blocks of unknowns in elimination order (a flat permutation counts as
+    blocks of one unknown); ``None`` keeps the given numbering, cut into
+    blocks of ``FRONT_MAX``. Each block is one front, its positive-diagonal
+    unknowns first. A K that is not symmetric to ``SYMMETRY_RTOL`` raises
+    ValueError; a K that is symmetric but not quasi-definite raises
+    SingularSystem.
     """
 
     def __init__(self, K: sp.spmatrix, tol: float = 1e-9, order=None):
         self.K = K.tocsc()
         self.tol = tol
         n = self.K.shape[0]
+        if n and abs(self.K - self.K.T).max() > SYMMETRY_RTOL * abs(self.K).max():
+            raise ValueError("LuSolver factors symmetric matrices only; K is not symmetric")
         if order is None:
             order = np.array_split(np.arange(n), max(1, -(-n // FRONT_MAX)))
         blocks = [b for b in map(np.atleast_1d, order) if b.size]
         self.order = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
         if not np.array_equal(np.sort(self.order), np.arange(n)):
             raise DimensionMismatch(f"order is not a permutation of the {n} unknowns")
-        if n == 0 or abs(self.K - self.K.T).max() <= SYMMETRY_RTOL * abs(self.K).max():
-            diag = self.K.diagonal()
-            blocks = [b[np.argsort(diag[b] <= 0.0, kind="stable")] for b in blocks]
-            self.order = np.concatenate([self.order[:0], *blocks])
-            Kp = self.K[self.order][:, self.order].tocsc()
-            Kp.sum_duplicates()
-            self.lu = MultifrontalLdl(Kp, [b.size for b in blocks])
-            return
-        try:
-            self.lu = spla.splu(self.K[self.order][:, self.order], permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from exc
-
-    def _apply(self, rhs: np.ndarray) -> np.ndarray:
-        """K^{-1} rhs through the permuted factors, unchecked."""
-        x = np.empty_like(rhs)
-        x[self.order] = self.lu.solve(rhs[self.order])
-        return x
+        diag = self.K.diagonal()
+        blocks = [b[np.argsort(diag[b] <= 0.0, kind="stable")] for b in blocks]
+        self.order = np.concatenate([self.order[:0], *blocks])
+        Kp = self.K[self.order][:, self.order].tocsc()
+        Kp.sum_duplicates()
+        self.lu = MultifrontalLdl(Kp, [b.size for b in blocks])
 
     def solve(self, rhs: np.ndarray):
+        return self._solve(np.asarray(rhs, dtype=float))
+
+    def _solve(self, rhs: np.ndarray):
+        """K^{-1} rhs and its report; raises if the true residual is above ``tol``."""
         start = time.perf_counter()
-        rhs = np.asarray(rhs, dtype=float)
         _check_square(self.K, rhs)
         rnorm = np.linalg.norm(rhs)
         if rnorm == 0.0:
             return np.zeros(self.K.shape[0]), LinearSolveReport(0, 0.0, time.perf_counter() - start)
-        x = self._apply(rhs)
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order])
         if not np.all(np.isfinite(x)):
             raise SingularSystem("factorization produced non-finite solution")
         residual = float(np.linalg.norm(rhs - self.K @ x) / rnorm)
@@ -388,8 +382,10 @@ class SaddleSolver:
         A u - B^T p = f_u
         B u + C   p = f_p
     with A and C symmetric positive definite: the matrix is quasi-definite.
-    It is factored once as an LDL^T (``LuSolver``) and reused per solve.
-    ``order`` lists the (u, p) unknowns in blocks, as ``LuSolver`` takes them.
+    It is factored once as an LDL^T (``LuSolver``) and reused per solve; the
+    reported residual is that of the stacked system, whose norm the sign of
+    the p rows does not change. ``order`` lists the (u, p) unknowns in
+    blocks, as ``LuSolver`` takes them.
     """
 
     def __init__(
@@ -400,33 +396,15 @@ class SaddleSolver:
         tol: float = 1e-9,
         order: np.ndarray | None = None,
     ):
-        self.A, self.B, self.C = A.tocsr(), B.tocsr(), C.tocsr()
         self.nu, self.np = A.shape[0], C.shape[0]
-        self.tol = tol
         self._lu = LuSolver(saddle_blocks(A, B, C), tol=tol, order=order)
 
     def solve(self, f_u: np.ndarray, f_p: np.ndarray):
-        start = time.perf_counter()
         f_u = np.asarray(f_u, dtype=float)
         f_p = np.asarray(f_p, dtype=float)
         if f_u.shape != (self.nu,) or f_p.shape != (self.np,):
             raise DimensionMismatch(
                 f"rhs shapes {f_u.shape}, {f_p.shape} do not match blocks ({self.nu}, {self.np})"
             )
-        rhs_norm = float(np.sqrt(f_u @ f_u + f_p @ f_p))
-        if rhs_norm == 0.0:
-            return (np.zeros(self.nu), np.zeros(self.np)), LinearSolveReport(
-                0, 0.0, time.perf_counter() - start
-            )
-
-        x = self._lu._apply(np.concatenate([f_u, -f_p]))
-        if not np.all(np.isfinite(x)):
-            raise SingularSystem("saddle factorization produced non-finite solution")
-        u, p = x[: self.nu], x[self.nu :]
-
-        ru = self.A @ u - self.B.T @ p - f_u
-        rp = self.B @ u + self.C @ p - f_p
-        residual = float(np.sqrt(ru @ ru + rp @ rp) / rhs_norm)
-        if residual > self.tol:
-            raise NotConverged("saddle solve residual above tolerance", 0, residual)
-        return (u, p), LinearSolveReport(0, residual, time.perf_counter() - start)
+        x, report = self._lu._solve(np.concatenate([f_u, -f_p]))
+        return (x[: self.nu], x[self.nu :]), report

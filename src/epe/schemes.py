@@ -17,16 +17,19 @@ The splitting scheme advances each step in two sub-steps:
 
 The monolithic reference solves all four equations coupled, with the
 pressure coupling taken implicitly. It eliminates H exactly, as sub-step A
-does, and factors the resulting (non-symmetric) 3-block system in (E, u, p)
-once per run; H is recovered from E^n by the same update. Both schemes
-build the same history right-hand side (``BackwardEuler.history``: one
-precomputed operator applied to the stacked state, plus the loads); the
-splitting step adds its explicit pressure couplings on top.
+does, and factors the resulting 3-block system in (E, u, p) once per run;
+H is recovered from E^n by the same update. Its u rows (and their
+right-hand side) are negated, which makes the matrix symmetric; it is then
+quasi-definite in {E, p} | {u}, because the {E, p} block's Schur complement
+is at least c0 M_P + tau (kappa - tau L^2/(eps + tau sigma)) K_P, SPD
+whenever L^2 < sigma kappa. Both schemes build the same history right-hand
+side (``BackwardEuler.history``: one precomputed operator applied to the
+stacked state, plus the loads); the splitting step adds its explicit
+pressure couplings on top.
 
-Every direct factorization is ordered by nested dissection of its unknowns'
-lattice locations (``Discretization.order``): the symmetric Biot saddle
-system and the elasticity block get a quasi-definite LDL^T, the
-non-symmetric monolithic system an LU.
+Every direct factorization is a quasi-definite LDL^T, ordered by nested
+dissection of its unknowns' lattice locations (``Discretization.order``):
+the Biot saddle system, the elasticity block and the monolithic system.
 
 Time-separable sources (``mms.SeparableSource``) have their spatial load
 vectors assembled once, when a scheme is built; a step then combines them
@@ -283,7 +286,13 @@ class SplittingScheme(BackwardEuler):
 
 
 class MonolithicScheme(BackwardEuler):
-    """One coupled backward-Euler solve per step for (E, u, p), with H eliminated exactly."""
+    """One coupled backward-Euler solve per step for (E, u, p), with H eliminated exactly.
+
+    The system is factored with its u rows negated,
+        [[A_em, 0, -G], [0, -A_el, B^T], [-G^T, B, C_p]],
+    which is symmetric and quasi-definite in {E, p} | {u} since L^2 < sigma kappa
+    (see the module docstring); each step negates the u right-hand side to match.
+    """
 
     name = "monolithic"
 
@@ -301,7 +310,7 @@ class MonolithicScheme(BackwardEuler):
         K = sp.bmat(
             [
                 [A_em, None, -G],
-                [None, disc.A_el_ff, -disc.B_ff.T],
+                [None, -disc.A_el_ff, disc.B_ff.T],
                 [-G.T, disc.B_ff, self._C_p],
             ],
             format="csc",
@@ -309,7 +318,9 @@ class MonolithicScheme(BackwardEuler):
         self._lu = LuSolver(K, tol=saddle_tol, order=disc.order("E", "U", "P"))
 
     def step(self, state: State) -> State:
-        x, _ = self._lu.solve(self.history(state))
+        rhs = self.history(state)
+        rhs[self._ends[0] : self._ends[1]] *= -1.0
+        x, _ = self._lu.solve(rhs)
         return self.advance(state, *np.split(x, self._ends))
 
 

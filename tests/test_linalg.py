@@ -122,25 +122,27 @@ class TestSaddleSolve:
 
 
 class TestLuSolver:
-    def test_nonsymmetric_system(self):
-        K = sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 1.0]]))
-        solver = LuSolver(K, tol=1e-12)
-        x, rep = solver.solve(np.array([3.0, 1.0]))
-        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-13)
-        assert isinstance(rep, LinearSolveReport)
+    def test_nonsymmetric_matrix_raises(self, monkeypatch):
+        """A non-symmetric K is rejected before any factorization starts."""
+        calls = []
+        monkeypatch.setattr(epe.linalg, "MultifrontalLdl", lambda *a: calls.append(1))
+        with pytest.raises(ValueError, match="not symmetric"):
+            LuSolver(sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 1.0]])))
+        assert calls == []
 
     def test_residual_recomputed(self):
         rng = np.random.default_rng(5)
-        K = sp.csc_matrix(rng.standard_normal((12, 12)) + 12 * np.eye(12))
+        K, _ = random_sqd(rng, n_pos=8, n_neg=4)
         solver = LuSolver(K, tol=1e-10)
         b = rng.standard_normal(12)
         x, rep = solver.solve(b)
+        assert isinstance(rep, LinearSolveReport)
         recomputed = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
         assert abs(recomputed - rep.relative_residual) <= 1e-14
 
     def test_order_gives_the_same_solution(self):
         rng = np.random.default_rng(6)
-        K = sp.csc_matrix(rng.standard_normal((30, 30)) + 30 * np.eye(30))
+        K, _ = random_sqd(rng, n_pos=20, n_neg=10)
         b = rng.standard_normal(30)
         x0, _ = LuSolver(K, tol=1e-12).solve(b)
         x1, rep = LuSolver(K, tol=1e-12, order=rng.permutation(30)).solve(b)
@@ -231,16 +233,6 @@ class TestMultifrontalLdl:
         x1, _ = LuSolver(K, order=order).solve(b)
         x2, _ = LuSolver(K, order=order).solve(b)
         assert x1.tobytes() == x2.tobytes()
-
-    def test_superlu_only_for_nonsymmetric_matrices(self, disc3, params, monkeypatch):
-        K = saddle_blocks(disc3.A_el_ff, disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
-        calls = []
-        splu = epe.linalg.spla.splu
-        monkeypatch.setattr(epe.linalg.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
-        LuSolver(K, order=disc3.order("U", "P"))
-        assert calls == []
-        LuSolver(sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 1.0]])))
-        assert calls == [1]
 
 
 class TestNestedDissection:

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import replace
 
+import epe.linalg
 import epe.schemes
 from conftest import cellwise_curl, zero_state
 from epe.core import PARAM_NAMES, make_time_grid, validate_params
@@ -68,14 +69,18 @@ def random_admissible_params(rng):
 
 
 class UncondensedSplitting(SplittingScheme):
-    """Oracle: sub-step A solves the 2-block (E, H) system by LU, H not eliminated."""
+    """Oracle: sub-step A solves the 2-block (E, H) system directly, H not eliminated.
+
+    The H rows and their right-hand side are negated, so the system
+    [[A0, -tau C^T], [-tau C, -mu M_H]] is symmetric quasi-definite.
+    """
 
     def __init__(self, disc, tau, sources, spd_tol=1e-10, saddle_tol=1e-9):
         super().__init__(disc, tau, sources, spd_tol=spd_tol, saddle_tol=saddle_tol)
         p = disc.params
         A0 = (p.epsilon + tau * p.sigma) * disc.M_E_ff
         C_f = curl_coupling(disc)
-        K = sp.bmat([[A0, -tau * C_f.T], [tau * C_f, p.mu * disc.M_H]], format="csc")
+        K = sp.bmat([[A0, -tau * C_f.T], [-tau * C_f, -p.mu * disc.M_H]], format="csc")
         self._em_block = LuSolver(K, tol=spd_tol * 10)
 
     def step(self, state):
@@ -85,7 +90,7 @@ class UncondensedSplitting(SplittingScheme):
         rhs = p.epsilon * (disc.M_E @ state.E)
         rhs += tau * p.L * (disc.G_pe @ state.p)
         rhs += tau * disc.load("E", self.sources.j, t_new)
-        x, _ = self._em_block.solve(np.concatenate([rhs[L.E.free], p.mu * (disc.M_H @ state.H)]))
+        x, _ = self._em_block.solve(np.concatenate([rhs[L.E.free], -p.mu * (disc.M_H @ state.H)]))
         E_new = L.E.extend(x[: L.E.num_free])
 
         f_u = disc.load("U", self.sources.f, t_new)[L.U.free]
@@ -321,6 +326,21 @@ class TestMonolithic:
                 assert np.linalg.norm(va - vb) / denom <= 10 * cfg.spd_tol
 
 
+    @pytest.mark.parametrize("tau", [1.0, 1e-5])
+    def test_factors_at_the_edge_of_quasi_definiteness(self, tau, config, mesh3):
+        """With L = 0.999 sqrt(sigma kappa) the symmetric system factors and steps within saddle_tol."""
+        values = {name: getattr(config.params, name) for name in PARAM_NAMES}
+        values["L"] = 0.999 * np.sqrt(values["sigma"] * values["kappa"])
+        disc = Discretization(mesh3, make_layouts(mesh3), validate_params(**values))
+        scheme = MonolithicScheme(disc, tau, Sources(), saddle_tol=config.saddle_tol)
+        rng = np.random.default_rng(42)
+        _, report = scheme._lu.solve(rng.standard_normal(scheme._lu.K.shape[0]))
+        assert report.relative_residual <= config.saddle_tol
+        state = random_admissible_state(disc.layouts, rng)
+        for _ in range(3):
+            state = scheme.step(state)  # raises if a solve misses saddle_tol
+        assert all(np.all(np.isfinite(getattr(state, f))) for f in ("E", "H", "u", "p"))
+
     def test_condensed_step_matches_four_block_system(self, config, disc2, sources):
         """Oracle: one step of the coupled (E, H, u, p) system, H kept as an unknown."""
         tau, p, L = config.grid.tau, disc2.params, disc2.layouts
@@ -364,18 +384,43 @@ class TestLuOrdering:
     def test_mesh_order_reduces_lu_fill(self, scheme, config, params, sources):
         """The nested-dissection factor of the n = 6 scheme matrix stores fewer entries than plain splu.
 
-        The splitting scheme's symmetric saddle matrix gets an LDL^T, which
-        stores L alone; the monolithic matrix gets an LU.
+        Both schemes' symmetric matrices get an LDL^T, which stores L alone.
         """
         mesh = build_unit_cube_mesh(6)
         disc = Discretization(mesh, make_layouts(mesh), params)
         if scheme == "splitting":
             lu = SplittingScheme(disc, config.grid.tau, sources)._saddle._lu
-            assert isinstance(lu.lu, MultifrontalLdl) and lu.lu.U.nnz == 0
         else:
             lu = MonolithicScheme(disc, config.grid.tau, sources)._lu
+        assert isinstance(lu.lu, MultifrontalLdl) and lu.lu.U.nnz == 0
         plain = spla.splu(lu.K)
         assert lu.lu.L.nnz + lu.lu.U.nnz < plain.L.nnz + plain.U.nnz
+
+    def test_monolithic_fill_depends_on_the_pattern_alone(self, config, mesh4):
+        """The stored entries L.nnz + U.nnz of the n = 4 monolithic factor do not move with the values."""
+        layouts = make_layouts(mesh4)
+        params = (config.params, random_admissible_params(np.random.default_rng(8)))
+        assert params[0] != params[1]
+        fills = []
+        for p in params:
+            lu = MonolithicScheme(Discretization(mesh4, layouts, p), config.grid.tau, Sources())._lu.lu
+            fills.append(lu.L.nnz + lu.U.nnz)
+        assert fills[0] == fills[1]
+
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_run_factors_once_before_the_loop(self, scheme, config, disc3, sources, exact, monkeypatch):
+        """One LDL^T per run, built before the n = 0 observer call; every step reuses it."""
+        built, in_loop = [], []
+
+        class Counting(MultifrontalLdl):
+            def __init__(self, *args):
+                built.append(bool(in_loop))
+                super().__init__(*args)
+
+        monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
+        run(small_config(config, 3, 0.1, 4), sources, exact, scheme=scheme, disc=disc3,
+            observers=[lambda *_: in_loop.append(True)])
+        assert built == [False]
 
 
 class TestEnergy:
