@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import epe.linalg
 from epe.fem.assembly import assemble_matrix
@@ -122,7 +123,7 @@ class TestSaddleSolve:
 
 
 class TestLuSolver:
-    def test_nonsymmetric_matrix_raises(self, monkeypatch):
+    def test_nonsymmetric_system(self, monkeypatch):
         """A non-symmetric K is rejected before any factorization starts."""
         calls = []
         monkeypatch.setattr(epe.linalg, "MultifrontalLdl", lambda *a: calls.append(1))
@@ -233,6 +234,19 @@ class TestMultifrontalLdl:
         x1, _ = LuSolver(K, order=order).solve(b)
         x2, _ = LuSolver(K, order=order).solve(b)
         assert x1.tobytes() == x2.tobytes()
+
+    def test_superlu_only_for_nonsymmetric_matrices(self, disc3, params, monkeypatch):
+        """SuperLU is called for no matrix: a symmetric K is factored by
+        ``MultifrontalLdl`` and a non-symmetric one is refused."""
+        K = saddle_blocks(disc3.A_el_ff, disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
+        calls = []
+        monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append(1))
+        solver = LuSolver(K, order=disc3.order("U", "P"))
+        assert isinstance(solver.lu, MultifrontalLdl) and solver.lu.U.nnz == 0
+        solver.solve(np.ones(K.shape[0]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            LuSolver(sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 1.0]])))
+        assert calls == []
 
 
 class TestNestedDissection:
