@@ -8,24 +8,4 @@ backward-Euler scheme (EM sub-step, then Biot sub-step) or by a monolithic
 backward-Euler reference scheme.
 """
 
-from epe.core import (
-    PhysicalParams,
-    RunConfig,
-    TimeGrid,
-    make_time_grid,
-    validate_params,
-)
-from epe.mesh import TetMesh, build_unit_cube_mesh, mesh_stats
-
-__all__ = [
-    "PhysicalParams",
-    "RunConfig",
-    "TimeGrid",
-    "TetMesh",
-    "build_unit_cube_mesh",
-    "make_time_grid",
-    "mesh_stats",
-    "validate_params",
-]
-
 __version__ = "0.1.0"

@@ -10,10 +10,12 @@ backward-Euler schemes stable. The only admissible override is L = 0
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from epe.fem.quadrature import MAX_DEGREE
 
 
 class ParameterError(ValueError):
@@ -165,21 +167,18 @@ class RunConfig:
             tol = getattr(self, name)
             if not (0.0 < tol < 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1), got {tol!r}")
-        if self.quad_error < 4:
-            raise ConfigError(f"quad_error must be >= 4, got {self.quad_error}")
+        if not (4 <= self.quad_error <= MAX_DEGREE):
+            raise ConfigError(f"quad_error must lie in 4..{MAX_DEGREE}, got {self.quad_error}")
 
 
 #: Default scalar option values; a missing config key falls back to these.
+#: The RunConfig fields with a default take it from the dataclass.
 DEFAULT_OPTIONS = {
     "T": 0.1,
     "tau": 0.0025,
     "mesh_n": 4,
-    "scheme": "splitting",
-    "spd_tol": 1e-10,
-    "saddle_tol": 1e-9,
-    "quad_error": 5,
-    "out": "report",
     "allow_decoupled": False,
+    **{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING},
 }
 
 _INT_KEYS = {"mesh_n", "quad_error"}

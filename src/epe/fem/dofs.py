@@ -9,7 +9,7 @@ Space tags and their DOFs:
 Constrained DOFs always carry the value 0; the reduction strategy is row
 and column elimination, with solutions extended by zeros afterwards.
 ``free_dof_points`` locates each free DOF on the mesh lattice, which is
-what the nested-dissection ordering of the sparse LUs works from.
+what the nested-dissection ordering of the LDL^T factorizations works from.
 """
 
 from __future__ import annotations

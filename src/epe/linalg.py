@@ -72,7 +72,7 @@ def _check_square(A, b):
     return n
 
 
-def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxiter: int | None = None):
+def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Returns (x, LinearSolveReport); the reported relative residual is
@@ -84,7 +84,7 @@ def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxiter: int | 
     _check_square(A, b)
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    x, iterations = _pcg(A, b, 0.1 * tol, maxiter)
+    x, iterations = _pcg(A, b, 0.1 * tol)
     bnorm = np.linalg.norm(b)
     residual = float(np.linalg.norm(b - A @ x) / bnorm) if bnorm > 0.0 else 0.0
     if residual > tol:
@@ -92,21 +92,18 @@ def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxiter: int | 
     return x, LinearSolveReport(iterations, residual, time.perf_counter() - start)
 
 
-def _pcg(A: sp.spmatrix, b: np.ndarray, rtol: float, maxiter: int | None = None):
+def _pcg(A: sp.spmatrix, b: np.ndarray, rtol: float):
     """Jacobi-preconditioned CG on the SPD matrix ``A``.
 
     Stops once the recursive residual satisfies ||r|| <= rtol ||b|| or after
-    ``maxiter`` (default max(1000, 10 n)) iterations and returns
-    (x, iterations); the caller checks the true residual. Nonpositive
-    curvature raises NotConverged with the true residual of the current
-    iterate.
+    max(1000, 10 n) iterations and returns (x, iterations); the caller
+    checks the true residual. Nonpositive curvature raises NotConverged
+    with the true residual of the current iterate.
     """
     n = b.shape[0]
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0 or n == 0:
         return np.zeros(n), 0
-    if maxiter is None:
-        maxiter = max(1000, 10 * n)
     diag = A.diagonal()
     inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
 
@@ -116,7 +113,7 @@ def _pcg(A: sp.spmatrix, b: np.ndarray, rtol: float, maxiter: int | None = None)
     p = z.copy()
     rz = r @ z
     iterations = 0
-    for iterations in range(1, maxiter + 1):
+    for iterations in range(1, max(1000, 10 * n) + 1):
         Ap = A @ p
         pAp = p @ Ap
         if pAp <= 0.0 or not np.isfinite(pAp):
@@ -260,8 +257,8 @@ class MultifrontalLdl:
 
     @property
     def U(self) -> sp.csc_matrix:
-        """No upper factor is stored (it is J L^T): an empty matrix, so that an
-        LU's fill count ``L.nnz + U.nnz`` counts the stored entries."""
+        """No upper factor is stored (it is J L^T): an empty matrix. ``perfbench/tracing.py``
+        counts a factor's fill as ``L.nnz + U.nnz``, so this keeps that sum the stored entries."""
         return sp.csc_matrix(self.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -362,14 +362,16 @@ class RunResult:
         return np.array([s.energy for s in self.steps if s.energy is not None])
 
 
-def make_scheme(name: str, disc: Discretization, tau: float, sources: Sources, config: RunConfig):
-    if name == "splitting":
+def make_scheme(disc: Discretization, sources: Sources, config: RunConfig):
+    """The scheme named by ``config.scheme``, with its time step and tolerances."""
+    tau = config.grid.tau
+    if config.scheme == "splitting":
         return SplittingScheme(
             disc, tau, sources, spd_tol=config.spd_tol, saddle_tol=config.saddle_tol
         )
-    if name == "monolithic":
+    if config.scheme == "monolithic":
         return MonolithicScheme(disc, tau, sources, saddle_tol=config.saddle_tol)
-    raise ValueError(f"unknown scheme {name!r}")
+    raise ValueError(f"unknown scheme {config.scheme!r}")
 
 
 def run(
@@ -377,21 +379,18 @@ def run(
     sources: Sources,
     initial,
     observers: Sequence[Callable] = (),
-    scheme: str | None = None,
     track_energy: bool = False,
     mesh: TetMesh | None = None,
     disc: Discretization | None = None,
     start_state: State | None = None,
-    n_steps: int | None = None,
 ) -> RunResult:
-    """Advance ``n_steps`` (default N) backward-Euler steps and report per-phase wall times.
+    """Advance the N backward-Euler steps of ``config`` and report per-phase wall times.
 
     ``initial`` provides the exact initial fields (projected in the L2
     sense) unless ``start_state`` passes explicit coefficients. Observers
     are called as obs(n, t, state, energy, step_wall_time) after every
     step, including the initial one at n = 0.
     """
-    scheme_name = scheme or config.scheme
     t0 = time.perf_counter()
     if disc is None:
         if mesh is None:
@@ -400,7 +399,7 @@ def run(
     t_assemble = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    engine = make_scheme(scheme_name, disc, config.grid.tau, sources, config)
+    engine = make_scheme(disc, sources, config)
     bh = BhOperator(disc) if track_energy else None
     t_factorize = time.perf_counter() - t0
 
@@ -423,7 +422,7 @@ def run(
 
     t0 = time.perf_counter()
     record(0, 0.0, state, 0.0)
-    for n in range(1, (config.grid.N if n_steps is None else n_steps) + 1):
+    for n in range(1, config.grid.N + 1):
         ts = time.perf_counter()
         state = engine.step(state)
         record(n, state.t, state, time.perf_counter() - ts)

@@ -108,29 +108,22 @@ def _exact_row(config: RunConfig, mesh) -> StudyRow:
     return _row(config, errs, {k: getattr(result.timings, k) for k in TIMING_FIELDS})
 
 
-def spatial_convergence(n_values, config: RunConfig, scheme: str | None = None) -> StudyReport:
+def spatial_convergence(n_values, config: RunConfig) -> StudyReport:
     """One run per mesh size at the fixed time grid of ``config``.
 
     Errors are measured against the exact solution at t = T; the reported
     mesh parameter h is 1/n (the customary labeling for this mesh family;
     the actual cell diameter is sqrt(3)/n, which changes no order).
     """
-    scheme = scheme or config.scheme
     rows = []
     for n in n_values:
-        cfg = replace(config, mesh_n=int(n), scheme=scheme)
+        cfg = replace(config, mesh_n=int(n))
         rows.append(_exact_row(cfg, build_unit_cube_mesh(cfg.mesh_n)))
     _attach_orders(rows, "h")
     return StudyReport(kind="spatial", rows=rows, x_field="h")
 
 
-def temporal_convergence(
-    mesh_n: int,
-    tau_values,
-    config: RunConfig,
-    tau_ref: float,
-    scheme: str = "splitting",
-) -> StudyReport:
+def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: float) -> StudyReport:
     """Step-size study against a fine-step reference on the same mesh.
 
     The reference step must satisfy tau_ref <= min(tau)/8 so the reference
@@ -153,7 +146,7 @@ def temporal_convergence(
     T = config.grid.T
 
     def config_at(tau: float) -> RunConfig:
-        return replace(config, mesh_n=mesh_n, grid=make_time_grid(T, round(T / tau)), scheme=scheme)
+        return replace(config, mesh_n=mesh_n, grid=make_time_grid(T, round(T / tau)))
 
     ref = run(config_at(tau_ref), sources, exact, disc=disc).state
 
@@ -249,11 +242,12 @@ def _benchmark_markdown(report: StudyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_svg(report: StudyReport, width: int = 640, height: int = 480) -> str:
+def report_svg(report: StudyReport) -> str:
     """Log-log error plot: one polyline per error field + 2 slope guides.
 
     A zero error has no place on a log axis, so its point is left out.
     """
+    width, height = 640, 480
     rows = report.rows
     xs = np.array([getattr(r, report.x_field) for r in rows], dtype=float)
     pad, legend_w = 50.0, 120.0
@@ -312,21 +306,17 @@ def report_svg(report: StudyReport, width: int = 640, height: int = 480) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_report(report: StudyReport, out_dir, formats=("csv", "md", "svg"), stem="report"):
-    """Write the report files and return their paths."""
+def emit_report(report: StudyReport, out_dir, stem: str):
+    """Write ``stem``.csv, ``stem``.md and, unless a benchmark, ``stem``.svg; return their paths."""
     if not report.rows:
         raise ValueError("cannot emit an empty report")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        paths = {}
-        if "csv" in formats:
-            paths["csv"] = out / f"{stem}.csv"
-            paths["csv"].write_text(report_csv(report))
-        if "md" in formats:
-            paths["md"] = out / f"{stem}.md"
-            paths["md"].write_text(report_markdown(report))
-        if "svg" in formats and report.kind != "benchmark":
+        paths = {"csv": out / f"{stem}.csv", "md": out / f"{stem}.md"}
+        paths["csv"].write_text(report_csv(report))
+        paths["md"].write_text(report_markdown(report))
+        if report.kind != "benchmark":
             paths["svg"] = out / f"{stem}.svg"
             paths["svg"].write_text(report_svg(report))
     except OSError as exc:

@@ -52,20 +52,19 @@ def write_vtk(path, mesh: TetMesh, state) -> Path:
 
 
 class VtkObserver:
-    """Observer hook writing a snapshot every ``every`` steps."""
+    """Observer hook writing a snapshot ``state_NNNNN.vtk`` every ``every`` steps."""
 
-    def __init__(self, out_dir, mesh: TetMesh, every: int = 1, stem: str = "state"):
+    def __init__(self, out_dir, mesh: TetMesh, every: int = 1):
         if every < 1:
             raise ValueError(f"dump interval must be >= 1, got {every}")
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.mesh = mesh
         self.every = every
-        self.stem = stem
         self.written: list[Path] = []
 
     def __call__(self, n, t, state, energy, wall):
         if n % self.every == 0:
             self.written.append(
-                write_vtk(self.out_dir / f"{self.stem}_{n:05d}.vtk", self.mesh, state)
+                write_vtk(self.out_dir / f"state_{n:05d}.vtk", self.mesh, state)
             )

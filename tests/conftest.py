@@ -4,7 +4,7 @@ import pytest
 from epe.core import build_config
 from epe.fem.assembly import signed_curls
 from epe.fem.dofs import make_layouts
-from epe.mesh import build_unit_cube_mesh
+from epe.mesh import LOCAL_EDGES, build_unit_cube_mesh
 from epe.schemes import Discretization, State
 
 
@@ -58,18 +58,27 @@ def cellwise_curl(mesh, coefs):
     return np.einsum("cix,ci->cx", signed_curls(mesh), coefs[mesh.cell_edges])
 
 
-def random_tet(rng, min_det=1e-2):
-    """Random nondegenerate, positively oriented tetrahedron vertices."""
-    while True:
-        verts = rng.random((4, 3))
-        mat = np.ones((4, 4))
-        mat[:, 1:] = verts
-        det = np.linalg.det(mat)
-        if abs(det) < min_det:
-            continue
-        if det < 0:
-            verts[[2, 3]] = verts[[3, 2]]
-        return verts
+def edge_functions(g, lam):
+    """Oracle: the Nedelec functions lam_a grad lam_b - lam_b grad lam_a of the local edges (a, b).
+
+    ``g`` holds barycentric gradients (C, 4, 3) and ``lam`` barycentric
+    coordinates (C, m, 4) or (m, 4); returns unsigned values (C, m, 6, 3).
+    """
+    a, b = np.array(LOCAL_EDGES).T
+    lam = np.broadcast_to(lam, (g.shape[0],) + np.shape(lam)[-2:])
+    return lam[:, :, a, None] * g[:, None, b, :] - lam[:, :, b, None] * g[:, None, a, :]
+
+
+def barycentric(mesh, cells, pts):
+    """Oracle: barycentric coordinates (len(cells), m, 4) of points ``pts`` (len(cells), m, 3).
+
+    lam_m(x) = delta_m0 + grad lam_m . (x - v_0), with v_0 the first vertex of the cell.
+    """
+    g, _ = mesh.cell_geometry()
+    v0 = mesh.vertices[mesh.cells[cells, 0]]
+    lam = np.einsum("cmx,cjx->cmj", pts - v0[:, None, :], g[cells])
+    lam[:, :, 0] += 1.0
+    return lam
 
 
 def zero_state(layouts):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import epe.schemes
-from conftest import cellwise_curl
+from conftest import barycentric, cellwise_curl, edge_functions
 from epe.fem.assembly import (
     FORM_SPACES,
     assemble_load,
@@ -13,9 +13,8 @@ from epe.fem.assembly import (
     quadrature_points,
 )
 from epe.fem.dofs import LayoutMismatch, make_layouts, reduce_matrix
-from epe.fem.elements import nedelec_basis
 from epe.fem.quadrature import quadrature_rule
-from epe.mesh import LOCAL_EDGES, build_unit_cube_mesh
+from epe.mesh import build_unit_cube_mesh
 from epe.schemes import Discretization
 
 SYMMETRIC_FORMS = ["MASS_E", "H_MASS", "P_MASS", "P_STIFF", "U_MASS"]
@@ -115,13 +114,8 @@ class TestMatrices:
 
 def signed_edge_values(mesh, degree):
     """Oracle: the signed lam_a grad lam_b - lam_b grad lam_a at the rule points, (C, nq, 6, 3)."""
-    lam = quadrature_rule(degree).barycentric()
     g, _ = mesh.cell_geometry()
-    vals = np.stack(
-        [lam[None, :, a, None] * g[:, None, b, :] - lam[None, :, b, None] * g[:, None, a, :]
-         for a, b in LOCAL_EDGES],
-        axis=2,
-    )
+    vals = edge_functions(g, quadrature_rule(degree).barycentric())
     return vals * mesh.cell_edge_signs[:, None, :, None]
 
 
@@ -334,7 +328,8 @@ def sample_face_points(tri_verts, rng):
 
 
 def evaluate_in_cell(mesh, cidx, coefs, pts):
-    basis = nedelec_basis(mesh.vertices[mesh.cells[cidx]])
-    vals = basis.values(pts)                     # (m, 6, 3)
+    """Oracle: the E field of ``coefs`` at points ``pts`` (m, 3) of cell ``cidx``, shape (m, 3)."""
+    g, _ = mesh.cell_geometry()
+    vals = edge_functions(g[[cidx]], barycentric(mesh, [cidx], pts[None]))[0]   # (m, 6, 3)
     signed = coefs[mesh.cell_edges[cidx]] * mesh.cell_edge_signs[cidx]
     return np.einsum("mix,i->mx", vals, signed)

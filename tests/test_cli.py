@@ -1,8 +1,12 @@
 import warnings
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from epe.cli import EXIT_OK, main
+import epe.cli
+from epe.cli import EXIT_NUMERICAL, EXIT_OK, main
+from epe.fem.assembly import curl_dof_operator
 
 TINY = ["--T", "0.01", "--tau", "0.005"]
 
@@ -51,3 +55,33 @@ def test_convergence_time_reports_nan_for_a_zero_error(tmp_path, capsys):
     last = (tmp_path / "convergence_time.csv").read_text().splitlines()[-1].split(",")
     assert float(last[6]) == 0.0 and last[11] == "nan"  # err_u_L2 and its order
     assert "| nan |" in out
+
+
+def test_convergence_time_runs_the_scheme_it_is_given(tmp_path, capsys):
+    argv = ["convergence-time", "--n", "2", "--taus", "0.005,0.01", "--tau-ref", "0.000625"]
+    code, _ = run_cli(argv + TINY + ["--scheme", "monolithic", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    rows = (tmp_path / "convergence_time.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.split(",")[0] == "monolithic" for row in rows)
+
+
+def test_self_check_passes(capsys):
+    code, out = run_cli(["self-check"], capsys)
+    assert code == EXIT_OK
+    checks = out.splitlines()[:-1]
+    assert checks and all(line.startswith("[PASS] ") for line in checks)
+    assert out.splitlines()[-1] == "self-check: OK"
+
+
+def test_self_check_fails_on_a_corrupted_discrete_curl(capsys, monkeypatch):
+    def corrupted(mesh):
+        """W with the column of edge 0 scaled by 2."""
+        scale = np.ones(mesh.num_edges)
+        scale[0] = 2.0
+        return curl_dof_operator(mesh) @ sp.diags(scale)
+
+    monkeypatch.setattr(epe.cli, "curl_dof_operator", corrupted)
+    code, out = run_cli(["self-check"], capsys)
+    assert code == EXIT_NUMERICAL
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL] ")]
+    assert len(failed) == 2 and all("discrete curl of a P1 gradient" in line for line in failed)

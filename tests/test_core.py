@@ -107,8 +107,9 @@ class TestRunConfig:
             RunConfig(params=config.params, grid=config.grid, mesh_n=0)
         with pytest.raises(ConfigError):
             RunConfig(params=config.params, grid=config.grid, mesh_n=2, spd_tol=2.0)
-        with pytest.raises(ConfigError):
-            RunConfig(params=config.params, grid=config.grid, mesh_n=2, quad_error=3)
+        for quad_error in (3, 7):  # the rules of quadrature.py stop at degree 6
+            with pytest.raises(ConfigError):
+                RunConfig(params=config.params, grid=config.grid, mesh_n=2, quad_error=quad_error)
         with pytest.raises(ConfigError):
             RunConfig(params=config.params, grid=config.grid, mesh_n=2, scheme="magic")
 

@@ -218,8 +218,8 @@ class TestBhOperator:
         assert lhs == pytest.approx(bh.inner(p, q), rel=1e-8, abs=1e-12)
 
 
-def small_config(config, n, T, N):
-    return replace(config, mesh_n=n, grid=make_time_grid(T, N))
+def small_config(config, n, T, N, **changes):
+    return replace(config, mesh_n=n, grid=make_time_grid(T, N), **changes)
 
 
 class TestSplittingStep:
@@ -272,18 +272,20 @@ class TestSplittingStep:
             assert np.linalg.norm(a - b) / denom <= 10 * cfg.spd_tol
 
     def test_zero_steps_returns_initial_state(self, config, disc2, sources, exact):
+        """The state after zero steps, as the n = 0 observer call sees it, is the initial projection."""
         cfg = small_config(config, 2, 0.1, 4)
-        res = run(cfg, sources, exact, disc=disc2, n_steps=0)
+        states = []
+        run(cfg, sources, exact, disc=disc2, observers=[lambda n, t, s, e, w: states.append(s)])
         ref = initial_state(disc2, exact)
-        np.testing.assert_array_equal(res.state.p, ref.p)
-        assert res.state.n == 0
+        np.testing.assert_array_equal(states[0].p, ref.p)
+        assert states[0].n == 0
 
 
 class TestMonolithic:
     def test_zero_everything_stays_zero(self, config, disc2):
-        cfg = small_config(config, 2, 0.1, 3)
+        cfg = small_config(config, 2, 0.1, 3, scheme="monolithic")
         res = run(
-            cfg, Sources(), None, scheme="monolithic", disc=disc2,
+            cfg, Sources(), None, disc=disc2,
             start_state=zero_state(disc2.layouts),
         )
         assert np.all(res.state.E == 0.0) and np.all(res.state.H == 0.0)
@@ -295,8 +297,8 @@ class TestMonolithic:
         gaps = []
         for N in (10, 20):
             cfg = small_config(config, 4, 0.1, N)
-            rs = run(cfg, sources, exact, scheme="splitting", disc=disc)
-            rm = run(cfg, sources, exact, scheme="monolithic", disc=disc)
+            rs = run(cfg, sources, exact, disc=disc)
+            rm = run(replace(cfg, scheme="monolithic"), sources, exact, disc=disc)
             d = rs.state.E - rm.state.E
             gaps.append(float(np.sqrt(d @ (disc.M_E @ d))))
         order = np.log2(gaps[0] / gaps[1])
@@ -315,9 +317,9 @@ class TestMonolithic:
             small_config(config, 2, 0.1, 8), params=params0
         )
         split_states, mono_states = [], []
-        run(cfg, sources0, exact0, scheme="splitting", disc=disc,
+        run(cfg, sources0, exact0, disc=disc,
             observers=[lambda n, t, s, e, w: split_states.append(s)])
-        run(cfg, sources0, exact0, scheme="monolithic", disc=disc,
+        run(replace(cfg, scheme="monolithic"), sources0, exact0, disc=disc,
             observers=[lambda n, t, s, e, w: mono_states.append(s)])
         for a, b in zip(split_states, mono_states):
             for f in ("E", "H", "u", "p"):
@@ -418,7 +420,7 @@ class TestLuOrdering:
                 super().__init__(*args)
 
         monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
-        run(small_config(config, 3, 0.1, 4), sources, exact, scheme=scheme, disc=disc3,
+        run(small_config(config, 3, 0.1, 4, scheme=scheme), sources, exact, disc=disc3,
             observers=[lambda *_: in_loop.append(True)])
         assert built == [False]
 
@@ -463,7 +465,7 @@ class TestEnergy:
             params = random_admissible_params(rng)
             disc = Discretization(mesh3, layouts, params)
             res = run(
-                replace(cfg, params=params), Sources(), None, scheme=scheme, disc=disc,
+                replace(cfg, params=params, scheme=scheme), Sources(), None, disc=disc,
                 start_state=equilibrium_state(disc, rng), track_energy=True,
             )
             trace = res.energy_trace
@@ -498,7 +500,7 @@ class TestSourceLoads:
         monkeypatch.setattr(epe.schemes, "assemble_load", counting)
         mesh = build_unit_cube_mesh(2)
         disc = Discretization(mesh, make_layouts(mesh), params)
-        cfg = small_config(config, 2, 0.1, 4)
+        cfg = small_config(config, 2, 0.1, 4, scheme=scheme)
         plain = Sources(
             j=lambda t, x: exact.j(t, x),
             f=lambda t, x: exact.f(t, x),
@@ -507,7 +509,7 @@ class TestSourceLoads:
         for sources, per_step in ((Sources(j=exact.j, f=exact.f, g=exact.g), 0), (plain, 3)):
             calls.clear()
             in_loop.clear()
-            run(cfg, sources, exact, scheme=scheme, disc=disc,
+            run(cfg, sources, exact, disc=disc,
                 observers=[lambda *_: in_loop.append(True)])
             assert sum(calls) == per_step * cfg.grid.N
 
