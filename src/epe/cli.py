@@ -260,24 +260,23 @@ def _cmd_self_check(args) -> int:
         dev = float(np.abs(curl).max())
         check(f"mesh n={n}: discrete curl of a P1 gradient vanishes (max {dev:.2e})", dev < 1e-12)
 
-    sym_worst, mono_worst = 0.0, float("inf")
-    for bh_n in (2, 3):  # n=2 per contract; n=3 has a nontrivial coupling block
-        m = build_unit_cube_mesh(bh_n)
-        lay = make_layouts(m)
-        bh = BhOperator(Discretization(m, lay, config.params))
-        for _ in range(5):
-            p_vec = lay.P.extend(rng.standard_normal(lay.P.num_free))
-            q_vec = lay.P.extend(rng.standard_normal(lay.P.num_free))
-            sym_worst = max(sym_worst, abs(bh.inner(p_vec, q_vec) - bh.inner(q_vec, p_vec)))
-            mono_worst = min(mono_worst, bh.inner(p_vec, p_vec))
-    check(f"pressure-to-dilation operator symmetric (dev {sym_worst:.2e})", sym_worst < 1e-9)
-    check(f"pressure-to-dilation operator monotone (min {mono_worst:.2e})", mono_worst > -1e-12)
-
-    # n=3, where u enters the energy; u starts in mechanical equilibrium with p
-    # (a(u, v) = (p, alpha div v)), which is what (Bh p, p) stands for
+    # n = 3 is the smallest mesh with a nonzero pressure-to-dilation coupling:
+    # at n = 2 the free block B_ff is 1 x 3 and zero to rounding
     mesh = build_unit_cube_mesh(3)
     layouts = make_layouts(mesh)
     disc = Discretization(mesh, layouts, config.params)
+    bh = BhOperator(disc)
+    sym_worst, mono_worst = 0.0, float("inf")
+    for _ in range(5):
+        p_vec = layouts.P.extend(rng.standard_normal(layouts.P.num_free))
+        q_vec = layouts.P.extend(rng.standard_normal(layouts.P.num_free))
+        sym_worst = max(sym_worst, abs(bh.inner(p_vec, q_vec) - bh.inner(q_vec, p_vec)))
+        mono_worst = min(mono_worst, bh.inner(p_vec, p_vec))
+    check(f"pressure-to-dilation operator symmetric (dev {sym_worst:.2e})", sym_worst < 1e-9)
+    check(f"pressure-to-dilation operator monotone (min {mono_worst:.2e})", mono_worst > -1e-12)
+
+    # u starts in mechanical equilibrium with p (a(u, v) = (p, alpha div v)),
+    # which is what (Bh p, p) stands for in the energy
     p_free = rng.standard_normal(layouts.P.num_free)
     u_free, _ = LuSolver(disc.A_el_ff).solve(disc.B_ff.T @ p_free)
     state = State(

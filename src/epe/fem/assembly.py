@@ -15,7 +15,8 @@ Cell-local values are summed into CSR through a ``CellPattern``: the
 pattern of one pair of cell index maps (edges or vertices) and a sparse 0/1
 scatter of every local entry into it, built once and shared by the forms on
 that pair. The U forms fill the vertex-pair pattern with 3 x 3 blocks (1 x 3
-for the divergence coupling).
+for the divergence coupling). The entries a form sums to exactly zero (on
+the Kuhn lattice, many) are dropped, so each matrix stores its nonzeros only.
 
 Loads are integrated by the degree-2 rule ``LOAD_DEGREE`` (exact for
 sources linear in x) through per-cell vertex moments F_m = int_K lam_m f;
@@ -85,17 +86,6 @@ def _edge_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _EDGE_MASS, _EDGE_GRAD = _edge_tables()
-
-
-def _basis_data(mesh: TetMesh, degree: int) -> dict:
-    """Per-mesh cache of the rule of ``degree``: weights, lam (nq, 4) and points (C, nq, 3)."""
-    key = ("basis", degree)
-    if key not in mesh._cache:
-        rule = quadrature_rule(degree)
-        lam = rule.barycentric()
-        points = lam @ mesh.vertices[mesh.cells]
-        mesh._cache[key] = {"w": rule.weights, "lam": lam, "points": points}
-    return mesh._cache[key]
 
 
 def signed_curls(mesh: TetMesh) -> np.ndarray:
@@ -197,7 +187,7 @@ def assemble_matrix(
     ``coeff`` is a scalar for every form except ELASTICITY, which takes the
     pair (lambda_c, G). ``patterns`` caches each ``CellPattern`` by its pair
     of entity maps; pass one dict to every form of a mesh to build each
-    pattern once.
+    pattern once. Entries that sum to exactly zero are not stored.
     """
     if form not in FORM_SPACES:
         raise LayoutMismatch(f"unknown form {form!r}")
@@ -218,7 +208,9 @@ def assemble_matrix(
             for on_edges in key
         )
         patterns[key] = CellPattern(rows, cols, (nrow, ncol))
-    return patterns[key].csr(_assembled_values(mesh, form, coeff, patterns[key]))
+    A = patterns[key].csr(_assembled_values(mesh, form, coeff, patterns[key]))
+    A.eliminate_zeros()
+    return A
 
 
 def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
@@ -227,15 +219,16 @@ def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
     Row 3c+d holds (curl E_h)_d on cell c; no volume weighting. This is the
     exact curl of the discrete field: the magnetic-field update applies it
     directly, and the curl coupling and curl-curl block are M_H W and
-    W^T M_H W.
+    W^T M_H W. Zero curl components are not stored.
     """
     # row 3c+d holds the d-th curl component of cell c's six edge functions
     values = np.transpose(signed_curls(mesh), (0, 2, 1)).ravel()
     cols = np.repeat(mesh.cell_edges, 3, axis=0).ravel()
     W = sp.csr_matrix(
         (values, cols, np.arange(0, values.size + 1, 6)), shape=(3 * mesh.num_cells, mesh.num_edges)
-    )
-    return W.sorted_indices()
+    ).sorted_indices()
+    W.eliminate_zeros()
+    return W
 
 
 def assemble_load(
@@ -246,8 +239,8 @@ def assemble_load(
     ``f(t, pts)`` takes points of shape (m, 3) and returns (m, 3) for the
     vector spaces E, H, U and (m,) for P.
     """
-    d = _basis_data(mesh, quad_degree)
-    w, lam, pts = d["w"], d["lam"], d["points"]
+    rule = quadrature_rule(quad_degree)
+    w, lam, pts = rule.weights, rule.barycentric(), quadrature_points(mesh, quad_degree)
     g, vols = mesh.cell_geometry()
     nc, nq = pts.shape[0], pts.shape[1]
     fvals = np.asarray(f(t, pts.reshape(-1, 3))).reshape(nc, nq, -1)
@@ -279,7 +272,7 @@ def evaluate_E(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(N
     K = np.zeros((signed.shape[0], 4, 4))
     K[:, _A, _B] = signed
     K[:, _B, _A] = -signed
-    return _basis_data(mesh, quad_degree)["lam"] @ (K @ g[cells])
+    return quadrature_rule(quad_degree).barycentric() @ (K @ g[cells])
 
 
 def evaluate_H(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarray:
@@ -289,8 +282,7 @@ def evaluate_H(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarra
 
 def evaluate_U(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
     """Discrete displacement at the rule points of ``cells`` (default all), shape (C, nq, 3)."""
-    d = _basis_data(mesh, quad_degree)
-    return d["lam"] @ coefs.reshape(-1, 3)[mesh.cells[cells]]
+    return quadrature_rule(quad_degree).barycentric() @ coefs.reshape(-1, 3)[mesh.cells[cells]]
 
 
 def evaluate_grad_U(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarray:
@@ -302,16 +294,15 @@ def evaluate_grad_U(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.n
 
 def evaluate_P(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
     """Discrete pressure at the rule points of ``cells`` (default all), shape (C, nq)."""
-    d = _basis_data(mesh, quad_degree)
-    return coefs[mesh.cells[cells]] @ d["lam"].T
+    return coefs[mesh.cells[cells]] @ quadrature_rule(quad_degree).barycentric().T
 
 
-def quadrature_points(mesh: TetMesh, quad_degree: int) -> np.ndarray:
-    """Physical rule points of every cell, shape (C, nq, 3)."""
-    return _basis_data(mesh, quad_degree)["points"]
+def quadrature_points(mesh: TetMesh, quad_degree: int, cells=slice(None)) -> np.ndarray:
+    """Physical rule points of ``cells`` (default all), shape (C, nq, 3); computed, not cached."""
+    return quadrature_rule(quad_degree).barycentric() @ mesh.vertices[mesh.cells[cells]]
 
 
 def quadrature_cell_weights(mesh: TetMesh, quad_degree: int):
     """(weights (nq,), 6*volumes (C,)) so that int_K f = 6V_K sum_q w_q f(x_q)."""
     _, vols = mesh.cell_geometry()
-    return _basis_data(mesh, quad_degree)["w"], 6.0 * vols
+    return quadrature_rule(quad_degree).weights, 6.0 * vols

@@ -9,7 +9,11 @@ order), so two factorizations of one matrix give bit-identical solves.
 Every direct solve is one quasi-definite LDL^T. ``LuSolver`` factors a
 symmetric permutation K[order][:, order] of a symmetric matrix with
 ``MultifrontalLdl``, dense Cholesky kernels front by front; a matrix that
-is not symmetric (to rounding) raises ValueError. A system that is
+is not symmetric (to rounding) raises ValueError. The factorization reads
+the permuted matrix from K's own columns, so K is held once. Each front
+keeps its pivot factor as a packed lower triangle and its off-diagonal
+block in full, exactly the entries of L; a front's update to later
+unknowns lives only until its parent front has added it. A system that is
 quasi-definite only up to the signs of some rows is passed with those rows
 negated, as ``SaddleSolver`` does. The order is given by the caller as
 blocks of unknowns (``None`` keeps their numbering). The schemes pass
@@ -52,6 +56,9 @@ ND_LEAF = 16
 #: Nested-dissection subtrees of at most this many unknowns form one block.
 FRONT_MAX = 128
 
+#: Columns of a child's update that one extend-add pass adds into its parent.
+EXTEND_ADD_COLUMNS = 64
+
 #: A matrix is symmetric when max|K - K^T| is at most this times max|K|.
 SYMMETRY_RTOL = 1e-14
 
@@ -79,12 +86,23 @@ def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10):
     recomputed as ||A x - b|| / ||b|| after the iteration. Nonpositive
     curvature (an indefinite matrix) aborts with NotConverged.
     """
+    return _spd_solve(A, _inverse_diagonal(A), b, tol)
+
+
+def _inverse_diagonal(A: sp.spmatrix) -> np.ndarray:
+    """The Jacobi preconditioner: 1 / diag(A), with 1 where the diagonal is not positive."""
+    diag = A.diagonal()
+    return np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
+
+
+def _spd_solve(A: sp.spmatrix, inv_diag: np.ndarray, b: np.ndarray, tol: float):
+    """``spd_solve`` with the Jacobi preconditioner ``inv_diag`` of A given."""
     start = time.perf_counter()
     b = np.asarray(b, dtype=float)
     _check_square(A, b)
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    x, iterations = _pcg(A, b, 0.1 * tol)
+    x, iterations = _pcg(A, inv_diag, b, 0.1 * tol)
     bnorm = np.linalg.norm(b)
     residual = float(np.linalg.norm(b - A @ x) / bnorm) if bnorm > 0.0 else 0.0
     if residual > tol:
@@ -92,8 +110,8 @@ def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10):
     return x, LinearSolveReport(iterations, residual, time.perf_counter() - start)
 
 
-def _pcg(A: sp.spmatrix, b: np.ndarray, rtol: float):
-    """Jacobi-preconditioned CG on the SPD matrix ``A``.
+def _pcg(A: sp.spmatrix, inv_diag: np.ndarray, b: np.ndarray, rtol: float):
+    """CG on the SPD matrix ``A``, preconditioned by the diagonal ``inv_diag``.
 
     Stops once the recursive residual satisfies ||r|| <= rtol ||b|| or after
     max(1000, 10 n) iterations and returns (x, iterations); the caller
@@ -104,8 +122,6 @@ def _pcg(A: sp.spmatrix, b: np.ndarray, rtol: float):
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0 or n == 0:
         return np.zeros(n), 0
-    diag = A.diagonal()
-    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
 
     x = np.zeros(n)
     r = b.copy()
@@ -135,14 +151,15 @@ def _pcg(A: sp.spmatrix, b: np.ndarray, rtol: float):
 
 
 class SpdSolver:
-    """Reusable CG context for one SPD matrix (caches CSR form and tolerance)."""
+    """Reusable CG context for one SPD matrix (caches CSR form, Jacobi diagonal and tolerance)."""
 
     def __init__(self, A: sp.spmatrix, tol: float = 1e-10):
         self.A = A.tocsr()
         self.tol = tol
+        self._inv_diag = _inverse_diagonal(self.A)
 
     def solve(self, b: np.ndarray):
-        return spd_solve(self.A, b, tol=self.tol)
+        return _spd_solve(self.A, self._inv_diag, b, self.tol)
 
 
 def nested_dissection(points: np.ndarray) -> list[np.ndarray]:
@@ -177,11 +194,12 @@ def nested_dissection(points: np.ndarray) -> list[np.ndarray]:
 class MultifrontalLdl:
     """Multifrontal LDL^T of a symmetric quasi-definite matrix K, front by front.
 
-    ``K`` is given in elimination order (CSC; only its lower triangle is
-    read) and ``sizes`` cuts that order into fronts of consecutive unknowns.
-    Within every front the unknowns with a positive diagonal come first.
-    The factorization is K = L J L^T with L lower triangular and J = diag(+-1)
-    the sign of diag(K). A front's pivot block [[P, Q], [Q^T, -R]] is
+    ``blocks`` lists K's unknowns in elimination order, cut into blocks: each
+    block is one front, its positive-diagonal unknowns first. Only the lower
+    triangle of K in that order is read, straight from the columns of the
+    CSC matrix ``K``, so no permuted copy of K is made. The factorization is
+    K[order][:, order] = L J L^T with L lower triangular and J = diag(+-1)
+    the sign of the diagonal. A front's pivot block [[P, Q], [Q^T, -R]] is
     factored by Cholesky: L_P = chol(P), X = L_P^{-1} Q, L_S = chol(R + X^T X);
     its update to the later unknowns is F22 - V1 V1^T + V2 V2^T with
     V = F21 (pivot factor)^{-T}. This exists for every symmetric permutation
@@ -189,25 +207,36 @@ class MultifrontalLdl:
     other matrix fails a Cholesky step and raises SingularSystem.
 
     The tree of fronts follows from the sparsity pattern: a front's update
-    goes to the front holding its first row beyond the pivots.
+    goes to the front holding its first row beyond the pivots. Each front
+    stores its pivot factor as the packed lower triangle (LAPACK ``TP``
+    storage) and V in full, which together are exactly the entries of L.
+    A child's update is extend-added into its parent ``EXTEND_ADD_COLUMNS``
+    columns at a time and released as soon as it has been added, before the
+    parent is factored.
     """
 
-    def __init__(self, K: sp.csc_matrix, sizes) -> None:
+    def __init__(self, K: sp.csc_matrix, blocks) -> None:
         n = K.shape[0]
         self.shape = K.shape
-        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        order = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
+        starts = np.concatenate([[0], np.cumsum([b.size for b in blocks])]).astype(np.int64)
         if starts[-1] != n:
             raise DimensionMismatch(f"front sizes add up to {starts[-1]}, not {n}")
         indptr, indices, data = K.indptr, K.indices, K.data
-        positive = K.diagonal() > 0.0
-        pos = np.empty(n, dtype=np.int64)  # unknown -> row of the current front
+        lengths = np.diff(indptr)
+        rank = np.empty(n, dtype=np.int64)  # unknown of K -> position in elimination order
+        rank[order] = np.arange(n)
+        positive = K.diagonal()[order] > 0.0
+        pos = np.empty(n, dtype=np.int64)  # position -> row of the current front
         pending: dict[int, list] = {}
         self.fronts = []
         for f in range(len(starts) - 1):
             s, e = int(starts[f]), int(starts[f + 1])
             k, k1 = e - s, int(positive[s:e].sum())
-            rows, vals = indices[indptr[s] : indptr[e]], data[indptr[s] : indptr[e]]
-            cols = np.repeat(np.arange(k), np.diff(indptr[s : e + 1]))
+            first, counts = indptr[order[s:e]], lengths[order[s:e]]  # the front's columns of K
+            entries = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            rows, vals = rank[indices[entries]], data[entries]
+            cols = np.repeat(np.arange(k), counts)
             lower = rows >= cols + s
             rows, vals, cols = rows[lower], vals[lower], cols[lower]
             children = pending.pop(f, [])
@@ -221,12 +250,15 @@ class MultifrontalLdl:
             piv = rows < e
             F11[rows[piv] - s, cols[piv]] = vals[piv]
             F21[pos[rows[~piv]], cols[~piv]] = vals[~piv]
-            for R, U in children:  # extend-add; positions increase with R
-                t = int(np.searchsorted(R, e))
+            children.reverse()
+            while children:  # extend-add in the order the children were factored
+                R, U = children.pop()
+                t = int(np.searchsorted(R, e))  # positions increase with R
                 a, b = pos[R[:t]], pos[R[t:]]
                 _extend_add(F11, a, a, U[:t, :t])
                 _extend_add(F21, b, a, U[t:, :t])
                 _extend_add(F22, b, b, U[t:, t:])
+                del U
             L = _pivot_factor(F11, k1)
             if r:
                 V = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1, overwrite_b=1)
@@ -238,19 +270,21 @@ class MultifrontalLdl:
                 pending.setdefault(parent, []).append((beyond, F22))
             else:
                 V = F21
-            self.fronts.append((s, e, k1, L, V, beyond))
+            packed, _ = lapack.dtrttp(L, uplo="L")
+            self.fronts.append((s, e, k1, packed, V, beyond))
+            del F11, L  # the packed copy is kept
 
     @property
     def L(self) -> sp.csc_matrix:
-        """The lower-triangular factor L of K = L J L^T, assembled from the fronts."""
+        """The lower-triangular factor L of K[order][:, order] = L J L^T, assembled from the fronts."""
         rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        for s, e, k1, Lf, V, R in self.fronts:
-            i, j = np.tril_indices(e - s)
+        for s, e, k1, packed, V, R in self.fronts:
+            j, i = np.triu_indices(e - s)  # the packed lower triangle runs down each column
             VJ = V.copy()
             VJ[:, k1:] *= -1.0
             rows += [s + i, np.repeat(R, e - s)]
             cols += [s + j, np.tile(np.arange(s, e), R.size)]
-            vals += [Lf[i, j], VJ.ravel()]
+            vals += [packed, VJ.ravel()]
         return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=self.shape
         )
@@ -262,28 +296,35 @@ class MultifrontalLdl:
         return sp.csc_matrix(self.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """K^{-1} b: forward through L, then J, then backward through L^T."""
+        """K[order][:, order]^{-1} b: forward through L, then J, then backward through L^T."""
         y = np.array(b, dtype=float)
-        for s, e, k1, L, V, R in self.fronts:
-            z = blas.dtrsv(L, y[s:e], lower=1)
+        for s, e, k1, packed, V, R in self.fronts:
+            z = blas.dtpsv(e - s, packed, y[s:e], lower=1)
             z[k1:] *= -1.0
             y[s:e] = z
             if R.size:
                 y[R] -= V @ z
-        for s, e, k1, L, V, R in reversed(self.fronts):
+        for s, e, k1, packed, V, R in reversed(self.fronts):
             z = y[s:e]
             if R.size:
                 c = V.T @ y[R]
                 c[k1:] *= -1.0
                 z = z - c
-            y[s:e] = blas.dtrsv(L, z, lower=1, trans=1)
+            y[s:e] = blas.dtpsv(e - s, packed, z, lower=1, trans=1)
         return y
 
 
 def _extend_add(F: np.ndarray, rows: np.ndarray, cols: np.ndarray, U: np.ndarray) -> None:
-    """F[rows][:, cols] += U for a Fortran-ordered F (np.add.at on flat indices beats np.ix_)."""
-    flat = (rows[:, None] + F.shape[0] * cols[None, :]).ravel(order="F")
-    np.add.at(F.ravel(order="F"), flat, U.ravel(order="F"))
+    """F[rows][:, cols] += U for a Fortran-ordered F, ``EXTEND_ADD_COLUMNS`` columns at a time.
+
+    The flat indices and the copy of U each hold len(rows) x ``EXTEND_ADD_COLUMNS``
+    entries (np.add.at on flat indices beats np.ix_).
+    """
+    flat_F = F.ravel(order="F")
+    for c in range(0, cols.size, EXTEND_ADD_COLUMNS):
+        chunk = slice(c, c + EXTEND_ADD_COLUMNS)
+        flat = (rows[:, None] + F.shape[0] * cols[None, chunk]).ravel(order="F")
+        np.add.at(flat_F, flat, U[:, chunk].ravel(order="F"))
 
 
 def _pivot_factor(F11: np.ndarray, k1: int) -> np.ndarray:
@@ -316,17 +357,19 @@ class LuSolver:
     """Direct factorization with honest residual reporting; reusable across solves.
 
     Factors the symmetrically permuted matrix K[order][:, order] as a
-    quasi-definite LDL^T (``MultifrontalLdl``). ``order`` is a sequence of
-    blocks of unknowns in elimination order (a flat permutation counts as
-    blocks of one unknown); ``None`` keeps the given numbering, cut into
-    blocks of ``FRONT_MAX``. Each block is one front, its positive-diagonal
-    unknowns first. A K that is not symmetric to ``SYMMETRY_RTOL`` raises
-    ValueError; a K that is symmetric but not quasi-definite raises
-    SingularSystem.
+    quasi-definite LDL^T (``MultifrontalLdl``), which reads the permuted
+    matrix straight from K: the solver holds the one sparse copy ``K``, which
+    the residual check also uses. ``order`` is a sequence of blocks of
+    unknowns in elimination order (a flat permutation counts as blocks of
+    one unknown); ``None`` keeps the given numbering, cut into blocks of
+    ``FRONT_MAX``. Each block is one front, its positive-diagonal unknowns
+    first. A K that is not symmetric to ``SYMMETRY_RTOL`` raises ValueError;
+    a K that is symmetric but not quasi-definite raises SingularSystem.
     """
 
     def __init__(self, K: sp.spmatrix, tol: float = 1e-9, order=None):
         self.K = K.tocsc()
+        self.K.sum_duplicates()
         self.tol = tol
         n = self.K.shape[0]
         if n and abs(self.K - self.K.T).max() > SYMMETRY_RTOL * abs(self.K).max():
@@ -340,9 +383,7 @@ class LuSolver:
         diag = self.K.diagonal()
         blocks = [b[np.argsort(diag[b] <= 0.0, kind="stable")] for b in blocks]
         self.order = np.concatenate([self.order[:0], *blocks])
-        Kp = self.K[self.order][:, self.order].tocsc()
-        Kp.sum_duplicates()
-        self.lu = MultifrontalLdl(Kp, [b.size for b in blocks])
+        self.lu = MultifrontalLdl(self.K, blocks)
 
     def solve(self, rhs: np.ndarray):
         return self._solve(np.asarray(rhs, dtype=float))

@@ -96,7 +96,10 @@ class Discretization:
         self.M_H = form(L.H, L.H, "H_MASS")
         self.W = curl_dof_operator(mesh)
         self.G_pe = form(L.E, L.P, "GRAD_P_TO_E")
-        self.A_el = form(L.U, L.U, "ELASTICITY", (params.lambda_c, params.G))
+        # elasticity is read only through its free block
+        self.A_el_ff = reduce_matrix(
+            form(L.U, L.U, "ELASTICITY", (params.lambda_c, params.G)), L.U, L.U
+        )
         self.B_div = form(L.P, L.U, "DIV_COUPLING", params.alpha)
         self.M_P = form(L.P, L.P, "P_MASS")
         self.K_P = form(L.P, L.P, "P_STIFF")
@@ -104,7 +107,6 @@ class Discretization:
 
         self.M_E_ff = reduce_matrix(self.M_E, L.E, L.E)
         self.G_ff = reduce_matrix(self.G_pe, L.E, L.P)
-        self.A_el_ff = reduce_matrix(self.A_el, L.U, L.U)
         self.B_ff = reduce_matrix(self.B_div, L.P, L.U)
         self.M_P_ff = reduce_matrix(self.M_P, L.P, L.P)
         self.K_P_ff = reduce_matrix(self.K_P, L.P, L.P)
@@ -262,7 +264,6 @@ class SplittingScheme(BackwardEuler):
         saddle_tol: float = 1e-9,
     ):
         super().__init__(disc, tau, sources)
-        self._G_ff_T = disc.G_ff.T.tocsr()
         p = disc.params
         A0 = (p.epsilon + tau * p.sigma) * disc.M_E_ff
         self._em = SpdSolver(A0 + (tau**2 / p.mu) * disc.K_curl_ff, tol=spd_tol)
@@ -281,7 +282,7 @@ class SplittingScheme(BackwardEuler):
         # sub-step A: electromagnetic fields, pressure coupling explicit
         E_free, _ = self._em.solve(rhs_E + coupling * (self.disc.G_ff @ state.p[P_free]))
         # sub-step B: Biot consolidation, driven by the new E
-        (u_free, p_free), _ = self._saddle.solve(f_u, f_p + coupling * (self._G_ff_T @ E_free))
+        (u_free, p_free), _ = self._saddle.solve(f_u, f_p + coupling * (self.disc.G_ff.T @ E_free))
         return self.advance(state, E_free, u_free, p_free)
 
 

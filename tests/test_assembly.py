@@ -77,6 +77,19 @@ class TestMatrices:
         Discretization(mesh2, make_layouts(mesh2), params)
         assert set(forms) == set(FORM_SPACES)
 
+    @pytest.mark.parametrize("form", sorted(FORM_SPACES))
+    def test_form_stores_no_zero(self, mesh3, params, form):
+        """The exact zeros of the closed forms are dropped once assembled."""
+        lay = make_layouts(mesh3)
+        coeff = {"ELASTICITY": (params.lambda_c, params.G), "DIV_COUPLING": params.alpha}.get(form, 1.0)
+        row, col = FORM_SPACES[form]
+        A = assemble_matrix(mesh3, getattr(lay, row), getattr(lay, col), form, coeff)
+        assert A.nnz and np.all(A.data != 0.0)
+
+    def test_curl_stores_no_zero(self, mesh3):
+        W = curl_dof_operator(mesh3)
+        assert W.nnz and np.all(W.data != 0.0) and W.has_sorted_indices
+
     def test_grad_form_of_linear_pressure(self, mesh2, lay2):
         # p = x_0 lies in P1, so G_pe @ p = (grad p, N_i) = (e_0, N_i)
         G = assemble_matrix(mesh2, lay2.E, lay2.P, "GRAD_P_TO_E", 1.0)

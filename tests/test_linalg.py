@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,7 @@ import epe.linalg
 from epe.fem.assembly import assemble_matrix
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import (
+    EXTEND_ADD_COLUMNS,
     FRONT_MAX,
     DimensionMismatch,
     LinearSolveReport,
@@ -15,6 +18,8 @@ from epe.linalg import (
     NotConverged,
     SaddleSolver,
     SingularSystem,
+    SpdSolver,
+    _extend_add,
     nested_dissection,
     saddle_blocks,
     spd_solve,
@@ -69,6 +74,15 @@ class TestSpdSolve:
         x1, _ = spd_solve(A, b)
         x2, _ = spd_solve(A, b)
         assert x1.tobytes() == x2.tobytes()
+
+    def test_reusable_context_matches_spd_solve(self, disc3):
+        """``SpdSolver`` keeps its Jacobi preconditioner and returns spd_solve's iterate bit for bit."""
+        A = disc3.M_E_ff + disc3.K_curl_ff
+        solver = SpdSolver(A, tol=1e-10)
+        for seed in (3, 4):
+            b = np.random.default_rng(seed).standard_normal(A.shape[0])
+            (x1, r1), (x2, r2) = solver.solve(b), spd_solve(A, b, tol=1e-10)
+            assert x1.tobytes() == x2.tobytes() and r1.iterations == r2.iterations
 
 
 class TestSaddleSolve:
@@ -154,6 +168,26 @@ class TestLuSolver:
         with pytest.raises(DimensionMismatch):
             LuSolver(sp.identity(3, format="csc"), order=np.array([0, 1, 1]))
 
+    def test_one_sparse_copy_of_K(self, monkeypatch):
+        """While the LDL^T is factored and after it, the one sparse matrix of K's shape is K itself."""
+        rng = np.random.default_rng(14)
+        K = random_sqd(rng, n_pos=41, n_neg=16)[0].tocsc()
+        alive = []
+
+        class Counting(MultifrontalLdl):
+            def __init__(self, *args):
+                gc.collect()
+                alive.append([o for o in gc.get_objects() if sp.issparse(o) and o.shape == K.shape])
+                super().__init__(*args)
+
+        monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
+        solver = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0])))
+        assert len(alive) == 1 and len(alive[0]) == 1 and alive[0][0] is K
+        assert solver.K is K
+        b = rng.standard_normal(K.shape[0])
+        x, rep = solver.solve(b)
+        assert rep.relative_residual == np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+
 
 def random_sqd(rng, n_pos=40, n_neg=20, density=0.15):
     """Sparse symmetric quasi-definite [[H, A^T], [A, -G]], H and G SPD, unknowns shuffled.
@@ -213,6 +247,27 @@ class TestMultifrontalLdl:
         assert np.abs(np.triu(L, 1)).max() == 0.0 and np.all(np.diag(L) > 0.0)
         np.testing.assert_allclose(L @ (J[:, None] * L.T), Kp, atol=1e-12 * np.abs(Kp).max())
         assert solver.lu.U.nnz == 0
+
+    def test_factor_keeps_exactly_the_entries_of_L(self):
+        """The fronts keep packed pivot factors and V: as many numbers as L has entries."""
+        rng = np.random.default_rng(15)
+        K, _ = random_sqd(rng)
+        lu = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0]), max_size=20)).lu
+        arrays = [a for front in lu.fronts for a in front if isinstance(a, np.ndarray)]
+        assert sum(a.size for a in arrays if a.dtype == np.float64) == lu.L.nnz
+
+    def test_chunked_extend_add_matches_one_pass(self):
+        """Adding a child's update EXTEND_ADD_COLUMNS columns at a time gives the one-pass sum exactly."""
+        rng = np.random.default_rng(16)
+        r = 3 * EXTEND_ADD_COLUMNS + 5
+        F = np.asfortranarray(rng.standard_normal((r + 7, r + 11)))
+        rows = np.sort(rng.choice(r + 7, r, replace=False))
+        cols = np.sort(rng.choice(r + 11, r, replace=False))
+        U = np.asfortranarray(rng.standard_normal((r + 4, r + 2)))[4:, 2:]  # a strided block, as in a front
+        want = F.copy()
+        want[np.ix_(rows, cols)] += U
+        _extend_add(F, rows, cols, U)
+        np.testing.assert_array_equal(F, want)
 
     def test_pure_spd_elasticity_block(self, disc3):
         A = disc3.A_el_ff
