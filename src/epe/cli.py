@@ -220,8 +220,8 @@ def _cmd_convergence(args) -> int:
 def _cmd_convergence_time(args) -> int:
     config = _config_from_args(args)
     mesh_n = args.n if args.n else 8
-    taus = args.taus if args.taus else DEFAULT_TAUS
-    tau_ref = args.tau_ref if args.tau_ref else DEFAULT_TAU_REF
+    taus = DEFAULT_TAUS if args.taus is None else args.taus
+    tau_ref = DEFAULT_TAU_REF if args.tau_ref is None else args.tau_ref
     report = temporal_convergence(mesh_n, taus, config, tau_ref)
     return _emit(report, config.out, "convergence_time")
 

@@ -89,12 +89,10 @@ _EDGE_MASS, _EDGE_GRAD = _edge_tables()
 
 
 def signed_curls(mesh: TetMesh) -> np.ndarray:
-    """Signed constant curls of the cell edge functions, shape (C, 6, 3)."""
-    if "signed_curls" not in mesh._cache:
-        g, _ = mesh.cell_geometry()
-        curls = 2.0 * np.cross(g[:, _A, :], g[:, _B, :])
-        mesh._cache["signed_curls"] = curls * mesh.cell_edge_signs[:, :, None]
-    return mesh._cache["signed_curls"]
+    """Signed constant curls of the cell edge functions, shape (C, 6, 3); computed, not cached."""
+    g, _ = mesh.cell_geometry()
+    curls = 2.0 * np.cross(g[:, _A, :], g[:, _B, :])
+    return curls * mesh.cell_edge_signs[:, :, None]
 
 
 class CellPattern:
@@ -129,19 +127,19 @@ class CellPattern:
         return sp.bsr_matrix((data, self.indices, self.indptr), shape=shape).tocsr()
 
 
-def _gram(mesh: TetMesh) -> np.ndarray:
-    """gg[c, l, m] = grad lam_l . grad lam_m on cell c, shape (C, 4, 4)."""
-    if "gram" not in mesh._cache:
+def _gram(mesh: TetMesh, cache: dict) -> np.ndarray:
+    """gg[c, l, m] = grad lam_l . grad lam_m on cell c, shape (C, 4, 4), kept in ``cache``."""
+    if "gram" not in cache:
         g, _ = mesh.cell_geometry()
-        mesh._cache["gram"] = g @ g.transpose(0, 2, 1)
-    return mesh._cache["gram"]
+        cache["gram"] = g @ g.transpose(0, 2, 1)
+    return cache["gram"]
 
 
-def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern) -> np.ndarray:
+def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern, cache: dict):
     """Stored values of ``form`` on ``pattern``: (nnz,), or (nnz, br, bc) blocks for U columns."""
     g, vols = mesh.cell_geometry()
     V = vols[:, None, None]
-    gg = _gram(mesh)
+    gg = _gram(mesh, cache)
     eye3 = np.eye(3)
     if form == "MASS_E":
         s = mesh.cell_edge_signs
@@ -161,10 +159,15 @@ def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern) -> 
         return pattern.sum(coeff * V * _P1_MASS)[:, None, None] * eye3
     if form == "ELASTICITY":
         # block (l, m) = V [lambda_c grad lam_l grad lam_m^T + G gg_lm I]
+        # the grad lam_l grad lam_m^T part is summed one (d1, d2) component at a time
         lambda_c, shear = coeff
-        outer = g[:, :, None, :, None] * g[:, None, :, None, :]
-        outer *= vols[:, None, None, None, None]
-        summed = lambda_c * pattern.sum(outer)
+        summed = np.empty((pattern.scatter.shape[0], 3, 3))
+        for d1 in range(3):
+            for d2 in range(3):
+                outer = g[:, :, None, d1] * g[:, None, :, d2]
+                outer *= V
+                summed[:, d1, d2] = pattern.sum(outer)
+        summed *= lambda_c
         summed += shear * pattern.sum(V * gg)[:, None, None] * eye3
         return summed
     if form == "DIV_COUPLING":
@@ -186,8 +189,9 @@ def assemble_matrix(
 
     ``coeff`` is a scalar for every form except ELASTICITY, which takes the
     pair (lambda_c, G). ``patterns`` caches each ``CellPattern`` by its pair
-    of entity maps; pass one dict to every form of a mesh to build each
-    pattern once. Entries that sum to exactly zero are not stored.
+    of entity maps, and the cells' gradient Gram matrices; pass one dict to
+    every form of a mesh to build each once, and drop it when assembly
+    ends. Entries that sum to exactly zero are not stored.
     """
     if form not in FORM_SPACES:
         raise LayoutMismatch(f"unknown form {form!r}")
@@ -208,7 +212,7 @@ def assemble_matrix(
             for on_edges in key
         )
         patterns[key] = CellPattern(rows, cols, (nrow, ncol))
-    A = patterns[key].csr(_assembled_values(mesh, form, coeff, patterns[key]))
+    A = patterns[key].csr(_assembled_values(mesh, form, coeff, patterns[key], patterns))
     A.eliminate_zeros()
     return A
 

@@ -26,10 +26,6 @@ class QuadratureRule:
     points: np.ndarray    # (nq, 3) reference coordinates
     weights: np.ndarray   # (nq,), positive, sum = 1/6
 
-    @property
-    def npoints(self) -> int:
-        return self.points.shape[0]
-
     def barycentric(self) -> np.ndarray:
         """Barycentric coordinates (nq, 4) of the rule points."""
         x = self.points

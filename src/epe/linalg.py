@@ -12,8 +12,11 @@ symmetric permutation K[order][:, order] of a symmetric matrix with
 is not symmetric (to rounding) raises ValueError. The factorization reads
 the permuted matrix from K's own columns, so K is held once. Each front
 keeps its pivot factor as a packed lower triangle and its off-diagonal
-block in full, exactly the entries of L; a front's update to later
-unknowns lives only until its parent front has added it. A system that is
+block of L (transposed) in full, exactly the entries of L. A front's update
+to later unknowns is symmetric and only its lower triangle is read, so it
+is formed and stored as a lower trapezoid of column panels
+``EXTEND_ADD_COLUMNS`` wide, about half of the square, and lives only until
+its parent front has added it. A system that is
 quasi-definite only up to the signs of some rows is passed with those rows
 negated, as ``SaddleSolver`` does. The order is given by the caller as
 blocks of unknowns (``None`` keeps their numbering). The schemes pass
@@ -56,7 +59,7 @@ ND_LEAF = 16
 #: Nested-dissection subtrees of at most this many unknowns form one block.
 FRONT_MAX = 128
 
-#: Columns of a child's update that one extend-add pass adds into its parent.
+#: Width of the column panels an update is stored, formed and extend-added in.
 EXTEND_ADD_COLUMNS = 64
 
 #: A matrix is symmetric when max|K - K^T| is at most this times max|K|.
@@ -201,18 +204,23 @@ class MultifrontalLdl:
     K[order][:, order] = L J L^T with L lower triangular and J = diag(+-1)
     the sign of the diagonal. A front's pivot block [[P, Q], [Q^T, -R]] is
     factored by Cholesky: L_P = chol(P), X = L_P^{-1} Q, L_S = chol(R + X^T X);
-    its update to the later unknowns is F22 - V1 V1^T + V2 V2^T with
-    V = F21 (pivot factor)^{-T}. This exists for every symmetric permutation
-    of a quasi-definite matrix (A and R SPD in [[A, B^T], [B, -R]]); any
-    other matrix fails a Cholesky step and raises SingularSystem.
+    the block of L below it is L21 = F21 (pivot factor)^{-T} J, and its
+    update to the later unknowns is F22 - L21 J L21^T. This exists for every
+    symmetric permutation of a quasi-definite matrix (A and R SPD in
+    [[A, B^T], [B, -R]]); any other matrix fails a Cholesky step and raises
+    SingularSystem.
 
     The tree of fronts follows from the sparsity pattern: a front's update
     goes to the front holding its first row beyond the pivots. Each front
     stores its pivot factor as the packed lower triangle (LAPACK ``TP``
-    storage) and V in full, which together are exactly the entries of L.
-    A child's update is extend-added into its parent ``EXTEND_ADD_COLUMNS``
-    columns at a time and released as soon as it has been added, before the
-    parent is factored.
+    storage) and L21^T in full, which together are exactly the entries of L.
+    An update is only ever read on and below its diagonal, so the working
+    F22 and every pending update are kept as lower trapezoids: one flat
+    array of column panels ``EXTEND_ADD_COLUMNS`` wide, each holding its
+    columns from the diagonal down (``_panels``), about half of the r x r
+    square. A child's update is extend-added into its parent panel by panel,
+    its lower triangle only, and released as soon as it has been added,
+    before the parent is factored.
     """
 
     def __init__(self, K: sp.csc_matrix, blocks) -> None:
@@ -246,45 +254,37 @@ class MultifrontalLdl:
             pos[beyond] = np.arange(r)
             F11 = np.zeros((k, k), order="F")
             F21 = np.zeros((r, k), order="F")
-            F22 = np.zeros((r, r), order="F")
+            F22 = np.zeros(_panels(r)[2][-1])
             piv = rows < e
             F11[rows[piv] - s, cols[piv]] = vals[piv]
             F21[pos[rows[~piv]], cols[~piv]] = vals[~piv]
             children.reverse()
             while children:  # extend-add in the order the children were factored
                 R, U = children.pop()
-                t = int(np.searchsorted(R, e))  # positions increase with R
-                a, b = pos[R[:t]], pos[R[t:]]
-                _extend_add(F11, a, a, U[:t, :t])
-                _extend_add(F21, b, a, U[t:, :t])
-                _extend_add(F22, b, b, U[t:, t:])
+                _extend_add(F11, F21, F22, pos[R], int(np.searchsorted(R, e)), U)
                 del U
             L = _pivot_factor(F11, k1)
+            V = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1, overwrite_b=1)  # in F21
+            L21T = np.empty((k, r), order="F")  # (V J)^T, column-major for the panels' dgemm
+            np.multiply(V.T, np.where(np.arange(k) < k1, 1.0, -1.0)[:, None], out=L21T)
+            del V
             if r:
-                V = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1, overwrite_b=1)
-                if k1:
-                    F22 = blas.dsyrk(-1.0, V[:, :k1], 1.0, F22, lower=1, overwrite_c=1)
-                if k1 < k:
-                    F22 = blas.dsyrk(1.0, V[:, k1:], 1.0, F22, lower=1, overwrite_c=1)
+                _subtract_update(F22, L21T, k1)
                 parent = int(np.searchsorted(starts, beyond[0], side="right")) - 1
                 pending.setdefault(parent, []).append((beyond, F22))
-            else:
-                V = F21
             packed, _ = lapack.dtrttp(L, uplo="L")
-            self.fronts.append((s, e, k1, packed, V, beyond))
-            del F11, L  # the packed copy is kept
+            self.fronts.append((s, e, k1, packed, L21T, beyond))
+            del F11, F21, F22, L  # the packed copy is kept
 
     @property
     def L(self) -> sp.csc_matrix:
         """The lower-triangular factor L of K[order][:, order] = L J L^T, assembled from the fronts."""
         rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        for s, e, k1, packed, V, R in self.fronts:
+        for s, e, k1, packed, L21T, R in self.fronts:
             j, i = np.triu_indices(e - s)  # the packed lower triangle runs down each column
-            VJ = V.copy()
-            VJ[:, k1:] *= -1.0
             rows += [s + i, np.repeat(R, e - s)]
             cols += [s + j, np.tile(np.arange(s, e), R.size)]
-            vals += [packed, VJ.ravel()]
+            vals += [packed, L21T.T.ravel()]
         return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=self.shape
         )
@@ -298,33 +298,92 @@ class MultifrontalLdl:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K[order][:, order]^{-1} b: forward through L, then J, then backward through L^T."""
         y = np.array(b, dtype=float)
-        for s, e, k1, packed, V, R in self.fronts:
+        for s, e, k1, packed, L21T, R in self.fronts:
             z = blas.dtpsv(e - s, packed, y[s:e], lower=1)
+            if R.size:
+                y[R] -= L21T.T @ z
             z[k1:] *= -1.0
             y[s:e] = z
-            if R.size:
-                y[R] -= V @ z
-        for s, e, k1, packed, V, R in reversed(self.fronts):
+        for s, e, k1, packed, L21T, R in reversed(self.fronts):
             z = y[s:e]
             if R.size:
-                c = V.T @ y[R]
-                c[k1:] *= -1.0
-                z = z - c
+                z = z - L21T @ y[R]
             y[s:e] = blas.dtpsv(e - s, packed, z, lower=1, trans=1)
         return y
 
 
-def _extend_add(F: np.ndarray, rows: np.ndarray, cols: np.ndarray, U: np.ndarray) -> None:
-    """F[rows][:, cols] += U for a Fortran-ordered F, ``EXTEND_ADD_COLUMNS`` columns at a time.
+def _panels(r: int):
+    """Column panels of an r x r lower trapezoid, ``EXTEND_ADD_COLUMNS`` wide.
 
-    The flat indices and the copy of U each hold len(rows) x ``EXTEND_ADD_COLUMNS``
-    entries (np.add.at on flat indices beats np.ix_).
+    Returns each panel's first column c0 and width w, and the offsets of the
+    panels in the flat store: panel p holds rows c0..r-1 of its w columns,
+    column-major, at store[offsets[p]:offsets[p + 1]].
     """
-    flat_F = F.ravel(order="F")
-    for c in range(0, cols.size, EXTEND_ADD_COLUMNS):
-        chunk = slice(c, c + EXTEND_ADD_COLUMNS)
-        flat = (rows[:, None] + F.shape[0] * cols[None, chunk]).ravel(order="F")
-        np.add.at(flat_F, flat, U[:, chunk].ravel(order="F"))
+    c0 = np.arange(0, r, EXTEND_ADD_COLUMNS)
+    w = np.minimum(EXTEND_ADD_COLUMNS, r - c0)
+    return c0, w, np.concatenate([[0], np.cumsum((r - c0) * w)])
+
+
+def _panel_views(store: np.ndarray, r: int):
+    """(c0, w, panel) for each panel of the lower trapezoid ``store``; ``panel[i, j]`` is entry
+    (c0 + i, c0 + j) and a view into the store."""
+    c0, w, offsets = _panels(r)
+    for c, width, a, b in zip(c0.tolist(), w.tolist(), offsets[:-1], offsets[1:]):
+        yield c, width, store[a:b].reshape(r - c, width, order="F")
+
+
+def _subtract_update(F22: np.ndarray, L21T: np.ndarray, k1: int) -> None:
+    """F22 -= L21 J L21^T on the panels of the lower trapezoid F22, J = +1 on the first k1 pivots.
+
+    One ``dgemm`` forms each panel, its diagonal block whole (its upper half
+    is formed too and never read): a panel's diagonal block is not
+    contiguous, so a ``dsyrk`` of it would need a copy.
+    """
+    k, r = L21T.shape
+    alpha = -1.0 if k1 else 1.0  # J = -I when no pivot is positive
+    for c0, w, panel in _panel_views(F22, r):
+        JB = L21T[:, c0 : c0 + w]
+        if 0 < k1 < k:
+            JB = JB.copy(order="F")
+            JB[k1:] *= -1.0
+        blas.dgemm(alpha, L21T[:, c0:], JB, 1.0, panel, trans_a=1, overwrite_c=1)
+
+
+def _extend_add(F11: np.ndarray, F21: np.ndarray, F22: np.ndarray, x: np.ndarray, t: int, U):
+    """Add a child's update U, a lower trapezoid in panels, into a front's F11, F21 and F22.
+
+    The child's rows and columns sit at positions ``x`` of the front: the
+    first t are its pivots (rows and columns of F11, columns of F21), the
+    rest lie beyond it (rows of F21, rows and columns of the trapezoid F22).
+    Only entries on or below the child's diagonal are added, one panel at a
+    time, so the index arrays hold at most (rows of U) x
+    ``EXTEND_ADD_COLUMNS`` entries.
+    """
+    r, k = F21.shape
+    f11, f21 = F11.ravel(order="F"), F21.ravel(order="F")
+    c0, w, offsets = _panels(r)
+    first = c0.repeat(w)  # of each column's panel in F22
+    base = offsets[:-1].repeat(w) + (np.arange(r) - first) * (r - first) - first  # + row = entry
+    for c, width, panel in _panel_views(U, x.size):
+        end = c + width
+        if c < t:  # columns on the front's pivots
+            j = min(end, t)
+            _add_lower(f11, k * x[c:j], x[c:t], panel[: t - c, : j - c], c, c)
+            _add_lower(f21, r * x[c:j], x[t:], panel[t - c :, : j - c], t, c)
+        if end > t:  # columns beyond the front
+            j = max(c, t)
+            _add_lower(F22, base[x[j:end]], x[j:], panel[j - c :, j - c :], j, j)
+
+
+def _add_lower(flat: np.ndarray, col_start, rows: np.ndarray, V, i0: int, j0: int) -> None:
+    """flat[col_start[j] + rows[i]] += V[i, j] for rows i0 + i at or below columns j0 + j."""
+    index = col_start[:, None] + rows  # (columns, rows), the order V's entries lie in
+    VT = V.T
+    h = min(max(j0 + col_start.size - i0, 0), rows.size)  # leading rows the diagonal cuts
+    if h:
+        lower = np.arange(j0, j0 + col_start.size)[:, None] <= np.arange(i0, i0 + h)
+        np.add.at(flat, index[:, :h][lower], VT[:, :h][lower])
+    np.add.at(flat, index[:, h:].ravel(), VT[:, h:].ravel())
 
 
 def _pivot_factor(F11: np.ndarray, k1: int) -> np.ndarray:

@@ -3,13 +3,23 @@
 Both schemes share one Discretization (assembled operators; coefficients
 are time-independent, so every matrix is built once per run and factorized
 once). W is the discrete curl (``curl_dof_operator``) and M_H the H mass.
+A Discretization holds only operators that a run reads after assembly: the
+full M_E, M_H, W, B_div, M_P, K_P and M_U, and the free-DOF blocks G_ff
+(pressure gradient), A_el_ff (elasticity), B_ff, M_P_ff and K_P_ff. The EM
+matrix of a step is built from M_E, W and M_H when a scheme is built
+(``Discretization.em_matrix``), so no free mass or curl-curl block is held
+through the factorizations; ``run()`` projects the initial state before it
+factors, so the projection's temporaries are freed before the factors are
+allocated.
+
 The splitting scheme advances each step in two sub-steps:
 
   A (electromagnetic): eliminate the cellwise-constant H exactly
      (H^n = H^{n-1} - (tau/mu) W E^n, exact because curl E_h is cellwise
      constant at lowest order) and solve one SPD system for E^n:
        (eps + tau*sigma) M_E E + (tau^2/mu) W^T M_H W E
-         = eps M_E E^{n-1} + tau (M_H W)^T H^{n-1} + tau L G_pe p^{n-1} + tau (j(t_n), .)
+         = eps M_E E^{n-1} + tau (M_H W)^T H^{n-1} + tau L G p^{n-1} + tau (j(t_n), .)
+     with G the (grad p, E) coupling
   B (Biot): solve the symmetric indefinite saddle system
        a(u, v) - (p, alpha div v)            = (f(t_n), v)
        (c0 p + alpha div u, q) + tau kappa (grad p, grad q)
@@ -82,7 +92,7 @@ class Sources:
 
 
 class Discretization:
-    """Assembled full-space operators for one mesh and parameter set."""
+    """Assembled operators for one mesh and parameter set (see the module docstring)."""
 
     def __init__(self, mesh: TetMesh, layouts: Layouts, params: PhysicalParams):
         self.mesh = mesh
@@ -90,13 +100,14 @@ class Discretization:
         self.params = params
         L = layouts
 
-        # forms on one pair of cell index maps share a CSR pattern, dropped once assembled
-        form = partial(assemble_matrix, mesh, patterns={})
-        self.M_E = form(L.E, L.E, "MASS_E")
-        self.M_H = form(L.H, L.H, "H_MASS")
+        # each edge form has a CSR pattern of its own; the vertex forms share one
+        # (and the cells' gradient Gram matrices), dropped once they are assembled
+        self.M_E = assemble_matrix(mesh, L.E, L.E, "MASS_E")
+        self.M_H = assemble_matrix(mesh, L.H, L.H, "H_MASS")
         self.W = curl_dof_operator(mesh)
-        self.G_pe = form(L.E, L.P, "GRAD_P_TO_E")
-        # elasticity is read only through its free block
+        # the pressure gradient and elasticity are read only through their free blocks
+        self.G_ff = reduce_matrix(assemble_matrix(mesh, L.E, L.P, "GRAD_P_TO_E"), L.E, L.P)
+        form = partial(assemble_matrix, mesh, patterns={})
         self.A_el_ff = reduce_matrix(
             form(L.U, L.U, "ELASTICITY", (params.lambda_c, params.G)), L.U, L.U
         )
@@ -105,16 +116,22 @@ class Discretization:
         self.K_P = form(L.P, L.P, "P_STIFF")
         self.M_U = form(L.U, L.U, "U_MASS")
 
-        self.M_E_ff = reduce_matrix(self.M_E, L.E, L.E)
-        self.G_ff = reduce_matrix(self.G_pe, L.E, L.P)
         self.B_ff = reduce_matrix(self.B_div, L.P, L.U)
         self.M_P_ff = reduce_matrix(self.M_P, L.P, L.P)
         self.K_P_ff = reduce_matrix(self.K_P, L.P, L.P)
-        # W restricted to free E columns. M_H is diagonal, so the curl-curl
-        # block W^T M_H W stays sparse.
-        W_f = self.W.tocsc()[:, L.E.free].tocsr()
-        self.K_curl_ff = (W_f.T @ self.M_H @ W_f).tocsr()
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
+
+    def em_matrix(self, tau: float) -> sp.csr_matrix:
+        """(eps + tau sigma) M_E + (tau^2 / mu) W^T M_H W on the free E DOFs, built from M_E, W, M_H.
+
+        M_H is diagonal, so the curl-curl block stays sparse.
+        """
+        p, L = self.params, self.layouts
+        W_f = self.W.tocsc()[:, L.E.free].tocsr()
+        K_curl_ff = (W_f.T @ self.M_H @ W_f).tocsr()
+        return (p.epsilon + tau * p.sigma) * reduce_matrix(self.M_E, L.E, L.E) + (
+            tau**2 / p.mu
+        ) * K_curl_ff
 
     def order(self, *spaces: str) -> list[np.ndarray]:
         """Nested-dissection blocks of the free DOFs of ``spaces``, stacked in that order."""
@@ -264,9 +281,7 @@ class SplittingScheme(BackwardEuler):
         saddle_tol: float = 1e-9,
     ):
         super().__init__(disc, tau, sources)
-        p = disc.params
-        A0 = (p.epsilon + tau * p.sigma) * disc.M_E_ff
-        self._em = SpdSolver(A0 + (tau**2 / p.mu) * disc.K_curl_ff, tol=spd_tol)
+        self._em = SpdSolver(disc.em_matrix(tau), tol=spd_tol)
         self._saddle = SaddleSolver(
             disc.A_el_ff,
             disc.B_ff,
@@ -305,12 +320,10 @@ class MonolithicScheme(BackwardEuler):
         saddle_tol: float = 1e-9,
     ):
         super().__init__(disc, tau, sources)
-        p = disc.params
-        A_em = (p.epsilon + tau * p.sigma) * disc.M_E_ff + (tau**2 / p.mu) * disc.K_curl_ff
-        G = tau * p.L * disc.G_ff
+        G = tau * disc.params.L * disc.G_ff
         K = sp.bmat(
             [
-                [A_em, None, -G],
+                [disc.em_matrix(tau), None, -G],
                 [None, -disc.A_el_ff, disc.B_ff.T],
                 [-G.T, disc.B_ff, self._C_p],
             ],
@@ -399,17 +412,18 @@ def run(
         disc = Discretization(mesh, make_layouts(mesh), config.params)
     t_assemble = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    engine = make_scheme(disc, sources, config)
-    bh = BhOperator(disc) if track_energy else None
-    t_factorize = time.perf_counter() - t0
-
+    # projected before the factorizations, so its temporaries are freed below the factors
     t0 = time.perf_counter()
     if start_state is not None:
         state = start_state
     else:
         state = initial_state(disc, initial, spd_tol=min(config.spd_tol, 1e-12))
     t_initial = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    engine = make_scheme(disc, sources, config)
+    bh = BhOperator(disc) if track_energy else None
+    t_factorize = time.perf_counter() - t0
 
     records = []
 

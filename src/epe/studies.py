@@ -136,6 +136,10 @@ def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: fl
     differences via the assembled mass/stiffness matrices.
     """
     tau_values = sorted(float(t) for t in tau_values)
+    if not tau_values or tau_values[0] <= 0.0:
+        raise ValueError(f"every step tau must be positive, got {tau_values!r}")
+    if not tau_ref > 0.0:
+        raise ValueError(f"reference step tau_ref must be positive, got {tau_ref!r}")
     if tau_ref > min(tau_values) / 8.0:
         raise ValueError(
             f"reference step {tau_ref!r} must be at most min(tau)/8 = {min(tau_values) / 8.0!r}"

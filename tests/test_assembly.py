@@ -91,7 +91,7 @@ class TestMatrices:
         assert W.nnz and np.all(W.data != 0.0) and W.has_sorted_indices
 
     def test_grad_form_of_linear_pressure(self, mesh2, lay2):
-        # p = x_0 lies in P1, so G_pe @ p = (grad p, N_i) = (e_0, N_i)
+        # p = x_0 lies in P1, so G @ p = (grad p, N_i) = (e_0, N_i)
         G = assemble_matrix(mesh2, lay2.E, lay2.P, "GRAD_P_TO_E", 1.0)
         e0 = lambda t, x: np.tile([1.0, 0.0, 0.0], (x.shape[0], 1))
         ref = assemble_load(mesh2, lay2.E, e0, 0.0)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import epe.cli
-from epe.cli import EXIT_NUMERICAL, EXIT_OK, main
+from epe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epe.fem.assembly import curl_dof_operator
 
 TINY = ["--T", "0.01", "--tau", "0.005"]
@@ -63,6 +63,22 @@ def test_convergence_time_runs_the_scheme_it_is_given(tmp_path, capsys):
     assert code == EXIT_OK
     rows = (tmp_path / "convergence_time.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 and all(row.split(",")[0] == "monolithic" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "steps,message",
+    [
+        (["--taus", "0.005,0.01", "--tau-ref", "0"], "reference step tau_ref must be positive, got 0.0"),
+        (["--taus", "0.005,0", "--tau-ref", "0.000625"], "every step tau must be positive"),
+        (["--taus", "0.005,-0.01", "--tau-ref", "0.000625"], "every step tau must be positive"),
+    ],
+)
+def test_convergence_time_rejects_a_non_positive_step_by_name(steps, message, tmp_path, capsys):
+    """An explicit step of 0 is refused, not replaced by the default nor caught by accident."""
+    code = main(["convergence-time", "--n", "2", *steps, *TINY, "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "convergence_time.csv").exists()
 
 
 def test_self_check_passes(capsys):

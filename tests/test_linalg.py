@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from epe.linalg import (
     SingularSystem,
     SpdSolver,
     _extend_add,
+    _panel_views,
+    _panels,
     nested_dissection,
     saddle_blocks,
     spd_solve,
@@ -77,7 +80,7 @@ class TestSpdSolve:
 
     def test_reusable_context_matches_spd_solve(self, disc3):
         """``SpdSolver`` keeps its Jacobi preconditioner and returns spd_solve's iterate bit for bit."""
-        A = disc3.M_E_ff + disc3.K_curl_ff
+        A = disc3.em_matrix(1.0)
         solver = SpdSolver(A, tol=1e-10)
         for seed in (3, 4):
             b = np.random.default_rng(seed).standard_normal(A.shape[0])
@@ -205,6 +208,18 @@ def random_sqd(rng, n_pos=40, n_neg=20, density=0.15):
     return K[shuffle][:, shuffle], shuffle < n_pos
 
 
+def dense_ldlt(Kp):
+    """Oracle: the lower L with positive diagonal and Kp = L J L^T, J = sign(diag(Kp)), column by column."""
+    n = Kp.shape[0]
+    J = np.sign(np.diag(Kp))
+    L = np.zeros_like(Kp)
+    for j in range(n):
+        col = Kp[j:, j] - L[j:, :j] @ (J[:j] * L[j, :j])
+        L[j, j] = np.sqrt(J[j] * col[0])
+        L[j + 1 :, j] = col[1:] / (J[j] * L[j, j])
+    return L
+
+
 def random_blocks(rng, order, max_size=12):
     """``order`` cut at random points into consecutive blocks."""
     cuts = np.sort(rng.choice(np.arange(1, order.size), size=order.size // max_size, replace=False))
@@ -257,17 +272,80 @@ class TestMultifrontalLdl:
         assert sum(a.size for a in arrays if a.dtype == np.float64) == lu.L.nnz
 
     def test_chunked_extend_add_matches_one_pass(self):
-        """Adding a child's update EXTEND_ADD_COLUMNS columns at a time gives the one-pass sum exactly."""
+        """Adding a child's lower-panel update one panel at a time gives the one-pass sum exactly,
+        and leaves everything above the front's diagonal untouched."""
         rng = np.random.default_rng(16)
-        r = 3 * EXTEND_ADD_COLUMNS + 5
-        F = np.asfortranarray(rng.standard_normal((r + 7, r + 11)))
-        rows = np.sort(rng.choice(r + 7, r, replace=False))
-        cols = np.sort(rng.choice(r + 11, r, replace=False))
-        U = np.asfortranarray(rng.standard_normal((r + 4, r + 2)))[4:, 2:]  # a strided block, as in a front
-        want = F.copy()
-        want[np.ix_(rows, cols)] += U
-        _extend_add(F, rows, cols, U)
-        np.testing.assert_array_equal(F, want)
+        rc, t, k, r = 3 * EXTEND_ADD_COLUMNS + 5, 70, 90, 150  # panel 1 straddles the t pivots
+        x = np.concatenate([np.sort(rng.choice(k, t, replace=False)),
+                            np.sort(rng.choice(r, rc - t, replace=False))])
+        S = rng.standard_normal((rc, rc))
+        U = np.zeros(_panels(rc)[2][-1])
+        for c0, w, panel in _panel_views(U, rc):
+            panel[:] = S[c0:, c0 : c0 + w]
+        F11 = np.asfortranarray(rng.standard_normal((k, k)))
+        F21 = np.asfortranarray(rng.standard_normal((r, k)))
+        F22 = rng.standard_normal(_panels(r)[2][-1])
+        front = np.zeros((k + r, k + r))  # the dense front, F22's lower trapezoid filled in
+        front[:k, :k], front[k:, :k] = F11, F21
+        for c0, w, panel in _panel_views(F22, r):
+            front[k + c0 :, k + c0 : k + c0 + w] = panel
+        want = front.copy()
+        at = np.concatenate([x[:t], k + x[t:]])
+        want[np.ix_(at, at)] += np.tril(S)
+        _extend_add(F11, F21, F22, x, t, U)
+        np.testing.assert_array_equal(np.tril(F11), np.tril(want[:k, :k]))
+        np.testing.assert_array_equal(np.triu(F11, 1), np.triu(front[:k, :k], 1))
+        np.testing.assert_array_equal(F21, want[k:, :k])
+        for c0, w, panel in _panel_views(F22, r):
+            np.testing.assert_array_equal(panel, want[k + c0 :, k + c0 : k + c0 + w])
+
+    def test_factor_matches_the_dense_ldlt(self, params):
+        """On the n = 6 saddle matrix (7 fronts), L, the solve and the fill equal a dense LDL^T."""
+        mesh = build_unit_cube_mesh(6)
+        disc = Discretization(mesh, make_layouts(mesh), params)
+        K = saddle_blocks(disc.A_el_ff, disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff)
+        solver = LuSolver(K, tol=1e-12, order=disc.order("U", "P"))
+        Kp = K[solver.order][:, solver.order].toarray()
+        L = solver.lu.L
+        want = dense_ldlt(Kp)
+        assert len(solver.lu.fronts) == 7
+        np.testing.assert_allclose(L.toarray(), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        stored = np.zeros(Kp.shape, dtype=bool)
+        stored[L.nonzero()] = True
+        assert not np.any((np.abs(want) > 1e-12 * np.abs(want).max()) & ~stored)
+        assert L.nnz + solver.lu.U.nnz == 56_450  # the fill before the lower-panel updates
+        b = np.random.default_rng(17).standard_normal(K.shape[0])
+        x, _ = solver.solve(b)
+        y = np.linalg.solve(want, b[solver.order])
+        x_dense = np.empty_like(b)
+        x_dense[solver.order] = np.linalg.solve(want.T, np.sign(np.diag(Kp)) * y)
+        assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
+
+    def test_update_stack_is_held_as_lower_trapezoids(self, params):
+        """The n = 8 saddle factor's traced peak exceeds what it keeps by at most the pending
+        updates as lower trapezoids plus the working front (F11, F21, L21^T and its trapezoid)."""
+        mesh = build_unit_cube_mesh(8)
+        disc = Discretization(mesh, make_layouts(mesh), params)
+        K = saddle_blocks(disc.A_el_ff, disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff).tocsc()
+        solver = LuSolver(K, order=disc.order("U", "P"))
+        blocks = [solver.order[s:e] for s, e, *_ in solver.lu.fronts]
+        del solver
+        gc.collect()
+        tracemalloc.start()
+        try:
+            lu = MultifrontalLdl(K, blocks)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fronts = lu.fronts
+        starts = np.array([f[0] for f in fronts] + [fronts[-1][1]])
+        parent = [np.searchsorted(starts, f[5][0], side="right") - 1 if f[5].size else -1 for f in fronts]
+        trapezoid = [int(_panels(f[5].size)[2][-1]) for f in fronts]
+        live = 0
+        for f, (s, e, _, _, _, R) in enumerate(fronts):
+            stack = sum(trapezoid[g] for g in range(f) if parent[g] >= f)
+            live = max(live, stack + trapezoid[f] + (e - s) ** 2 + 2 * (e - s) * R.size)
+        assert peak - kept <= 8 * live
 
     def test_pure_spd_elasticity_block(self, disc3):
         A = disc3.A_el_ff

@@ -32,7 +32,7 @@ def test_weights_positive_and_sum_to_reference_volume(degree):
 
 def test_reference_volume():
     rule = quadrature_rule(1)
-    assert float(rule.weights @ np.ones(rule.npoints)) == pytest.approx(1 / 6)
+    assert float(rule.weights @ np.ones(rule.weights.size)) == pytest.approx(1 / 6)
 
 
 def test_degree2_x_squared():

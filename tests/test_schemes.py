@@ -8,8 +8,8 @@ import epe.linalg
 import epe.schemes
 from conftest import cellwise_curl, zero_state
 from epe.core import PARAM_NAMES, make_time_grid, validate_params
-from epe.fem.assembly import assemble_load
-from epe.fem.dofs import make_layouts
+from epe.fem.assembly import assemble_load, assemble_matrix
+from epe.fem.dofs import make_layouts, reduce_matrix
 from epe.linalg import LuSolver, MultifrontalLdl
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import example61
@@ -29,6 +29,16 @@ from epe.schemes import (
 def curl_coupling(disc):
     """C = M_H W restricted to free E columns: the (curl E, H) coupling with H kept."""
     return (disc.M_H @ disc.W[:, disc.layouts.E.free]).tocsr()
+
+
+def grad_coupling(disc):
+    """G_pe: the full (grad p, E) coupling, assembled here (the discretization keeps its free block)."""
+    L = disc.layouts
+    return assemble_matrix(disc.mesh, L.E, L.P, "GRAD_P_TO_E").tocsr()
+
+
+def free_E_mass(disc):
+    return reduce_matrix(disc.M_E, disc.layouts.E, disc.layouts.E)
 
 
 def random_admissible_state(layouts, rng):
@@ -78,8 +88,9 @@ class UncondensedSplitting(SplittingScheme):
     def __init__(self, disc, tau, sources, spd_tol=1e-10, saddle_tol=1e-9):
         super().__init__(disc, tau, sources, spd_tol=spd_tol, saddle_tol=saddle_tol)
         p = disc.params
-        A0 = (p.epsilon + tau * p.sigma) * disc.M_E_ff
+        A0 = (p.epsilon + tau * p.sigma) * free_E_mass(disc)
         C_f = curl_coupling(disc)
+        self._G_pe = grad_coupling(disc)
         K = sp.bmat([[A0, -tau * C_f.T], [-tau * C_f, -p.mu * disc.M_H]], format="csc")
         self._em_block = LuSolver(K, tol=spd_tol * 10)
 
@@ -88,14 +99,14 @@ class UncondensedSplitting(SplittingScheme):
         L = disc.layouts
         t_new = state.t + tau
         rhs = p.epsilon * (disc.M_E @ state.E)
-        rhs += tau * p.L * (disc.G_pe @ state.p)
+        rhs += tau * p.L * (self._G_pe @ state.p)
         rhs += tau * disc.load("E", self.sources.j, t_new)
         x, _ = self._em_block.solve(np.concatenate([rhs[L.E.free], -p.mu * (disc.M_H @ state.H)]))
         E_new = L.E.extend(x[: L.E.num_free])
 
         f_u = disc.load("U", self.sources.f, t_new)[L.U.free]
         f_p = (p.c0 * (disc.M_P @ state.p) + disc.B_div @ state.u)[L.P.free]
-        f_p += tau * p.L * (disc.G_pe.T @ E_new)[L.P.free]
+        f_p += tau * p.L * (self._G_pe.T @ E_new)[L.P.free]
         f_p += tau * disc.load("P", self.sources.g, t_new)[L.P.free]
         (u_free, p_free), _ = self._saddle.solve(f_u, f_p)
         return State(
@@ -350,12 +361,12 @@ class TestMonolithic:
         got = MonolithicScheme(disc2, tau, sources).step(state)
 
         fE, fP = L.E.free, L.P.free
-        Gpe_f = disc2.G_pe.tocsr()[fE][:, fP]
+        Gpe_f = grad_coupling(disc2)[fE][:, fP]
         C_p = p.c0 * disc2.M_P_ff + tau * p.kappa * disc2.K_P_ff
         C_f = curl_coupling(disc2)
         K = sp.bmat(
             [
-                [(p.epsilon + tau * p.sigma) * disc2.M_E_ff, -tau * C_f.T, None,
+                [(p.epsilon + tau * p.sigma) * free_E_mass(disc2), -tau * C_f.T, None,
                  -tau * p.L * Gpe_f],
                 [tau * C_f, p.mu * disc2.M_H, None, None],
                 [None, None, disc2.A_el_ff, -disc2.B_ff.T],
