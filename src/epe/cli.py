@@ -219,7 +219,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_convergence_time(args) -> int:
     config = _config_from_args(args)
-    mesh_n = args.n if args.n else 8
+    mesh_n = 8 if args.n is None else args.n
     taus = DEFAULT_TAUS if args.taus is None else args.taus
     tau_ref = DEFAULT_TAU_REF if args.tau_ref is None else args.tau_ref
     report = temporal_convergence(mesh_n, taus, config, tau_ref)

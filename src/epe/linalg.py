@@ -267,14 +267,14 @@ class MultifrontalLdl:
             V = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1, overwrite_b=1)  # in F21
             L21T = np.empty((k, r), order="F")  # (V J)^T, column-major for the panels' dgemm
             np.multiply(V.T, np.where(np.arange(k) < k1, 1.0, -1.0)[:, None], out=L21T)
-            del V
+            del V, F21
             if r:
                 _subtract_update(F22, L21T, k1)
                 parent = int(np.searchsorted(starts, beyond[0], side="right")) - 1
                 pending.setdefault(parent, []).append((beyond, F22))
             packed, _ = lapack.dtrttp(L, uplo="L")
             self.fronts.append((s, e, k1, packed, L21T, beyond))
-            del F11, F21, F22, L  # the packed copy is kept
+            del F11, F22, L  # the packed copy is kept
 
     @property
     def L(self) -> sp.csc_matrix:

@@ -71,10 +71,11 @@ def test_convergence_time_runs_the_scheme_it_is_given(tmp_path, capsys):
         (["--taus", "0.005,0.01", "--tau-ref", "0"], "reference step tau_ref must be positive, got 0.0"),
         (["--taus", "0.005,0", "--tau-ref", "0.000625"], "every step tau must be positive"),
         (["--taus", "0.005,-0.01", "--tau-ref", "0.000625"], "every step tau must be positive"),
+        (["--n", "0", "--taus", "0.005,0.01", "--tau-ref", "0.000625"], "mesh_n must be >= 1, got 0"),
     ],
 )
 def test_convergence_time_rejects_a_non_positive_step_by_name(steps, message, tmp_path, capsys):
-    """An explicit step of 0 is refused, not replaced by the default nor caught by accident."""
+    """An explicit 0 is refused, not replaced by the default nor caught by accident."""
     code = main(["convergence-time", "--n", "2", *steps, *TINY, "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
