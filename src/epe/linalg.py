@@ -267,11 +267,11 @@ class MultifrontalLdl:
             V = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1, overwrite_b=1)  # in F21
             L21T = np.empty((k, r), order="F")  # (V J)^T, column-major for the panels' dgemm
             np.multiply(V.T, np.where(np.arange(k) < k1, 1.0, -1.0)[:, None], out=L21T)
-            del V, F21
             if r:
-                _subtract_update(F22, L21T, k1)
+                _subtract_update(F22, L21T, V)
                 parent = int(np.searchsorted(starts, beyond[0], side="right")) - 1
                 pending.setdefault(parent, []).append((beyond, F22))
+            del V, F21
             packed, _ = lapack.dtrttp(L, uplo="L")
             self.fronts.append((s, e, k1, packed, L21T, beyond))
             del F11, F22, L  # the packed copy is kept
@@ -332,21 +332,15 @@ def _panel_views(store: np.ndarray, r: int):
         yield c, width, store[a:b].reshape(r - c, width, order="F")
 
 
-def _subtract_update(F22: np.ndarray, L21T: np.ndarray, k1: int) -> None:
-    """F22 -= L21 J L21^T on the panels of the lower trapezoid F22, J = +1 on the first k1 pivots.
+def _subtract_update(F22: np.ndarray, L21T: np.ndarray, V: np.ndarray) -> None:
+    """F22 -= L21 J L21^T = L21 V^T on the panels of the lower trapezoid F22 (V = L21 J).
 
     One ``dgemm`` forms each panel, its diagonal block whole (its upper half
     is formed too and never read): a panel's diagonal block is not
     contiguous, so a ``dsyrk`` of it would need a copy.
     """
-    k, r = L21T.shape
-    alpha = -1.0 if k1 else 1.0  # J = -I when no pivot is positive
-    for c0, w, panel in _panel_views(F22, r):
-        JB = L21T[:, c0 : c0 + w]
-        if 0 < k1 < k:
-            JB = JB.copy(order="F")
-            JB[k1:] *= -1.0
-        blas.dgemm(alpha, L21T[:, c0:], JB, 1.0, panel, trans_a=1, overwrite_c=1)
+    for c0, w, panel in _panel_views(F22, L21T.shape[1]):
+        blas.dgemm(-1.0, L21T[:, c0:], V[c0 : c0 + w], 1.0, panel, trans_a=1, trans_b=1, overwrite_c=1)
 
 
 def _extend_add(F11: np.ndarray, F21: np.ndarray, F22: np.ndarray, x: np.ndarray, t: int, U):
