@@ -55,18 +55,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _int_list(text: str):
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+def _comma_list(convert, kind: str):
+    """Argument type: a nonempty comma list of ``convert`` values."""
+
+    def parse(text: str):
+        try:
+            values = [convert(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+        return values
+
+    return parse
 
 
-def _float_list(text: str):
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from exc
+_int_list = _comma_list(int, "integers")
+_float_list = _comma_list(float, "reals")
 
 
 def _add_common(parser: _Parser) -> None:
@@ -211,7 +216,7 @@ def _emit(report, out_dir, stem: str, notes=()) -> int:
 
 def _cmd_convergence(args) -> int:
     config = _config_from_args(args)
-    n_values = args.n if args.n else [4, 8, 12]
+    n_values = [4, 8, 12] if args.n is None else args.n
     if args.full:
         n_values = sorted(set(n_values) | {15, 18})
     return _emit(spatial_convergence(n_values, config), config.out, "convergence")
@@ -228,7 +233,7 @@ def _cmd_convergence_time(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _config_from_args(args)
-    n_values = args.n if args.n else [4, 8, 12]
+    n_values = [4, 8, 12] if args.n is None else args.n
     if args.full:
         n_values = sorted(set(n_values) | {15})
     report = benchmark(n_values, config)

@@ -3,6 +3,13 @@
 Degrees 1 and 2 use the classical symmetric rules; degrees 3 to 6 use the
 conical-product (collapsed Gauss-Jacobi) construction, which has strictly
 positive weights at every degree. Weights sum to the reference volume 1/6.
+
+The Gauss-Jacobi rules (m <= 4 points) are computed here by the
+Golub-Welsch method (Math. Comp. 23, 1969): the nodes are the eigenvalues
+of the symmetric tridiagonal m x m Jacobi matrix of the weight's
+orthogonal polynomials, and each weight is the weight's total mass times
+the squared first component of its eigenvector. numpy's ``eigh`` is all
+this needs, so no module of the package imports ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 MAX_DEGREE = 6
 
@@ -73,6 +79,21 @@ def _conical_product(degree: int):
 
 
 def _jacobi_on_unit(m: int, alpha: int):
-    """Nodes/weights for integral of (1-t)^alpha f(t) over [0, 1]."""
-    nodes, weights = roots_jacobi(m, alpha, 0.0)
-    return (1.0 + nodes) / 2.0, weights / 2.0 ** (alpha + 1)
+    """Nodes/weights for integral of (1-t)^alpha f(t) over [0, 1].
+
+    The Jacobi matrix of the weight (1-x)^alpha on [-1, 1] (beta = 0) has
+    diagonal -alpha^2 / (s (s + 2)), s = 2k + alpha (-alpha / (alpha + 2)
+    at k = 0), and off-diagonal 2k (k + alpha) / (s sqrt(s^2 - 1)) for
+    k >= 1; t = (1 + x) / 2 halves it and leaves its eigenvectors as they
+    are. The weight's mass on [0, 1] is 1 / (alpha + 1).
+    """
+    a = float(alpha)
+    k = np.arange(m, dtype=float)
+    s = 2.0 * k + a
+    diag = np.empty(m)
+    diag[0] = -a / (a + 2.0)
+    diag[1:] = -a * a / (s[1:] * (s[1:] + 2.0))
+    off = 2.0 * k[1:] * (k[1:] + a) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return (1.0 + nodes) / 2.0, vectors[0] ** 2 / (a + 1.0)

@@ -30,6 +30,7 @@ SPD solves run a Jacobi-preconditioned CG.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -178,20 +179,28 @@ def nested_dissection(points: np.ndarray) -> list[np.ndarray]:
     blocks are nonempty and their concatenation is a permutation of
     ``arange(N)``.
     """
-    points = np.asarray(points, dtype=float)
+    coords = np.asarray(points, dtype=float).T.copy()
 
     def dissect(idx):
-        if len(idx) > ND_LEAF:
-            extent = np.ptp(points[idx], axis=0)
-            axis = int(np.argmax(extent))
+        n = len(idx)
+        if n > ND_LEAF:
+            xs = [c[idx] for c in coords]
+            lo = [float(x.min()) for x in xs]
+            hi = [float(x.max()) for x in xs]
+            extent = [h - l for l, h in zip(lo, hi)]
+            axis = extent.index(max(extent))  # the first widest, as np.argmax
             if extent[axis] >= 1.0:  # else all lie within one lattice slab
-                x = points[idx, axis]
-                mid = np.clip(np.floor(np.median(x) + 0.5), np.ceil(x.min()), np.floor(x.max()))
+                x = xs[axis]
+                k = n // 2
+                part = np.partition(x, (k - 1, k))
+                median = float(part[k]) if n % 2 else (float(part[k - 1]) + float(part[k])) / 2.0
+                nearest = max(math.floor(median + 0.5), math.ceil(lo[axis]))
+                mid = float(min(nearest, math.floor(hi[axis])))
                 blocks = dissect(idx[x < mid]) + dissect(idx[x > mid]) + [idx[x == mid]]
-                return [np.concatenate(blocks)] if len(idx) <= FRONT_MAX else blocks
+                return [np.concatenate(blocks)] if n <= FRONT_MAX else blocks
         return [idx]
 
-    return [b for b in dissect(np.arange(points.shape[0])) if b.size]
+    return [b for b in dissect(np.arange(coords.shape[1])) if b.size]
 
 
 class MultifrontalLdl:

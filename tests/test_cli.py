@@ -82,6 +82,22 @@ def test_convergence_time_rejects_a_non_positive_step_by_name(steps, message, tm
     assert not (tmp_path / "convergence_time.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["convergence", "--n", ","], "--n"),
+        (["bench", "--n", ","], "--n"),
+        (["convergence-time", "--n", "2", "--taus", ","], "--taus"),
+    ],
+)
+def test_an_empty_list_is_refused_by_flag_name(argv, flag, tmp_path, capsys):
+    """An empty comma list is refused, not replaced by the default sweep."""
+    code = main(argv + TINY + ["--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert f"argument {flag}: expected at least one value, got ','" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_self_check_passes(capsys):
     code, out = run_cli(["self-check"], capsys)
     assert code == EXIT_OK

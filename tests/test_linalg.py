@@ -12,6 +12,7 @@ from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import (
     EXTEND_ADD_COLUMNS,
     FRONT_MAX,
+    ND_LEAF,
     DimensionMismatch,
     LinearSolveReport,
     LuSolver,
@@ -382,7 +383,49 @@ class TestMultifrontalLdl:
         assert calls == []
 
 
+def nested_dissection_oracle(points):
+    """Nested dissection as first written, with ``np.ptp`` and ``np.median`` on (k, 3) gathers."""
+    points = np.asarray(points, dtype=float)
+
+    def dissect(idx):
+        if len(idx) > ND_LEAF:
+            extent = np.ptp(points[idx], axis=0)
+            axis = int(np.argmax(extent))
+            if extent[axis] >= 1.0:
+                x = points[idx, axis]
+                mid = np.clip(np.floor(np.median(x) + 0.5), np.ceil(x.min()), np.floor(x.max()))
+                blocks = dissect(idx[x < mid]) + dissect(idx[x > mid]) + [idx[x == mid]]
+                return [np.concatenate(blocks)] if len(idx) <= FRONT_MAX else blocks
+        return [idx]
+
+    return [b for b in dissect(np.arange(points.shape[0])) if b.size]
+
+
+def assert_same_blocks(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestNestedDissection:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_mesh_blocks_equal_the_oracle(self, n):
+        mesh = build_unit_cube_mesh(n)
+        lay = make_layouts(mesh)
+        for spaces in (("E", "U", "P"), ("U", "P"), ("U",)):
+            pts = np.vstack([free_dof_points(mesh, getattr(lay, s)) for s in spaces])
+            assert_same_blocks(nested_dissection(pts), nested_dissection_oracle(pts))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_half_integer_blocks_equal_the_oracle(self, seed):
+        """Random half-integer points, with repeats, ties of the widest axis and flat slabs."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(20, 3000))
+        pts = rng.integers(0, 2 * int(rng.integers(1, 12)), size=(size, 3)) / 2.0
+        if seed % 3 == 0:
+            pts[:, seed % 2] = 1.5
+        assert_same_blocks(nested_dissection(pts), nested_dissection_oracle(pts))
+
     @pytest.mark.parametrize("spaces", [("E",), ("H",), ("U",), ("P",), ("U", "P"), ("E", "U", "P")])
     def test_mesh_order_is_a_permutation(self, disc3, spaces):
         order = np.concatenate(disc3.order(*spaces))

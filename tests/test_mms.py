@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 import sympy as sym
 
+import epe.mms
 from conftest import zero_state
 from epe.core import PhysicalParams
 from epe.mms import error_norms, example61, zero_scalar_source, zero_vector_source
 from epe.fem.dofs import make_layouts
+from epe.mesh import build_unit_cube_mesh
+from epe.schemes import State
 
 FD_STEP = 1e-5
 
@@ -260,6 +263,21 @@ class TestErrorNorms:
         state = initial_state(disc, exact)
         errs = error_norms(state, exact, 0.0, mesh2, quad_degree=5)
         assert errs.p_L2 > 0.0 and errs.H_L2 > 0.0
+
+    def test_norms_do_not_depend_on_the_block_size(self, exact, monkeypatch):
+        """Blocks of 1, 7, 256 and 2048 cells over the 1,296 cells of n = 6 give the same norms."""
+        mesh = build_unit_cube_mesh(6)
+        lay = make_layouts(mesh)
+        rng = np.random.default_rng(3)
+        coefs = [rng.standard_normal(getattr(lay, s).count) for s in ("E", "H", "U", "P")]
+        state = State(*coefs, n=4, t=0.1)
+        norms = {}
+        for cells in (2048, 256, 7, 1):
+            monkeypatch.setattr(epe.mms, "ERROR_BLOCK_CELLS", cells)
+            norms[cells] = error_norms(state, exact, 0.1, mesh).as_dict()
+        for cells in (256, 7, 1):
+            for name, value in norms[cells].items():
+                assert value == pytest.approx(norms[2048][name], rel=1e-14, abs=0.0), (cells, name)
 
     def test_rejects_low_degree(self, mesh2, exact):
         state = zero_state(make_layouts(mesh2))

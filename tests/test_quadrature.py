@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epe.fem.quadrature import UnsupportedDegree, quadrature_rule
+import epe
+from epe.fem.quadrature import UnsupportedDegree, _jacobi_on_unit, quadrature_rule
 
 
 def reference_monomial_integral(a: int, b: int, c: int) -> float:
@@ -64,3 +69,28 @@ def test_barycentric_partition_of_unity():
 def test_unsupported_degree(degree):
     with pytest.raises(UnsupportedDegree):
         quadrature_rule(degree)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@pytest.mark.parametrize("m", range(1, 6))
+def test_gauss_jacobi_matches_scipy(m, alpha):
+    """The eigenvalue rule equals scipy's Gauss-Jacobi rule, mapped to [0, 1]."""
+    from scipy.special import roots_jacobi
+
+    nodes, weights = _jacobi_on_unit(m, alpha)
+    ref_nodes, ref_weights = roots_jacobi(m, alpha, 0.0)
+    np.testing.assert_allclose(nodes, (1.0 + ref_nodes) / 2.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(weights, ref_weights / 2.0 ** (alpha + 1), rtol=1e-14, atol=0.0)
+
+
+def test_no_module_imports_scipy_special():
+    """In a fresh interpreter, the package's modules load without ``scipy.special``."""
+    code = (
+        "import sys, epe.schemes, epe.mms, epe.studies, epe.cli; "
+        "print('scipy.special' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(epe.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
