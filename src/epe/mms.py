@@ -219,9 +219,10 @@ class ErrorNorms:
 
 #: Cells per block of the error quadrature: bounds its temporaries (the
 #: grad u differences of all cells take 48 MB at n = 16). At 2048 cells,
-#: two thirds of the n = 8 mesh, the temporaries peaked at 15.1 MB traced
-#: and raised a whole n = 8 run's peak RSS; at 256 they peak at 2.0 MB, and
-#: the norms take no longer at n = 8 or 16 (in-process medians).
+#: two thirds of the n = 8 mesh, they peaked at 15.1 MB traced and lifted
+#: the peak RSS of an n = 8 monolithic run from 86 to 93 MB; at 256 they
+#: peak at 2.0 MB and the norms take no longer (traced medians 47 -> 34 ms
+#: at n = 8, 267 -> 248 ms at n = 16).
 ERROR_BLOCK_CELLS = 256
 
 
