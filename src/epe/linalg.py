@@ -478,26 +478,22 @@ def saddle_blocks(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix) -> sp.csc_matr
 class SaddleSolver:
     """Solver for a(u,v)/pressure saddle systems with blocks (A, B, C).
 
-    Solves [[A, -B^T], [-B, -C]] (u, p) = (f_u, -f_p), i.e.
+    Solves K (u, p) = (f_u, -f_p) for K = ``saddle_blocks(A, B, C)``
+    = [[A, -B^T], [-B, -C]], i.e.
         A u - B^T p = f_u
         B u + C   p = f_p
     with A and C symmetric positive definite: the matrix is quasi-definite.
-    It is factored once as an LDL^T (``LuSolver``) and reused per solve; the
-    reported residual is that of the stacked system, whose norm the sign of
-    the p rows does not change. ``order`` lists the (u, p) unknowns in
-    blocks, as ``LuSolver`` takes them.
+    The caller builds K and passes it with the number ``nu`` of u unknowns,
+    so no block outlives K's construction. K is factored once as an LDL^T
+    (``LuSolver``) and reused per solve; the reported residual is that of
+    the stacked system, whose norm the sign of the p rows does not change.
+    ``order`` lists the (u, p) unknowns in blocks, as ``LuSolver`` takes
+    them.
     """
 
-    def __init__(
-        self,
-        A: sp.spmatrix,
-        B: sp.spmatrix,
-        C: sp.spmatrix,
-        tol: float = 1e-9,
-        order: np.ndarray | None = None,
-    ):
-        self.nu, self.np = A.shape[0], C.shape[0]
-        self._lu = LuSolver(saddle_blocks(A, B, C), tol=tol, order=order)
+    def __init__(self, K: sp.spmatrix, nu: int, tol: float = 1e-9, order=None):
+        self.nu, self.np = nu, K.shape[0] - nu
+        self._lu = LuSolver(K, tol=tol, order=order)
 
     def solve(self, f_u: np.ndarray, f_p: np.ndarray):
         f_u = np.asarray(f_u, dtype=float)

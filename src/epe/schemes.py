@@ -3,14 +3,13 @@
 Both schemes share one Discretization (assembled operators; coefficients
 are time-independent, so every matrix is built once per run and factorized
 once). W is the discrete curl (``curl_dof_operator``) and M_H the H mass.
-A Discretization holds only operators that a run reads after assembly: the
-full M_E, M_H, W, B_div, M_P, K_P and M_U, and the free-DOF blocks G_ff
-(pressure gradient), A_el_ff (elasticity), B_ff, M_P_ff and K_P_ff. The EM
-matrix of a step is built from M_E, W and M_H when a scheme is built
-(``Discretization.em_matrix``), so no free mass or curl-curl block is held
-through the factorizations; ``run()`` projects the initial state before it
-factors, so the projection's temporaries are freed before the factors are
-allocated.
+A Discretization holds only what a time step reads: the full M_E, M_H and
+W, and the free-DOF blocks G_ff (pressure gradient), B_ff, M_P_ff and
+K_P_ff; u and p vanish on the constrained DOFs, so the free blocks suffice.
+What a factorization reads once (the elasticity block, the EM matrix) is
+assembled for it and dropped before its LDL^T starts; the splitting scheme
+builds its EM matrix after the saddle factor, and ``run()`` projects the
+initial state (with U and P masses of its own) before it factors.
 
 The splitting scheme advances each step in two sub-steps:
 
@@ -33,9 +32,9 @@ right-hand side) are negated, which makes the matrix symmetric; it is then
 quasi-definite in {E, p} | {u}, because the {E, p} block's Schur complement
 is at least c0 M_P + tau (kappa - tau L^2/(eps + tau sigma)) K_P, SPD
 whenever L^2 < sigma kappa. Both schemes build the same history right-hand
-side (``BackwardEuler.history``: one precomputed operator applied to the
-stacked state, plus the loads); the splitting step adds its explicit
-pressure couplings on top.
+side (``BackwardEuler.history``: the held operators applied to the state,
+plus the loads); the splitting step adds its explicit pressure couplings
+on top.
 
 Every direct factorization is a quasi-definite LDL^T, ordered by nested
 dissection of its unknowns' lattice locations (``Discretization.order``):
@@ -59,7 +58,7 @@ import scipy.sparse as sp
 from epe.core import PhysicalParams, RunConfig
 from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
 from epe.fem.dofs import Layouts, free_dof_points, make_layouts, reduce_matrix
-from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection, spd_solve
+from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection, saddle_blocks, spd_solve
 from epe.mesh import TetMesh, build_unit_cube_mesh
 from epe.mms import zero_scalar_source, zero_vector_source
 
@@ -92,7 +91,11 @@ class Sources:
 
 
 class Discretization:
-    """Assembled operators for one mesh and parameter set (see the module docstring)."""
+    """Assembled operators for one mesh and parameter set (see the module docstring).
+
+    Holds the operators a time step applies: M_E, M_H, W, G_ff, B_ff, M_P_ff
+    and K_P_ff. A factorization's one-off blocks are assembled on request.
+    """
 
     def __init__(self, mesh: TetMesh, layouts: Layouts, params: PhysicalParams):
         self.mesh = mesh
@@ -105,21 +108,19 @@ class Discretization:
         self.M_E = assemble_matrix(mesh, L.E, L.E, "MASS_E")
         self.M_H = assemble_matrix(mesh, L.H, L.H, "H_MASS")
         self.W = curl_dof_operator(mesh)
-        # the pressure gradient and elasticity are read only through their free blocks
         self.G_ff = reduce_matrix(assemble_matrix(mesh, L.E, L.P, "GRAD_P_TO_E"), L.E, L.P)
         form = partial(assemble_matrix, mesh, patterns={})
-        self.A_el_ff = reduce_matrix(
-            form(L.U, L.U, "ELASTICITY", (params.lambda_c, params.G)), L.U, L.U
-        )
-        self.B_div = form(L.P, L.U, "DIV_COUPLING", params.alpha)
-        self.M_P = form(L.P, L.P, "P_MASS")
-        self.K_P = form(L.P, L.P, "P_STIFF")
-        self.M_U = form(L.U, L.U, "U_MASS")
-
-        self.B_ff = reduce_matrix(self.B_div, L.P, L.U)
-        self.M_P_ff = reduce_matrix(self.M_P, L.P, L.P)
-        self.K_P_ff = reduce_matrix(self.K_P, L.P, L.P)
+        self.B_ff = reduce_matrix(form(L.P, L.U, "DIV_COUPLING", params.alpha), L.P, L.U)
+        self.M_P_ff = reduce_matrix(form(L.P, L.P, "P_MASS"), L.P, L.P)
+        self.K_P_ff = reduce_matrix(form(L.P, L.P, "P_STIFF"), L.P, L.P)
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
+
+    def elasticity(self) -> sp.csr_matrix:
+        """The elasticity block A_el on the free U DOFs, assembled anew on every call."""
+        p, L = self.params, self.layouts
+        return reduce_matrix(
+            assemble_matrix(self.mesh, L.U, L.U, "ELASTICITY", (p.lambda_c, p.G)), L.U, L.U
+        )
 
     def em_matrix(self, tau: float) -> sp.csr_matrix:
         """(eps + tau sigma) M_E + (tau^2 / mu) W^T M_H W on the free E DOFs, built from M_E, W, M_H.
@@ -170,10 +171,11 @@ def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State
     then the boundary constraints are imposed (exact zeros) on E, u, p.
     """
     L = disc.layouts
+    form = partial(assemble_matrix, disc.mesh, patterns={})
     bE, _ = spd_solve(disc.M_E, disc.load("E", fields.E, 0.0), tol=spd_tol)
     bH = disc.load("H", fields.H, 0.0) / disc.M_H.diagonal()
-    bU, _ = spd_solve(disc.M_U, disc.load("U", fields.u, 0.0), tol=spd_tol)
-    bP, _ = spd_solve(disc.M_P, disc.load("P", fields.p, 0.0), tol=spd_tol)
+    bU, _ = spd_solve(form(L.U, L.U, "U_MASS"), disc.load("U", fields.u, 0.0), tol=spd_tol)
+    bP, _ = spd_solve(form(L.P, L.P, "P_MASS"), disc.load("P", fields.p, 0.0), tol=spd_tol)
     bE[L.E.constrained] = 0.0
     bU[L.U.constrained] = 0.0
     bP[L.P.constrained] = 0.0
@@ -189,30 +191,29 @@ class BhOperator:
 
     def __init__(self, disc: Discretization):
         self.disc = disc
-        self._lu_A = (
-            LuSolver(disc.A_el_ff, tol=1e-8, order=disc.order("U"))
-            if disc.A_el_ff.shape[0]
-            else None
-        )
+        self._lu_A = LuSolver(disc.elasticity(), tol=1e-8, order=disc.order("U"))
+
+    def displacement(self, p_free: np.ndarray) -> np.ndarray:
+        """Free U DOFs of the u with a(u, v) = (p, alpha div v), p given on the free P DOFs."""
+        u_free, _ = self._lu_A.solve(self.disc.B_ff.T @ p_free)
+        return u_free
 
     def inner(self, p_full: np.ndarray, q_full: np.ndarray) -> float:
         """(Bh p, q) in L2."""
-        if self._lu_A is None:
-            return 0.0
         L = self.disc.layouts.P
-        u_free, _ = self._lu_A.solve(self.disc.B_ff.T @ L.reduce(p_full))
-        return float(L.reduce(q_full) @ (self.disc.B_ff @ u_free))
+        return float(L.reduce(q_full) @ (self.disc.B_ff @ self.displacement(L.reduce(p_full))))
 
 
 def discrete_energy(
     state: State, params: PhysicalParams, tau: float, disc: Discretization, bh: BhOperator
 ) -> float:
     """Energy eps||E||^2 + mu||H||^2 + ((c0 + Bh) p, p) + tau kappa ||grad p||^2."""
+    p_free = disc.layouts.P.reduce(state.p)
     S = params.epsilon * float(state.E @ (disc.M_E @ state.E))
     S += params.mu * float(state.H @ (disc.M_H @ state.H))
-    S += params.c0 * float(state.p @ (disc.M_P @ state.p))
+    S += params.c0 * float(p_free @ (disc.M_P_ff @ p_free))
     S += bh.inner(state.p, state.p)
-    S += tau * params.kappa * float(state.p @ (disc.K_P @ state.p))
+    S += tau * params.kappa * float(p_free @ (disc.K_P_ff @ p_free))
     return S
 
 
@@ -224,34 +225,32 @@ class BackwardEuler:
         self.tau = tau
         self.sources = sources
         disc.prepare_loads(sources)
-        p, L = disc.params, disc.layouts
-        self._C_p = p.c0 * disc.M_P_ff + tau * p.kappa * disc.K_P_ff
-        # the stacked state (E, H, u, p) -> the history part of the free right-hand
-        # side (E, u, p); the u rows are empty
-        fE, fP = L.E.free, L.P.free
-        self._history = sp.bmat(
-            [
-                [p.epsilon * disc.M_E[fE], tau * (disc.M_H @ disc.W).T.tocsr()[fE], None, None],
-                [sp.csr_matrix((L.U.num_free, L.E.count)), None, None, None],
-                [None, None, disc.B_div[fP], p.c0 * disc.M_P[fP]],
-            ],
-            format="csr",
-        )
-        self._ends = np.cumsum([L.E.num_free, L.U.num_free])
+        # a view of W (no copy) and the diagonal of tau M_H, for the history's curl term
+        self._curl_T, self._tau_m_H = disc.W.T, tau * disc.M_H.diagonal()
 
-    def history(self, state: State) -> np.ndarray:
-        """The stacked free-DOF right-hand side (E, u, p) that both schemes share.
+    def _pressure_block(self) -> sp.csr_matrix:
+        """C_p = c0 M_P + tau kappa K_P on the free P DOFs."""
+        p = self.disc.params
+        return p.c0 * self.disc.M_P_ff + self.tau * p.kappa * self.disc.K_P_ff
+
+    def history(self, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The free-DOF right-hand sides (E, u, p) that both schemes share.
 
         E: eps M_E E + tau j + tau (M_H W)^T H; u: f; p: c0 M_P p + B u + tau g,
-        with the sources taken at the new time level.
+        with the sources taken at the new time level (see the module docstring).
         """
-        disc, tau, L = self.disc, self.tau, self.disc.layouts
-        t_new = state.t + tau
-        rhs = self._history @ np.concatenate([state.E, state.H, state.u, state.p])
+        disc, tau, L, p = self.disc, self.tau, self.disc.layouts, self.disc.params
+        E = disc.M_E @ state.E
+        E *= p.epsilon
+        E += self._curl_T @ (self._tau_m_H * state.H)
+        P = disc.M_P_ff @ L.P.reduce(state.p)
+        P *= p.c0
+        P += disc.B_ff @ L.U.reduce(state.u)
         loads = (("E", self.sources.j, tau), ("U", self.sources.f, 1.0), ("P", self.sources.g, tau))
-        for (space, fn, scale), part in zip(loads, np.split(rhs, self._ends)):
-            part += scale * disc.load(space, fn, t_new)[getattr(L, space).free]
-        return rhs
+        parts = (E[L.E.free], np.zeros(L.U.num_free), P)
+        for (space, fn, scale), part in zip(loads, parts):
+            part += scale * disc.load(space, fn, state.t + tau)[getattr(L, space).free]
+        return parts
 
     def advance(self, state: State, E_free, u_free, p_free) -> State:
         """The next time level from the free DOFs of E, u and p; H follows from E exactly."""
@@ -281,19 +280,17 @@ class SplittingScheme(BackwardEuler):
         saddle_tol: float = 1e-9,
     ):
         super().__init__(disc, tau, sources)
-        self._em = SpdSolver(disc.em_matrix(tau), tol=spd_tol)
+        # K in a statement of its own: the blocks are freed before the LDL^T starts
+        K = saddle_blocks(disc.elasticity(), disc.B_ff, self._pressure_block())
         self._saddle = SaddleSolver(
-            disc.A_el_ff,
-            disc.B_ff,
-            self._C_p,
-            tol=saddle_tol,
-            order=disc.order("U", "P"),
+            K, disc.layouts.U.num_free, tol=saddle_tol, order=disc.order("U", "P")
         )
+        self._em = SpdSolver(disc.em_matrix(tau), tol=spd_tol)
 
     def step(self, state: State) -> State:
         coupling = self.tau * self.disc.params.L
         P_free = self.disc.layouts.P.free
-        rhs_E, f_u, f_p = np.split(self.history(state), self._ends)
+        rhs_E, f_u, f_p = self.history(state)
         # sub-step A: electromagnetic fields, pressure coupling explicit
         E_free, _ = self._em.solve(rhs_E + coupling * (self.disc.G_ff @ state.p[P_free]))
         # sub-step B: Biot consolidation, driven by the new E
@@ -321,20 +318,22 @@ class MonolithicScheme(BackwardEuler):
     ):
         super().__init__(disc, tau, sources)
         G = tau * disc.params.L * disc.G_ff
+        # K in a statement of its own: the blocks are freed before the LDL^T starts
         K = sp.bmat(
             [
                 [disc.em_matrix(tau), None, -G],
-                [None, -disc.A_el_ff, disc.B_ff.T],
-                [-G.T, disc.B_ff, self._C_p],
+                [None, -disc.elasticity(), disc.B_ff.T],
+                [-G.T, disc.B_ff, self._pressure_block()],
             ],
             format="csc",
         )
+        del G
         self._lu = LuSolver(K, tol=saddle_tol, order=disc.order("E", "U", "P"))
+        self._ends = np.cumsum([disc.layouts.E.num_free, disc.layouts.U.num_free])
 
     def step(self, state: State) -> State:
-        rhs = self.history(state)
-        rhs[self._ends[0] : self._ends[1]] *= -1.0
-        x, _ = self._lu.solve(rhs)
+        rhs_E, f_u, f_p = self.history(state)
+        x, _ = self._lu.solve(np.concatenate([rhs_E, -f_u, f_p]))
         return self.advance(state, *np.split(x, self._ends))
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from epe.core import build_config
-from epe.fem.assembly import signed_curls
-from epe.fem.dofs import make_layouts
+from epe.fem.assembly import FORM_SPACES, assemble_matrix, signed_curls
+from epe.fem.dofs import make_layouts, reduce_matrix
 from epe.mesh import LOCAL_EDGES, build_unit_cube_mesh
 from epe.schemes import Discretization, State
 
@@ -47,6 +47,22 @@ def disc2(mesh2, params):
 @pytest.fixture(scope="session")
 def disc3(mesh3, params):
     return Discretization(mesh3, make_layouts(mesh3), params)
+
+
+def full_operator(disc, form, coeff=1.0):
+    """The full (unreduced) matrix of ``form`` on ``disc``'s mesh, assembled here.
+
+    The discretization keeps only the free blocks a time step applies, so
+    tests that need B_div, M_P, K_P or M_U assemble them.
+    """
+    row, col = (getattr(disc.layouts, s) for s in FORM_SPACES[form])
+    return assemble_matrix(disc.mesh, row, col, form, coeff)
+
+
+def elasticity_ff(disc):
+    """The elasticity block A_el on the free U DOFs, assembled here."""
+    p, L = disc.params, disc.layouts
+    return reduce_matrix(full_operator(disc, "ELASTICITY", (p.lambda_c, p.G)), L.U, L.U)
 
 
 def cellwise_curl(mesh, coefs):

@@ -15,7 +15,8 @@ from epe.fem.assembly import (
 from epe.fem.dofs import LayoutMismatch, make_layouts, reduce_matrix
 from epe.fem.quadrature import quadrature_rule
 from epe.mesh import build_unit_cube_mesh
-from epe.schemes import Discretization
+from epe.mms import example61
+from epe.schemes import Discretization, initial_state
 
 SYMMETRIC_FORMS = ["MASS_E", "H_MASS", "P_MASS", "P_STIFF", "U_MASS"]
 
@@ -66,7 +67,8 @@ class TestMatrices:
         np.testing.assert_allclose(curl, np.broadcast_to(2.0 * b, curl.shape), rtol=0, atol=1e-12)
 
     def test_every_form_is_assembled_by_the_discretization(self, mesh2, params, monkeypatch):
-        # a form no Discretization assembles is dead code in the form table
+        # a form that neither a Discretization, its elasticity block nor the initial
+        # projection assembles is dead code in the form table
         forms = []
 
         def spy(mesh, row_layout, col_layout, form, *args, **kwargs):
@@ -74,7 +76,9 @@ class TestMatrices:
             return assemble_matrix(mesh, row_layout, col_layout, form, *args, **kwargs)
 
         monkeypatch.setattr(epe.schemes, "assemble_matrix", spy)
-        Discretization(mesh2, make_layouts(mesh2), params)
+        disc = Discretization(mesh2, make_layouts(mesh2), params)
+        disc.elasticity()
+        initial_state(disc, example61(params))
         assert set(forms) == set(FORM_SPACES)
 
     @pytest.mark.parametrize("form", sorted(FORM_SPACES))

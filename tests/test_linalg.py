@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import epe.linalg
+from conftest import elasticity_ff
 from epe.fem.assembly import assemble_matrix
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import (
@@ -92,7 +93,7 @@ class TestSpdSolve:
 class TestSaddleSolve:
     def test_hand_1x1(self):
         solver = SaddleSolver(
-            sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])
+            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])), 1
         )
         (u, p), rep = solver.solve(np.array([1.0]), np.array([0.0]))
         np.testing.assert_allclose(u, [1 / 3], atol=1e-14)
@@ -101,7 +102,7 @@ class TestSaddleSolve:
 
     def test_decoupled_blocks(self):
         solver = SaddleSolver(
-            sp.csr_matrix([[2.0]]), sp.csr_matrix([[0.0]]), sp.csr_matrix([[4.0]])
+            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[0.0]]), sp.csr_matrix([[4.0]])), 1
         )
         (u, p), _ = solver.solve(np.array([2.0]), np.array([8.0]))
         np.testing.assert_allclose(u, [1.0])
@@ -120,7 +121,7 @@ class TestSaddleSolve:
         C = reduce_matrix(assemble_matrix(mesh2, lay.P, lay.P, "P_MASS", params.c0), lay.P, lay.P)
         rng = np.random.default_rng(3)
         f_u, f_p = rng.standard_normal(A.shape[0]), rng.standard_normal(C.shape[0])
-        (u, p), rep = SaddleSolver(A, B, C, tol=1e-9).solve(f_u, f_p)
+        (u, p), rep = SaddleSolver(saddle_blocks(A, B, C), A.shape[0], tol=1e-9).solve(f_u, f_p)
         assert rep.relative_residual <= 1e-9
         ru = A @ u - B.T @ p - f_u
         rp = B @ u + C @ p - f_p
@@ -128,13 +129,14 @@ class TestSaddleSolve:
         assert np.sqrt(ru @ ru + rp @ rp) / rhs <= 1e-9
 
     def test_rhs_shape_mismatch(self):
-        solver = SaddleSolver(sp.identity(2, format="csr"), sp.csr_matrix((1, 2)), sp.identity(1, format="csr"))
+        K = saddle_blocks(sp.identity(2, format="csr"), sp.csr_matrix((1, 2)), sp.identity(1, format="csr"))
+        solver = SaddleSolver(K, 2)
         with pytest.raises(DimensionMismatch):
             solver.solve(np.zeros(3), np.zeros(1))
 
     def test_reuse_is_deterministic(self):
         solver = SaddleSolver(
-            sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])
+            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])), 1
         )
         results = [solver.solve(np.array([1.0]), np.array([0.5]))[0] for _ in range(2)]
         assert results[0][0].tobytes() == results[1][0].tobytes()
@@ -304,7 +306,7 @@ class TestMultifrontalLdl:
         """On the n = 6 saddle matrix (7 fronts), L, the solve and the fill equal a dense LDL^T."""
         mesh = build_unit_cube_mesh(6)
         disc = Discretization(mesh, make_layouts(mesh), params)
-        K = saddle_blocks(disc.A_el_ff, disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff)
+        K = saddle_blocks(elasticity_ff(disc), disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff)
         solver = LuSolver(K, tol=1e-12, order=disc.order("U", "P"))
         Kp = K[solver.order][:, solver.order].toarray()
         L = solver.lu.L
@@ -327,7 +329,7 @@ class TestMultifrontalLdl:
         updates as lower trapezoids plus the working front (F11, F21, L21^T and its trapezoid)."""
         mesh = build_unit_cube_mesh(8)
         disc = Discretization(mesh, make_layouts(mesh), params)
-        K = saddle_blocks(disc.A_el_ff, disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff).tocsc()
+        K = saddle_blocks(elasticity_ff(disc), disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff).tocsc()
         solver = LuSolver(K, order=disc.order("U", "P"))
         blocks = [solver.order[s:e] for s, e, *_ in solver.lu.fronts]
         del solver
@@ -349,7 +351,7 @@ class TestMultifrontalLdl:
         assert peak - kept <= 8 * live
 
     def test_pure_spd_elasticity_block(self, disc3):
-        A = disc3.A_el_ff
+        A = elasticity_ff(disc3)
         solver = LuSolver(A, tol=1e-12, order=disc3.order("U"))
         assert all(k1 == e - s for s, e, k1, *_ in solver.lu.fronts)  # Cholesky only
         b = np.random.default_rng(11).standard_normal(A.shape[0])
@@ -362,7 +364,7 @@ class TestMultifrontalLdl:
             LuSolver(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
     def test_two_factorizations_give_bit_identical_solves(self, disc3, params):
-        K = saddle_blocks(disc3.A_el_ff, disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
+        K = saddle_blocks(elasticity_ff(disc3), disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
         b = np.random.default_rng(12).standard_normal(K.shape[0])
         order = disc3.order("U", "P")
         x1, _ = LuSolver(K, order=order).solve(b)
@@ -372,7 +374,7 @@ class TestMultifrontalLdl:
     def test_superlu_only_for_nonsymmetric_matrices(self, disc3, params, monkeypatch):
         """SuperLU is called for no matrix: a symmetric K is factored by
         ``MultifrontalLdl`` and a non-symmetric one is refused."""
-        K = saddle_blocks(disc3.A_el_ff, disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
+        K = saddle_blocks(elasticity_ff(disc3), disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
         calls = []
         monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append(1))
         solver = LuSolver(K, order=disc3.order("U", "P"))
@@ -461,7 +463,7 @@ class TestNestedDissection:
         disc = Discretization(mesh4, make_layouts(mesh4), params)
         lay = disc.layouts
         x = np.concatenate([free_dof_points(mesh4, lay.U), free_dof_points(mesh4, lay.P)])[:, 0]
-        K = saddle_blocks(disc.A_el_ff, disc.B_ff, disc.M_P_ff + disc.K_P_ff).tocsr()
+        K = saddle_blocks(elasticity_ff(disc), disc.B_ff, disc.M_P_ff + disc.K_P_ff).tocsr()
         order = np.concatenate(disc.order("U", "P"))
         lo, hi = np.flatnonzero(x < 2), np.flatnonzero(x > 2)
         # lower half first, then the upper half, then the separator

@@ -1,3 +1,6 @@
+import gc
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,9 +9,9 @@ from dataclasses import replace
 
 import epe.linalg
 import epe.schemes
-from conftest import cellwise_curl, zero_state
+from conftest import cellwise_curl, elasticity_ff, full_operator, zero_state
 from epe.core import PARAM_NAMES, make_time_grid, validate_params
-from epe.fem.assembly import assemble_load, assemble_matrix
+from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
 from epe.fem.dofs import make_layouts, reduce_matrix
 from epe.linalg import LuSolver, MultifrontalLdl
 from epe.mesh import build_unit_cube_mesh
@@ -59,7 +62,7 @@ def equilibrium_state(disc, rng):
     """
     L = disc.layouts
     p_free = rng.standard_normal(L.P.num_free)
-    u_free, _ = LuSolver(disc.A_el_ff).solve(disc.B_ff.T @ p_free)
+    u_free, _ = LuSolver(elasticity_ff(disc)).solve(disc.B_ff.T @ p_free)
     state = random_admissible_state(L, rng)
     return replace(state, u=L.U.extend(u_free), p=L.P.extend(p_free))
 
@@ -67,7 +70,7 @@ def equilibrium_state(disc, rng):
 def bh_apply(disc, p_full):
     """Oracle for Bh by dense solves: the P coefficients of the L2 representative of alpha div u."""
     L = disc.layouts.P
-    u = np.linalg.solve(disc.A_el_ff.toarray(), disc.B_ff.T @ L.reduce(p_full))
+    u = np.linalg.solve(elasticity_ff(disc).toarray(), disc.B_ff.T @ L.reduce(p_full))
     return L.extend(np.linalg.solve(disc.M_P_ff.toarray(), disc.B_ff @ u))
 
 
@@ -76,6 +79,31 @@ def random_admissible_params(rng):
     values = dict(zip(PARAM_NAMES, np.exp(rng.uniform(-1.5, 1.5, len(PARAM_NAMES)))))
     values["L"] = rng.uniform(0.0, 0.999) * np.sqrt(values["sigma"] * values["kappa"])
     return validate_params(**values)
+
+
+def history_oracle(scheme, state):
+    """The free right-hand side (E, u, p) as one stacked sparse operator on (E, H, u, p), plus loads.
+
+    Every operator is assembled here; the u rows of the operator are empty.
+    """
+    disc, tau = scheme.disc, scheme.tau
+    p, L = disc.params, disc.layouts
+    fE, fP = L.E.free, L.P.free
+    curl = (full_operator(disc, "H_MASS") @ curl_dof_operator(disc.mesh)).T.tocsr()
+    stack = sp.bmat(
+        [
+            [p.epsilon * full_operator(disc, "MASS_E")[fE], tau * curl[fE], None, None],
+            [sp.csr_matrix((L.U.num_free, L.E.count)), None, None, None],
+            [None, None, full_operator(disc, "DIV_COUPLING", p.alpha)[fP],
+             p.c0 * full_operator(disc, "P_MASS")[fP]],
+        ],
+        format="csr",
+    )
+    rhs = stack @ np.concatenate([state.E, state.H, state.u, state.p])
+    t = state.t + tau
+    loads = [tau * disc.load("E", scheme.sources.j, t)[fE], disc.load("U", scheme.sources.f, t)[L.U.free],
+             tau * disc.load("P", scheme.sources.g, t)[fP]]
+    return rhs + np.concatenate(loads)
 
 
 class UncondensedSplitting(SplittingScheme):
@@ -91,6 +119,8 @@ class UncondensedSplitting(SplittingScheme):
         A0 = (p.epsilon + tau * p.sigma) * free_E_mass(disc)
         C_f = curl_coupling(disc)
         self._G_pe = grad_coupling(disc)
+        self._M_P = full_operator(disc, "P_MASS")
+        self._B_div = full_operator(disc, "DIV_COUPLING", p.alpha)
         K = sp.bmat([[A0, -tau * C_f.T], [-tau * C_f, -p.mu * disc.M_H]], format="csc")
         self._em_block = LuSolver(K, tol=spd_tol * 10)
 
@@ -105,7 +135,7 @@ class UncondensedSplitting(SplittingScheme):
         E_new = L.E.extend(x[: L.E.num_free])
 
         f_u = disc.load("U", self.sources.f, t_new)[L.U.free]
-        f_p = (p.c0 * (disc.M_P @ state.p) + disc.B_div @ state.u)[L.P.free]
+        f_p = (p.c0 * (self._M_P @ state.p) + self._B_div @ state.u)[L.P.free]
         f_p += tau * p.L * (self._G_pe.T @ E_new)[L.P.free]
         f_p += tau * disc.load("P", self.sources.g, t_new)[L.P.free]
         (u_free, p_free), _ = self._saddle.solve(f_u, f_p)
@@ -192,7 +222,7 @@ class TestBhOperator:
         disc = request.getfixturevalue(fixture)
         lay = disc.layouts.P
         bh = BhOperator(disc)
-        M = disc.M_P
+        M = full_operator(disc, "P_MASS")
         rng = np.random.default_rng(14)
         for _ in range(20):
             p = lay.extend(rng.standard_normal(lay.num_free))
@@ -225,7 +255,7 @@ class TestBhOperator:
         lay = disc3.layouts.P
         p = lay.extend(rng.standard_normal(lay.num_free))
         q = lay.extend(rng.standard_normal(lay.num_free))
-        lhs = q @ (disc3.M_P @ bh_apply(disc3, p))
+        lhs = q @ (full_operator(disc3, "P_MASS") @ bh_apply(disc3, p))
         assert lhs == pytest.approx(bh.inner(p, q), rel=1e-8, abs=1e-12)
 
 
@@ -364,12 +394,13 @@ class TestMonolithic:
         Gpe_f = grad_coupling(disc2)[fE][:, fP]
         C_p = p.c0 * disc2.M_P_ff + tau * p.kappa * disc2.K_P_ff
         C_f = curl_coupling(disc2)
+        M_P, B_div = full_operator(disc2, "P_MASS"), full_operator(disc2, "DIV_COUPLING", p.alpha)
         K = sp.bmat(
             [
                 [(p.epsilon + tau * p.sigma) * free_E_mass(disc2), -tau * C_f.T, None,
                  -tau * p.L * Gpe_f],
                 [tau * C_f, p.mu * disc2.M_H, None, None],
-                [None, None, disc2.A_el_ff, -disc2.B_ff.T],
+                [None, None, elasticity_ff(disc2), -disc2.B_ff.T],
                 [-tau * p.L * Gpe_f.T, None, disc2.B_ff, C_p],
             ],
             format="csc",
@@ -380,7 +411,7 @@ class TestMonolithic:
                 (p.epsilon * (disc2.M_E @ state.E) + tau * disc2.load("E", sources.j, t))[fE],
                 p.mu * (disc2.M_H @ state.H),
                 disc2.load("U", sources.f, t)[L.U.free],
-                (p.c0 * (disc2.M_P @ state.p) + disc2.B_div @ state.u)[fP]
+                (p.c0 * (M_P @ state.p) + B_div @ state.u)[fP]
                 + tau * disc2.load("P", sources.g, t)[fP],
             ]
         )
@@ -391,6 +422,23 @@ class TestMonolithic:
         for f, want in expected.items():
             have = getattr(got, f)
             assert np.linalg.norm(have - want) <= 1e-12 * np.linalg.norm(want), f
+
+class TestHistory:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("scheme", [SplittingScheme, MonolithicScheme], ids=lambda c: c.name)
+    def test_history_matches_the_stacked_operator(self, scheme, n, config, params, sources):
+        """The history terms of random admissible states equal the stacked product, part by part."""
+        mesh = build_unit_cube_mesh(n)
+        disc = Discretization(mesh, make_layouts(mesh), params)
+        engine = scheme(disc, config.grid.tau, sources)
+        ends = np.cumsum([disc.layouts.E.num_free, disc.layouts.U.num_free])
+        rng = np.random.default_rng(50 + n)
+        for _ in range(5):
+            state = replace(random_admissible_state(disc.layouts, rng), t=rng.uniform(0.0, 0.1))
+            got = engine.history(state)
+            for have, want in zip(got, np.split(history_oracle(engine, state), ends)):
+                assert np.linalg.norm(have - want) <= 1e-14 * np.linalg.norm(want)
+
 
 class TestLuOrdering:
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
@@ -435,6 +483,37 @@ class TestLuOrdering:
             observers=[lambda *_: in_loop.append(True)])
         assert built == [False]
 
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_no_one_off_operator_is_alive_at_the_factorization(
+        self, scheme, config, params, mesh4, sources, exact, monkeypatch
+    ):
+        """When a run's LDL^T starts, no sparse matrix has the shape of A_el_ff, B_div, M_U, M_P
+        or the stacked history operator, nor, in the splitting scheme, of the EM matrix."""
+        L = make_layouts(mesh4)
+        nE, nU, nP = L.E.num_free, L.U.num_free, L.P.num_free
+        shapes = {
+            "A_el_ff": (nU, nU),
+            "B_div": (L.P.count, L.U.count),
+            "M_U": (L.U.count, L.U.count),
+            "M_P": (L.P.count, L.P.count),
+            "history": (nE + nU + nP, L.E.count + L.H.count + L.U.count + L.P.count),
+        }
+        if scheme == "splitting":
+            shapes["EM matrix"] = (nE, nE)
+        alive = []
+
+        class Counting(MultifrontalLdl):
+            def __init__(self, *args):
+                gc.collect()
+                live = [o.shape for o in gc.get_objects() if sp.issparse(o)]
+                alive.append(sorted(name for name, shape in shapes.items() if shape in live))
+                super().__init__(*args)
+
+        monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
+        disc = Discretization(mesh4, L, params)
+        run(small_config(config, 4, 0.1, 1, scheme=scheme), sources, exact, disc=disc)
+        assert alive == [[]]
+
 
 class TestEnergy:
     def test_zero_state_zero_energy(self, disc2, params):
@@ -443,14 +522,33 @@ class TestEnergy:
 
     def test_lower_bound_by_component_terms(self, disc2, params):
         bh = BhOperator(disc2)
+        M_P = full_operator(disc2, "P_MASS")
         rng = np.random.default_rng(30)
         for _ in range(10):
             s = random_admissible_state(disc2.layouts, rng)
             S = discrete_energy(s, params, 0.01, disc2, bh)
-            floor = params.c0 * s.p @ (disc2.M_P @ s.p) + params.epsilon * s.E @ (
+            floor = params.c0 * s.p @ (M_P @ s.p) + params.epsilon * s.E @ (
                 disc2.M_E @ s.E
             )
             assert S >= floor - 1e-12 * abs(S)
+
+    def test_equals_the_full_matrix_formula(self, disc3, params):
+        """The free-block energy equals eps E.M_E E + mu H.M_H H + c0 p.M_P p + (Bh p, p)
+        + tau kappa p.K_P p with the full matrices, assembled here."""
+        bh = BhOperator(disc3)
+        M_E, M_H = full_operator(disc3, "MASS_E"), full_operator(disc3, "H_MASS")
+        M_P, K_P = full_operator(disc3, "P_MASS"), full_operator(disc3, "P_STIFF")
+        rng = np.random.default_rng(32)
+        for tau in (0.01, 1.0):
+            s = equilibrium_state(disc3, rng)
+            want = (
+                params.epsilon * s.E @ (M_E @ s.E)
+                + params.mu * s.H @ (M_H @ s.H)
+                + params.c0 * s.p @ (M_P @ s.p)
+                + bh.inner(s.p, s.p)
+                + tau * params.kappa * s.p @ (K_P @ s.p)
+            )
+            assert discrete_energy(s, params, tau, disc3, bh) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_monotone_under_zero_forcing(self, config, disc2):
         rng = np.random.default_rng(31)
@@ -562,20 +660,48 @@ class TestRun:
         assert t.total >= t.loop > 0.0
         assert t.total >= t.assemble + t.factorize + t.initial + t.loop - 1e-9
 
-    def test_per_step_cost_stays_flat_after_factorization(self, config, sources, exact, params):
-        """The 90th percentile of 100 steps stays under twice their median step.
+    def test_per_step_cost_stays_flat_after_factorization(
+        self, config, sources, exact, params, monkeypatch
+    ):
+        """Each of 100 steps makes the same solve calls, and none factors or assembles.
 
-        A step takes a few milliseconds, about one scheduler quantum, so the
-        slowest step measures preemption; the 90th percentile only moves
-        when more than 10 of the steps are slow, as when a step
-        refactorizes every few steps.
+        A splitting step solves once with ``SpdSolver`` and once with
+        ``SaddleSolver``, a monolithic step once with ``LuSolver``; no step
+        builds a ``MultifrontalLdl`` or calls ``assemble_matrix`` or
+        ``assemble_load`` (the sources are separable). Calls are counted, not
+        timed, so a scheduler hiccup cannot fail the test.
         """
+        step = [0]
+        calls = defaultdict(Counter)
+
+        def counting(owner, attr):
+            original = getattr(owner, attr)
+            name = f"{owner.__name__.rpartition('.')[2]}.{attr}"
+
+            def wrapper(*args, **kwargs):
+                calls[step[0]][name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for owner in (epe.linalg.SpdSolver, epe.linalg.SaddleSolver, epe.linalg.LuSolver):
+            counting(owner, "solve")
+        counting(epe.linalg, "MultifrontalLdl")
+        counting(epe.schemes, "assemble_matrix")
+        counting(epe.schemes, "assemble_load")
         mesh = build_unit_cube_mesh(8)
         disc = Discretization(mesh, make_layouts(mesh), params)
-        cfg = small_config(config, 8, 0.1, 100)
-        res = run(cfg, sources, exact, disc=disc)
-        walls = np.array([s.wall_time for s in res.steps[1:]])
-        assert np.quantile(walls, 0.9) < 2.0 * np.median(walls), walls
+        expected = {
+            "splitting": Counter({"SpdSolver.solve": 1, "SaddleSolver.solve": 1}),
+            "monolithic": Counter({"LuSolver.solve": 1}),
+        }
+        for scheme, per_step in expected.items():
+            calls.clear()
+            step[0] = 0
+            run(small_config(config, 8, 0.1, 100, scheme=scheme), sources, exact, disc=disc,
+                observers=[lambda n, *_: step.__setitem__(0, n + 1)])
+            assert [calls[n] for n in range(1, 101)] == [per_step] * 100, scheme
+            assert calls[0]["linalg.MultifrontalLdl"] == 1, scheme  # the wrappers see the setup
 
     def test_doubling_steps_roughly_doubles_loop_time(self, config, sources, exact, params):
         mesh = build_unit_cube_mesh(8)
