@@ -13,14 +13,23 @@ i = (a, b) and j = (c, d),
   int N_i . grad lam_k   = V/4 (gg_bk - gg_ak),      S = 1 + delta.
 Cell-local values are summed into CSR through a ``CellPattern``: the
 pattern of one pair of cell index maps (edges or vertices) and a sparse 0/1
-scatter of every local entry into it, built once and shared by the forms on
-that pair. The U forms fill the vertex-pair pattern with 3 x 3 blocks (1 x 3
-for the divergence coupling). The entries a form sums to exactly zero (on
-the Kuhn lattice, many) are dropped, so each matrix stores its nonzeros only.
+scatter of every local entry into it, both from one stable argsort of the
+local entries' keys. The U forms fill the vertex-pair pattern with 3 x 3
+blocks (1 x 3 for the divergence coupling). The entries a form sums to
+exactly zero (on the Kuhn lattice, many) are dropped, so each matrix stores
+its nonzeros only.
 
 Loads are integrated by the degree-2 rule ``LOAD_DEGREE`` (exact for
 sources linear in x) through per-cell vertex moments F_m = int_K lam_m f;
 the Nedelec load of edge (a, b) is F_a . grad lam_b - F_b . grad lam_a.
+
+Setup tables: a ``tables`` dict passed to ``assemble_matrix`` and
+``assemble_load`` keeps what more than one form or load reads: each
+``CellPattern`` (keyed by whether its rows and columns hang on edges), the
+cells' gradient Gram matrices ("gram") and the read-only point table of
+each load rule (("points", degree)). A run shares one such dict through
+its setup (``schemes.Discretization.setup_tables``), so each table is built
+once per run, and clears it before its LDL^T starts.
 
 Forms (``FORM_SPACES``): the E, H, P and U masses, the pressure-gradient
 coupling into E, elasticity, the divergence coupling and the P stiffness.
@@ -100,18 +109,24 @@ class CellPattern:
 
     ``rows`` (C, r) and ``cols`` (C, c) are the entities (edges or vertices)
     each cell's rows and columns hang on; ``shape`` counts those entities.
-    ``scatter`` is the 0/1 map from the C r c local entries to the stored
-    entries they add into.
+    ``scatter`` is the 0/1 map (CSR) from the C r c local entries to the
+    stored entries they add into. Both come from one stable argsort of the
+    local entries' keys row * ncol + col; being stable, it lists the local
+    entries of each stored entry in increasing order, so ``sum`` adds them
+    in that order.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
         keys = (rows[:, :, None] * shape[1] + cols[:, None, :]).ravel()
-        unique, slot = np.unique(keys, return_inverse=True)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        unique = keys[starts]
         self.shape = shape
         self.indices = unique % shape[1]
         self.indptr = np.searchsorted(unique, np.arange(shape[0] + 1) * shape[1])
-        self.scatter = sp.csc_matrix(
-            (np.ones(keys.size), slot, np.arange(keys.size + 1)), shape=(unique.size, keys.size)
+        self.scatter = sp.csr_matrix(
+            (np.ones(keys.size), order, np.append(starts, keys.size)), shape=(unique.size, keys.size)
         )
 
     def sum(self, loc: np.ndarray) -> np.ndarray:
@@ -127,19 +142,44 @@ class CellPattern:
         return sp.bsr_matrix((data, self.indices, self.indptr), shape=shape).tocsr()
 
 
-def _gram(mesh: TetMesh, cache: dict) -> np.ndarray:
-    """gg[c, l, m] = grad lam_l . grad lam_m on cell c, shape (C, 4, 4), kept in ``cache``."""
-    if "gram" not in cache:
+def _pattern(mesh: TetMesh, key: tuple[bool, bool], tables: dict) -> CellPattern:
+    """The ``CellPattern`` of rows and columns on edges (True) or vertices (False), kept in ``tables``."""
+    if key not in tables:
+        (rows, nrow), (cols, ncol) = (
+            (mesh.cell_edges, mesh.num_edges) if on_edges else (mesh.cells, mesh.num_vertices)
+            for on_edges in key
+        )
+        tables[key] = CellPattern(rows, cols, (nrow, ncol))
+    return tables[key]
+
+
+def _gram(mesh: TetMesh, tables: dict) -> np.ndarray:
+    """gg[c, l, m] = grad lam_l . grad lam_m on cell c, shape (C, 4, 4), kept in ``tables``."""
+    if "gram" not in tables:
         g, _ = mesh.cell_geometry()
-        cache["gram"] = g @ g.transpose(0, 2, 1)
-    return cache["gram"]
+        tables["gram"] = g @ g.transpose(0, 2, 1)
+    return tables["gram"]
 
 
-def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern, cache: dict):
+def _load_points(mesh: TetMesh, quad_degree: int, tables: dict) -> np.ndarray:
+    """Read-only physical rule points of every cell, flat (C nq, 3), kept in ``tables``.
+
+    Every load on one table receives this same array, so a source that
+    caches per points array (``mms`` does) evaluates its table once.
+    """
+    key = ("points", quad_degree)
+    if key not in tables:
+        pts = quadrature_points(mesh, quad_degree).reshape(-1, 3)
+        pts.flags.writeable = False
+        tables[key] = pts
+    return tables[key]
+
+
+def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern, tables: dict):
     """Stored values of ``form`` on ``pattern``: (nnz,), or (nnz, br, bc) blocks for U columns."""
     g, vols = mesh.cell_geometry()
     V = vols[:, None, None]
-    gg = _gram(mesh, cache)
+    gg = _gram(mesh, tables)
     eye3 = np.eye(3)
     if form == "MASS_E":
         s = mesh.cell_edge_signs
@@ -183,15 +223,15 @@ def assemble_matrix(
     col_layout: DofLayout,
     form: str,
     coeff=1.0,
-    patterns: dict | None = None,
+    tables: dict | None = None,
 ) -> sp.csr_matrix:
     """Assemble the full (unreduced) Galerkin matrix of ``form``.
 
     ``coeff`` is a scalar for every form except ELASTICITY, which takes the
-    pair (lambda_c, G). ``patterns`` caches each ``CellPattern`` by its pair
-    of entity maps, and the cells' gradient Gram matrices; pass one dict to
-    every form of a mesh to build each once, and drop it when assembly
-    ends. Entries that sum to exactly zero are not stored.
+    pair (lambda_c, G). ``tables`` keeps the setup tables (see the module
+    docstring): pass one dict to every form and load of a mesh to build
+    each table once, and clear it when setup ends. Entries that sum to
+    exactly zero are not stored.
     """
     if form not in FORM_SPACES:
         raise LayoutMismatch(f"unknown form {form!r}")
@@ -204,15 +244,9 @@ def assemble_matrix(
     if form == "H_MASS":
         _, vols = mesh.cell_geometry()
         return sp.diags(np.repeat(coeff * vols, 3)).tocsr()
-    key = (want_row == "E", want_col == "E")     # rows and columns on edges, else on vertices
-    patterns = {} if patterns is None else patterns
-    if key not in patterns:
-        (rows, nrow), (cols, ncol) = (
-            (mesh.cell_edges, mesh.num_edges) if on_edges else (mesh.cells, mesh.num_vertices)
-            for on_edges in key
-        )
-        patterns[key] = CellPattern(rows, cols, (nrow, ncol))
-    A = patterns[key].csr(_assembled_values(mesh, form, coeff, patterns[key], patterns))
+    tables = {} if tables is None else tables
+    pattern = _pattern(mesh, (want_row == "E", want_col == "E"), tables)
+    A = pattern.csr(_assembled_values(mesh, form, coeff, pattern, tables))
     A.eliminate_zeros()
     return A
 
@@ -236,18 +270,24 @@ def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
 
 
 def assemble_load(
-    mesh: TetMesh, layout: DofLayout, f, t: float, quad_degree: int = LOAD_DEGREE
+    mesh: TetMesh,
+    layout: DofLayout,
+    f,
+    t: float,
+    quad_degree: int = LOAD_DEGREE,
+    tables: dict | None = None,
 ) -> np.ndarray:
     """Load vector (f(t, .), basis_i) for every DOF i of ``layout``.
 
-    ``f(t, pts)`` takes points of shape (m, 3) and returns (m, 3) for the
-    vector spaces E, H, U and (m,) for P.
+    ``f(t, pts)`` takes read-only points of shape (m, 3) and returns (m, 3)
+    for the vector spaces E, H, U and (m,) for P. ``tables`` keeps the
+    rule's point table, as in ``assemble_matrix``.
     """
     rule = quadrature_rule(quad_degree)
-    w, lam, pts = rule.weights, rule.barycentric(), quadrature_points(mesh, quad_degree)
+    w, lam = rule.weights, rule.barycentric()
+    pts = _load_points(mesh, quad_degree, {} if tables is None else tables)
     g, vols = mesh.cell_geometry()
-    nc, nq = pts.shape[0], pts.shape[1]
-    fvals = np.asarray(f(t, pts.reshape(-1, 3))).reshape(nc, nq, -1)
+    fvals = np.asarray(f(t, pts)).reshape(mesh.num_cells, w.size, -1)
     six_v = 6.0 * vols[:, None, None]
     if layout.space == "H":
         return (six_v[:, 0] * (w @ fvals)).ravel()

@@ -127,10 +127,12 @@ def _pcg(A: sp.spmatrix, inv_diag: np.ndarray, b: np.ndarray, rtol: float):
     if bnorm == 0.0 or n == 0:
         return np.zeros(n), 0
 
+    # x, r, z and p are updated in place, through one scratch vector
     x = np.zeros(n)
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
+    scratch = np.empty(n)
     rz = r @ z
     iterations = 0
     for iterations in range(1, max(1000, 10 * n) + 1):
@@ -143,13 +145,14 @@ def _pcg(A: sp.spmatrix, inv_diag: np.ndarray, b: np.ndarray, rtol: float):
                 float(np.linalg.norm(b - A @ x) / bnorm),
             )
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, Ap, out=scratch)
         if np.linalg.norm(r) <= rtol * bnorm:
             break
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_next = r @ z
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     return x, iterations
 

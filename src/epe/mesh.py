@@ -82,20 +82,27 @@ class TetMesh:
     face_cell_count = property(lambda self: self._face_table[1], doc="(F,) cells incident per face")
 
     def cell_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Barycentric gradients (C,4,3) and signed volumes (C,) of all cells."""
+        """Barycentric gradients (C,4,3) and signed volumes (C,) of all cells, in closed form.
+
+        With e_k = x_k - x_0 the edges from a cell's first vertex, the signed
+        volume is det / 6, det = e_1 . (e_2 x e_3), and grad lam_k (k = 1, 2, 3)
+        is the cross product of the other two edges (cyclically) over det;
+        grad lam_0 = -(grad lam_1 + grad lam_2 + grad lam_3).
+        """
         if "geometry" not in self._cache:
-            self._cache["geometry"] = _barycentric_gradients(self.vertices, self.cells)
+            self._cache["geometry"] = _cell_geometry(self.vertices, self.cells)
         return self._cache["geometry"]
 
 
-def _barycentric_gradients(vertices: np.ndarray, cells: np.ndarray):
+def _cell_geometry(vertices: np.ndarray, cells: np.ndarray):
     verts = vertices[cells]                      # (C, 4, 3)
-    mats = np.ones((cells.shape[0], 4, 4))
-    mats[:, :, 1:] = verts
-    vols = np.linalg.det(mats) / 6.0
-    coeffs = np.linalg.inv(mats)                 # lam_m(x) = coeffs[0,m] + coeffs[1:,m].x
-    grads = np.transpose(coeffs[:, 1:4, :], (0, 2, 1)).copy()   # (C, 4, 3)
-    return grads, vols
+    e = verts[:, 1:, :] - verts[:, :1, :]        # (C, 3, 3) edges from vertex 0
+    grads = np.empty(verts.shape)
+    grads[:, 1:, :] = np.cross(e[:, [1, 2, 0], :], e[:, [2, 0, 1], :])   # e2 x e3, e3 x e1, e1 x e2
+    det = np.einsum("cj,cj->c", e[:, 0, :], grads[:, 1, :])
+    grads[:, 1:, :] /= det[:, None, None]
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return grads, det / 6.0
 
 
 def build_unit_cube_mesh(n: int) -> TetMesh:

@@ -12,10 +12,16 @@ with a_k one of sin t, cos t, e^{-t}. ``SeparableSource`` keeps those terms
 visible, so the time stepper can assemble every phi_k load vector once and
 combine them per step with a few axpys. It is still a plain (t, pts)
 evaluator; any other callable is assembled by quadrature at every step.
+
+Every field and source term reads one table of sines and cosines of the
+points (``_sin_cos``). The loads of one setup all receive the same read-only
+point table, so each ``ExactSolution`` computes its sin/cos table once
+(``_trig_table``) and frees it with the points.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,7 +77,32 @@ class ExactSolution:
     fields: Callable[[float, np.ndarray], tuple[np.ndarray, ...]]
 
 
-def _trig(pts: np.ndarray):
+def _trig_table() -> Callable:
+    """A ``_sin_cos`` that keeps the table of the last read-only points array while it lives.
+
+    A read-only points array (the load point table of ``fem.assembly``) is
+    taken as fixed, so the source terms and initial fields loaded on it
+    share one table, freed with the array.
+    """
+    last: list = [None, None]          # weak reference to the points array, its table
+
+    def forget(ref) -> None:
+        if last[0] is ref:
+            last[:] = None, None
+
+    def trig(pts: np.ndarray):
+        ref, table = last
+        if ref is not None and ref() is pts:
+            return table
+        table = _sin_cos(pts)
+        if not pts.flags.writeable:
+            last[:] = weakref.ref(pts, forget), table
+        return table
+
+    return trig
+
+
+def _sin_cos(pts: np.ndarray):
     """(sin pi x, cos pi x, sin pi y, cos pi y, sin pi z, cos pi z): the table of every field."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     pi = np.pi
@@ -82,7 +113,7 @@ def _trig(pts: np.ndarray):
     )
 
 
-# Spatial factors, each evaluated from a table ``tr`` of ``_trig``.
+# Spatial factors, each evaluated from a table ``tr`` of ``_sin_cos``.
 
 
 def _w(tr):
@@ -132,6 +163,7 @@ def example61(params: PhysicalParams) -> ExactSolution:
     lam_c, G, alpha, c0, kappa = params.lambda_c, params.G, params.alpha, params.c0, params.kappa
     pi2 = np.pi**2
     ones3 = np.ones(3)
+    trig = _trig_table()
 
     # The fields at time t from a trig table, in the order of ``fields``.
     def E(t, tr):
@@ -151,43 +183,43 @@ def example61(params: PhysicalParams) -> ExactSolution:
         return np.exp(-t) * _w(tr)
 
     def fields(t, pts):
-        tr = _trig(pts)
+        tr = trig(pts)
         return tuple(field(t, tr) for field in (E, H, u, grad_u, p))
 
     def at_points(field):
-        return lambda t, pts: field(t, _trig(pts))
+        return lambda t, pts: field(t, trig(pts))
 
     def j_sin(pts):
-        return sigma * _w(_trig(pts))[:, None] * ones3
+        return sigma * _w(trig(pts))[:, None] * ones3
 
     def j_cos(pts):
         # (eps dE/dt - curl H) / cos t, with
         # curl H = (cos t / mu) (grad(div_sum) + 3 pi^2 w (1,1,1))
-        tr = _trig(pts)
+        tr = trig(pts)
         w = _w(tr)
         out = eps * w[:, None] * ones3
         out -= (_grad_div_sum(tr) + 3.0 * pi2 * w[:, None] * ones3) / mu
         return out
 
     def j_exp(pts):
-        return -L * _grad_w(_trig(pts))
+        return -L * _grad_w(trig(pts))
 
     def f_exp(pts):
-        tr = _trig(pts)
+        tr = trig(pts)
         out = -lam_c * _grad_div_sum(tr)
         out += 3.0 * G * pi2 * _w(tr)[:, None] * ones3   # -G * Laplacian(u), Lap w = -3 pi^2 w
         out += alpha * _grad_w(tr)
         return out
 
     def g_exp(pts):
-        tr = _trig(pts)
+        tr = trig(pts)
         w = _w(tr)
         out = -(c0 * w + alpha * _div_sum(tr))    # d/dt (c0 p + alpha div u)
         out += 3.0 * kappa * pi2 * w               # -kappa * Laplacian(p)
         return out
 
     def g_sin(pts):
-        return L * _div_sum(_trig(pts))            # L div E
+        return L * _div_sum(trig(pts))            # L div E
 
     j = SeparableSource(((np.sin, j_sin), (np.cos, j_cos), (_exp_neg, j_exp)))
     f = SeparableSource(((_exp_neg, f_exp),))

@@ -11,6 +11,14 @@ assembled for it and dropped before its LDL^T starts; the splitting scheme
 builds its EM matrix after the saddle factor, and ``run()`` projects the
 initial state (with U and P masses of its own) before it factors.
 
+Through setup, a Discretization also keeps the setup tables of
+``fem.assembly`` (``setup_tables``): the CellPatterns, the gradient Gram
+matrices and the load rule's point table (with it, ``mms``'s sin/cos table
+of those points). Its own operators, the initial projection, the separable
+source loads and the elasticity block all read the same tables, so a run
+builds each once; every factorization site clears them just before its
+LDL^T, and a later assembly builds what it needs again.
+
 The splitting scheme advances each step in two sub-steps:
 
   A (electromagnetic): eliminate the cellwise-constant H exactly
@@ -94,7 +102,9 @@ class Discretization:
     """Assembled operators for one mesh and parameter set (see the module docstring).
 
     Holds the operators a time step applies: M_E, M_H, W, G_ff, B_ff, M_P_ff
-    and K_P_ff. A factorization's one-off blocks are assembled on request.
+    and K_P_ff. A factorization's one-off blocks are assembled on request,
+    from the ``setup_tables`` that every assembly on this mesh shares until a
+    factorization clears them.
     """
 
     def __init__(self, mesh: TetMesh, layouts: Layouts, params: PhysicalParams):
@@ -103,13 +113,12 @@ class Discretization:
         self.params = params
         L = layouts
 
-        # each edge form has a CSR pattern of its own; the vertex forms share one
-        # (and the cells' gradient Gram matrices), dropped once they are assembled
-        self.M_E = assemble_matrix(mesh, L.E, L.E, "MASS_E")
-        self.M_H = assemble_matrix(mesh, L.H, L.H, "H_MASS")
+        self.setup_tables: dict = {}
+        form = partial(assemble_matrix, mesh, tables=self.setup_tables)
+        self.M_E = form(L.E, L.E, "MASS_E")
+        self.M_H = form(L.H, L.H, "H_MASS")
         self.W = curl_dof_operator(mesh)
-        self.G_ff = reduce_matrix(assemble_matrix(mesh, L.E, L.P, "GRAD_P_TO_E"), L.E, L.P)
-        form = partial(assemble_matrix, mesh, patterns={})
+        self.G_ff = reduce_matrix(form(L.E, L.P, "GRAD_P_TO_E"), L.E, L.P)
         self.B_ff = reduce_matrix(form(L.P, L.U, "DIV_COUPLING", params.alpha), L.P, L.U)
         self.M_P_ff = reduce_matrix(form(L.P, L.P, "P_MASS"), L.P, L.P)
         self.K_P_ff = reduce_matrix(form(L.P, L.P, "P_STIFF"), L.P, L.P)
@@ -118,9 +127,8 @@ class Discretization:
     def elasticity(self) -> sp.csr_matrix:
         """The elasticity block A_el on the free U DOFs, assembled anew on every call."""
         p, L = self.params, self.layouts
-        return reduce_matrix(
-            assemble_matrix(self.mesh, L.U, L.U, "ELASTICITY", (p.lambda_c, p.G)), L.U, L.U
-        )
+        A = assemble_matrix(self.mesh, L.U, L.U, "ELASTICITY", (p.lambda_c, p.G), self.setup_tables)
+        return reduce_matrix(A, L.U, L.U)
 
     def em_matrix(self, tau: float) -> sp.csr_matrix:
         """(eps + tau sigma) M_E + (tau^2 / mu) W^T M_H W on the free E DOFs, built from M_E, W, M_H.
@@ -144,7 +152,7 @@ class Discretization:
         terms = getattr(fn, "terms", None)
         if terms is None:
             layout = getattr(self.layouts, space)
-            return assemble_load(self.mesh, layout, fn, t)
+            return assemble_load(self.mesh, layout, fn, t, tables=self.setup_tables)
         return sum(a(t) * self._term_load(space, phi) for a, phi in terms)
 
     def prepare_loads(self, sources: Sources) -> None:
@@ -158,7 +166,7 @@ class Discretization:
         if key not in self._term_loads:
             layout = getattr(self.layouts, space)
             self._term_loads[key] = assemble_load(
-                self.mesh, layout, lambda t, pts: phi(pts), 0.0
+                self.mesh, layout, lambda t, pts: phi(pts), 0.0, tables=self.setup_tables
             )
         return self._term_loads[key]
 
@@ -171,7 +179,7 @@ def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State
     then the boundary constraints are imposed (exact zeros) on E, u, p.
     """
     L = disc.layouts
-    form = partial(assemble_matrix, disc.mesh, patterns={})
+    form = partial(assemble_matrix, disc.mesh, tables=disc.setup_tables)
     bE, _ = spd_solve(disc.M_E, disc.load("E", fields.E, 0.0), tol=spd_tol)
     bH = disc.load("H", fields.H, 0.0) / disc.M_H.diagonal()
     bU, _ = spd_solve(form(L.U, L.U, "U_MASS"), disc.load("U", fields.u, 0.0), tol=spd_tol)
@@ -191,7 +199,9 @@ class BhOperator:
 
     def __init__(self, disc: Discretization):
         self.disc = disc
-        self._lu_A = LuSolver(disc.elasticity(), tol=1e-8, order=disc.order("U"))
+        A = disc.elasticity()
+        disc.setup_tables.clear()
+        self._lu_A = LuSolver(A, tol=1e-8, order=disc.order("U"))
 
     def displacement(self, p_free: np.ndarray) -> np.ndarray:
         """Free U DOFs of the u with a(u, v) = (p, alpha div v), p given on the free P DOFs."""
@@ -282,6 +292,7 @@ class SplittingScheme(BackwardEuler):
         super().__init__(disc, tau, sources)
         # K in a statement of its own: the blocks are freed before the LDL^T starts
         K = saddle_blocks(disc.elasticity(), disc.B_ff, self._pressure_block())
+        disc.setup_tables.clear()
         self._saddle = SaddleSolver(
             K, disc.layouts.U.num_free, tol=saddle_tol, order=disc.order("U", "P")
         )
@@ -328,6 +339,7 @@ class MonolithicScheme(BackwardEuler):
             format="csc",
         )
         del G
+        disc.setup_tables.clear()
         self._lu = LuSolver(K, tol=saddle_tol, order=disc.order("E", "U", "P"))
         self._ends = np.cumsum([disc.layouts.E.num_free, disc.layouts.U.num_free])
 

@@ -150,7 +150,7 @@ def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: fl
     mesh = build_unit_cube_mesh(mesh_n)
     layouts = make_layouts(mesh)
     disc = Discretization(mesh, layouts, config.params)
-    form = partial(assemble_matrix, mesh, patterns={})
+    form = partial(assemble_matrix, mesh, tables=disc.setup_tables)
     K_U = form(layouts.U, layouts.U, "ELASTICITY", (0.0, 1.0))
     M_U = form(layouts.U, layouts.U, "U_MASS")
     M_P = form(layouts.P, layouts.P, "P_MASS")

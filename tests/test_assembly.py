@@ -6,6 +6,7 @@ import epe.schemes
 from conftest import barycentric, cellwise_curl, edge_functions
 from epe.fem.assembly import (
     FORM_SPACES,
+    CellPattern,
     assemble_load,
     assemble_matrix,
     curl_dof_operator,
@@ -127,6 +128,60 @@ class TestMatrices:
         W = curl_dof_operator(mesh2)
         assert np.abs(W @ egrad).max() <= 1e-12
         assert np.abs(cellwise_curl(mesh2, egrad)).max() <= 1e-12
+
+
+def unique_pattern(rows, cols, shape):
+    """Oracle: the CSR pattern and the 0/1 scatter of ``CellPattern``, by ``np.unique``."""
+    keys = (rows[:, :, None] * shape[1] + cols[:, None, :]).ravel()
+    unique, slot = np.unique(keys, return_inverse=True)
+    indptr = np.searchsorted(unique, np.arange(shape[0] + 1) * shape[1])
+    scatter = sp.csc_matrix(
+        (np.ones(keys.size), slot, np.arange(keys.size + 1)), shape=(unique.size, keys.size)
+    )
+    return unique % shape[1], indptr, scatter.tocsr()
+
+
+def entity_maps(mesh, cell_order, edge_ids, vertex_ids):
+    """Per-cell edge and vertex maps with the cells reordered and the entities renumbered."""
+    return {
+        "edges": (edge_ids[mesh.cell_edges[cell_order]], mesh.num_edges),
+        "vertices": (vertex_ids[mesh.cells[cell_order]], mesh.num_vertices),
+    }
+
+
+PATTERN_PAIRS = [("edges", "edges"), ("edges", "vertices"), ("vertices", "vertices")]
+
+
+def assert_pattern_matches_unique(maps, pair, rng):
+    (rows, nrow), (cols, ncol) = (maps[kind] for kind in pair)
+    got = CellPattern(rows, cols, (nrow, ncol))
+    indices, indptr, scatter = unique_pattern(rows, cols, (nrow, ncol))
+    np.testing.assert_array_equal(got.indices, indices)
+    np.testing.assert_array_equal(got.indptr, indptr)
+    mine = got.scatter.tocsr()      # its local entries in increasing order within each row
+    assert mine.shape == scatter.shape
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(mine, attr), getattr(scatter, attr))
+    # every stored entry sums its local entries in the oracle's order, bit for bit
+    loc = rng.standard_normal((rows.shape[0], rows.shape[1], cols.shape[1]))
+    assert np.array_equal(got.sum(loc), scatter @ loc.ravel())
+
+
+class TestCellPattern:
+    @pytest.mark.parametrize("pair", PATTERN_PAIRS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stable_sort_matches_the_unique_oracle(self, n, pair):
+        mesh = build_unit_cube_mesh(n)
+        same = (np.arange(mesh.num_cells), np.arange(mesh.num_edges), np.arange(mesh.num_vertices))
+        assert_pattern_matches_unique(entity_maps(mesh, *same), pair, np.random.default_rng(n))
+
+    @pytest.mark.parametrize("pair", PATTERN_PAIRS)
+    def test_stable_sort_matches_the_unique_oracle_on_a_permuted_mesh(self, mesh4, pair):
+        """Cells in random order and edges and vertices randomly renumbered: the keys no longer
+        arrive in the lattice's runs."""
+        rng = np.random.default_rng(21)
+        perms = (rng.permutation(m) for m in (mesh4.num_cells, mesh4.num_edges, mesh4.num_vertices))
+        assert_pattern_matches_unique(entity_maps(mesh4, *perms), pair, rng)
 
 
 def signed_edge_values(mesh, degree):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import epe.cli
+import epe.linalg
 from epe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epe.fem.assembly import curl_dof_operator
 
@@ -118,3 +119,18 @@ def test_self_check_fails_on_a_corrupted_discrete_curl(capsys, monkeypatch):
     assert code == EXIT_NUMERICAL
     failed = [line for line in out.splitlines() if line.startswith("[FAIL] ")]
     assert len(failed) == 2 and all("discrete curl of a P1 gradient" in line for line in failed)
+
+
+def test_self_check_factors_the_elasticity_block_once(capsys, monkeypatch):
+    """The energy trace reads the self-check's own Bh operator: one (24, 24) LDL^T of A_el at n = 3."""
+    shapes = []
+
+    class Counting(epe.linalg.MultifrontalLdl):
+        def __init__(self, K, blocks):
+            shapes.append(K.shape)
+            super().__init__(K, blocks)
+
+    monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
+    code, _ = run_cli(["self-check"], capsys)
+    assert code == EXIT_OK
+    assert shapes.count((24, 24)) == 1

@@ -61,6 +61,39 @@ class TestP1:
         assert vols[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
+def inv_det_geometry(mesh):
+    """Oracle: gradients and volumes from the inverse and determinant of each cell's [1, x] matrix."""
+    mats = np.ones((mesh.num_cells, 4, 4))
+    mats[:, :, 1:] = cell_vertices(mesh)
+    return np.transpose(np.linalg.inv(mats)[:, 1:, :], (0, 2, 1)), np.linalg.det(mats) / 6.0
+
+
+class TestGeometry:
+    def test_closed_form_matches_inv_det_on_the_skewed_mesh(self, skewed):
+        g, vols = skewed.cell_geometry()
+        g_ref, vols_ref = inv_det_geometry(skewed)
+        assert np.abs(g - g_ref).max() <= 1e-14 * np.abs(g_ref).max()
+        np.testing.assert_allclose(vols, vols_ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_exact_on_dyadic_lattices(self, n):
+        """Where every vertex coordinate k/n is a binary fraction, the gradients equal the oracle's
+        bit for bit and every volume is exactly 1 / (6 n^3)."""
+        mesh = build_unit_cube_mesh(n)
+        g, vols = mesh.cell_geometry()
+        np.testing.assert_array_equal(g, inv_det_geometry(mesh)[0])
+        assert np.all(vols == 1.0 / (6 * n**3))
+
+    def test_within_an_ulp_of_the_oracle_at_n3(self):
+        """At n = 3 the edge vectors round (1/3 is no binary fraction), and the two kernels round
+        differently: within one ulp of the lattice gradients (+-3) and volumes."""
+        mesh = build_unit_cube_mesh(3)
+        g, vols = mesh.cell_geometry()
+        g_ref, vols_ref = inv_det_geometry(mesh)
+        assert np.abs(g - g_ref).max() <= np.spacing(3.0)
+        np.testing.assert_allclose(vols, vols_ref, rtol=2 * np.finfo(float).eps, atol=0.0)
+
+
 def affine_curl(mesh, rng):
     """Curls (C, 6, 3) of the signed edge functions, recovered from their values at 4 points per cell.
 

@@ -23,6 +23,7 @@ from epe.linalg import (
     SingularSystem,
     SpdSolver,
     _extend_add,
+    _pcg,
     _panel_views,
     _panels,
     nested_dissection,
@@ -88,6 +89,39 @@ class TestSpdSolve:
             b = np.random.default_rng(seed).standard_normal(A.shape[0])
             (x1, r1), (x2, r2) = solver.solve(b), spd_solve(A, b, tol=1e-10)
             assert x1.tobytes() == x2.tobytes() and r1.iterations == r2.iterations
+
+
+def allocating_pcg(A, inv_diag, b, rtol):
+    """Oracle: the Jacobi-preconditioned CG loop of ``_pcg``, with a new vector for every update."""
+    x = np.zeros(b.shape[0])
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = r @ z
+    bnorm = np.linalg.norm(b)
+    for iterations in range(1, max(1000, 10 * b.shape[0]) + 1):
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        if np.linalg.norm(r) <= rtol * bnorm:
+            break
+        z = inv_diag * r
+        rz_next = r @ z
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return x, iterations
+
+
+def test_in_place_pcg_matches_the_allocating_loop(mesh4, params):
+    """``_pcg`` updates x, r, z and p in place and returns the allocating loop's iterate bit for bit."""
+    A = Discretization(mesh4, make_layouts(mesh4), params).em_matrix(0.0025).tocsr()
+    inv_diag = 1.0 / A.diagonal()
+    for seed in (5, 6):
+        b = np.random.default_rng(seed).standard_normal(A.shape[0])
+        x, iterations = _pcg(A, inv_diag, b, 1e-11)
+        x_ref, iterations_ref = allocating_pcg(A, inv_diag, b, 1e-11)
+        assert np.array_equal(x, x_ref) and iterations == iterations_ref > 1
 
 
 class TestSaddleSolve:

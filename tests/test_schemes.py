@@ -1,4 +1,5 @@
 import gc
+import weakref
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -7,7 +8,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import replace
 
+import epe.fem.assembly
 import epe.linalg
+import epe.mms
 import epe.schemes
 from conftest import cellwise_curl, elasticity_ff, full_operator, zero_state
 from epe.core import PARAM_NAMES, make_time_grid, validate_params
@@ -72,6 +75,48 @@ def bh_apply(disc, p_full):
     L = disc.layouts.P
     u = np.linalg.solve(elasticity_ff(disc).toarray(), disc.B_ff.T @ L.reduce(p_full))
     return L.extend(np.linalg.solve(disc.M_P_ff.toarray(), disc.B_ff @ u))
+
+
+class SetupTableProbe:
+    """Weak references to every setup table built: CellPatterns (with their scatter), gradient
+    Gram arrays, load point tables and sin/cos tables, each listed once, in build order."""
+
+    def __init__(self, monkeypatch):
+        self.built = defaultdict(list)      # kind -> weak references
+        probe = self
+
+        class Recording(epe.fem.assembly.CellPattern):
+            def __init__(self, rows, cols, shape):
+                super().__init__(rows, cols, shape)
+                probe.note(("pattern", shape), self)
+                probe.note("scatter", self.scatter)
+
+        monkeypatch.setattr(epe.fem.assembly, "CellPattern", Recording)
+        for owner, name, kind in (
+            (epe.fem.assembly, "_gram", "gram"),
+            (epe.fem.assembly, "_load_points", "points"),
+            (epe.mms, "_sin_cos", "sin/cos"),
+        ):
+            monkeypatch.setattr(owner, name, self._recording(getattr(owner, name), kind))
+
+    def _recording(self, fn, kind):
+        def wrapper(*args):
+            out = fn(*args)
+            self.note(kind, out[0] if isinstance(out, tuple) else out)
+            return out
+
+        return wrapper
+
+    def note(self, kind, obj):
+        if not any(ref() is obj for ref in self.built[kind]):
+            self.built[kind].append(weakref.ref(obj))
+
+    def counts(self):
+        return Counter({kind: len(refs) for kind, refs in self.built.items()})
+
+    def alive(self):
+        gc.collect()
+        return sorted(str(kind) for kind, refs in self.built.items() for ref in refs if ref() is not None)
 
 
 def random_admissible_params(rng):
@@ -510,9 +555,24 @@ class TestLuOrdering:
                 super().__init__(*args)
 
         monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
+        probe = SetupTableProbe(monkeypatch)
         disc = Discretization(mesh4, L, params)
         run(small_config(config, 4, 0.1, 1, scheme=scheme), sources, exact, disc=disc)
         assert alive == [[]]
+        assert probe.counts()["scatter"] == 3 and probe.alive() == []
+
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_setup_builds_each_table_once(self, scheme, config, mesh4, sources, exact, monkeypatch):
+        """Up to the n = 0 observer call, a run builds one CellPattern per entity pair (E x E,
+        E x V, V x V), one gradient Gram array, one load point table and one sin/cos table."""
+        probe = SetupTableProbe(monkeypatch)
+        counts = []
+        run(small_config(config, 4, 0.1, 2, scheme=scheme), sources, exact, mesh=mesh4,
+            observers=[lambda n, *_: counts.append(probe.counts()) if n == 0 else None])
+        E, V = mesh4.num_edges, mesh4.num_vertices
+        pairs = [("pattern", (E, E)), ("pattern", (E, V)), ("pattern", (V, V))]
+        assert counts == [Counter({**dict.fromkeys(pairs, 1), "scatter": 3, "gram": 1,
+                                   "points": 1, "sin/cos": 1})]
 
 
 class TestEnergy:
