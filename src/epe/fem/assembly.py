@@ -27,12 +27,13 @@ Setup tables: a ``tables`` dict passed to ``assemble_matrix`` and
 ``assemble_load`` keeps what more than one form or load reads: each
 ``CellPattern`` (keyed by whether its rows and columns hang on edges), the
 cells' gradient Gram matrices ("gram") and the read-only point table of
-each load rule (("points", degree)). A run shares one such dict through
+the load rule ("points"). A run shares one such dict through
 its setup (``schemes.Discretization.setup_tables``), so each table is built
 once per run, and clears it before its LDL^T starts.
 
-Forms (``FORM_SPACES``): the E, H, P and U masses, the pressure-gradient
+Forms (``FORM_SPACES``): the E, P and U masses, the pressure-gradient
 coupling into E, elasticity, the divergence coupling and the P stiffness.
+The diagonal H mass is ``schemes.Discretization.m_H``, the cell volumes.
 The curl has no form: curl E_h is cellwise constant, so
 ``curl_dof_operator`` (W) is the whole discrete curl, the curl coupling is
 M_H W and the curl-curl block is W^T M_H W.
@@ -60,7 +61,6 @@ LOAD_DEGREE = 2
 #: test space x trial space of every supported form tag
 FORM_SPACES = {
     "MASS_E": ("E", "E"),
-    "H_MASS": ("H", "H"),
     "GRAD_P_TO_E": ("E", "P"),
     "ELASTICITY": ("U", "U"),
     "DIV_COUPLING": ("P", "U"),
@@ -161,18 +161,17 @@ def _gram(mesh: TetMesh, tables: dict) -> np.ndarray:
     return tables["gram"]
 
 
-def _load_points(mesh: TetMesh, quad_degree: int, tables: dict) -> np.ndarray:
-    """Read-only physical rule points of every cell, flat (C nq, 3), kept in ``tables``.
+def _load_points(mesh: TetMesh, tables: dict) -> np.ndarray:
+    """Read-only physical points of the load rule in every cell, flat (C nq, 3), kept in ``tables``.
 
     Every load on one table receives this same array, so a source that
     caches per points array (``mms`` does) evaluates its table once.
     """
-    key = ("points", quad_degree)
-    if key not in tables:
-        pts = quadrature_points(mesh, quad_degree).reshape(-1, 3)
+    if "points" not in tables:
+        pts = quadrature_points(mesh, LOAD_DEGREE).reshape(-1, 3)
         pts.flags.writeable = False
-        tables[key] = pts
-    return tables[key]
+        tables["points"] = pts
+    return tables["points"]
 
 
 def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern, tables: dict):
@@ -241,9 +240,6 @@ def assemble_matrix(
             f"form {form} expects spaces {want_row} x {want_col}, "
             f"got {row_layout.space} x {col_layout.space}"
         )
-    if form == "H_MASS":
-        _, vols = mesh.cell_geometry()
-        return sp.diags(np.repeat(coeff * vols, 3)).tocsr()
     tables = {} if tables is None else tables
     pattern = _pattern(mesh, (want_row == "E", want_col == "E"), tables)
     A = pattern.csr(_assembled_values(mesh, form, coeff, pattern, tables))
@@ -274,18 +270,17 @@ def assemble_load(
     layout: DofLayout,
     f,
     t: float,
-    quad_degree: int = LOAD_DEGREE,
     tables: dict | None = None,
 ) -> np.ndarray:
-    """Load vector (f(t, .), basis_i) for every DOF i of ``layout``.
+    """Load vector (f(t, .), basis_i) for every DOF i of ``layout``, by the ``LOAD_DEGREE`` rule.
 
     ``f(t, pts)`` takes read-only points of shape (m, 3) and returns (m, 3)
     for the vector spaces E, H, U and (m,) for P. ``tables`` keeps the
     rule's point table, as in ``assemble_matrix``.
     """
-    rule = quadrature_rule(quad_degree)
+    rule = quadrature_rule(LOAD_DEGREE)
     w, lam = rule.weights, rule.barycentric()
-    pts = _load_points(mesh, quad_degree, {} if tables is None else tables)
+    pts = _load_points(mesh, {} if tables is None else tables)
     g, vols = mesh.cell_geometry()
     fvals = np.asarray(f(t, pts)).reshape(mesh.num_cells, w.size, -1)
     six_v = 6.0 * vols[:, None, None]

@@ -18,14 +18,14 @@ is formed and stored as a lower trapezoid of column panels
 ``EXTEND_ADD_COLUMNS`` wide, about half of the square, and lives only until
 its parent front has added it. A system that is
 quasi-definite only up to the signs of some rows is passed with those rows
-negated, as ``SaddleSolver`` does. The order is given by the caller as
-blocks of unknowns (``None`` keeps their numbering). The schemes pass
-``nested_dissection`` of the unknowns' lattice locations, whose blocks are
-the fronts of the LDL^T. Any permutation gives the exact factorization;
+negated, as ``SaddleSolver`` does. Every factorization is ordered: the
+caller gives the order as blocks of unknowns, which are the fronts of the
+LDL^T. The schemes pass ``nested_dissection`` of the unknowns' lattice
+locations. Any permutation gives the exact factorization;
 the fill is only reduced when the points lie on the unit-cube lattice,
 where every coupling spans at most one sub-cube and a lattice plane
 therefore separates the unknowns on either side of it.
-SPD solves run a Jacobi-preconditioned CG.
+SPD solves run a Jacobi-preconditioned CG: ``SpdSolver(A, tol).solve(b)``.
 """
 
 from __future__ import annotations
@@ -83,37 +83,6 @@ def _check_square(A, b):
     return n
 
 
-def spd_solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
-
-    Returns (x, LinearSolveReport); the reported relative residual is
-    recomputed as ||A x - b|| / ||b|| after the iteration. Nonpositive
-    curvature (an indefinite matrix) aborts with NotConverged.
-    """
-    return _spd_solve(A, _inverse_diagonal(A), b, tol)
-
-
-def _inverse_diagonal(A: sp.spmatrix) -> np.ndarray:
-    """The Jacobi preconditioner: 1 / diag(A), with 1 where the diagonal is not positive."""
-    diag = A.diagonal()
-    return np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-
-
-def _spd_solve(A: sp.spmatrix, inv_diag: np.ndarray, b: np.ndarray, tol: float):
-    """``spd_solve`` with the Jacobi preconditioner ``inv_diag`` of A given."""
-    start = time.perf_counter()
-    b = np.asarray(b, dtype=float)
-    _check_square(A, b)
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    x, iterations = _pcg(A, inv_diag, b, 0.1 * tol)
-    bnorm = np.linalg.norm(b)
-    residual = float(np.linalg.norm(b - A @ x) / bnorm) if bnorm > 0.0 else 0.0
-    if residual > tol:
-        raise NotConverged("conjugate gradients did not reach tolerance", iterations, residual)
-    return x, LinearSolveReport(iterations, residual, time.perf_counter() - start)
-
-
 def _pcg(A: sp.spmatrix, inv_diag: np.ndarray, b: np.ndarray, rtol: float):
     """CG on the SPD matrix ``A``, preconditioned by the diagonal ``inv_diag``.
 
@@ -158,15 +127,33 @@ def _pcg(A: sp.spmatrix, inv_diag: np.ndarray, b: np.ndarray, rtol: float):
 
 
 class SpdSolver:
-    """Reusable CG context for one SPD matrix (caches CSR form, Jacobi diagonal and tolerance)."""
+    """Jacobi-preconditioned conjugate gradients for one SPD matrix, reusable across solves.
+
+    Keeps the CSR form of ``A``, its Jacobi preconditioner 1 / diag(A) (1
+    where the diagonal is not positive) and the tolerance. ``solve`` returns
+    (x, LinearSolveReport); the reported relative residual is recomputed as
+    ||A x - b|| / ||b|| after the iteration. Nonpositive curvature (an
+    indefinite matrix) aborts with NotConverged.
+    """
 
     def __init__(self, A: sp.spmatrix, tol: float = 1e-10):
         self.A = A.tocsr()
         self.tol = tol
-        self._inv_diag = _inverse_diagonal(self.A)
+        diag = self.A.diagonal()
+        self._inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
 
     def solve(self, b: np.ndarray):
-        return _spd_solve(self.A, self._inv_diag, b, self.tol)
+        start = time.perf_counter()
+        b = np.asarray(b, dtype=float)
+        _check_square(self.A, b)
+        if not (0.0 < self.tol < 1.0):
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
+        x, iterations = _pcg(self.A, self._inv_diag, b, 0.1 * self.tol)
+        bnorm = np.linalg.norm(b)
+        residual = float(np.linalg.norm(b - self.A @ x) / bnorm) if bnorm > 0.0 else 0.0
+        if residual > self.tol:
+            raise NotConverged("conjugate gradients did not reach tolerance", iterations, residual)
+        return x, LinearSolveReport(iterations, residual, time.perf_counter() - start)
 
 
 def nested_dissection(points: np.ndarray) -> list[np.ndarray]:
@@ -424,24 +411,21 @@ class LuSolver:
     Factors the symmetrically permuted matrix K[order][:, order] as a
     quasi-definite LDL^T (``MultifrontalLdl``), which reads the permuted
     matrix straight from K: the solver holds the one sparse copy ``K``, which
-    the residual check also uses. ``order`` is a sequence of blocks of
-    unknowns in elimination order (a flat permutation counts as blocks of
-    one unknown); ``None`` keeps the given numbering, cut into blocks of
-    ``FRONT_MAX``. Each block is one front, its positive-diagonal unknowns
-    first. A K that is not symmetric to ``SYMMETRY_RTOL`` raises ValueError;
-    a K that is symmetric but not quasi-definite raises SingularSystem.
+    the residual check also uses. ``order`` is the list of blocks of
+    unknowns in elimination order, such as ``nested_dissection`` returns;
+    each block is one front, its positive-diagonal unknowns first. A K that
+    is not symmetric to ``SYMMETRY_RTOL`` raises ValueError; a K that is
+    symmetric but not quasi-definite raises SingularSystem.
     """
 
-    def __init__(self, K: sp.spmatrix, tol: float = 1e-9, order=None):
+    def __init__(self, K: sp.spmatrix, order, tol: float = 1e-9):
         self.K = K.tocsc()
         self.K.sum_duplicates()
         self.tol = tol
         n = self.K.shape[0]
         if n and abs(self.K - self.K.T).max() > SYMMETRY_RTOL * abs(self.K).max():
             raise ValueError("LuSolver factors symmetric matrices only; K is not symmetric")
-        if order is None:
-            order = np.array_split(np.arange(n), max(1, -(-n // FRONT_MAX)))
-        blocks = [b for b in map(np.atleast_1d, order) if b.size]
+        blocks = [b for b in order if b.size]
         self.order = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
         if not np.array_equal(np.sort(self.order), np.arange(n)):
             raise DimensionMismatch(f"order is not a permutation of the {n} unknowns")
@@ -494,9 +478,9 @@ class SaddleSolver:
     them.
     """
 
-    def __init__(self, K: sp.spmatrix, nu: int, tol: float = 1e-9, order=None):
+    def __init__(self, K: sp.spmatrix, nu: int, order, tol: float = 1e-9):
         self.nu, self.np = nu, K.shape[0] - nu
-        self._lu = LuSolver(K, tol=tol, order=order)
+        self._lu = LuSolver(K, order, tol=tol)
 
     def solve(self, f_u: np.ndarray, f_p: np.ndarray):
         f_u = np.asarray(f_u, dtype=float)

@@ -2,10 +2,11 @@
 
 Both schemes share one Discretization (assembled operators; coefficients
 are time-independent, so every matrix is built once per run and factorized
-once). W is the discrete curl (``curl_dof_operator``) and M_H the H mass.
-A Discretization holds only what a time step reads: the full M_E, M_H and
-W, and the free-DOF blocks G_ff (pressure gradient), B_ff, M_P_ff and
-K_P_ff; u and p vanish on the constrained DOFs, so the free blocks suffice.
+once). W is the discrete curl (``curl_dof_operator``); the H mass M_H is
+diagonal and held as its diagonal m_H. A Discretization holds only what a
+time step reads: the full M_E, m_H and W, and the free-DOF blocks G_ff
+(pressure gradient), B_ff, M_P_ff and K_P_ff; u and p vanish on the
+constrained DOFs, so the free blocks suffice.
 What a factorization reads once (the elasticity block, the EM matrix) is
 assembled for it and dropped before its LDL^T starts; the splitting scheme
 builds its EM matrix after the saddle factor, and ``run()`` projects the
@@ -16,8 +17,9 @@ Through setup, a Discretization also keeps the setup tables of
 matrices and the load rule's point table (with it, ``mms``'s sin/cos table
 of those points). Its own operators, the initial projection, the separable
 source loads and the elasticity block all read the same tables, so a run
-builds each once; every factorization site clears them just before its
-LDL^T, and a later assembly builds what it needs again.
+builds each once. The Discretization drops the edge patterns once M_E and
+G_pe, their only readers, are built; every factorization site clears the
+rest just before its LDL^T, and a later assembly builds what it needs again.
 
 The splitting scheme advances each step in two sub-steps:
 
@@ -51,6 +53,9 @@ the Biot saddle system, the elasticity block and the monolithic system.
 Time-separable sources (``mms.SeparableSource``) have their spatial load
 vectors assembled once, when a scheme is built; a step then combines them
 with the time factors instead of running a quadrature pass.
+
+``run()`` computes no energy, which needs a second LDL^T (``BhOperator``);
+an observer that wants it calls ``discrete_energy`` with a BhOperator.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ import scipy.sparse as sp
 from epe.core import PhysicalParams, RunConfig
 from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
 from epe.fem.dofs import Layouts, free_dof_points, make_layouts, reduce_matrix
-from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection, saddle_blocks, spd_solve
+from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection, saddle_blocks
 from epe.mesh import TetMesh, build_unit_cube_mesh
 from epe.mms import zero_scalar_source, zero_vector_source
 
@@ -101,10 +106,10 @@ class Sources:
 class Discretization:
     """Assembled operators for one mesh and parameter set (see the module docstring).
 
-    Holds the operators a time step applies: M_E, M_H, W, G_ff, B_ff, M_P_ff
-    and K_P_ff. A factorization's one-off blocks are assembled on request,
-    from the ``setup_tables`` that every assembly on this mesh shares until a
-    factorization clears them.
+    Holds the operators a time step applies: M_E, the diagonal m_H of M_H,
+    W, G_ff, B_ff, M_P_ff and K_P_ff. A factorization's one-off blocks are
+    assembled on request, from the ``setup_tables`` that every assembly on
+    this mesh shares until a factorization clears them.
     """
 
     def __init__(self, mesh: TetMesh, layouts: Layouts, params: PhysicalParams):
@@ -116,9 +121,11 @@ class Discretization:
         self.setup_tables: dict = {}
         form = partial(assemble_matrix, mesh, tables=self.setup_tables)
         self.M_E = form(L.E, L.E, "MASS_E")
-        self.M_H = form(L.H, L.H, "H_MASS")
+        self.m_H = np.repeat(mesh.cell_geometry()[1], 3)
         self.W = curl_dof_operator(mesh)
         self.G_ff = reduce_matrix(form(L.E, L.P, "GRAD_P_TO_E"), L.E, L.P)
+        # only M_E and G_pe read the edge patterns
+        del self.setup_tables[True, True], self.setup_tables[True, False]
         self.B_ff = reduce_matrix(form(L.P, L.U, "DIV_COUPLING", params.alpha), L.P, L.U)
         self.M_P_ff = reduce_matrix(form(L.P, L.P, "P_MASS"), L.P, L.P)
         self.K_P_ff = reduce_matrix(form(L.P, L.P, "P_STIFF"), L.P, L.P)
@@ -131,13 +138,13 @@ class Discretization:
         return reduce_matrix(A, L.U, L.U)
 
     def em_matrix(self, tau: float) -> sp.csr_matrix:
-        """(eps + tau sigma) M_E + (tau^2 / mu) W^T M_H W on the free E DOFs, built from M_E, W, M_H.
+        """(eps + tau sigma) M_E + (tau^2 / mu) W^T M_H W on the free E DOFs, built from M_E, W, m_H.
 
         M_H is diagonal, so the curl-curl block stays sparse.
         """
         p, L = self.params, self.layouts
         W_f = self.W.tocsc()[:, L.E.free].tocsr()
-        K_curl_ff = (W_f.T @ self.M_H @ W_f).tocsr()
+        K_curl_ff = (W_f.T @ sp.diags(self.m_H) @ W_f).tocsr()
         return (p.epsilon + tau * p.sigma) * reduce_matrix(self.M_E, L.E, L.E) + (
             tau**2 / p.mu
         ) * K_curl_ff
@@ -180,10 +187,10 @@ def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State
     """
     L = disc.layouts
     form = partial(assemble_matrix, disc.mesh, tables=disc.setup_tables)
-    bE, _ = spd_solve(disc.M_E, disc.load("E", fields.E, 0.0), tol=spd_tol)
-    bH = disc.load("H", fields.H, 0.0) / disc.M_H.diagonal()
-    bU, _ = spd_solve(form(L.U, L.U, "U_MASS"), disc.load("U", fields.u, 0.0), tol=spd_tol)
-    bP, _ = spd_solve(form(L.P, L.P, "P_MASS"), disc.load("P", fields.p, 0.0), tol=spd_tol)
+    bE, _ = SpdSolver(disc.M_E, spd_tol).solve(disc.load("E", fields.E, 0.0))
+    bH = disc.load("H", fields.H, 0.0) / disc.m_H
+    bU, _ = SpdSolver(form(L.U, L.U, "U_MASS"), spd_tol).solve(disc.load("U", fields.u, 0.0))
+    bP, _ = SpdSolver(form(L.P, L.P, "P_MASS"), spd_tol).solve(disc.load("P", fields.p, 0.0))
     bE[L.E.constrained] = 0.0
     bU[L.U.constrained] = 0.0
     bP[L.P.constrained] = 0.0
@@ -201,7 +208,7 @@ class BhOperator:
         self.disc = disc
         A = disc.elasticity()
         disc.setup_tables.clear()
-        self._lu_A = LuSolver(A, tol=1e-8, order=disc.order("U"))
+        self._lu_A = LuSolver(A, disc.order("U"), tol=1e-8)
 
     def displacement(self, p_free: np.ndarray) -> np.ndarray:
         """Free U DOFs of the u with a(u, v) = (p, alpha div v), p given on the free P DOFs."""
@@ -220,7 +227,7 @@ def discrete_energy(
     """Energy eps||E||^2 + mu||H||^2 + ((c0 + Bh) p, p) + tau kappa ||grad p||^2."""
     p_free = disc.layouts.P.reduce(state.p)
     S = params.epsilon * float(state.E @ (disc.M_E @ state.E))
-    S += params.mu * float(state.H @ (disc.M_H @ state.H))
+    S += params.mu * float(state.H @ (disc.m_H * state.H))
     S += params.c0 * float(p_free @ (disc.M_P_ff @ p_free))
     S += bh.inner(state.p, state.p)
     S += tau * params.kappa * float(p_free @ (disc.K_P_ff @ p_free))
@@ -236,7 +243,7 @@ class BackwardEuler:
         self.sources = sources
         disc.prepare_loads(sources)
         # a view of W (no copy) and the diagonal of tau M_H, for the history's curl term
-        self._curl_T, self._tau_m_H = disc.W.T, tau * disc.M_H.diagonal()
+        self._curl_T, self._tau_m_H = disc.W.T, tau * disc.m_H
 
     def _pressure_block(self) -> sp.csr_matrix:
         """C_p = c0 M_P + tau kappa K_P on the free P DOFs."""
@@ -293,9 +300,7 @@ class SplittingScheme(BackwardEuler):
         # K in a statement of its own: the blocks are freed before the LDL^T starts
         K = saddle_blocks(disc.elasticity(), disc.B_ff, self._pressure_block())
         disc.setup_tables.clear()
-        self._saddle = SaddleSolver(
-            K, disc.layouts.U.num_free, tol=saddle_tol, order=disc.order("U", "P")
-        )
+        self._saddle = SaddleSolver(K, disc.layouts.U.num_free, disc.order("U", "P"), tol=saddle_tol)
         self._em = SpdSolver(disc.em_matrix(tau), tol=spd_tol)
 
     def step(self, state: State) -> State:
@@ -340,7 +345,7 @@ class MonolithicScheme(BackwardEuler):
         )
         del G
         disc.setup_tables.clear()
-        self._lu = LuSolver(K, tol=saddle_tol, order=disc.order("E", "U", "P"))
+        self._lu = LuSolver(K, disc.order("E", "U", "P"), tol=saddle_tol)
         self._ends = np.cumsum([disc.layouts.E.num_free, disc.layouts.U.num_free])
 
     def step(self, state: State) -> State:
@@ -354,7 +359,6 @@ class StepRecord:
     n: int
     t: float
     wall_time: float
-    energy: float | None = None
 
 
 @dataclass(frozen=True)
@@ -382,10 +386,6 @@ class RunResult:
     timings: PhaseTimings
     steps: tuple[StepRecord, ...]
 
-    @property
-    def energy_trace(self) -> np.ndarray:
-        return np.array([s.energy for s in self.steps if s.energy is not None])
-
 
 def make_scheme(disc: Discretization, sources: Sources, config: RunConfig):
     """The scheme named by ``config.scheme``, with its time step and tolerances."""
@@ -404,7 +404,6 @@ def run(
     sources: Sources,
     initial,
     observers: Sequence[Callable] = (),
-    track_energy: bool = False,
     mesh: TetMesh | None = None,
     disc: Discretization | None = None,
     start_state: State | None = None,
@@ -413,8 +412,9 @@ def run(
 
     ``initial`` provides the exact initial fields (projected in the L2
     sense) unless ``start_state`` passes explicit coefficients. Observers
-    are called as obs(n, t, state, energy, step_wall_time) after every
-    step, including the initial one at n = 0.
+    are called as obs(n, t, state, None, step_wall_time) after every step,
+    including the initial one at n = 0; the fourth argument is always None,
+    a slot kept so that five-argument observers work (see the module docstring).
     """
     t0 = time.perf_counter()
     if disc is None:
@@ -433,18 +433,14 @@ def run(
 
     t0 = time.perf_counter()
     engine = make_scheme(disc, sources, config)
-    bh = BhOperator(disc) if track_energy else None
     t_factorize = time.perf_counter() - t0
 
     records = []
 
     def record(n: int, t: float, state: State, wall: float) -> None:
-        energy = None
-        if track_energy:
-            energy = discrete_energy(state, config.params, config.grid.tau, disc, bh)
-        records.append(StepRecord(n, t, wall, energy))
+        records.append(StepRecord(n, t, wall))
         for obs in observers:
-            obs(n, t, state, energy, wall)
+            obs(n, t, state, None, wall)
 
     t0 = time.perf_counter()
     record(0, 0.0, state, 0.0)

@@ -4,6 +4,7 @@ import pytest
 from epe.core import build_config
 from epe.fem.assembly import FORM_SPACES, assemble_matrix, signed_curls
 from epe.fem.dofs import make_layouts, reduce_matrix
+from epe.linalg import FRONT_MAX
 from epe.mesh import LOCAL_EDGES, build_unit_cube_mesh
 from epe.schemes import Discretization, State
 
@@ -57,6 +58,16 @@ def full_operator(disc, form, coeff=1.0):
     """
     row, col = (getattr(disc.layouts, s) for s in FORM_SPACES[form])
     return assemble_matrix(disc.mesh, row, col, form, coeff)
+
+
+def blocks(order, size=FRONT_MAX):
+    """The elimination order ``order`` cut into consecutive blocks of at most ``size`` unknowns.
+
+    ``blocks(np.arange(n))`` keeps the natural numbering; ``blocks(perm, 1)``
+    makes each unknown a front of its own.
+    """
+    order = np.asarray(order)
+    return np.array_split(order, max(1, -(-order.size // size)))
 
 
 def elasticity_ff(disc):

@@ -11,6 +11,7 @@ from epe.fem.assembly import (
     assemble_matrix,
     curl_dof_operator,
     evaluate_E,
+    quadrature_cell_weights,
     quadrature_points,
 )
 from epe.fem.dofs import LayoutMismatch, make_layouts, reduce_matrix
@@ -19,7 +20,7 @@ from epe.mesh import build_unit_cube_mesh
 from epe.mms import example61
 from epe.schemes import Discretization, initial_state
 
-SYMMETRIC_FORMS = ["MASS_E", "H_MASS", "P_MASS", "P_STIFF", "U_MASS"]
+SYMMETRIC_FORMS = ["MASS_E", "P_MASS", "P_STIFF", "U_MASS"]
 
 
 def sym_error(A):
@@ -35,11 +36,23 @@ def lay2(mesh2):
 class TestMatrices:
     @pytest.mark.parametrize("form", SYMMETRIC_FORMS)
     def test_symmetric_tags(self, mesh2, lay2, form):
-        spaces = {"MASS_E": "E", "H_MASS": "H", "P_MASS": "P", "P_STIFF": "P", "U_MASS": "U"}
+        spaces = {"MASS_E": "E", "P_MASS": "P", "P_STIFF": "P", "U_MASS": "U"}
         layout = getattr(lay2, spaces[form])
         A = assemble_matrix(mesh2, layout, layout, form, 1.0)
         scale = float(np.abs(A.data).max())
         assert sym_error(A) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_h_mass_is_the_load_of_one(self, n, params):
+        """The H mass, held as its diagonal ``m_H``, is (e_d, e_d) on each cell: the load of the
+        constant field (1, 1, 1), a positive volume per H DOF, adding up to 3."""
+        mesh = build_unit_cube_mesh(n)
+        lay = make_layouts(mesh)
+        m_H = Discretization(mesh, lay, params).m_H
+        ones = assemble_load(mesh, lay.H, lambda t, x: np.ones((x.shape[0], 3)), 0.0)
+        np.testing.assert_allclose(m_H, ones, rtol=1e-14, atol=0.0)
+        assert m_H.shape == (lay.H.count,) and np.all(m_H > 0.0)
+        assert float(m_H.sum()) == pytest.approx(3.0, rel=1e-13)
 
     def test_elasticity_symmetric(self, mesh2, lay2):
         A = assemble_matrix(mesh2, lay2.U, lay2.U, "ELASTICITY", (2.0, 1.0))
@@ -305,8 +318,12 @@ class TestLoads:
 
     def test_linear_source_matches_high_degree_oracle(self, mesh2, lay2):
         f = lambda t, x: x[:, 0]
-        b2 = assemble_load(mesh2, lay2.P, f, 0.0, quad_degree=2)
-        b6 = assemble_load(mesh2, lay2.P, f, 0.0, quad_degree=6)
+        b2 = assemble_load(mesh2, lay2.P, f, 0.0)
+        # oracle: (f, lam_m) on every cell by the degree-6 rule, summed into the vertices
+        w, six_v = quadrature_cell_weights(mesh2, 6)
+        fq = f(0.0, quadrature_points(mesh2, 6).reshape(-1, 3)).reshape(mesh2.num_cells, -1)
+        local = six_v[:, None] * ((w * fq) @ quadrature_rule(6).barycentric())
+        b6 = np.bincount(mesh2.cells.ravel(), local.ravel(), lay2.P.count)
         np.testing.assert_allclose(b2, b6, atol=1e-12)
 
     def test_load_is_linear_functional(self, mesh2, lay2):

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import epe.linalg
-from conftest import elasticity_ff
+from conftest import blocks, elasticity_ff
 from epe.fem.assembly import assemble_matrix
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import (
@@ -28,7 +28,6 @@ from epe.linalg import (
     _panels,
     nested_dissection,
     saddle_blocks,
-    spd_solve,
 )
 from epe.mesh import build_unit_cube_mesh
 from epe.schemes import Discretization
@@ -38,13 +37,13 @@ class TestSpdSolve:
     def test_identity(self):
         rng = np.random.default_rng(0)
         b = rng.standard_normal(8)
-        x, report = spd_solve(sp.identity(8, format="csr"), b)
+        x, report = SpdSolver(sp.identity(8, format="csr")).solve(b)
         np.testing.assert_allclose(x, b, atol=1e-13)
         assert report.iterations <= 1
 
     def test_hand_2x2(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        x, _ = spd_solve(A, np.array([1.0, 1.0]))
+        x, _ = SpdSolver(A).solve(np.array([1.0, 1.0]))
         np.testing.assert_allclose(x, [1 / 3, 1 / 3], atol=1e-12)
 
     def test_assembled_mass_matrix(self, mesh2):
@@ -52,7 +51,7 @@ class TestSpdSolve:
         M = assemble_matrix(mesh2, lay.P, lay.P, "P_MASS", 1.0)
         rng = np.random.default_rng(1)
         b = rng.standard_normal(lay.P.count)
-        x, report = spd_solve(M, b, tol=1e-10)
+        x, report = SpdSolver(M, tol=1e-10).solve(b)
         assert report.relative_residual <= 1e-10
         # the report matches an independent recomputation
         recomputed = np.linalg.norm(b - M @ x) / np.linalg.norm(b)
@@ -61,33 +60,34 @@ class TestSpdSolve:
     def test_indefinite_fails_honestly(self):
         A = sp.csr_matrix(np.diag([1.0, -1.0]))
         with pytest.raises(NotConverged):
-            spd_solve(A, np.array([1.0, 1.0]))
+            SpdSolver(A).solve(np.array([1.0, 1.0]))
 
     def test_zero_rhs(self):
         A = sp.identity(4, format="csr")
-        x, report = spd_solve(A, np.zeros(4))
+        x, report = SpdSolver(A).solve(np.zeros(4))
         assert np.all(x == 0.0) and report.iterations == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            spd_solve(sp.identity(3, format="csr"), np.zeros(4))
+            SpdSolver(sp.identity(3, format="csr")).solve(np.zeros(4))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         Q = rng.standard_normal((40, 40))
         A = sp.csr_matrix(Q @ Q.T + 40 * np.eye(40))
         b = rng.standard_normal(40)
-        x1, _ = spd_solve(A, b)
-        x2, _ = spd_solve(A, b)
+        x1, _ = SpdSolver(A).solve(b)
+        x2, _ = SpdSolver(A).solve(b)
         assert x1.tobytes() == x2.tobytes()
 
     def test_reusable_context_matches_spd_solve(self, disc3):
-        """``SpdSolver`` keeps its Jacobi preconditioner and returns spd_solve's iterate bit for bit."""
+        """A reused ``SpdSolver`` keeps its Jacobi preconditioner and returns a fresh one's iterate
+        bit for bit."""
         A = disc3.em_matrix(1.0)
         solver = SpdSolver(A, tol=1e-10)
         for seed in (3, 4):
             b = np.random.default_rng(seed).standard_normal(A.shape[0])
-            (x1, r1), (x2, r2) = solver.solve(b), spd_solve(A, b, tol=1e-10)
+            (x1, r1), (x2, r2) = solver.solve(b), SpdSolver(A, tol=1e-10).solve(b)
             assert x1.tobytes() == x2.tobytes() and r1.iterations == r2.iterations
 
 
@@ -127,7 +127,8 @@ def test_in_place_pcg_matches_the_allocating_loop(mesh4, params):
 class TestSaddleSolve:
     def test_hand_1x1(self):
         solver = SaddleSolver(
-            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])), 1
+            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])), 1,
+            blocks(np.arange(2)),
         )
         (u, p), rep = solver.solve(np.array([1.0]), np.array([0.0]))
         np.testing.assert_allclose(u, [1 / 3], atol=1e-14)
@@ -136,7 +137,8 @@ class TestSaddleSolve:
 
     def test_decoupled_blocks(self):
         solver = SaddleSolver(
-            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[0.0]]), sp.csr_matrix([[4.0]])), 1
+            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[0.0]]), sp.csr_matrix([[4.0]])), 1,
+            blocks(np.arange(2)),
         )
         (u, p), _ = solver.solve(np.array([2.0]), np.array([8.0]))
         np.testing.assert_allclose(u, [1.0])
@@ -155,7 +157,9 @@ class TestSaddleSolve:
         C = reduce_matrix(assemble_matrix(mesh2, lay.P, lay.P, "P_MASS", params.c0), lay.P, lay.P)
         rng = np.random.default_rng(3)
         f_u, f_p = rng.standard_normal(A.shape[0]), rng.standard_normal(C.shape[0])
-        (u, p), rep = SaddleSolver(saddle_blocks(A, B, C), A.shape[0], tol=1e-9).solve(f_u, f_p)
+        K = saddle_blocks(A, B, C)
+        solver = SaddleSolver(K, A.shape[0], blocks(np.arange(K.shape[0])), tol=1e-9)
+        (u, p), rep = solver.solve(f_u, f_p)
         assert rep.relative_residual <= 1e-9
         ru = A @ u - B.T @ p - f_u
         rp = B @ u + C @ p - f_p
@@ -164,13 +168,14 @@ class TestSaddleSolve:
 
     def test_rhs_shape_mismatch(self):
         K = saddle_blocks(sp.identity(2, format="csr"), sp.csr_matrix((1, 2)), sp.identity(1, format="csr"))
-        solver = SaddleSolver(K, 2)
+        solver = SaddleSolver(K, 2, blocks(np.arange(3)))
         with pytest.raises(DimensionMismatch):
             solver.solve(np.zeros(3), np.zeros(1))
 
     def test_reuse_is_deterministic(self):
         solver = SaddleSolver(
-            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])), 1
+            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])), 1,
+            blocks(np.arange(2)),
         )
         results = [solver.solve(np.array([1.0]), np.array([0.5]))[0] for _ in range(2)]
         assert results[0][0].tobytes() == results[1][0].tobytes()
@@ -182,13 +187,13 @@ class TestLuSolver:
         calls = []
         monkeypatch.setattr(epe.linalg, "MultifrontalLdl", lambda *a: calls.append(1))
         with pytest.raises(ValueError, match="not symmetric"):
-            LuSolver(sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 1.0]])))
+            LuSolver(sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 1.0]])), blocks(np.arange(2)))
         assert calls == []
 
     def test_residual_recomputed(self):
         rng = np.random.default_rng(5)
         K, _ = random_sqd(rng, n_pos=8, n_neg=4)
-        solver = LuSolver(K, tol=1e-10)
+        solver = LuSolver(K, blocks(np.arange(12)), tol=1e-10)
         b = rng.standard_normal(12)
         x, rep = solver.solve(b)
         assert isinstance(rep, LinearSolveReport)
@@ -199,14 +204,14 @@ class TestLuSolver:
         rng = np.random.default_rng(6)
         K, _ = random_sqd(rng, n_pos=20, n_neg=10)
         b = rng.standard_normal(30)
-        x0, _ = LuSolver(K, tol=1e-12).solve(b)
-        x1, rep = LuSolver(K, tol=1e-12, order=rng.permutation(30)).solve(b)
+        x0, _ = LuSolver(K, blocks(np.arange(30)), tol=1e-12).solve(b)
+        x1, rep = LuSolver(K, blocks(rng.permutation(30), 1), tol=1e-12).solve(b)
         np.testing.assert_allclose(x1, x0, atol=1e-12)
         assert rep.relative_residual <= 1e-12
 
     def test_order_must_be_a_permutation(self):
         with pytest.raises(DimensionMismatch):
-            LuSolver(sp.identity(3, format="csc"), order=np.array([0, 1, 1]))
+            LuSolver(sp.identity(3, format="csc"), blocks(np.array([0, 1, 1])))
 
     def test_one_sparse_copy_of_K(self, monkeypatch):
         """While the LDL^T is factored and after it, the one sparse matrix of K's shape is K itself."""
@@ -278,9 +283,9 @@ class TestMultifrontalLdl:
             elif kind == "single":
                 order = [perm]
             elif kind == "singletons":
-                order = perm
-            else:
-                order = None
+                order = blocks(perm, 1)
+            else:  # the natural numbering
+                order = blocks(np.arange(n))
             solver = LuSolver(K, tol=1e-12, order=order)
             assert isinstance(solver.lu, MultifrontalLdl)
             b = rng.standard_normal(n)
@@ -395,7 +400,7 @@ class TestMultifrontalLdl:
 
     def test_symmetric_but_not_quasi_definite_raises(self):
         with pytest.raises(SingularSystem):
-            LuSolver(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+            LuSolver(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), blocks(np.arange(2)))
 
     def test_two_factorizations_give_bit_identical_solves(self, disc3, params):
         K = saddle_blocks(elasticity_ff(disc3), disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
@@ -415,7 +420,7 @@ class TestMultifrontalLdl:
         assert isinstance(solver.lu, MultifrontalLdl) and solver.lu.U.nnz == 0
         solver.solve(np.ones(K.shape[0]))
         with pytest.raises(ValueError, match="not symmetric"):
-            LuSolver(sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 1.0]])))
+            LuSolver(sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 1.0]])), blocks(np.arange(2)))
         assert calls == []
 
 

@@ -12,7 +12,7 @@ import epe.fem.assembly
 import epe.linalg
 import epe.mms
 import epe.schemes
-from conftest import cellwise_curl, elasticity_ff, full_operator, zero_state
+from conftest import blocks, cellwise_curl, elasticity_ff, full_operator, zero_state
 from epe.core import PARAM_NAMES, make_time_grid, validate_params
 from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
 from epe.fem.dofs import make_layouts, reduce_matrix
@@ -34,7 +34,7 @@ from epe.schemes import (
 
 def curl_coupling(disc):
     """C = M_H W restricted to free E columns: the (curl E, H) coupling with H kept."""
-    return (disc.M_H @ disc.W[:, disc.layouts.E.free]).tocsr()
+    return (sp.diags(disc.m_H) @ disc.W[:, disc.layouts.E.free]).tocsr()
 
 
 def grad_coupling(disc):
@@ -65,7 +65,8 @@ def equilibrium_state(disc, rng):
     """
     L = disc.layouts
     p_free = rng.standard_normal(L.P.num_free)
-    u_free, _ = LuSolver(elasticity_ff(disc)).solve(disc.B_ff.T @ p_free)
+    A = elasticity_ff(disc)
+    u_free, _ = LuSolver(A, blocks(np.arange(A.shape[0]))).solve(disc.B_ff.T @ p_free)
     state = random_admissible_state(L, rng)
     return replace(state, u=L.U.extend(u_free), p=L.P.extend(p_free))
 
@@ -134,7 +135,7 @@ def history_oracle(scheme, state):
     disc, tau = scheme.disc, scheme.tau
     p, L = disc.params, disc.layouts
     fE, fP = L.E.free, L.P.free
-    curl = (full_operator(disc, "H_MASS") @ curl_dof_operator(disc.mesh)).T.tocsr()
+    curl = (sp.diags(disc.m_H) @ curl_dof_operator(disc.mesh)).T.tocsr()
     stack = sp.bmat(
         [
             [p.epsilon * full_operator(disc, "MASS_E")[fE], tau * curl[fE], None, None],
@@ -166,8 +167,8 @@ class UncondensedSplitting(SplittingScheme):
         self._G_pe = grad_coupling(disc)
         self._M_P = full_operator(disc, "P_MASS")
         self._B_div = full_operator(disc, "DIV_COUPLING", p.alpha)
-        K = sp.bmat([[A0, -tau * C_f.T], [-tau * C_f, -p.mu * disc.M_H]], format="csc")
-        self._em_block = LuSolver(K, tol=spd_tol * 10)
+        K = sp.bmat([[A0, -tau * C_f.T], [-tau * C_f, -p.mu * sp.diags(disc.m_H)]], format="csc")
+        self._em_block = LuSolver(K, blocks(np.arange(K.shape[0])), tol=spd_tol * 10)
 
     def step(self, state):
         disc, p, tau = self.disc, self.disc.params, self.tau
@@ -176,7 +177,8 @@ class UncondensedSplitting(SplittingScheme):
         rhs = p.epsilon * (disc.M_E @ state.E)
         rhs += tau * p.L * (self._G_pe @ state.p)
         rhs += tau * disc.load("E", self.sources.j, t_new)
-        x, _ = self._em_block.solve(np.concatenate([rhs[L.E.free], -p.mu * (disc.M_H @ state.H)]))
+        M_H = sp.diags(disc.m_H)
+        x, _ = self._em_block.solve(np.concatenate([rhs[L.E.free], -p.mu * (M_H @ state.H)]))
         E_new = L.E.extend(x[: L.E.num_free])
 
         f_u = disc.load("U", self.sources.f, t_new)[L.U.free]
@@ -444,7 +446,7 @@ class TestMonolithic:
             [
                 [(p.epsilon + tau * p.sigma) * free_E_mass(disc2), -tau * C_f.T, None,
                  -tau * p.L * Gpe_f],
-                [tau * C_f, p.mu * disc2.M_H, None, None],
+                [tau * C_f, p.mu * sp.diags(disc2.m_H), None, None],
                 [None, None, elasticity_ff(disc2), -disc2.B_ff.T],
                 [-tau * p.L * Gpe_f.T, None, disc2.B_ff, C_p],
             ],
@@ -454,7 +456,7 @@ class TestMonolithic:
         rhs = np.concatenate(
             [
                 (p.epsilon * (disc2.M_E @ state.E) + tau * disc2.load("E", sources.j, t))[fE],
-                p.mu * (disc2.M_H @ state.H),
+                p.mu * (sp.diags(disc2.m_H) @ state.H),
                 disc2.load("U", sources.f, t)[L.U.free],
                 (p.c0 * (M_P @ state.p) + B_div @ state.u)[fP]
                 + tau * disc2.load("P", sources.g, t)[fP],
@@ -561,6 +563,16 @@ class TestLuOrdering:
         assert alive == [[]]
         assert probe.counts()["scatter"] == 3 and probe.alive() == []
 
+    def test_discretization_releases_its_edge_patterns(self, params, mesh4, monkeypatch):
+        """Right after construction, no edge-keyed CellPattern or its scatter is alive (only M_E
+        and G_pe read them); the vertex pattern and the Gram array stay for the setup after it."""
+        probe = SetupTableProbe(monkeypatch)
+        disc = Discretization(mesh4, make_layouts(mesh4), params)
+        V = mesh4.num_vertices
+        assert probe.counts()["scatter"] == 3
+        assert probe.alive() == sorted(["gram", str(("pattern", (V, V))), "scatter"])
+        assert set(disc.setup_tables) == {(False, False), "gram"}
+
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_setup_builds_each_table_once(self, scheme, config, mesh4, sources, exact, monkeypatch):
         """Up to the n = 0 observer call, a run builds one CellPattern per entity pair (E x E,
@@ -573,6 +585,15 @@ class TestLuOrdering:
         pairs = [("pattern", (E, E)), ("pattern", (E, V)), ("pattern", (V, V))]
         assert counts == [Counter({**dict.fromkeys(pairs, 1), "scatter": 3, "gram": 1,
                                    "points": 1, "sin/cos": 1})]
+
+
+def energy_observer(config, disc, energies):
+    """A ``run()`` observer that appends the discrete energy of every step to ``energies``,
+    with one ``BhOperator`` of ``disc``."""
+    bh = BhOperator(disc)
+    return lambda n, t, state, _, wall: energies.append(
+        discrete_energy(state, config.params, config.grid.tau, disc, bh)
+    )
 
 
 class TestEnergy:
@@ -596,7 +617,7 @@ class TestEnergy:
         """The free-block energy equals eps E.M_E E + mu H.M_H H + c0 p.M_P p + (Bh p, p)
         + tau kappa p.K_P p with the full matrices, assembled here."""
         bh = BhOperator(disc3)
-        M_E, M_H = full_operator(disc3, "MASS_E"), full_operator(disc3, "H_MASS")
+        M_E, M_H = full_operator(disc3, "MASS_E"), sp.diags(disc3.m_H)
         M_P, K_P = full_operator(disc3, "P_MASS"), full_operator(disc3, "P_STIFF")
         rng = np.random.default_rng(32)
         for tau in (0.01, 1.0):
@@ -614,8 +635,10 @@ class TestEnergy:
         rng = np.random.default_rng(31)
         s0 = random_admissible_state(disc2.layouts, rng)
         cfg = small_config(config, 2, 1.0, 100)
-        res = run(cfg, Sources(), None, disc=disc2, start_state=s0, track_energy=True)
-        trace = res.energy_trace
+        energies = []
+        run(cfg, Sources(), None, disc=disc2, start_state=s0,
+            observers=[energy_observer(cfg, disc2, energies)])
+        trace = np.array(energies)
         assert trace.shape == (101,)
         assert np.all(trace >= 0.0)
         assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12))
@@ -633,11 +656,13 @@ class TestEnergy:
         for _ in range(20):
             params = random_admissible_params(rng)
             disc = Discretization(mesh3, layouts, params)
-            res = run(
-                replace(cfg, params=params, scheme=scheme), Sources(), None, disc=disc,
-                start_state=equilibrium_state(disc, rng), track_energy=True,
+            run_cfg = replace(cfg, params=params, scheme=scheme)
+            energies = []
+            run(
+                run_cfg, Sources(), None, disc=disc, start_state=equilibrium_state(disc, rng),
+                observers=[energy_observer(run_cfg, disc, energies)],
             )
-            trace = res.energy_trace
+            trace = np.array(energies)
             assert trace.shape == (26,)
             assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12)), (params, trace)
 
