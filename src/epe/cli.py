@@ -22,7 +22,6 @@ from epe.core import (
     parse_config_file,
 )
 from epe.fem.assembly import curl_dof_operator
-from epe.fem.dofs import make_layouts
 from epe.linalg import NotConverged, SingularSystem
 from epe.mesh import InvalidSubdivision, build_unit_cube_mesh, euler_characteristic, mesh_stats
 from epe.mms import error_norms, example61
@@ -90,7 +89,7 @@ def _add_common(parser: _Parser) -> None:
     o.add_argument("--config", default=None, help="key = value configuration file")
     o.add_argument("--T", type=float, default=None, help="final time (default 0.1)")
     o.add_argument("--tau", type=float, default=None, help="time step (default 0.0025)")
-    o.add_argument("--scheme", choices=("splitting", "monolithic"), default=None)
+    o.add_argument("--scheme", choices=core.SCHEMES, default=None)
     o.add_argument("--spd-tol", type=float, dest="spd_tol", default=None)
     o.add_argument("--saddle-tol", type=float, dest="saddle_tol", default=None)
     o.add_argument("--quad-error", type=int, dest="quad_error", default=None)
@@ -267,9 +266,8 @@ def _cmd_self_check(args) -> int:
 
     # n = 3 is the smallest mesh with a nonzero pressure-to-dilation coupling:
     # at n = 2 the free block B_ff is 1 x 3 and zero to rounding
-    mesh = build_unit_cube_mesh(3)
-    layouts = make_layouts(mesh)
-    disc = Discretization(mesh, layouts, config.params)
+    disc = Discretization(build_unit_cube_mesh(3), config.params)
+    layouts = disc.layouts
     bh = BhOperator(disc)
     sym_worst, mono_worst = 0.0, float("inf")
     for _ in range(5):

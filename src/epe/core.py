@@ -24,7 +24,8 @@ class ParameterError(ValueError):
 
 class NonPositiveParameter(ParameterError):
     def __init__(self, name: str, value: float):
-        super().__init__(f"parameter {name!r} must be strictly positive, got {value!r}")
+        bound = "strictly positive" if math.isfinite(value) else "finite"
+        super().__init__(f"parameter {name!r} must be {bound}, got {value!r}")
         self.name = name
         self.value = value
 
@@ -52,20 +53,6 @@ class ConfigError(ValueError):
 
 
 PARAM_NAMES = ("epsilon", "mu", "sigma", "L", "lambda_c", "G", "alpha", "c0", "kappa")
-
-#: Parameter values of the headline numerical study; also the CLI defaults.
-DEFAULT_PARAM_VALUES = {
-    "epsilon": 1.0,
-    "mu": 1.0,
-    "sigma": 2.0,
-    "L": 1.0,
-    "lambda_c": 2.0,
-    "G": 1.0,
-    "alpha": 1.0,
-    "c0": 1.0,
-    "kappa": 2.0,
-}
-
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -142,6 +129,19 @@ def make_time_grid(T: float, N: int) -> TimeGrid:
     return TimeGrid(T=T, N=int(N), tau=T / N)
 
 
+def grid_for_step(T: float, tau: float) -> TimeGrid:
+    """The grid of [0, T] with step ``tau``, which must divide T into whole steps."""
+    T, tau = float(T), float(tau)
+    if not tau > 0.0:
+        raise InvalidGrid(f"tau must be positive, got {tau!r}")
+    if not math.isfinite(T / tau):
+        raise InvalidGrid(f"T / tau must be a finite number of steps, got T={T!r}, tau={tau!r}")
+    N = max(1, round(T / tau))
+    if abs(N * tau - T) > 1e-9 * max(1.0, T):
+        raise InvalidGrid(f"tau={tau!r} does not divide T={T!r} into whole steps")
+    return make_time_grid(T, N)
+
+
 SCHEMES = ("splitting", "monolithic")
 
 
@@ -171,21 +171,27 @@ class RunConfig:
             raise ConfigError(f"quad_error must lie in 4..{MAX_DEGREE}, got {self.quad_error}")
 
 
-#: Default scalar option values; a missing config key falls back to these.
-#: The RunConfig fields with a default take it from the dataclass.
+#: Every configuration key and its default, the headline study setup (also
+#: the CLI defaults); a missing key falls back to these. A key's values have
+#: the type of its default. The RunConfig fields with a default take it from
+#: the dataclass.
 DEFAULT_OPTIONS = {
+    "epsilon": 1.0,
+    "mu": 1.0,
+    "sigma": 2.0,
+    "L": 1.0,
+    "lambda_c": 2.0,
+    "G": 1.0,
+    "alpha": 1.0,
+    "c0": 1.0,
+    "kappa": 2.0,
     "T": 0.1,
     "tau": 0.0025,
     "mesh_n": 4,
     "allow_decoupled": False,
     **{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING},
 }
-
-_INT_KEYS = {"mesh_n", "quad_error"}
-_FLOAT_KEYS = set(PARAM_NAMES) | {"T", "tau", "spd_tol", "saddle_tol"}
-_BOOL_KEYS = {"allow_decoupled"}
-_STR_KEYS = {"scheme", "out"}
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+CONFIG_KEYS = frozenset(DEFAULT_OPTIONS)
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -210,19 +216,16 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _coerce(key: str, value: str, where: str = "") -> object:
+    kind = type(DEFAULT_OPTIONS[key])
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             lowered = value.lower()
             if lowered in ("1", "true", "yes", "on"):
                 return True
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
-        return value
+        return kind(value)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {key} = {value!r}") from exc
 
@@ -233,8 +236,7 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
     Precedence, lowest to highest: built-in defaults (the headline study
     setup), config-file values, explicit overrides (CLI flags).
     """
-    values: dict = dict(DEFAULT_PARAM_VALUES)
-    values.update(DEFAULT_OPTIONS)
+    values = dict(DEFAULT_OPTIONS)
     for src in (file_values, overrides):
         if src:
             for key, val in src.items():
@@ -242,27 +244,14 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
                     continue
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"unknown configuration key {key!r}")
-                values[key] = val
+                values[key] = type(DEFAULT_OPTIONS[key])(val)
 
     params = validate_params(
-        allow_decoupled=bool(values["allow_decoupled"]),
-        **{name: values[name] for name in PARAM_NAMES},
+        allow_decoupled=values["allow_decoupled"], **{name: values[name] for name in PARAM_NAMES}
     )
-    T, tau = float(values["T"]), float(values["tau"])
-    if tau <= 0.0:
-        raise InvalidGrid(f"tau must be positive, got {tau!r}")
-    N = max(1, round(T / tau))
-    if abs(N * tau - T) > 1e-9 * max(1.0, T):
-        raise InvalidGrid(f"tau={tau!r} does not divide T={T!r} into whole steps")
-    grid = make_time_grid(T, N)
     return RunConfig(
         params=params,
-        grid=grid,
-        mesh_n=int(values["mesh_n"]),
-        scheme=str(values["scheme"]),
-        spd_tol=float(values["spd_tol"]),
-        saddle_tol=float(values["saddle_tol"]),
-        quad_error=int(values["quad_error"]),
-        out=str(values["out"]),
+        grid=grid_for_step(values["T"], values["tau"]),
+        **{f.name: values[f.name] for f in fields(RunConfig) if f.name in values},
     )
 

@@ -1,7 +1,8 @@
 """Vectorized Galerkin assembly of all bilinear forms and load vectors.
 
-Every matrix is assembled on the FULL DOF set (no boundary elimination);
-reduction happens afterwards through the layout helpers.
+Every matrix is assembled on the FULL DOF set (no boundary elimination) of
+the two spaces its form names in ``FORM_SPACES``; reduction happens
+afterwards through the layout helpers.
 
 Local matrices are closed forms. Every lowest-order integrand is a product
 of barycentric coordinates lam_m and their constant gradients, and
@@ -216,15 +217,8 @@ def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern, tab
     raise LayoutMismatch(f"unhandled form {form!r}")
 
 
-def assemble_matrix(
-    mesh: TetMesh,
-    row_layout: DofLayout,
-    col_layout: DofLayout,
-    form: str,
-    coeff=1.0,
-    tables: dict | None = None,
-) -> sp.csr_matrix:
-    """Assemble the full (unreduced) Galerkin matrix of ``form``.
+def assemble_matrix(mesh: TetMesh, form: str, coeff=1.0, tables: dict | None = None) -> sp.csr_matrix:
+    """Assemble the full (unreduced) Galerkin matrix of ``form`` on its ``FORM_SPACES``.
 
     ``coeff`` is a scalar for every form except ELASTICITY, which takes the
     pair (lambda_c, G). ``tables`` keeps the setup tables (see the module
@@ -234,14 +228,8 @@ def assemble_matrix(
     """
     if form not in FORM_SPACES:
         raise LayoutMismatch(f"unknown form {form!r}")
-    want_row, want_col = FORM_SPACES[form]
-    if (row_layout.space, col_layout.space) != (want_row, want_col):
-        raise LayoutMismatch(
-            f"form {form} expects spaces {want_row} x {want_col}, "
-            f"got {row_layout.space} x {col_layout.space}"
-        )
     tables = {} if tables is None else tables
-    pattern = _pattern(mesh, (want_row == "E", want_col == "E"), tables)
+    pattern = _pattern(mesh, tuple(space == "E" for space in FORM_SPACES[form]), tables)
     A = pattern.csr(_assembled_values(mesh, form, coeff, pattern, tables))
     A.eliminate_zeros()
     return A

@@ -82,15 +82,13 @@ def make_layouts(mesh: TetMesh) -> Layouts:
 def free_dof_points(mesh: TetMesh, layout: DofLayout) -> np.ndarray:
     """Location of every free DOF of ``layout`` in lattice units (coordinates times n).
 
-    P: its vertex; U: its vertex, once per component; E: the edge midpoint;
-    H: the cell centroid, once per component. Lattice planes sit at integer
-    coordinates, and the values are exact multiples of 1/4.
+    P: its vertex; U: its vertex, once per component; E: the edge midpoint.
+    Lattice planes sit at integer coordinates, and the values are exact
+    multiples of 1/2. No factorization has H unknowns, so H has no points.
     """
     lattice = np.rint(mesh.vertices * mesh.n)
     if layout.space == "E":
         points = lattice[mesh.edges].mean(axis=1)
-    elif layout.space == "H":
-        points = np.repeat(lattice[mesh.cells].mean(axis=1), 3, axis=0)
     elif layout.space == "U":
         points = np.repeat(lattice, 3, axis=0)
     else:

@@ -137,6 +137,8 @@ class SpdSolver:
     """
 
     def __init__(self, A: sp.spmatrix, tol: float = 1e-10):
+        if not (0.0 < tol < 1.0):
+            raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
         self.A = A.tocsr()
         self.tol = tol
         diag = self.A.diagonal()
@@ -146,8 +148,6 @@ class SpdSolver:
         start = time.perf_counter()
         b = np.asarray(b, dtype=float)
         _check_square(self.A, b)
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
         x, iterations = _pcg(self.A, self._inv_diag, b, 0.1 * self.tol)
         bnorm = np.linalg.norm(b)
         residual = float(np.linalg.norm(b - self.A @ x) / bnorm) if bnorm > 0.0 else 0.0

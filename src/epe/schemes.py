@@ -70,7 +70,7 @@ import scipy.sparse as sp
 
 from epe.core import PhysicalParams, RunConfig
 from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
-from epe.fem.dofs import Layouts, free_dof_points, make_layouts, reduce_matrix
+from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection, saddle_blocks
 from epe.mesh import TetMesh, build_unit_cube_mesh
 from epe.mms import zero_scalar_source, zero_vector_source
@@ -106,35 +106,35 @@ class Sources:
 class Discretization:
     """Assembled operators for one mesh and parameter set (see the module docstring).
 
-    Holds the operators a time step applies: M_E, the diagonal m_H of M_H,
-    W, G_ff, B_ff, M_P_ff and K_P_ff. A factorization's one-off blocks are
-    assembled on request, from the ``setup_tables`` that every assembly on
-    this mesh shares until a factorization clears them.
+    Holds the mesh's DOF ``layouts`` (built here) and the operators a time
+    step applies: M_E, the diagonal m_H of M_H, W, G_ff, B_ff, M_P_ff and
+    K_P_ff. A factorization's one-off blocks are assembled on request, from
+    the ``setup_tables`` that every assembly on this mesh shares until a
+    factorization clears them.
     """
 
-    def __init__(self, mesh: TetMesh, layouts: Layouts, params: PhysicalParams):
+    def __init__(self, mesh: TetMesh, params: PhysicalParams):
         self.mesh = mesh
-        self.layouts = layouts
+        self.layouts = L = make_layouts(mesh)
         self.params = params
-        L = layouts
 
         self.setup_tables: dict = {}
         form = partial(assemble_matrix, mesh, tables=self.setup_tables)
-        self.M_E = form(L.E, L.E, "MASS_E")
+        self.M_E = form("MASS_E")
         self.m_H = np.repeat(mesh.cell_geometry()[1], 3)
         self.W = curl_dof_operator(mesh)
-        self.G_ff = reduce_matrix(form(L.E, L.P, "GRAD_P_TO_E"), L.E, L.P)
+        self.G_ff = reduce_matrix(form("GRAD_P_TO_E"), L.E, L.P)
         # only M_E and G_pe read the edge patterns
         del self.setup_tables[True, True], self.setup_tables[True, False]
-        self.B_ff = reduce_matrix(form(L.P, L.U, "DIV_COUPLING", params.alpha), L.P, L.U)
-        self.M_P_ff = reduce_matrix(form(L.P, L.P, "P_MASS"), L.P, L.P)
-        self.K_P_ff = reduce_matrix(form(L.P, L.P, "P_STIFF"), L.P, L.P)
+        self.B_ff = reduce_matrix(form("DIV_COUPLING", params.alpha), L.P, L.U)
+        self.M_P_ff = reduce_matrix(form("P_MASS"), L.P, L.P)
+        self.K_P_ff = reduce_matrix(form("P_STIFF"), L.P, L.P)
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
 
     def elasticity(self) -> sp.csr_matrix:
         """The elasticity block A_el on the free U DOFs, assembled anew on every call."""
         p, L = self.params, self.layouts
-        A = assemble_matrix(self.mesh, L.U, L.U, "ELASTICITY", (p.lambda_c, p.G), self.setup_tables)
+        A = assemble_matrix(self.mesh, "ELASTICITY", (p.lambda_c, p.G), self.setup_tables)
         return reduce_matrix(A, L.U, L.U)
 
     def em_matrix(self, tau: float) -> sp.csr_matrix:
@@ -189,8 +189,8 @@ def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State
     form = partial(assemble_matrix, disc.mesh, tables=disc.setup_tables)
     bE, _ = SpdSolver(disc.M_E, spd_tol).solve(disc.load("E", fields.E, 0.0))
     bH = disc.load("H", fields.H, 0.0) / disc.m_H
-    bU, _ = SpdSolver(form(L.U, L.U, "U_MASS"), spd_tol).solve(disc.load("U", fields.u, 0.0))
-    bP, _ = SpdSolver(form(L.P, L.P, "P_MASS"), spd_tol).solve(disc.load("P", fields.p, 0.0))
+    bU, _ = SpdSolver(form("U_MASS"), spd_tol).solve(disc.load("U", fields.u, 0.0))
+    bP, _ = SpdSolver(form("P_MASS"), spd_tol).solve(disc.load("P", fields.p, 0.0))
     bE[L.E.constrained] = 0.0
     bU[L.U.constrained] = 0.0
     bP[L.P.constrained] = 0.0
@@ -235,11 +235,15 @@ def discrete_energy(
 
 
 class BackwardEuler:
-    """What both schemes share: the sources, the pressure block and the history terms."""
+    """What both schemes share: the sources, the pressure block and the history terms.
 
-    def __init__(self, disc: Discretization, tau: float, sources: Sources):
+    A scheme is built from a Discretization, the sources and the RunConfig,
+    whose time step ``grid.tau`` and solver tolerances it reads.
+    """
+
+    def __init__(self, disc: Discretization, sources: Sources, config: RunConfig):
         self.disc = disc
-        self.tau = tau
+        self.tau = tau = config.grid.tau
         self.sources = sources
         disc.prepare_loads(sources)
         # a view of W (no copy) and the diagonal of tau M_H, for the history's curl term
@@ -288,20 +292,14 @@ class SplittingScheme(BackwardEuler):
 
     name = "splitting"
 
-    def __init__(
-        self,
-        disc: Discretization,
-        tau: float,
-        sources: Sources,
-        spd_tol: float = 1e-10,
-        saddle_tol: float = 1e-9,
-    ):
-        super().__init__(disc, tau, sources)
+    def __init__(self, disc: Discretization, sources: Sources, config: RunConfig):
+        super().__init__(disc, sources, config)
         # K in a statement of its own: the blocks are freed before the LDL^T starts
         K = saddle_blocks(disc.elasticity(), disc.B_ff, self._pressure_block())
         disc.setup_tables.clear()
-        self._saddle = SaddleSolver(K, disc.layouts.U.num_free, disc.order("U", "P"), tol=saddle_tol)
-        self._em = SpdSolver(disc.em_matrix(tau), tol=spd_tol)
+        nu = disc.layouts.U.num_free
+        self._saddle = SaddleSolver(K, nu, disc.order("U", "P"), tol=config.saddle_tol)
+        self._em = SpdSolver(disc.em_matrix(self.tau), tol=config.spd_tol)
 
     def step(self, state: State) -> State:
         coupling = self.tau * self.disc.params.L
@@ -325,14 +323,9 @@ class MonolithicScheme(BackwardEuler):
 
     name = "monolithic"
 
-    def __init__(
-        self,
-        disc: Discretization,
-        tau: float,
-        sources: Sources,
-        saddle_tol: float = 1e-9,
-    ):
-        super().__init__(disc, tau, sources)
+    def __init__(self, disc: Discretization, sources: Sources, config: RunConfig):
+        super().__init__(disc, sources, config)
+        tau = self.tau
         G = tau * disc.params.L * disc.G_ff
         # K in a statement of its own: the blocks are freed before the LDL^T starts
         K = sp.bmat(
@@ -345,20 +338,13 @@ class MonolithicScheme(BackwardEuler):
         )
         del G
         disc.setup_tables.clear()
-        self._lu = LuSolver(K, disc.order("E", "U", "P"), tol=saddle_tol)
+        self._lu = LuSolver(K, disc.order("E", "U", "P"), tol=config.saddle_tol)
         self._ends = np.cumsum([disc.layouts.E.num_free, disc.layouts.U.num_free])
 
     def step(self, state: State) -> State:
         rhs_E, f_u, f_p = self.history(state)
         x, _ = self._lu.solve(np.concatenate([rhs_E, -f_u, f_p]))
         return self.advance(state, *np.split(x, self._ends))
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    n: int
-    t: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -384,19 +370,15 @@ class PhaseTimings:
 class RunResult:
     state: State
     timings: PhaseTimings
-    steps: tuple[StepRecord, ...]
 
 
-def make_scheme(disc: Discretization, sources: Sources, config: RunConfig):
-    """The scheme named by ``config.scheme``, with its time step and tolerances."""
-    tau = config.grid.tau
-    if config.scheme == "splitting":
-        return SplittingScheme(
-            disc, tau, sources, spd_tol=config.spd_tol, saddle_tol=config.saddle_tol
-        )
-    if config.scheme == "monolithic":
-        return MonolithicScheme(disc, tau, sources, saddle_tol=config.saddle_tol)
-    raise ValueError(f"unknown scheme {config.scheme!r}")
+#: The scheme class of each name in ``core.SCHEMES``.
+SCHEME_CLASSES = {cls.name: cls for cls in (SplittingScheme, MonolithicScheme)}
+
+
+def make_scheme(disc: Discretization, sources: Sources, config: RunConfig) -> BackwardEuler:
+    """The scheme named by ``config.scheme``, built for ``config``."""
+    return SCHEME_CLASSES[config.scheme](disc, sources, config)
 
 
 def run(
@@ -410,6 +392,9 @@ def run(
 ) -> RunResult:
     """Advance the N backward-Euler steps of ``config`` and report per-phase wall times.
 
+    The scheme, its time step and its tolerances are those of ``config``.
+    Without ``disc``, ``run()`` builds a Discretization on ``mesh`` (by
+    default the ``config.mesh_n`` cube mesh) with ``config.params``.
     ``initial`` provides the exact initial fields (projected in the L2
     sense) unless ``start_state`` passes explicit coefficients. Observers
     are called as obs(n, t, state, None, step_wall_time) after every step,
@@ -420,7 +405,7 @@ def run(
     if disc is None:
         if mesh is None:
             mesh = build_unit_cube_mesh(config.mesh_n)
-        disc = Discretization(mesh, make_layouts(mesh), config.params)
+        disc = Discretization(mesh, config.params)
     t_assemble = time.perf_counter() - t0
 
     # projected before the factorizations, so its temporaries are freed below the factors
@@ -435,19 +420,16 @@ def run(
     engine = make_scheme(disc, sources, config)
     t_factorize = time.perf_counter() - t0
 
-    records = []
-
-    def record(n: int, t: float, state: State, wall: float) -> None:
-        records.append(StepRecord(n, t, wall))
+    def notify(n: int, t: float, state: State, wall: float) -> None:
         for obs in observers:
             obs(n, t, state, None, wall)
 
     t0 = time.perf_counter()
-    record(0, 0.0, state, 0.0)
+    notify(0, 0.0, state, 0.0)
     for n in range(1, config.grid.N + 1):
         ts = time.perf_counter()
         state = engine.step(state)
-        record(n, state.t, state, time.perf_counter() - ts)
+        notify(n, state.t, state, time.perf_counter() - ts)
     t_loop = time.perf_counter() - t0
 
     return RunResult(
@@ -455,5 +437,4 @@ def run(
         timings=PhaseTimings(
             assemble=t_assemble, factorize=t_factorize, initial=t_initial, loop=t_loop
         ),
-        steps=tuple(records),
     )

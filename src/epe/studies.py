@@ -20,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from epe.core import RunConfig, make_time_grid
+from epe.core import SCHEMES, RunConfig, grid_for_step
 from epe.fem.assembly import assemble_matrix
-from epe.fem.dofs import make_layouts
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import ErrorNorms, error_norms, example61
 from epe.schemes import Discretization, Sources, run
@@ -132,7 +131,8 @@ def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: fl
     """Step-size study against a fine-step reference on the same mesh.
 
     The reference step must satisfy tau_ref <= min(tau)/8 so the reference
-    is effectively converged in time relative to the coarser runs. Field
+    is effectively converged in time relative to the coarser runs, and every
+    step must divide T into whole steps, as ``epe run`` requires. Field
     differences are discrete L2 (and H1 for u) norms of coefficient
     differences via the assembled mass/stiffness matrices.
     """
@@ -145,29 +145,27 @@ def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: fl
         raise ValueError(
             f"reference step {tau_ref!r} must be at most min(tau)/8 = {min(tau_values) / 8.0!r}"
         )
+    # every step is checked before the reference run, so a refused one costs no solve
+    configs = {
+        tau: replace(config, mesh_n=mesh_n, grid=grid_for_step(config.grid.T, tau))
+        for tau in (tau_ref, *tau_values)
+    }
     exact = example61(config.params)
     sources = Sources(j=exact.j, f=exact.f, g=exact.g)
-    mesh = build_unit_cube_mesh(mesh_n)
-    layouts = make_layouts(mesh)
-    disc = Discretization(mesh, layouts, config.params)
-    form = partial(assemble_matrix, mesh, tables=disc.setup_tables)
-    K_U = form(layouts.U, layouts.U, "ELASTICITY", (0.0, 1.0))
-    M_U = form(layouts.U, layouts.U, "U_MASS")
-    M_P = form(layouts.P, layouts.P, "P_MASS")
+    disc = Discretization(build_unit_cube_mesh(mesh_n), config.params)
+    form = partial(assemble_matrix, disc.mesh, tables=disc.setup_tables)
+    K_U = form("ELASTICITY", (0.0, 1.0))
+    M_U = form("U_MASS")
+    M_P = form("P_MASS")
 
-    T = config.grid.T
-
-    def config_at(tau: float) -> RunConfig:
-        return replace(config, mesh_n=mesh_n, grid=make_time_grid(T, round(T / tau)))
-
-    ref = run(config_at(tau_ref), sources, exact, disc=disc).state
+    ref = run(configs[tau_ref], sources, exact, disc=disc).state
 
     def mass_norm(d, Md):
         return float(np.sqrt(max(d @ Md, 0.0)))
 
     rows = []
     for tau in sorted(tau_values, reverse=True):
-        cfg = config_at(tau)
+        cfg = configs[tau]
         state = run(cfg, sources, exact, disc=disc).state
         dE, dH = state.E - ref.E, state.H - ref.H
         du, dp = state.u - ref.u, state.p - ref.p
@@ -197,7 +195,7 @@ def benchmark(n_values, config: RunConfig) -> StudyReport:
     rows = []
     for n in n_values:
         mesh = build_unit_cube_mesh(int(n))
-        configs = [replace(config, mesh_n=int(n), scheme=s) for s in ("splitting", "monolithic")]
+        configs = [replace(config, mesh_n=int(n), scheme=s) for s in SCHEMES]
         solves = [[_exact_row(cfg, mesh) for cfg in configs] for _ in range(BENCH_SOLVES)]
         for runs in zip(*solves):
             phases = {k: float(np.median([r.timings[k] for r in runs])) for k in TIMING_FIELDS[:-1]}

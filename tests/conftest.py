@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from epe.core import build_config
-from epe.fem.assembly import FORM_SPACES, assemble_matrix, signed_curls
-from epe.fem.dofs import make_layouts, reduce_matrix
+from epe.fem.assembly import assemble_matrix, signed_curls
+from epe.fem.dofs import reduce_matrix
 from epe.linalg import FRONT_MAX
 from epe.mesh import LOCAL_EDGES, build_unit_cube_mesh
 from epe.schemes import Discretization, State
@@ -42,12 +42,12 @@ def mesh4():
 
 @pytest.fixture(scope="session")
 def disc2(mesh2, params):
-    return Discretization(mesh2, make_layouts(mesh2), params)
+    return Discretization(mesh2, params)
 
 
 @pytest.fixture(scope="session")
 def disc3(mesh3, params):
-    return Discretization(mesh3, make_layouts(mesh3), params)
+    return Discretization(mesh3, params)
 
 
 def full_operator(disc, form, coeff=1.0):
@@ -56,8 +56,7 @@ def full_operator(disc, form, coeff=1.0):
     The discretization keeps only the free blocks a time step applies, so
     tests that need B_div, M_P, K_P or M_U assemble them.
     """
-    row, col = (getattr(disc.layouts, s) for s in FORM_SPACES[form])
-    return assemble_matrix(disc.mesh, row, col, form, coeff)
+    return assemble_matrix(disc.mesh, form, coeff)
 
 
 def blocks(order, size=FRONT_MAX):

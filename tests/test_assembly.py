@@ -36,9 +36,7 @@ def lay2(mesh2):
 class TestMatrices:
     @pytest.mark.parametrize("form", SYMMETRIC_FORMS)
     def test_symmetric_tags(self, mesh2, lay2, form):
-        spaces = {"MASS_E": "E", "P_MASS": "P", "P_STIFF": "P", "U_MASS": "U"}
-        layout = getattr(lay2, spaces[form])
-        A = assemble_matrix(mesh2, layout, layout, form, 1.0)
+        A = assemble_matrix(mesh2, form, 1.0)
         scale = float(np.abs(A.data).max())
         assert sym_error(A) <= 1e-12 * scale
 
@@ -47,27 +45,27 @@ class TestMatrices:
         """The H mass, held as its diagonal ``m_H``, is (e_d, e_d) on each cell: the load of the
         constant field (1, 1, 1), a positive volume per H DOF, adding up to 3."""
         mesh = build_unit_cube_mesh(n)
-        lay = make_layouts(mesh)
-        m_H = Discretization(mesh, lay, params).m_H
+        disc = Discretization(mesh, params)
+        lay, m_H = disc.layouts, disc.m_H
         ones = assemble_load(mesh, lay.H, lambda t, x: np.ones((x.shape[0], 3)), 0.0)
         np.testing.assert_allclose(m_H, ones, rtol=1e-14, atol=0.0)
         assert m_H.shape == (lay.H.count,) and np.all(m_H > 0.0)
         assert float(m_H.sum()) == pytest.approx(3.0, rel=1e-13)
 
     def test_elasticity_symmetric(self, mesh2, lay2):
-        A = assemble_matrix(mesh2, lay2.U, lay2.U, "ELASTICITY", (2.0, 1.0))
+        A = assemble_matrix(mesh2, "ELASTICITY", (2.0, 1.0))
         assert sym_error(A) <= 1e-12 * float(np.abs(A.data).max())
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_p_mass_integrates_one(self, n):
         mesh = build_unit_cube_mesh(n)
         lay = make_layouts(mesh)
-        M = assemble_matrix(mesh, lay.P, lay.P, "P_MASS", 1.0)
+        M = assemble_matrix(mesh, "P_MASS", 1.0)
         ones = np.ones(lay.P.count)
         assert float(ones @ (M @ ones)) == pytest.approx(1.0, rel=1e-13)
 
     def test_p_stiff_kills_constants(self, mesh2, lay2):
-        K = assemble_matrix(mesh2, lay2.P, lay2.P, "P_STIFF", 2.0)
+        K = assemble_matrix(mesh2, "P_STIFF", 2.0)
         assert np.abs(K @ np.ones(lay2.P.count)).max() <= 1e-13
 
     def test_curl_of_rotation_field(self, mesh3):
@@ -85,12 +83,12 @@ class TestMatrices:
         # projection assembles is dead code in the form table
         forms = []
 
-        def spy(mesh, row_layout, col_layout, form, *args, **kwargs):
+        def spy(mesh, form, *args, **kwargs):
             forms.append(form)
-            return assemble_matrix(mesh, row_layout, col_layout, form, *args, **kwargs)
+            return assemble_matrix(mesh, form, *args, **kwargs)
 
         monkeypatch.setattr(epe.schemes, "assemble_matrix", spy)
-        disc = Discretization(mesh2, make_layouts(mesh2), params)
+        disc = Discretization(mesh2, params)
         disc.elasticity()
         initial_state(disc, example61(params))
         assert set(forms) == set(FORM_SPACES)
@@ -98,10 +96,8 @@ class TestMatrices:
     @pytest.mark.parametrize("form", sorted(FORM_SPACES))
     def test_form_stores_no_zero(self, mesh3, params, form):
         """The exact zeros of the closed forms are dropped once assembled."""
-        lay = make_layouts(mesh3)
         coeff = {"ELASTICITY": (params.lambda_c, params.G), "DIV_COUPLING": params.alpha}.get(form, 1.0)
-        row, col = FORM_SPACES[form]
-        A = assemble_matrix(mesh3, getattr(lay, row), getattr(lay, col), form, coeff)
+        A = assemble_matrix(mesh3, form, coeff)
         assert A.nnz and np.all(A.data != 0.0)
 
     def test_curl_stores_no_zero(self, mesh3):
@@ -110,25 +106,23 @@ class TestMatrices:
 
     def test_grad_form_of_linear_pressure(self, mesh2, lay2):
         # p = x_0 lies in P1, so G @ p = (grad p, N_i) = (e_0, N_i)
-        G = assemble_matrix(mesh2, lay2.E, lay2.P, "GRAD_P_TO_E", 1.0)
+        G = assemble_matrix(mesh2, "GRAD_P_TO_E", 1.0)
         e0 = lambda t, x: np.tile([1.0, 0.0, 0.0], (x.shape[0], 1))
         ref = assemble_load(mesh2, lay2.E, e0, 0.0)
         np.testing.assert_allclose(G @ mesh2.vertices[:, 0], ref, rtol=0.0, atol=1e-13)
 
     def test_coefficient_scaling(self, mesh2, lay2):
-        A1 = assemble_matrix(mesh2, lay2.E, lay2.E, "MASS_E", 1.0)
-        A3 = assemble_matrix(mesh2, lay2.E, lay2.E, "MASS_E", 3.0)
+        A1 = assemble_matrix(mesh2, "MASS_E", 1.0)
+        A3 = assemble_matrix(mesh2, "MASS_E", 3.0)
         diff = (3.0 * A1 - A3).tocoo()
         assert diff.nnz == 0 or np.abs(diff.data).max() <= 1e-14
 
-    def test_layout_mismatch_rejected(self, mesh2, lay2):
+    def test_layout_mismatch_rejected(self, mesh2):
         with pytest.raises(LayoutMismatch):
-            assemble_matrix(mesh2, lay2.P, lay2.P, "MASS_E", 1.0)
-        with pytest.raises(LayoutMismatch):
-            assemble_matrix(mesh2, lay2.E, lay2.E, "NO_SUCH_FORM", 1.0)
+            assemble_matrix(mesh2, "NO_SUCH_FORM", 1.0)
 
     def test_elasticity_spd_after_elimination(self, mesh2, lay2):
-        A = assemble_matrix(mesh2, lay2.U, lay2.U, "ELASTICITY", (2.0, 1.0))
+        A = assemble_matrix(mesh2, "ELASTICITY", (2.0, 1.0))
         A_ff = reduce_matrix(A, lay2.U, lay2.U).toarray()
         eigs = np.linalg.eigvalsh(A_ff)
         assert eigs.min() > 0.0
@@ -271,14 +265,13 @@ class TestClosedForms:
     def test_edge_forms_match_quadrature(self, mesh3, form):
         lay = make_layouts(mesh3)
         want = quadrature_forms(mesh3, lay)[form]
-        got = assemble_matrix(mesh3, lay.E, getattr(lay, FORM_SPACES[form][1]), form)
+        got = assemble_matrix(mesh3, form)
         assert rel_max(got.toarray(), want.toarray()) <= 1e-13
 
     def test_p1_forms_match_the_cellwise_sum(self, mesh2, lay2, params):
         coeffs = {"ELASTICITY": (params.lambda_c, params.G), "DIV_COUPLING": params.alpha}
         for form, want in p1_forms_by_cells(mesh2, lay2, params).items():
-            rows, cols = (getattr(lay2, space) for space in FORM_SPACES[form])
-            got = assemble_matrix(mesh2, rows, cols, form, coeffs.get(form, 1.0))
+            got = assemble_matrix(mesh2, form, coeffs.get(form, 1.0))
             assert rel_max(got.toarray(), want) <= 1e-13, form
 
     def test_E_load_matches_quadrature(self, mesh3):
@@ -337,7 +330,7 @@ class TestLoads:
 
 class TestDirichlet:
     def test_n2_pressure_layout_single_interior_dof(self, mesh2, lay2):
-        M = assemble_matrix(mesh2, lay2.P, lay2.P, "P_MASS", 1.0)
+        M = assemble_matrix(mesh2, "P_MASS", 1.0)
         A_ff, b_f = reduce_matrix(M, lay2.P, lay2.P), lay2.P.reduce(np.ones(lay2.P.count))
         assert A_ff.shape == (1, 1) and b_f.shape == (1,)
         assert lay2.P.num_free == (2 - 1) ** 3
@@ -345,13 +338,13 @@ class TestDirichlet:
     def test_n1_fully_constrained_scalar_space(self, mesh1):
         lay = make_layouts(mesh1)
         assert lay.P.num_free == 0 and lay.U.num_free == 0
-        M = assemble_matrix(mesh1, lay.P, lay.P, "P_MASS", 1.0)
+        M = assemble_matrix(mesh1, "P_MASS", 1.0)
         A_ff, b_f = reduce_matrix(M, lay.P, lay.P), lay.P.reduce(np.ones(lay.P.count))
         assert A_ff.shape == (0, 0)
         np.testing.assert_array_equal(lay.P.extend(b_f[:0] * 0.0), np.zeros(lay.P.count))
 
     def test_reduction_preserves_symmetry(self, mesh2, lay2):
-        A = assemble_matrix(mesh2, lay2.U, lay2.U, "ELASTICITY", (2.0, 1.0))
+        A = assemble_matrix(mesh2, "ELASTICITY", (2.0, 1.0))
         A_ff = reduce_matrix(A, lay2.U, lay2.U)
         assert sym_error(A_ff) <= 1e-12 * max(1.0, float(np.abs(A_ff.data).max()))
 

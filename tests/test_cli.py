@@ -84,6 +84,21 @@ def test_convergence_time_rejects_a_non_positive_step_by_name(steps, message, tm
 
 
 @pytest.mark.parametrize(
+    "taus,tau_ref,tau",
+    [("0.03,0.01", "0.000625", "0.03"), ("0.02,0.01", "0.0007", "0.0007")],
+)
+def test_convergence_time_refuses_a_step_that_does_not_divide_T(taus, tau_ref, tau, tmp_path, capsys):
+    """A study step is refused as ``epe run --tau`` refuses it, not rounded to T / round(T / tau)."""
+    code = main(["convergence-time", "--n", "2", "--taus", taus, "--tau-ref", tau_ref,
+                 "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert f"tau={tau} does not divide T=0.1 into whole steps" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert main(["run", "--n", "2", "--tau", tau]) == EXIT_VALIDATION
+    assert f"tau={tau} does not divide T=0.1 into whole steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (["convergence", "--n", ","], "--n"),

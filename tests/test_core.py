@@ -6,6 +6,8 @@ import pytest
 
 from conftest import zero_state
 from epe.core import (
+    CONFIG_KEYS,
+    DEFAULT_OPTIONS,
     ConfigError,
     H1Violated,
     InvalidGrid,
@@ -46,6 +48,9 @@ class TestValidateParams:
     def test_nonpositive_rejected(self, name):
         with pytest.raises((NonPositiveParameter, H1Violated)):
             validate_params(**{**GOOD, name: -1.0})
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NonPositiveParameter, match=f"{name}' must be finite, got {value}"):
+                validate_params(**{**GOOD, name: value})
 
     def test_override_never_admits_large_L(self):
         with pytest.raises(H1Violated):
@@ -84,11 +89,12 @@ class TestTimeGrid:
     def test_uniform_spacing_to_rounding(self, config, disc2):
         # the time levels a run steps through: t_n = t_{n-1} + tau, ending at T
         g = make_time_grid(0.3, 7)
-        res = run(
+        levels = []
+        run(
             replace(config, mesh_n=2, grid=g), Sources(), None, disc=disc2,
-            start_state=zero_state(disc2.layouts),
+            start_state=zero_state(disc2.layouts), observers=[lambda n, t, *_: levels.append(t)],
         )
-        times = np.array([s.t for s in res.steps])
+        times = np.array(levels)
         diffs = np.diff(times)
         # two units of rounding at the time magnitude
         assert np.all(np.abs(diffs - g.tau) <= 2 * np.spacing(np.maximum(times[1:], g.tau)))
@@ -148,6 +154,29 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(cfg)
 
+    def test_every_key_reads_from_a_file_as_from_an_override(self, tmp_path):
+        """Each key, of each value type, parses to its default's type and builds the same RunConfig."""
+        values = {
+            "epsilon": 1.5, "mu": 0.5, "sigma": 3.0, "L": 0.25, "lambda_c": 4.0, "G": 2.5,
+            "alpha": 0.75, "c0": 0.125, "kappa": 1.5, "T": 0.2, "tau": 0.05, "mesh_n": 3,
+            "allow_decoupled": True, "scheme": "monolithic", "spd_tol": 1e-8, "saddle_tol": 1e-7,
+            "quad_error": 6, "out": "elsewhere",
+        }
+        assert set(values) == CONFIG_KEYS
+        assert all(values[key] != DEFAULT_OPTIONS[key] for key in values)
+        assert {type(v) for v in values.values()} == {int, float, bool, str}
+        cfg = tmp_path / "every_key.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        parsed = parse_config_file(cfg)
+        assert parsed == values and all(type(parsed[k]) is type(v) for k, v in values.items())
+        built = build_config(parsed)
+        assert built == build_config(None, values)
+        assert built.grid.N == 4 and built.scheme == "monolithic" and built.params.c0 == 0.125
+
     def test_tau_must_divide_T(self):
         with pytest.raises(InvalidGrid):
             build_config(None, {"T": 0.1, "tau": 0.03})
+        # a step count that is not a finite number is refused, not an OverflowError
+        for T, tau in ((math.inf, 0.1), (math.nan, 0.1), (0.1, math.nan), (1e300, 1e-300)):
+            with pytest.raises(InvalidGrid):
+                build_config(None, {"T": T, "tau": tau})

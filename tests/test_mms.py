@@ -247,7 +247,7 @@ class TestErrorNorms:
     def test_quadrature_stability(self, mesh4, exact, params):
         from epe.schemes import Discretization, initial_state
 
-        disc = Discretization(mesh4, make_layouts(mesh4), params)
+        disc = Discretization(mesh4, params)
         state = initial_state(disc, exact)
         t = 0.0
         e4 = error_norms(state, exact, t, mesh4, quad_degree=4)
@@ -259,7 +259,7 @@ class TestErrorNorms:
     def test_projected_state_has_positive_interpolation_error(self, mesh2, exact, params):
         from epe.schemes import Discretization, initial_state
 
-        disc = Discretization(mesh2, make_layouts(mesh2), params)
+        disc = Discretization(mesh2, params)
         state = initial_state(disc, exact)
         errs = error_norms(state, exact, 0.0, mesh2, quad_degree=5)
         assert errs.p_L2 > 0.0 and errs.H_L2 > 0.0

@@ -40,7 +40,7 @@ def curl_coupling(disc):
 def grad_coupling(disc):
     """G_pe: the full (grad p, E) coupling, assembled here (the discretization keeps its free block)."""
     L = disc.layouts
-    return assemble_matrix(disc.mesh, L.E, L.P, "GRAD_P_TO_E").tocsr()
+    return assemble_matrix(disc.mesh, "GRAD_P_TO_E").tocsr()
 
 
 def free_E_mass(disc):
@@ -159,16 +159,16 @@ class UncondensedSplitting(SplittingScheme):
     [[A0, -tau C^T], [-tau C, -mu M_H]] is symmetric quasi-definite.
     """
 
-    def __init__(self, disc, tau, sources, spd_tol=1e-10, saddle_tol=1e-9):
-        super().__init__(disc, tau, sources, spd_tol=spd_tol, saddle_tol=saddle_tol)
-        p = disc.params
+    def __init__(self, disc, sources, config):
+        super().__init__(disc, sources, config)
+        p, tau = disc.params, self.tau
         A0 = (p.epsilon + tau * p.sigma) * free_E_mass(disc)
         C_f = curl_coupling(disc)
         self._G_pe = grad_coupling(disc)
         self._M_P = full_operator(disc, "P_MASS")
         self._B_div = full_operator(disc, "DIV_COUPLING", p.alpha)
         K = sp.bmat([[A0, -tau * C_f.T], [-tau * C_f, -p.mu * sp.diags(disc.m_H)]], format="csc")
-        self._em_block = LuSolver(K, blocks(np.arange(K.shape[0])), tol=spd_tol * 10)
+        self._em_block = LuSolver(K, blocks(np.arange(K.shape[0])), tol=config.spd_tol * 10)
 
     def step(self, state):
         disc, p, tau = self.disc, self.disc.params, self.tau
@@ -250,7 +250,7 @@ class TestInitialState:
         errs = []
         for n in (4, 8):
             mesh = build_unit_cube_mesh(n)
-            disc = Discretization(mesh, make_layouts(mesh), params)
+            disc = Discretization(mesh, params)
             state = initial_state(disc, exact)
             errs.append(error_norms(state, exact, 0.0, mesh, 5).p_L2)
         ratio = errs[0] / errs[1]
@@ -348,9 +348,7 @@ class TestSplittingStep:
     def test_condensed_equals_uncondensed(self, config, disc2, sources, exact):
         cfg = small_config(config, 2, 0.1, 10)
         ra = run(cfg, sources, exact, disc=disc2)
-        oracle = UncondensedSplitting(
-            disc2, cfg.grid.tau, sources, spd_tol=cfg.spd_tol, saddle_tol=cfg.saddle_tol
-        )
+        oracle = UncondensedSplitting(disc2, sources, cfg)
         rb = initial_state(disc2, exact, spd_tol=min(cfg.spd_tol, 1e-12))
         for _ in range(cfg.grid.N):
             rb = oracle.step(rb)
@@ -381,7 +379,7 @@ class TestMonolithic:
     def test_splitting_gap_is_first_order_in_tau(self, config, sources, exact, params):
         # the distance between splitting and monolithic solutions halves with tau
         mesh = build_unit_cube_mesh(4)
-        disc = Discretization(mesh, make_layouts(mesh), params)
+        disc = Discretization(mesh, params)
         gaps = []
         for N in (10, 20):
             cfg = small_config(config, 4, 0.1, N)
@@ -400,7 +398,7 @@ class TestMonolithic:
         exact0 = example61(params0)
         sources0 = Sources(j=exact0.j, f=exact0.f, g=exact0.g)
         mesh = build_unit_cube_mesh(2)
-        disc = Discretization(mesh, make_layouts(mesh), params0)
+        disc = Discretization(mesh, params0)
         cfg = replace(
             small_config(config, 2, 0.1, 8), params=params0
         )
@@ -421,8 +419,8 @@ class TestMonolithic:
         """With L = 0.999 sqrt(sigma kappa) the symmetric system factors and steps within saddle_tol."""
         values = {name: getattr(config.params, name) for name in PARAM_NAMES}
         values["L"] = 0.999 * np.sqrt(values["sigma"] * values["kappa"])
-        disc = Discretization(mesh3, make_layouts(mesh3), validate_params(**values))
-        scheme = MonolithicScheme(disc, tau, Sources(), saddle_tol=config.saddle_tol)
+        disc = Discretization(mesh3, validate_params(**values))
+        scheme = MonolithicScheme(disc, Sources(), replace(config, grid=make_time_grid(tau, 1)))
         rng = np.random.default_rng(42)
         _, report = scheme._lu.solve(rng.standard_normal(scheme._lu.K.shape[0]))
         assert report.relative_residual <= config.saddle_tol
@@ -435,7 +433,7 @@ class TestMonolithic:
         """Oracle: one step of the coupled (E, H, u, p) system, H kept as an unknown."""
         tau, p, L = config.grid.tau, disc2.params, disc2.layouts
         state = random_admissible_state(L, np.random.default_rng(40))
-        got = MonolithicScheme(disc2, tau, sources).step(state)
+        got = MonolithicScheme(disc2, sources, config).step(state)
 
         fE, fP = L.E.free, L.P.free
         Gpe_f = grad_coupling(disc2)[fE][:, fP]
@@ -476,8 +474,8 @@ class TestHistory:
     def test_history_matches_the_stacked_operator(self, scheme, n, config, params, sources):
         """The history terms of random admissible states equal the stacked product, part by part."""
         mesh = build_unit_cube_mesh(n)
-        disc = Discretization(mesh, make_layouts(mesh), params)
-        engine = scheme(disc, config.grid.tau, sources)
+        disc = Discretization(mesh, params)
+        engine = scheme(disc, sources, config)
         ends = np.cumsum([disc.layouts.E.num_free, disc.layouts.U.num_free])
         rng = np.random.default_rng(50 + n)
         for _ in range(5):
@@ -495,23 +493,22 @@ class TestLuOrdering:
         Both schemes' symmetric matrices get an LDL^T, which stores L alone.
         """
         mesh = build_unit_cube_mesh(6)
-        disc = Discretization(mesh, make_layouts(mesh), params)
+        disc = Discretization(mesh, params)
         if scheme == "splitting":
-            lu = SplittingScheme(disc, config.grid.tau, sources)._saddle._lu
+            lu = SplittingScheme(disc, sources, config)._saddle._lu
         else:
-            lu = MonolithicScheme(disc, config.grid.tau, sources)._lu
+            lu = MonolithicScheme(disc, sources, config)._lu
         assert isinstance(lu.lu, MultifrontalLdl) and lu.lu.U.nnz == 0
         plain = spla.splu(lu.K)
         assert lu.lu.L.nnz + lu.lu.U.nnz < plain.L.nnz + plain.U.nnz
 
     def test_monolithic_fill_depends_on_the_pattern_alone(self, config, mesh4):
         """The stored entries L.nnz + U.nnz of the n = 4 monolithic factor do not move with the values."""
-        layouts = make_layouts(mesh4)
         params = (config.params, random_admissible_params(np.random.default_rng(8)))
         assert params[0] != params[1]
         fills = []
         for p in params:
-            lu = MonolithicScheme(Discretization(mesh4, layouts, p), config.grid.tau, Sources())._lu.lu
+            lu = MonolithicScheme(Discretization(mesh4, p), Sources(), config)._lu.lu
             fills.append(lu.L.nnz + lu.U.nnz)
         assert fills[0] == fills[1]
 
@@ -558,7 +555,7 @@ class TestLuOrdering:
 
         monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
         probe = SetupTableProbe(monkeypatch)
-        disc = Discretization(mesh4, L, params)
+        disc = Discretization(mesh4, params)
         run(small_config(config, 4, 0.1, 1, scheme=scheme), sources, exact, disc=disc)
         assert alive == [[]]
         assert probe.counts()["scatter"] == 3 and probe.alive() == []
@@ -567,7 +564,7 @@ class TestLuOrdering:
         """Right after construction, no edge-keyed CellPattern or its scatter is alive (only M_E
         and G_pe read them); the vertex pattern and the Gram array stay for the setup after it."""
         probe = SetupTableProbe(monkeypatch)
-        disc = Discretization(mesh4, make_layouts(mesh4), params)
+        disc = Discretization(mesh4, params)
         V = mesh4.num_vertices
         assert probe.counts()["scatter"] == 3
         assert probe.alive() == sorted(["gram", str(("pattern", (V, V))), "scatter"])
@@ -651,11 +648,10 @@ class TestEnergy:
         the Bh term enter the energy; every run starts in mechanical equilibrium.
         """
         rng = np.random.default_rng(7)
-        layouts = make_layouts(mesh3)
         cfg = small_config(config, 3, 0.25, 25)
         for _ in range(20):
             params = random_admissible_params(rng)
-            disc = Discretization(mesh3, layouts, params)
+            disc = Discretization(mesh3, params)
             run_cfg = replace(cfg, params=params, scheme=scheme)
             energies = []
             run(
@@ -671,7 +667,7 @@ class TestSourceLoads:
     @pytest.mark.parametrize("n", [2, 4])
     def test_separable_load_matches_quadrature(self, n, params, exact):
         mesh = build_unit_cube_mesh(n)
-        disc = Discretization(mesh, make_layouts(mesh), params)
+        disc = Discretization(mesh, params)
         for space, name in (("E", "j"), ("U", "f"), ("P", "g")):
             src = getattr(exact, name)
             layout = getattr(disc.layouts, space)
@@ -693,7 +689,7 @@ class TestSourceLoads:
 
         monkeypatch.setattr(epe.schemes, "assemble_load", counting)
         mesh = build_unit_cube_mesh(2)
-        disc = Discretization(mesh, make_layouts(mesh), params)
+        disc = Discretization(mesh, params)
         cfg = small_config(config, 2, 0.1, 4, scheme=scheme)
         plain = Sources(
             j=lambda t, x: exact.j(t, x),
@@ -711,7 +707,7 @@ class TestSourceLoads:
 class TestRun:
     def test_superposition_of_sources(self, config, params, exact):
         mesh = build_unit_cube_mesh(2)
-        disc = Discretization(mesh, make_layouts(mesh), params)
+        disc = Discretization(mesh, params)
         cfg = small_config(config, 2, 0.1, 5)
         shift = example61(params)
         j2 = lambda t, x: np.cos(3 * x[:, 1])[:, None] * np.ones(3) * np.sin(t + 0.2)
@@ -740,7 +736,7 @@ class TestRun:
                   disc=disc2)
         assert [c[0] for c in calls] == [0, 1, 2, 3, 4]
         assert calls[-1][1] == pytest.approx(0.1, abs=1e-12)
-        assert len(res.steps) == 5
+        assert res.state.n == 4 and res.state.t == calls[-1][1]
         t = res.timings
         assert t.total >= t.loop > 0.0
         assert t.total >= t.assemble + t.factorize + t.initial + t.loop - 1e-9
@@ -775,7 +771,7 @@ class TestRun:
         counting(epe.schemes, "assemble_matrix")
         counting(epe.schemes, "assemble_load")
         mesh = build_unit_cube_mesh(8)
-        disc = Discretization(mesh, make_layouts(mesh), params)
+        disc = Discretization(mesh, params)
         expected = {
             "splitting": Counter({"SpdSolver.solve": 1, "SaddleSolver.solve": 1}),
             "monolithic": Counter({"LuSolver.solve": 1}),
@@ -790,7 +786,7 @@ class TestRun:
 
     def test_doubling_steps_roughly_doubles_loop_time(self, config, sources, exact, params):
         mesh = build_unit_cube_mesh(8)
-        disc = Discretization(mesh, make_layouts(mesh), params)
+        disc = Discretization(mesh, params)
         t20 = run(small_config(config, 8, 0.1, 20), sources, exact, disc=disc).timings.loop
         t40 = run(small_config(config, 8, 0.1, 40), sources, exact, disc=disc).timings.loop
         assert 1.0 <= t40 / t20 <= 3.0
