@@ -215,18 +215,24 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
-def _coerce(key: str, value: str, where: str = "") -> object:
+def _coerce(key: str, value, where: str) -> object:
+    """``value`` as the type of ``key``'s default: a string is parsed, any other value must have
+    that type already (or, for an int key, be an integral float; for a float key, an int)."""
     kind = type(DEFAULT_OPTIONS[key])
     try:
-        if kind is bool:
+        if kind is bool and isinstance(value, str):
             lowered = value.lower()
             if lowered in ("1", "true", "yes", "on"):
                 return True
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
+        if isinstance(value, str):
+            return kind(value)
+        if isinstance(value, bool) != (kind is bool) or (kind is int and int(value) != value):
+            raise ValueError(value)
         return kind(value)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: cannot parse {key} = {value!r}") from exc
 
 
@@ -234,17 +240,16 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
     """Merge defaults, config-file values, and override flags into a RunConfig.
 
     Precedence, lowest to highest: built-in defaults (the headline study
-    setup), config-file values, explicit overrides (CLI flags).
+    setup), config-file values, explicit overrides (CLI flags); ``_coerce`` checks each value.
     """
     values = dict(DEFAULT_OPTIONS)
-    for src in (file_values, overrides):
-        if src:
-            for key, val in src.items():
-                if val is None:
-                    continue
-                if key not in CONFIG_KEYS:
-                    raise ConfigError(f"unknown configuration key {key!r}")
-                values[key] = type(DEFAULT_OPTIONS[key])(val)
+    for where, src in (("config file", file_values), ("override", overrides)):
+        for key, val in (src or {}).items():
+            if val is None:
+                continue
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown configuration key {key!r}")
+            values[key] = _coerce(key, val, where)
 
     params = validate_params(
         allow_decoupled=values["allow_decoupled"], **{name: values[name] for name in PARAM_NAMES}

@@ -28,9 +28,9 @@ Setup tables: a ``tables`` dict passed to ``assemble_matrix`` and
 ``assemble_load`` keeps what more than one form or load reads: each
 ``CellPattern`` (keyed by whether its rows and columns hang on edges), the
 cells' gradient Gram matrices ("gram") and the read-only point table of
-the load rule ("points"). A run shares one such dict through
-its setup (``schemes.Discretization.setup_tables``), so each table is built
-once per run, and clears it before its LDL^T starts.
+the load rule ("points"). Only this module knows the keys, and only
+``schemes.Discretization`` passes a dict (its ``setup_tables``): a run
+builds each table once, until ``Discretization.order`` clears them.
 
 Forms (``FORM_SPACES``): the E, P and U masses, the pressure-gradient
 coupling into E, elasticity, the divergence coupling and the P stiffness.

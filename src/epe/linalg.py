@@ -66,6 +66,9 @@ EXTEND_ADD_COLUMNS = 64
 #: A matrix is symmetric when max|K - K^T| is at most this times max|K|.
 SYMMETRY_RTOL = 1e-14
 
+#: Most refinement sweeps of a direct solve whose first residual misses its tolerance.
+REFINE_SWEEPS = 3
+
 
 @dataclass(frozen=True)
 class LinearSolveReport:
@@ -437,21 +440,36 @@ class LuSolver:
     def solve(self, rhs: np.ndarray):
         return self._solve(np.asarray(rhs, dtype=float))
 
+    def _sweep(self, rhs: np.ndarray) -> np.ndarray:
+        """One application of the factors: K^{-1} rhs up to rounding."""
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order])
+        if not np.all(np.isfinite(x)):
+            raise SingularSystem("factorization produced non-finite solution")
+        return x
+
     def _solve(self, rhs: np.ndarray):
-        """K^{-1} rhs and its report; raises if the true residual is above ``tol``."""
+        """K^{-1} rhs and its report; raises if the true residual is above ``tol``.
+
+        A first solve that misses ``tol`` is refined with the same factors while its
+        residual falls, for at most ``REFINE_SWEEPS`` sweeps: the report's iterations.
+        """
         start = time.perf_counter()
         _check_square(self.K, rhs)
         rnorm = np.linalg.norm(rhs)
         if rnorm == 0.0:
             return np.zeros(self.K.shape[0]), LinearSolveReport(0, 0.0, time.perf_counter() - start)
-        x = np.empty_like(rhs)
-        x[self.order] = self.lu.solve(rhs[self.order])
-        if not np.all(np.isfinite(x)):
-            raise SingularSystem("factorization produced non-finite solution")
+        x, sweeps = self._sweep(rhs), 0
         residual = float(np.linalg.norm(rhs - self.K @ x) / rnorm)
+        while residual > self.tol and sweeps < REFINE_SWEEPS:
+            x_next = x + self._sweep(rhs - self.K @ x)
+            residual_next = float(np.linalg.norm(rhs - self.K @ x_next) / rnorm)
+            if not residual_next < residual:
+                break
+            x, residual, sweeps = x_next, residual_next, sweeps + 1
         if residual > self.tol:
-            raise NotConverged("direct solve residual above tolerance", 0, residual)
-        return x, LinearSolveReport(0, residual, time.perf_counter() - start)
+            raise NotConverged("direct solve residual above tolerance", sweeps, residual)
+        return x, LinearSolveReport(sweeps, residual, time.perf_counter() - start)
 
 
 def saddle_blocks(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix) -> sp.csc_matrix:
@@ -462,7 +480,7 @@ def saddle_blocks(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix) -> sp.csc_matr
     return sp.bmat([[A, -B.T], [-B, -C]], format="csc")
 
 
-class SaddleSolver:
+class SaddleSolver(LuSolver):
     """Solver for a(u,v)/pressure saddle systems with blocks (A, B, C).
 
     Solves K (u, p) = (f_u, -f_p) for K = ``saddle_blocks(A, B, C)``
@@ -479,8 +497,8 @@ class SaddleSolver:
     """
 
     def __init__(self, K: sp.spmatrix, nu: int, order, tol: float = 1e-9):
+        super().__init__(K, order, tol=tol)
         self.nu, self.np = nu, K.shape[0] - nu
-        self._lu = LuSolver(K, order, tol=tol)
 
     def solve(self, f_u: np.ndarray, f_p: np.ndarray):
         f_u = np.asarray(f_u, dtype=float)
@@ -489,5 +507,5 @@ class SaddleSolver:
             raise DimensionMismatch(
                 f"rhs shapes {f_u.shape}, {f_p.shape} do not match blocks ({self.nu}, {self.np})"
             )
-        x, report = self._lu._solve(np.concatenate([f_u, -f_p]))
+        x, report = self._solve(np.concatenate([f_u, -f_p]))
         return (x[: self.nu], x[self.nu :]), report

@@ -22,7 +22,7 @@ point table, so each ``ExactSolution`` computes its sin/cos table once
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -240,13 +240,7 @@ class ErrorNorms:
     p_L2: float
 
     def as_dict(self) -> dict:
-        return {
-            "E_L2": self.E_L2,
-            "H_L2": self.H_L2,
-            "u_L2": self.u_L2,
-            "u_H1": self.u_H1,
-            "p_L2": self.p_L2,
-        }
+        return asdict(self)
 
 
 #: Cells per block of the error quadrature: bounds its temporaries (the

@@ -12,14 +12,14 @@ assembled for it and dropped before its LDL^T starts; the splitting scheme
 builds its EM matrix after the saddle factor, and ``run()`` projects the
 initial state (with U and P masses of its own) before it factors.
 
-Through setup, a Discretization also keeps the setup tables of
-``fem.assembly`` (``setup_tables``): the CellPatterns, the gradient Gram
-matrices and the load rule's point table (with it, ``mms``'s sin/cos table
-of those points). Its own operators, the initial projection, the separable
-source loads and the elasticity block all read the same tables, so a run
-builds each once. The Discretization drops the edge patterns once M_E and
-G_pe, their only readers, are built; every factorization site clears the
-rest just before its LDL^T, and a later assembly builds what it needs again.
+A Discretization owns the setup tables of ``fem.assembly`` (``setup_tables``:
+the CellPatterns, the gradient Gram matrices and the load rule's point table,
+with ``mms``'s sin/cos table of those points); no other code touches them.
+Its operators, the initial projection, the source loads and the elasticity
+block all assemble through ``form`` and ``load``, so a run builds each table
+once. The edge patterns, which only M_E and G_pe read, die with a copy of the
+tables in the constructor. Setup ends at ``order``, which every factorization
+calls just before its LDL^T: it clears the tables.
 
 The splitting scheme advances each step in two sub-steps:
 
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,34 +107,35 @@ class Discretization:
 
     Holds the mesh's DOF ``layouts`` (built here) and the operators a time
     step applies: M_E, the diagonal m_H of M_H, W, G_ff, B_ff, M_P_ff and
-    K_P_ff. A factorization's one-off blocks are assembled on request, from
-    the ``setup_tables`` that every assembly on this mesh shares until a
-    factorization clears them.
+    K_P_ff. A factorization's one-off blocks are assembled on request
+    (``form``), from the ``setup_tables`` that every assembly on this mesh
+    shares until ``order`` ends setup.
     """
 
     def __init__(self, mesh: TetMesh, params: PhysicalParams):
         self.mesh = mesh
         self.layouts = L = make_layouts(mesh)
         self.params = params
-
         self.setup_tables: dict = {}
-        form = partial(assemble_matrix, mesh, tables=self.setup_tables)
-        self.M_E = form("MASS_E")
+        self.B_ff = reduce_matrix(self.form("DIV_COUPLING", params.alpha), L.P, L.U)
+        self.M_P_ff = reduce_matrix(self.form("P_MASS"), L.P, L.P)
+        self.K_P_ff = reduce_matrix(self.form("P_STIFF"), L.P, L.P)
         self.m_H = np.repeat(mesh.cell_geometry()[1], 3)
         self.W = curl_dof_operator(mesh)
-        self.G_ff = reduce_matrix(form("GRAD_P_TO_E"), L.E, L.P)
-        # only M_E and G_pe read the edge patterns
-        del self.setup_tables[True, True], self.setup_tables[True, False]
-        self.B_ff = reduce_matrix(form("DIV_COUPLING", params.alpha), L.P, L.U)
-        self.M_P_ff = reduce_matrix(form("P_MASS"), L.P, L.P)
-        self.K_P_ff = reduce_matrix(form("P_STIFF"), L.P, L.P)
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
+        # the edge patterns, read by M_E and G_pe alone, die with this copy of the tables
+        edge_tables = dict(self.setup_tables)
+        self.M_E = assemble_matrix(mesh, "MASS_E", 1.0, edge_tables)
+        self.G_ff = reduce_matrix(assemble_matrix(mesh, "GRAD_P_TO_E", 1.0, edge_tables), L.E, L.P)
+
+    def form(self, name: str, coeff=1.0) -> sp.csr_matrix:
+        """The full matrix of the form ``name`` (``fem.assembly.FORM_SPACES``), from the setup tables."""
+        return assemble_matrix(self.mesh, name, coeff, self.setup_tables)
 
     def elasticity(self) -> sp.csr_matrix:
         """The elasticity block A_el on the free U DOFs, assembled anew on every call."""
         p, L = self.params, self.layouts
-        A = assemble_matrix(self.mesh, "ELASTICITY", (p.lambda_c, p.G), self.setup_tables)
-        return reduce_matrix(A, L.U, L.U)
+        return reduce_matrix(self.form("ELASTICITY", (p.lambda_c, p.G)), L.U, L.U)
 
     def em_matrix(self, tau: float) -> sp.csr_matrix:
         """(eps + tau sigma) M_E + (tau^2 / mu) W^T M_H W on the free E DOFs, built from M_E, W, m_H.
@@ -150,7 +150,8 @@ class Discretization:
         ) * K_curl_ff
 
     def order(self, *spaces: str) -> list[np.ndarray]:
-        """Nested-dissection blocks of the free DOFs of ``spaces``, stacked in that order."""
+        """Nested-dissection blocks of the free DOFs of ``spaces``, in order; clears the setup tables."""
+        self.setup_tables.clear()
         points = [free_dof_points(self.mesh, getattr(self.layouts, s)) for s in spaces]
         return nested_dissection(np.vstack(points))
 
@@ -171,10 +172,7 @@ class Discretization:
     def _term_load(self, space: str, phi: Callable) -> np.ndarray:
         key = (space, phi)
         if key not in self._term_loads:
-            layout = getattr(self.layouts, space)
-            self._term_loads[key] = assemble_load(
-                self.mesh, layout, lambda t, pts: phi(pts), 0.0, tables=self.setup_tables
-            )
+            self._term_loads[key] = self.load(space, lambda t, pts: phi(pts), 0.0)
         return self._term_loads[key]
 
 
@@ -186,11 +184,10 @@ def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State
     then the boundary constraints are imposed (exact zeros) on E, u, p.
     """
     L = disc.layouts
-    form = partial(assemble_matrix, disc.mesh, tables=disc.setup_tables)
     bE, _ = SpdSolver(disc.M_E, spd_tol).solve(disc.load("E", fields.E, 0.0))
     bH = disc.load("H", fields.H, 0.0) / disc.m_H
-    bU, _ = SpdSolver(form("U_MASS"), spd_tol).solve(disc.load("U", fields.u, 0.0))
-    bP, _ = SpdSolver(form("P_MASS"), spd_tol).solve(disc.load("P", fields.p, 0.0))
+    bU, _ = SpdSolver(disc.form("U_MASS"), spd_tol).solve(disc.load("U", fields.u, 0.0))
+    bP, _ = SpdSolver(disc.form("P_MASS"), spd_tol).solve(disc.load("P", fields.p, 0.0))
     bE[L.E.constrained] = 0.0
     bU[L.U.constrained] = 0.0
     bP[L.P.constrained] = 0.0
@@ -206,9 +203,7 @@ class BhOperator:
 
     def __init__(self, disc: Discretization):
         self.disc = disc
-        A = disc.elasticity()
-        disc.setup_tables.clear()
-        self._lu_A = LuSolver(A, disc.order("U"), tol=1e-8)
+        self._lu_A = LuSolver(disc.elasticity(), disc.order("U"), tol=1e-8)
 
     def displacement(self, p_free: np.ndarray) -> np.ndarray:
         """Free U DOFs of the u with a(u, v) = (p, alpha div v), p given on the free P DOFs."""
@@ -296,7 +291,6 @@ class SplittingScheme(BackwardEuler):
         super().__init__(disc, sources, config)
         # K in a statement of its own: the blocks are freed before the LDL^T starts
         K = saddle_blocks(disc.elasticity(), disc.B_ff, self._pressure_block())
-        disc.setup_tables.clear()
         nu = disc.layouts.U.num_free
         self._saddle = SaddleSolver(K, nu, disc.order("U", "P"), tol=config.saddle_tol)
         self._em = SpdSolver(disc.em_matrix(self.tau), tol=config.spd_tol)
@@ -337,7 +331,6 @@ class MonolithicScheme(BackwardEuler):
             format="csc",
         )
         del G
-        disc.setup_tables.clear()
         self._lu = LuSolver(K, disc.order("E", "U", "P"), tol=config.saddle_tol)
         self._ends = np.cumsum([disc.layouts.E.num_free, disc.layouts.U.num_free])
 

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from epe.core import SCHEMES, RunConfig, grid_for_step
-from epe.fem.assembly import assemble_matrix
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import ErrorNorms, error_norms, example61
 from epe.schemes import Discretization, Sources, run
@@ -127,14 +125,19 @@ def spatial_convergence(n_values, config: RunConfig) -> StudyReport:
     return StudyReport(kind="spatial", rows=rows, x_field="h")
 
 
+def _zero_fields(t, pts):
+    """The (E, H, u, grad u, p) values of the zero solution, shaped as ``ExactSolution.fields``."""
+    return tuple(np.zeros((len(pts), *shape)) for shape in ((3,), (3,), (3,), (3, 3), ()))
+
+
 def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: float) -> StudyReport:
     """Step-size study against a fine-step reference on the same mesh.
 
     The reference step must satisfy tau_ref <= min(tau)/8 so the reference
     is effectively converged in time relative to the coarser runs, and every
     step must divide T into whole steps, as ``epe run`` requires. Field
-    differences are discrete L2 (and H1 for u) norms of coefficient
-    differences via the assembled mass/stiffness matrices.
+    differences are measured by ``error_norms``, as the error of the
+    difference state against zero fields.
     """
     tau_values = sorted(float(t) for t in tau_values)
     if not tau_values or tau_values[0] <= 0.0:
@@ -153,30 +156,15 @@ def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: fl
     exact = example61(config.params)
     sources = Sources(j=exact.j, f=exact.f, g=exact.g)
     disc = Discretization(build_unit_cube_mesh(mesh_n), config.params)
-    form = partial(assemble_matrix, disc.mesh, tables=disc.setup_tables)
-    K_U = form("ELASTICITY", (0.0, 1.0))
-    M_U = form("U_MASS")
-    M_P = form("P_MASS")
-
     ref = run(configs[tau_ref], sources, exact, disc=disc).state
-
-    def mass_norm(d, Md):
-        return float(np.sqrt(max(d @ Md, 0.0)))
+    zero = replace(exact, fields=_zero_fields)
 
     rows = []
     for tau in sorted(tau_values, reverse=True):
         cfg = configs[tau]
         state = run(cfg, sources, exact, disc=disc).state
-        dE, dH = state.E - ref.E, state.H - ref.H
-        du, dp = state.u - ref.u, state.p - ref.p
-        u_l2 = mass_norm(du, M_U @ du)
-        errs = ErrorNorms(
-            E_L2=mass_norm(dE, disc.M_E @ dE),
-            H_L2=mass_norm(dH, disc.m_H * dH),
-            u_L2=u_l2,
-            u_H1=float(np.sqrt(u_l2**2 + du @ (K_U @ du))),
-            p_L2=mass_norm(dp, M_P @ dp),
-        )
+        diff = replace(state, **{f: getattr(state, f) - getattr(ref, f) for f in "EHup"})
+        errs = error_norms(diff, zero, cfg.grid.T, disc.mesh, cfg.quad_error)
         rows.append(_row(cfg, errs, dict.fromkeys(TIMING_FIELDS, 0.0)))
     _attach_orders(rows, "tau")
     return StudyReport(kind="temporal", rows=rows, x_field="tau")

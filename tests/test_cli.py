@@ -48,6 +48,16 @@ def test_studies_print_the_table_they_write(argv, stem, tmp_path, capsys):
     assert out.rstrip().splitlines()[-1].startswith(f"wrote {tmp_path / stem}.csv")
 
 
+@pytest.mark.parametrize("scheme,n", [("monolithic", 4), ("monolithic", 8), ("splitting", 8)])
+def test_the_low_storage_low_permeability_limit_runs(scheme, n, capsys):
+    """c0 = kappa = 1e-8 with L = 1e-5 is admissible; a direct solve there misses saddle_tol
+    once and is refined with the same factor, so the run exits 0 instead of 2."""
+    argv = ["run", "--scheme", scheme, "--c0", "1e-8", "--kappa", "1e-8", "--L", "1e-5", "--n", str(n)]
+    code, out = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert f"scheme={scheme} n={n}" in out
+
+
 def test_convergence_time_reports_nan_for_a_zero_error(tmp_path, capsys):
     """At n = 2 the coupling block is zero, so u does not depend on tau and its errors are 0."""
     argv = ["convergence-time", "--n", "2", "--taus", "0.005,0.01", "--tau-ref", "0.000625"]

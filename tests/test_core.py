@@ -173,6 +173,38 @@ class TestConfigFile:
         assert built == build_config(None, values)
         assert built.grid.N == 4 and built.scheme == "monolithic" and built.params.c0 == 0.125
 
+    def test_an_int_key_refuses_a_non_integral_value(self):
+        """An override is checked as a file value is: mesh_n = 4.7 is refused, not run at n = 4."""
+        for bad in (4.7, "4.7", "4.0", True, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                build_config(None, {"mesh_n": bad})
+        built = build_config(None, {"mesh_n": 5.0})
+        assert built.mesh_n == 5 and type(built.mesh_n) is int
+
+    @pytest.mark.parametrize(
+        "key,text",
+        [("allow_decoupled", "false"), ("allow_decoupled", "On"), ("mesh_n", "3"), ("kappa", "4e0"),
+         ("scheme", "monolithic"), ("quad_error", "6"), ("allow_decoupled", "maybe"), ("G", "x")],
+    )
+    def test_a_string_override_parses_as_a_file_value(self, tmp_path, key, text):
+        """A string override gives the RunConfig, or the ConfigError, that the same file line gives."""
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+
+        def outcome(build):
+            try:
+                return build()
+            except ConfigError as exc:
+                return type(exc)
+
+        from_file = outcome(lambda: build_config(parse_config_file(cfg)))
+        assert outcome(lambda: build_config(None, {key: text})) == from_file
+
+    def test_a_false_string_leaves_allow_decoupled_off(self):
+        with pytest.raises(H1Violated):
+            build_config(None, {"L": 0.0, "allow_decoupled": "false"})
+        assert build_config(None, {"L": 0.0, "allow_decoupled": "true"}).params.L == 0.0
+
     def test_tau_must_divide_T(self):
         with pytest.raises(InvalidGrid):
             build_config(None, {"T": 0.1, "tau": 0.03})

@@ -18,6 +18,7 @@ from epe.linalg import (
     LinearSolveReport,
     LuSolver,
     MultifrontalLdl,
+    REFINE_SWEEPS,
     NotConverged,
     SaddleSolver,
     SingularSystem,
@@ -231,6 +232,36 @@ class TestLuSolver:
         b = rng.standard_normal(K.shape[0])
         x, rep = solver.solve(b)
         assert rep.relative_residual == np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+
+
+    def test_only_a_solve_that_misses_tol_is_refined(self):
+        """A first solve within tol is returned as it is, with 0 sweeps; below rounding, the
+        sweeps stop when the residual stops falling, and the solve raises with its residual."""
+        rng = np.random.default_rng(15)
+        K, _ = random_sqd(rng, n_pos=30, n_neg=12)
+        b = rng.standard_normal(K.shape[0])
+        solver = LuSolver(K, blocks(np.arange(K.shape[0])), tol=1e-10)
+        x, rep = solver.solve(b)
+        assert rep.iterations == 0 and np.array_equal(x, solver._sweep(b))
+        solver.tol = 1e-30
+        with pytest.raises(NotConverged) as info:
+            solver.solve(b)
+        assert 0 <= info.value.iterations <= REFINE_SWEEPS
+        assert 1e-30 < info.value.residual <= rep.relative_residual
+
+    def test_refinement_with_an_inexact_factor_meets_tol(self):
+        """With the factor of a perturbed K, one solve misses tol; sweeps on the true residual
+        meet it, and the report counts them."""
+        rng = np.random.default_rng(16)
+        K, _ = random_sqd(rng, n_pos=30, n_neg=12)
+        order = blocks(np.arange(K.shape[0]))
+        solver = LuSolver(K, order, tol=1e-13)
+        solver.lu = LuSolver(K + 1e-6 * sp.diags(K.diagonal()), order).lu
+        b = rng.standard_normal(K.shape[0])
+        first = np.linalg.norm(b - K @ solver._sweep(b)) / np.linalg.norm(b)
+        x, rep = solver.solve(b)
+        assert first > 1e-9 and 1 <= rep.iterations <= REFINE_SWEEPS
+        assert rep.relative_residual == np.linalg.norm(b - K @ x) / np.linalg.norm(b) <= 1e-13
 
 
 def random_sqd(rng, n_pos=40, n_neg=20, density=0.15):

@@ -16,7 +16,7 @@ from conftest import blocks, cellwise_curl, elasticity_ff, full_operator, zero_s
 from epe.core import PARAM_NAMES, make_time_grid, validate_params
 from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
 from epe.fem.dofs import make_layouts, reduce_matrix
-from epe.linalg import LuSolver, MultifrontalLdl
+from epe.linalg import LuSolver, MultifrontalLdl, NotConverged
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import example61
 from epe.schemes import (
@@ -30,6 +30,7 @@ from epe.schemes import (
     initial_state,
     run,
 )
+from epe.studies import temporal_convergence
 
 
 def curl_coupling(disc):
@@ -495,7 +496,7 @@ class TestLuOrdering:
         mesh = build_unit_cube_mesh(6)
         disc = Discretization(mesh, params)
         if scheme == "splitting":
-            lu = SplittingScheme(disc, sources, config)._saddle._lu
+            lu = SplittingScheme(disc, sources, config)._saddle
         else:
             lu = MonolithicScheme(disc, sources, config)._lu
         assert isinstance(lu.lu, MultifrontalLdl) and lu.lu.U.nnz == 0
@@ -582,6 +583,84 @@ class TestLuOrdering:
         pairs = [("pattern", (E, E)), ("pattern", (E, V)), ("pattern", (V, V))]
         assert counts == [Counter({**dict.fromkeys(pairs, 1), "scatter": 3, "gram": 1,
                                    "points": 1, "sin/cos": 1})]
+
+    @pytest.mark.parametrize(
+        "site,ldlts",
+        [("splitting", 1), ("monolithic", 1), ("BhOperator", 1),
+         ("temporal splitting", 3), ("temporal monolithic", 3)],
+    )
+    def test_no_setup_table_is_alive_when_an_ldlt_starts(
+        self, site, ldlts, config, params, mesh4, sources, exact, monkeypatch
+    ):
+        """Every factorization site ends setup: when its LDL^T starts, no CellPattern, scatter,
+        Gram array, point table or sin/cos table is alive, though the setup built them. The
+        temporal study factors once per run (the reference and two steps)."""
+        probe = SetupTableProbe(monkeypatch)
+        alive = []
+
+        class Probing(MultifrontalLdl):
+            def __init__(self, *args):
+                alive.append(probe.alive())
+                super().__init__(*args)
+
+        monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Probing)
+        if site == "BhOperator":
+            BhOperator(Discretization(mesh4, params))
+        elif site.startswith("temporal"):
+            cfg = replace(config, scheme=site.split()[1])
+            temporal_convergence(4, (0.05, 0.025), cfg, 0.003125)
+        else:
+            run(small_config(config, 4, 0.1, 1, scheme=site), sources, exact, mesh=mesh4)
+        assert probe.counts()["scatter"] >= 3 and probe.counts()["gram"] >= 1
+        assert alive == [[]] * ldlts
+
+    def test_order_ends_setup(self, params, mesh2, monkeypatch):
+        """``order`` leaves the setup tables empty, and nothing else holds them."""
+        probe = SetupTableProbe(monkeypatch)
+        disc = Discretization(mesh2, params)
+        disc.form("U_MASS")
+        disc.load("P", lambda t, pts: pts[:, 0], 0.0)
+        assert disc.setup_tables and "points" in str(probe.alive())
+        disc.order("U", "P")
+        assert disc.setup_tables == {} and probe.alive() == []
+
+
+class TestAdmissibleLimits:
+    def test_log_uniform_admissible_sets_run_or_report_their_residual(self, config, mesh4, monkeypatch):
+        """Admissible sets drawn log-uniformly toward the low-storage, low-permeability Biot limit
+        either run at n = 4, both schemes, or raise NotConverged with a residual above tolerance.
+
+        c0 and kappa span 1e-10..1e-4, the other constants 1e-2..1e2, and L / sqrt(sigma kappa)
+        1e-4..0.999. There the pressure block is nearly zero and a first direct solve can miss
+        saddle_tol; the draws include solves that refinement brings within it.
+        """
+        sweeps = []
+        solve = LuSolver._solve
+
+        def recording(solver, rhs):
+            x, report = solve(solver, rhs)
+            sweeps.append(report.iterations)
+            return x, report
+
+        monkeypatch.setattr(LuSolver, "_solve", recording)
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            values = dict(zip(PARAM_NAMES, 10.0 ** rng.uniform(-2, 2, len(PARAM_NAMES))))
+            values["c0"], values["kappa"] = 10.0 ** rng.uniform(-10, -4, 2)
+            ratio = 10.0 ** rng.uniform(-4, np.log10(0.999))
+            values["L"] = ratio * np.sqrt(values["sigma"] * values["kappa"])
+            params = validate_params(**values)
+            exact = example61(params)
+            sources = Sources(j=exact.j, f=exact.f, g=exact.g)
+            for scheme in ("splitting", "monolithic"):
+                cfg = small_config(config, 4, 0.01, 4, scheme=scheme, params=params)
+                try:
+                    state = run(cfg, sources, exact, mesh=mesh4).state
+                except NotConverged as exc:
+                    assert np.isfinite(exc.residual) and exc.residual > min(cfg.spd_tol, cfg.saddle_tol)
+                else:
+                    assert all(np.all(np.isfinite(getattr(state, f))) for f in "EHup")
+        assert max(sweeps) >= 1
 
 
 def energy_observer(config, disc, energies):

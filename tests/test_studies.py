@@ -1,7 +1,14 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from epe.core import SCHEMES, grid_for_step
+from epe.fem.assembly import assemble_matrix
+from epe.mesh import build_unit_cube_mesh
+from epe.mms import example61
+from epe.schemes import Sources, run
 from epe.studies import (
     CSV_HEADER,
     DEFAULT_TAU_REF,
@@ -66,6 +73,44 @@ def test_spatial_orders_are_first_order(config):
     orders = spatial_convergence([4, 8, 12], config).rows[-1].orders
     for field in ("E_L2", "H_L2", "u_H1"):
         assert orders[field] >= MIN_ORDER, (field, orders)
+
+
+def mass_matrix_norms(mesh, state, ref) -> dict:
+    """Oracle: discrete L2 norms of state - ref (and the H1 norm of u) by assembled mass and
+    stiffness matrices, as the temporal study measured them before it called ``error_norms``."""
+    K_U = assemble_matrix(mesh, "ELASTICITY", (0.0, 1.0))
+    M_U, M_P, M_E = (assemble_matrix(mesh, form) for form in ("U_MASS", "P_MASS", "MASS_E"))
+    m_H = np.repeat(mesh.cell_geometry()[1], 3)
+    dE, dH, du, dp = (getattr(state, f) - getattr(ref, f) for f in "EHup")
+    u_sq = du @ (M_U @ du)
+    return {
+        "E_L2": np.sqrt(dE @ (M_E @ dE)),
+        "H_L2": np.sqrt(dH @ (m_H * dH)),
+        "u_L2": np.sqrt(u_sq),
+        "u_H1": np.sqrt(u_sq + du @ (K_U @ du)),
+        "p_L2": np.sqrt(dp @ (M_P @ dp)),
+    }
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_temporal_norms_match_the_mass_matrix_norms(config, scheme):
+    """At n = 3 the study's norms equal the mass-matrix norms of the same final states to 1e-12."""
+    config = replace(config, scheme=scheme)
+    taus, tau_ref = (0.05, 0.025), 0.003125
+    report = temporal_convergence(3, taus, config, tau_ref)
+    mesh = build_unit_cube_mesh(3)
+    exact = example61(config.params)
+
+    def final_state(tau):
+        cfg = replace(config, mesh_n=3, grid=grid_for_step(config.grid.T, tau))
+        return run(cfg, Sources(j=exact.j, f=exact.f, g=exact.g), exact, mesh=mesh).state
+
+    ref = final_state(tau_ref)
+    assert sorted(row.tau for row in report.rows) == sorted(taus)
+    for row in report.rows:
+        want = mass_matrix_norms(mesh, final_state(row.tau), ref)
+        for field in ERROR_FIELDS:
+            assert row.errors[field] == pytest.approx(want[field], rel=1e-12, abs=0.0), field
 
 
 def test_temporal_orders_are_first_order(config):
