@@ -37,7 +37,10 @@ coupling into E, elasticity, the divergence coupling and the P stiffness.
 The diagonal H mass is ``schemes.Discretization.m_H``, the cell volumes.
 The curl has no form: curl E_h is cellwise constant, so
 ``curl_dof_operator`` (W) is the whole discrete curl, the curl coupling is
-M_H W and the curl-curl block is W^T M_H W.
+M_H W and the curl-curl block is W^T M_H W. E vanishes on the constrained
+edges, so ``schemes.Discretization`` keeps only W's free columns (W_f).
+Like every form and load, W reads ``TetMesh.cell_geometry``, which setup
+releases at its end; error norms and VTK output recompute it.
 
 Conventions:
   - A cell's Nedelec function for local edge i is multiplied by the stored
@@ -239,9 +242,9 @@ def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
     """Map E coefficients to the cellwise-constant curl components (3C x E).
 
     Row 3c+d holds (curl E_h)_d on cell c; no volume weighting. This is the
-    exact curl of the discrete field: the magnetic-field update applies it
-    directly, and the curl coupling and curl-curl block are M_H W and
-    W^T M_H W. Zero curl components are not stored.
+    exact curl of the discrete field: the magnetic-field update applies its
+    free columns directly, and the curl coupling and curl-curl block are
+    M_H W and W^T M_H W. Zero curl components are not stored.
     """
     # row 3c+d holds the d-th curl component of cell c's six edge functions
     values = np.transpose(signed_curls(mesh), (0, 2, 1)).ravel()

@@ -87,11 +87,16 @@ class TetMesh:
         With e_k = x_k - x_0 the edges from a cell's first vertex, the signed
         volume is det / 6, det = e_1 . (e_2 x e_3), and grad lam_k (k = 1, 2, 3)
         is the cross product of the other two edges (cyclically) over det;
-        grad lam_0 = -(grad lam_1 + grad lam_2 + grad lam_3).
+        grad lam_0 = -(grad lam_1 + grad lam_2 + grad lam_3). Cached until
+        ``release_geometry``; the next call then computes the same bits anew.
         """
         if "geometry" not in self._cache:
             self._cache["geometry"] = _cell_geometry(self.vertices, self.cells)
         return self._cache["geometry"]
+
+    def release_geometry(self) -> None:
+        """Drop the cached ``cell_geometry`` (13 floats per cell); it is recomputed on next use."""
+        self._cache.pop("geometry", None)
 
 
 def _cell_geometry(vertices: np.ndarray, cells: np.ndarray):

@@ -4,9 +4,10 @@ Both schemes share one Discretization (assembled operators; coefficients
 are time-independent, so every matrix is built once per run and factorized
 once). W is the discrete curl (``curl_dof_operator``); the H mass M_H is
 diagonal and held as its diagonal m_H. A Discretization holds only what a
-time step reads: the full M_E, m_H and W, and the free-DOF blocks G_ff
-(pressure gradient), B_ff, M_P_ff and K_P_ff; u and p vanish on the
-constrained DOFs, so the free blocks suffice.
+time step reads: the full M_E, m_H, the curl on the free edges W_f (its
+columns of W), and the free-DOF blocks G_ff (pressure gradient), B_ff,
+M_P_ff and K_P_ff; E, u and p vanish on the constrained DOFs, so the free
+columns and blocks suffice.
 What a factorization reads once (the elasticity block, the EM matrix) is
 assembled for it and dropped before its LDL^T starts; the splitting scheme
 builds its EM matrix after the saddle factor, and ``run()`` projects the
@@ -19,7 +20,9 @@ Its operators, the initial projection, the source loads and the elasticity
 block all assemble through ``form`` and ``load``, so a run builds each table
 once. The edge patterns, which only M_E and G_pe read, die with a copy of the
 tables in the constructor. Setup ends at ``order``, which every factorization
-calls just before its LDL^T: it clears the tables.
+calls just before its LDL^T: it clears the tables and releases the mesh's
+cell geometry (``TetMesh.release_geometry``), which error norms and VTK
+output recompute on first use.
 
 The splitting scheme advances each step in two sub-steps:
 
@@ -106,7 +109,7 @@ class Discretization:
     """Assembled operators for one mesh and parameter set (see the module docstring).
 
     Holds the mesh's DOF ``layouts`` (built here) and the operators a time
-    step applies: M_E, the diagonal m_H of M_H, W, G_ff, B_ff, M_P_ff and
+    step applies: M_E, the diagonal m_H of M_H, W_f, G_ff, B_ff, M_P_ff and
     K_P_ff. A factorization's one-off blocks are assembled on request
     (``form``), from the ``setup_tables`` that every assembly on this mesh
     shares until ``order`` ends setup.
@@ -121,7 +124,7 @@ class Discretization:
         self.M_P_ff = reduce_matrix(self.form("P_MASS"), L.P, L.P)
         self.K_P_ff = reduce_matrix(self.form("P_STIFF"), L.P, L.P)
         self.m_H = np.repeat(mesh.cell_geometry()[1], 3)
-        self.W = curl_dof_operator(mesh)
+        self.W_f = curl_dof_operator(mesh)[:, L.E.free]
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
         # the edge patterns, read by M_E and G_pe alone, die with this copy of the tables
         edge_tables = dict(self.setup_tables)
@@ -138,20 +141,22 @@ class Discretization:
         return reduce_matrix(self.form("ELASTICITY", (p.lambda_c, p.G)), L.U, L.U)
 
     def em_matrix(self, tau: float) -> sp.csr_matrix:
-        """(eps + tau sigma) M_E + (tau^2 / mu) W^T M_H W on the free E DOFs, built from M_E, W, m_H.
+        """(eps + tau sigma) M_E + (tau^2 / mu) W_f^T M_H W_f on the free E DOFs, from M_E, W_f, m_H.
 
-        M_H is diagonal, so the curl-curl block stays sparse.
+        M_H is diagonal, so the curl-curl block stays sparse; both terms are
+        scaled in place and summed once.
         """
         p, L = self.params, self.layouts
-        W_f = self.W.tocsc()[:, L.E.free].tocsr()
-        K_curl_ff = (W_f.T @ sp.diags(self.m_H) @ W_f).tocsr()
-        return (p.epsilon + tau * p.sigma) * reduce_matrix(self.M_E, L.E, L.E) + (
-            tau**2 / p.mu
-        ) * K_curl_ff
+        K = (self.W_f.T @ sp.diags(self.m_H) @ self.W_f).tocsr()
+        K.data *= tau**2 / p.mu
+        M = reduce_matrix(self.M_E, L.E, L.E)
+        M.data *= p.epsilon + tau * p.sigma
+        return M + K
 
     def order(self, *spaces: str) -> list[np.ndarray]:
-        """Nested-dissection blocks of the free DOFs of ``spaces``, in order; clears the setup tables."""
+        """Nested-dissection blocks of the free DOFs of ``spaces``, in order; ends setup (module doc)."""
         self.setup_tables.clear()
+        self.mesh.release_geometry()
         points = [free_dof_points(self.mesh, getattr(self.layouts, s)) for s in spaces]
         return nested_dissection(np.vstack(points))
 
@@ -241,8 +246,8 @@ class BackwardEuler:
         self.tau = tau = config.grid.tau
         self.sources = sources
         disc.prepare_loads(sources)
-        # a view of W (no copy) and the diagonal of tau M_H, for the history's curl term
-        self._curl_T, self._tau_m_H = disc.W.T, tau * disc.m_H
+        # a view of W_f (no copy) and the diagonal of tau M_H, for the history's curl term
+        self._curl_T, self._tau_m_H = disc.W_f.T, tau * disc.m_H
 
     def _pressure_block(self) -> sp.csr_matrix:
         """C_p = c0 M_P + tau kappa K_P on the free P DOFs."""
@@ -256,14 +261,14 @@ class BackwardEuler:
         with the sources taken at the new time level (see the module docstring).
         """
         disc, tau, L, p = self.disc, self.tau, self.disc.layouts, self.disc.params
-        E = disc.M_E @ state.E
+        E = (disc.M_E @ state.E)[L.E.free]
         E *= p.epsilon
         E += self._curl_T @ (self._tau_m_H * state.H)
         P = disc.M_P_ff @ L.P.reduce(state.p)
         P *= p.c0
         P += disc.B_ff @ L.U.reduce(state.u)
         loads = (("E", self.sources.j, tau), ("U", self.sources.f, 1.0), ("P", self.sources.g, tau))
-        parts = (E[L.E.free], np.zeros(L.U.num_free), P)
+        parts = (E, np.zeros(L.U.num_free), P)
         for (space, fn, scale), part in zip(loads, parts):
             part += scale * disc.load(space, fn, state.t + tau)[getattr(L, space).free]
         return parts
@@ -271,10 +276,9 @@ class BackwardEuler:
     def advance(self, state: State, E_free, u_free, p_free) -> State:
         """The next time level from the free DOFs of E, u and p; H follows from E exactly."""
         L = self.disc.layouts
-        E = L.E.extend(E_free)
         return State(
-            E=E,
-            H=state.H - (self.tau / self.disc.params.mu) * (self.disc.W @ E),
+            E=L.E.extend(E_free),
+            H=state.H - (self.tau / self.disc.params.mu) * (self.disc.W_f @ E_free),
             u=L.U.extend(u_free),
             p=L.P.extend(p_free),
             n=state.n + 1,

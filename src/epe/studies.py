@@ -89,6 +89,14 @@ def _attach_orders(rows, x_field: str) -> None:
         by_scheme[row.scheme] = row
 
 
+def _distinct(values: list, what: str) -> list:
+    """``values``, refused with ValueError when one repeats: two rows at one h or tau have no order."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"repeated {what} {repeated}: give each value once")
+    return values
+
+
 def _row(config: RunConfig, errors: ErrorNorms, timings: dict) -> StudyRow:
     """The report row of one run of ``config``."""
     return StudyRow(
@@ -115,12 +123,13 @@ def spatial_convergence(n_values, config: RunConfig) -> StudyReport:
 
     Errors are measured against the exact solution at t = T; the reported
     mesh parameter h is 1/n (the customary labeling for this mesh family;
-    the actual cell diameter is sqrt(3)/n, which changes no order).
+    the actual cell diameter is sqrt(3)/n, which changes no order). A
+    repeated mesh size is refused before any run.
     """
     rows = []
-    for n in n_values:
-        cfg = replace(config, mesh_n=int(n))
-        rows.append(_exact_row(cfg, build_unit_cube_mesh(cfg.mesh_n)))
+    for n in _distinct([int(n) for n in n_values], "mesh size"):
+        cfg = replace(config, mesh_n=n)
+        rows.append(_exact_row(cfg, build_unit_cube_mesh(n)))
     _attach_orders(rows, "h")
     return StudyReport(kind="spatial", rows=rows, x_field="h")
 
@@ -135,11 +144,11 @@ def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: fl
 
     The reference step must satisfy tau_ref <= min(tau)/8 so the reference
     is effectively converged in time relative to the coarser runs, and every
-    step must divide T into whole steps, as ``epe run`` requires. Field
-    differences are measured by ``error_norms``, as the error of the
-    difference state against zero fields.
+    step must divide T into whole steps, as ``epe run`` requires; a repeated
+    step is refused. Field differences are measured by ``error_norms``, as
+    the error of the difference state against zero fields.
     """
-    tau_values = sorted(float(t) for t in tau_values)
+    tau_values = _distinct(sorted(float(t) for t in tau_values), "step tau")
     if not tau_values or tau_values[0] <= 0.0:
         raise ValueError(f"every step tau must be positive, got {tau_values!r}")
     if not tau_ref > 0.0:
@@ -178,12 +187,13 @@ def benchmark(n_values, config: RunConfig) -> StudyReport:
     alone (same sources, quadrature degrees and tolerances). Each row is
     solved ``BENCH_SOLVES`` times, the two schemes taking turns, and reports
     the median of every phase, with their sum as its total. The solves are
-    deterministic, so the error norms are those of any one of them.
+    deterministic, so the error norms are those of any one of them. A
+    repeated mesh size is refused before any solve.
     """
     rows = []
-    for n in n_values:
-        mesh = build_unit_cube_mesh(int(n))
-        configs = [replace(config, mesh_n=int(n), scheme=s) for s in SCHEMES]
+    for n in _distinct([int(n) for n in n_values], "mesh size"):
+        mesh = build_unit_cube_mesh(n)
+        configs = [replace(config, mesh_n=n, scheme=s) for s in SCHEMES]
         solves = [[_exact_row(cfg, mesh) for cfg in configs] for _ in range(BENCH_SOLVES)]
         for runs in zip(*solves):
             phases = {k: float(np.median([r.timings[k] for r in runs])) for k in TIMING_FIELDS[:-1]}

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 import epe.cli
 import epe.linalg
+import epe.studies
 from epe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epe.fem.assembly import curl_dof_operator
 
@@ -122,6 +123,26 @@ def test_an_empty_list_is_refused_by_flag_name(argv, flag, tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert f"argument {flag}: expected at least one value, got ','" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["convergence", "--n", "2,2"] + TINY, "repeated mesh size [2]"),
+        (["convergence-time", "--n", "2", "--taus", "0.05,0.05", "--tau-ref", "0.003125"],
+         "repeated step tau [0.05]"),
+        (["bench", "--n", "2,3,2"] + TINY, "repeated mesh size [2]"),
+    ],
+)
+def test_a_repeated_study_value_is_refused_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
+    """Two rows at one h or tau have no convergence order (and two bench rows of one n disagree
+    between the CSV and the table), so a repeated value exits 1 before the first run."""
+    runs = []
+    monkeypatch.setattr(epe.studies, "run", lambda *args, **kwargs: runs.append(1))
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert f"epe: validation error: {message}" in capsys.readouterr().err
+    assert runs == [] and not list(tmp_path.iterdir())
 
 
 def test_self_check_passes(capsys):

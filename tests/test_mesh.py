@@ -94,6 +94,17 @@ class TestGeometry:
     def test_mesh_size(self):
         assert build_unit_cube_mesh(4).h == pytest.approx(np.sqrt(3) / 4, rel=1e-15)
 
+    def test_released_geometry_is_recomputed_bit_for_bit(self):
+        """After ``release_geometry`` the mesh holds no geometry; the next call builds new arrays
+        with the same bytes, and a second release is harmless."""
+        mesh = build_unit_cube_mesh(3)
+        before = mesh.cell_geometry()
+        mesh.release_geometry()
+        mesh.release_geometry()
+        after = mesh.cell_geometry()
+        assert all(a is not b and a.tobytes() == b.tobytes() for a, b in zip(after, before))
+        assert mesh.cell_geometry() is after
+
     def test_positive_orientation(self, mesh3):
         verts = mesh3.vertices[mesh3.cells]
         edges = verts[:, 1:] - verts[:, :1]

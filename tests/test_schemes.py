@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import epe.fem.assembly
 import epe.linalg
+import epe.mesh
 import epe.mms
 import epe.schemes
 from conftest import blocks, cellwise_curl, elasticity_ff, full_operator, zero_state
@@ -18,7 +19,7 @@ from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
 from epe.fem.dofs import make_layouts, reduce_matrix
 from epe.linalg import LuSolver, MultifrontalLdl, NotConverged
 from epe.mesh import build_unit_cube_mesh
-from epe.mms import example61
+from epe.mms import error_norms, example61
 from epe.schemes import (
     BhOperator,
     Discretization,
@@ -35,7 +36,7 @@ from epe.studies import temporal_convergence
 
 def curl_coupling(disc):
     """C = M_H W restricted to free E columns: the (curl E, H) coupling with H kept."""
-    return (sp.diags(disc.m_H) @ disc.W[:, disc.layouts.E.free]).tocsr()
+    return (sp.diags(disc.m_H) @ curl_dof_operator(disc.mesh)[:, disc.layouts.E.free]).tocsr()
 
 
 def grad_coupling(disc):
@@ -623,6 +624,62 @@ class TestLuOrdering:
         assert disc.setup_tables and "points" in str(probe.alive())
         disc.order("U", "P")
         assert disc.setup_tables == {} and probe.alive() == []
+
+
+class TestLiveSet:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_em_matrix_equals_the_full_curl_formula(self, n, config):
+        """em_matrix(tau) is (eps + tau sigma) M_E + (tau^2 / mu) W^T M_H W on the free edges,
+        with W the full curl of ``curl_dof_operator``, for headline and random admissible sets."""
+        mesh = build_unit_cube_mesh(n)
+        L = make_layouts(mesh)
+        W = curl_dof_operator(mesh)
+        for p in (config.params, random_admissible_params(np.random.default_rng(60 + n))):
+            disc = Discretization(mesh, p)
+            for tau in (config.grid.tau, 0.1):
+                want = reduce_matrix(
+                    (p.epsilon + tau * p.sigma) * full_operator(disc, "MASS_E")
+                    + (tau**2 / p.mu) * (W.T @ sp.diags(disc.m_H) @ W),
+                    L.E,
+                    L.E,
+                )
+                got = disc.em_matrix(tau)
+                assert got.shape == want.shape
+                assert abs(got - want).max() <= 1e-15 * abs(want).max()
+
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_setup_end_keeps_the_free_curl_and_no_geometry(self, scheme, config, sources, exact,
+                                                           monkeypatch):
+        """After ``make_scheme`` no sparse matrix has the full curl's shape (3C, E), the held curl
+        W_f is its free columns, and the mesh's cell geometry is gone: the first error norms
+        recompute it and read the same norms, bit for bit, as on a mesh that kept its cache."""
+        n = 5
+        cfg = small_config(config, n, 0.01, 4, scheme=scheme)
+        mesh = build_unit_cube_mesh(n)
+        kept = build_unit_cube_mesh(n)
+        g_kept = kept.cell_geometry()
+        L = make_layouts(mesh)
+        disc = Discretization(mesh, cfg.params)
+        state = initial_state(disc, exact)
+        engine = epe.schemes.make_scheme(disc, sources, cfg)
+        gc.collect()
+        live = [o.shape for o in gc.get_objects() if sp.issparse(o)]
+        assert (3 * mesh.num_cells, mesh.num_edges) not in live
+        assert disc.W_f.shape == (3 * mesh.num_cells, L.E.num_free)
+        assert (disc.W_f != curl_dof_operator(kept)[:, L.E.free]).nnz == 0
+        for _ in range(cfg.grid.N):
+            state = engine.step(state)
+
+        computed = []
+        geometry = epe.mesh._cell_geometry
+        monkeypatch.setattr(epe.mesh, "_cell_geometry",
+                            lambda *args: computed.append(1) or geometry(*args))
+        got = error_norms(state, exact, cfg.grid.T, mesh, cfg.quad_error).as_dict()
+        want = error_norms(state, exact, cfg.grid.T, kept, cfg.quad_error).as_dict()
+        assert computed == [1]
+        assert got == want
+        for a, b in zip(mesh.cell_geometry(), g_kept):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestAdmissibleLimits:
