@@ -31,6 +31,7 @@ from epe.studies import (
     DEFAULT_TAUS,
     IoError,
     benchmark,
+    distinct,
     emit_report,
     report_markdown,
     spatial_convergence,
@@ -217,7 +218,7 @@ def _cmd_convergence(args) -> int:
     config = _config_from_args(args)
     n_values = [4, 8, 12] if args.n is None else args.n
     if args.full:
-        n_values = sorted(set(n_values) | {15, 18})
+        n_values = sorted(set(distinct(n_values, "mesh size")) | {15, 18})
     return _emit(spatial_convergence(n_values, config), config.out, "convergence")
 
 
@@ -234,7 +235,7 @@ def _cmd_bench(args) -> int:
     config = _config_from_args(args)
     n_values = [4, 8, 12] if args.n is None else args.n
     if args.full:
-        n_values = sorted(set(n_values) | {15})
+        n_values = sorted(set(distinct(n_values, "mesh size")) | {15})
     report = benchmark(n_values, config)
     notes = [f"speedup at n={n}: {ratio:.2f}x" for n, ratio in speedups(report).items()]
     return _emit(report, config.out, "bench", notes)

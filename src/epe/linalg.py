@@ -6,25 +6,26 @@ returning silently wrong results. All paths are deterministic: identical
 inputs produce identical outputs (no randomized pivoting, fixed iteration
 order), so two factorizations of one matrix give bit-identical solves.
 
-Every direct solve is one quasi-definite LDL^T. ``LuSolver`` factors a
-symmetric permutation K[order][:, order] of a symmetric matrix with
-``MultifrontalLdl``, dense Cholesky kernels front by front; a matrix that
-is not symmetric (to rounding) raises ValueError. The factorization reads
-the permuted matrix from K's own columns, so K is held once. Each front
-keeps its pivot factor as a packed lower triangle and its off-diagonal
-block of L (transposed) in full, exactly the entries of L. A front's update
-to later unknowns is symmetric and only its lower triangle is read, so it
-is formed and stored as a lower trapezoid of column panels
+Every direct solve is one quasi-definite LDL^T. ``MultifrontalLdl`` owns
+its numbering: it sorts each block of unknowns by diagonal sign, factors
+K[order][:, order] with dense Cholesky kernels front by front and solves in
+K's numbering. ``LuSolver`` keeps K, the tolerance, the residual and the
+refinement; a matrix that is not symmetric (to rounding) raises ValueError.
+The factorization reads the permuted matrix from K's own columns, so K is
+held once. Each front keeps its pivot factor as a packed lower triangle and
+its off-diagonal block of L (transposed) in full, exactly the entries of L.
+A front's update to later unknowns is symmetric and only its lower triangle
+is read, so it is formed and stored as a lower trapezoid of column panels
 ``EXTEND_ADD_COLUMNS`` wide, about half of the square, and lives only until
-its parent front has added it. A system that is
-quasi-definite only up to the signs of some rows is passed with those rows
-negated, as ``SaddleSolver`` does. Every factorization is ordered: the
-caller gives the order as blocks of unknowns, which are the fronts of the
-LDL^T. The schemes pass ``nested_dissection`` of the unknowns' lattice
-locations. Any permutation gives the exact factorization;
-the fill is only reduced when the points lie on the unit-cube lattice,
-where every coupling spans at most one sub-cube and a lattice plane
-therefore separates the unknowns on either side of it.
+its parent front has added it. A system that is quasi-definite only up to
+the signs of some rows is passed with those rows negated, as
+``SaddleSolver`` does. Every factorization is ordered: the caller gives the
+order as blocks of unknowns, which are the fronts of the LDL^T. The schemes
+pass ``nested_dissection`` of the unknowns' lattice locations. Any
+permutation gives the exact factorization; the fill is only reduced when
+the points lie on the unit-cube lattice, where every coupling spans at most
+one sub-cube and a lattice plane therefore separates the unknowns on either
+side of it.
 SPD solves run a Jacobi-preconditioned CG: ``SpdSolver(A, tol).solve(b)``.
 """
 
@@ -199,8 +200,10 @@ def nested_dissection(points: np.ndarray) -> list[np.ndarray]:
 class MultifrontalLdl:
     """Multifrontal LDL^T of a symmetric quasi-definite matrix K, front by front.
 
-    ``blocks`` lists K's unknowns in elimination order, cut into blocks: each
-    block is one front, its positive-diagonal unknowns first. Only the lower
+    ``blocks`` lists K's unknowns in elimination order, cut into blocks in any
+    sign order: each nonempty block is one front, and ``order`` concatenates
+    them with each block's positive-diagonal unknowns first. Blocks that are
+    not a permutation of K's unknowns raise DimensionMismatch. Only the lower
     triangle of K in that order is read, straight from the columns of the
     CSC matrix ``K``, so no permuted copy of K is made. The factorization is
     K[order][:, order] = L J L^T with L lower triangular and J = diag(+-1)
@@ -228,15 +231,19 @@ class MultifrontalLdl:
     def __init__(self, K: sp.csc_matrix, blocks) -> None:
         n = K.shape[0]
         self.shape = K.shape
+        sizes = [b.size for b in blocks if b.size]
         order = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
-        starts = np.concatenate([[0], np.cumsum([b.size for b in blocks])]).astype(np.int64)
-        if starts[-1] != n:
-            raise DimensionMismatch(f"front sizes add up to {starts[-1]}, not {n}")
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise DimensionMismatch(f"blocks are not a permutation of the {n} unknowns")
+        diag = K.diagonal()
+        front = np.repeat(np.arange(len(sizes)), sizes)  # sorted by front, then by sign, stably
+        self.order = order = order[np.lexsort((diag[order] <= 0.0, front))]
+        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         indptr, indices, data = K.indptr, K.indices, K.data
         lengths = np.diff(indptr)
-        rank = np.empty(n, dtype=np.int64)  # unknown of K -> position in elimination order
+        self.rank = rank = np.empty(n, dtype=np.int64)  # unknown of K -> position in ``order``
         rank[order] = np.arange(n)
-        positive = K.diagonal()[order] > 0.0
+        positive = diag[order] > 0.0
         pos = np.empty(n, dtype=np.int64)  # position -> row of the current front
         pending: dict[int, list] = {}
         self.fronts = []
@@ -298,20 +305,23 @@ class MultifrontalLdl:
         return sp.csc_matrix(self.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """K[order][:, order]^{-1} b: forward through L, then J, then backward through L^T."""
-        y = np.array(b, dtype=float)
-        for s, e, k1, packed, L21T, R in self.fronts:
-            z = blas.dtpsv(e - s, packed, y[s:e], lower=1)
-            if R.size:
-                y[R] -= L21T.T @ z
-            z[k1:] *= -1.0
-            y[s:e] = z
-        for s, e, k1, packed, L21T, R in reversed(self.fronts):
-            z = y[s:e]
-            if R.size:
-                z = z - L21T @ y[R]
-            y[s:e] = blas.dtpsv(e - s, packed, z, lower=1, trans=1)
-        return y
+        """K^{-1} b: b[order] forward through L, J and back through L^T; raises if not finite."""
+        y = np.asarray(b, dtype=float)[self.order]
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite result raises below
+            for s, e, k1, packed, L21T, R in self.fronts:
+                z = blas.dtpsv(e - s, packed, y[s:e], lower=1)
+                if R.size:
+                    y[R] -= L21T.T @ z
+                z[k1:] *= -1.0
+                y[s:e] = z
+            for s, e, k1, packed, L21T, R in reversed(self.fronts):
+                z = y[s:e]
+                if R.size:
+                    z = z - L21T @ y[R]
+                y[s:e] = blas.dtpsv(e - s, packed, z, lower=1, trans=1)
+        if not np.all(np.isfinite(y)):
+            raise SingularSystem("factorization produced non-finite solution")
+        return y[self.rank]
 
 
 def _panels(r: int):
@@ -411,14 +421,14 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
 class LuSolver:
     """Direct factorization with honest residual reporting; reusable across solves.
 
-    Factors the symmetrically permuted matrix K[order][:, order] as a
-    quasi-definite LDL^T (``MultifrontalLdl``), which reads the permuted
-    matrix straight from K: the solver holds the one sparse copy ``K``, which
-    the residual check also uses. ``order`` is the list of blocks of
-    unknowns in elimination order, such as ``nested_dissection`` returns;
-    each block is one front, its positive-diagonal unknowns first. A K that
-    is not symmetric to ``SYMMETRY_RTOL`` raises ValueError; a K that is
-    symmetric but not quasi-definite raises SingularSystem.
+    Factors K as a quasi-definite LDL^T (``lu``, a ``MultifrontalLdl``),
+    which reads the permuted matrix straight from K: the solver holds the one
+    sparse copy ``K``, which the residual check also uses. ``order`` is the
+    list of blocks of unknowns in elimination order, such as
+    ``nested_dissection`` returns, in any sign order: the factor sorts,
+    checks and permutes them, and solves in K's numbering. A K that is not
+    symmetric to ``SYMMETRY_RTOL`` raises ValueError; a K that is symmetric
+    but not quasi-definite raises SingularSystem.
     """
 
     def __init__(self, K: sp.spmatrix, order, tol: float = 1e-9):
@@ -428,25 +438,10 @@ class LuSolver:
         n = self.K.shape[0]
         if n and abs(self.K - self.K.T).max() > SYMMETRY_RTOL * abs(self.K).max():
             raise ValueError("LuSolver factors symmetric matrices only; K is not symmetric")
-        blocks = [b for b in order if b.size]
-        self.order = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
-        if not np.array_equal(np.sort(self.order), np.arange(n)):
-            raise DimensionMismatch(f"order is not a permutation of the {n} unknowns")
-        diag = self.K.diagonal()
-        blocks = [b[np.argsort(diag[b] <= 0.0, kind="stable")] for b in blocks]
-        self.order = np.concatenate([self.order[:0], *blocks])
-        self.lu = MultifrontalLdl(self.K, blocks)
+        self.lu = MultifrontalLdl(self.K, order)
 
     def solve(self, rhs: np.ndarray):
         return self._solve(np.asarray(rhs, dtype=float))
-
-    def _sweep(self, rhs: np.ndarray) -> np.ndarray:
-        """One application of the factors: K^{-1} rhs up to rounding."""
-        x = np.empty_like(rhs)
-        x[self.order] = self.lu.solve(rhs[self.order])
-        if not np.all(np.isfinite(x)):
-            raise SingularSystem("factorization produced non-finite solution")
-        return x
 
     def _solve(self, rhs: np.ndarray):
         """K^{-1} rhs and its report; raises if the true residual is above ``tol``.
@@ -459,10 +454,10 @@ class LuSolver:
         rnorm = np.linalg.norm(rhs)
         if rnorm == 0.0:
             return np.zeros(self.K.shape[0]), LinearSolveReport(0, 0.0, time.perf_counter() - start)
-        x, sweeps = self._sweep(rhs), 0
+        x, sweeps = self.lu.solve(rhs), 0
         residual = float(np.linalg.norm(rhs - self.K @ x) / rnorm)
         while residual > self.tol and sweeps < REFINE_SWEEPS:
-            x_next = x + self._sweep(rhs - self.K @ x)
+            x_next = x + self.lu.solve(rhs - self.K @ x)
             residual_next = float(np.linalg.norm(rhs - self.K @ x_next) / rnorm)
             if not residual_next < residual:
                 break

@@ -286,10 +286,3 @@ def error_norms(
     err_E, err_H, err_u, err_gu, err_p = sq
     return ErrorNorms(*np.sqrt([err_E, err_H, err_u, err_u + err_gu, err_p]))
 
-
-def zero_vector_source(t, pts):
-    return np.zeros((pts.shape[0], 3))
-
-
-def zero_scalar_source(t, pts):
-    return np.zeros(pts.shape[0])

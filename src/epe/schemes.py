@@ -75,7 +75,6 @@ from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection, saddle_blocks
 from epe.mesh import TetMesh, build_unit_cube_mesh
-from epe.mms import zero_scalar_source, zero_vector_source
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,16 @@ class State:
 class Sources:
     """Right-hand sides j (electric), f (elastic), g (pressure).
 
-    Each is a (t, pts) evaluator. A source with a ``terms`` attribute (see
+    Each is a (t, pts) evaluator, or None (the default) for no forcing: a
+    step then loads nothing for it. A source with a ``terms`` attribute (see
     ``mms.SeparableSource``) is loaded from load vectors assembled once per
     discretization; any other callable is assembled by quadrature at every
     step.
     """
 
-    j: Callable = zero_vector_source
-    f: Callable = zero_vector_source
-    g: Callable = zero_scalar_source
+    j: Callable | None = None
+    f: Callable | None = None
+    g: Callable | None = None
 
 
 class Discretization:
@@ -270,7 +270,8 @@ class BackwardEuler:
         loads = (("E", self.sources.j, tau), ("U", self.sources.f, 1.0), ("P", self.sources.g, tau))
         parts = (E, np.zeros(L.U.num_free), P)
         for (space, fn, scale), part in zip(loads, parts):
-            part += scale * disc.load(space, fn, state.t + tau)[getattr(L, space).free]
+            if fn is not None:
+                part += scale * disc.load(space, fn, state.t + tau)[getattr(L, space).free]
         return parts
 
     def advance(self, state: State, E_free, u_free, p_free) -> State:

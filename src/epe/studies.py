@@ -89,7 +89,7 @@ def _attach_orders(rows, x_field: str) -> None:
         by_scheme[row.scheme] = row
 
 
-def _distinct(values: list, what: str) -> list:
+def distinct(values: list, what: str) -> list:
     """``values``, refused with ValueError when one repeats: two rows at one h or tau have no order."""
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
@@ -127,7 +127,7 @@ def spatial_convergence(n_values, config: RunConfig) -> StudyReport:
     repeated mesh size is refused before any run.
     """
     rows = []
-    for n in _distinct([int(n) for n in n_values], "mesh size"):
+    for n in distinct([int(n) for n in n_values], "mesh size"):
         cfg = replace(config, mesh_n=n)
         rows.append(_exact_row(cfg, build_unit_cube_mesh(n)))
     _attach_orders(rows, "h")
@@ -148,7 +148,7 @@ def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: fl
     step is refused. Field differences are measured by ``error_norms``, as
     the error of the difference state against zero fields.
     """
-    tau_values = _distinct(sorted(float(t) for t in tau_values), "step tau")
+    tau_values = distinct(sorted(float(t) for t in tau_values), "step tau")
     if not tau_values or tau_values[0] <= 0.0:
         raise ValueError(f"every step tau must be positive, got {tau_values!r}")
     if not tau_ref > 0.0:
@@ -191,7 +191,7 @@ def benchmark(n_values, config: RunConfig) -> StudyReport:
     repeated mesh size is refused before any solve.
     """
     rows = []
-    for n in _distinct([int(n) for n in n_values], "mesh size"):
+    for n in distinct([int(n) for n in n_values], "mesh size"):
         mesh = build_unit_cube_mesh(n)
         configs = [replace(config, mesh_n=n, scheme=s) for s in SCHEMES]
         solves = [[_exact_row(cfg, mesh) for cfg in configs] for _ in range(BENCH_SOLVES)]

@@ -242,7 +242,7 @@ class TestLuSolver:
         b = rng.standard_normal(K.shape[0])
         solver = LuSolver(K, blocks(np.arange(K.shape[0])), tol=1e-10)
         x, rep = solver.solve(b)
-        assert rep.iterations == 0 and np.array_equal(x, solver._sweep(b))
+        assert rep.iterations == 0 and np.array_equal(x, solver.lu.solve(b))
         solver.tol = 1e-30
         with pytest.raises(NotConverged) as info:
             solver.solve(b)
@@ -258,7 +258,7 @@ class TestLuSolver:
         solver = LuSolver(K, order, tol=1e-13)
         solver.lu = LuSolver(K + 1e-6 * sp.diags(K.diagonal()), order).lu
         b = rng.standard_normal(K.shape[0])
-        first = np.linalg.norm(b - K @ solver._sweep(b)) / np.linalg.norm(b)
+        first = np.linalg.norm(b - K @ solver.lu.solve(b)) / np.linalg.norm(b)
         x, rep = solver.solve(b)
         assert first > 1e-9 and 1 <= rep.iterations <= REFINE_SWEEPS
         assert rep.relative_residual == np.linalg.norm(b - K @ x) / np.linalg.norm(b) <= 1e-13
@@ -328,9 +328,9 @@ class TestMultifrontalLdl:
         rng = np.random.default_rng(10)
         K, positive = random_sqd(rng)
         solver = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0])))
-        Kp = K[solver.order][:, solver.order].toarray()
+        Kp = K[solver.lu.order][:, solver.lu.order].toarray()
         L, J = solver.lu.L.toarray(), np.sign(np.diag(Kp))
-        np.testing.assert_array_equal(J > 0, positive[solver.order])
+        np.testing.assert_array_equal(J > 0, positive[solver.lu.order])
         assert np.abs(np.triu(L, 1)).max() == 0.0 and np.all(np.diag(L) > 0.0)
         np.testing.assert_allclose(L @ (J[:, None] * L.T), Kp, atol=1e-12 * np.abs(Kp).max())
         assert solver.lu.U.nnz == 0
@@ -342,6 +342,53 @@ class TestMultifrontalLdl:
         lu = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0]), max_size=20)).lu
         arrays = [a for front in lu.fronts for a in front if isinstance(a, np.ndarray)]
         assert sum(a.size for a in arrays if a.dtype == np.float64) == lu.L.nnz
+
+    def test_blocks_in_any_sign_order_give_the_same_fronts(self):
+        """Blocks holding their signs mixed in any order, empty blocks among them, factor bit for
+        bit as the blocks with each one's positive-diagonal unknowns first."""
+        rng = np.random.default_rng(18)
+        K, positive = random_sqd(rng)
+        presorted, mixed = [], []
+        for b in random_blocks(rng, rng.permutation(K.shape[0])):
+            k1 = int(positive[b].sum())
+            presorted.append(np.concatenate([b[positive[b]], b[~positive[b]]]))
+            slots = rng.permutation(b.size)  # each sign keeps its order, the signs interleave
+            m = np.empty_like(b)
+            m[np.sort(slots[:k1])], m[np.sort(slots[k1:])] = presorted[-1][:k1], presorted[-1][k1:]
+            mixed += [m, b[:0]]
+        assert any(not np.array_equal(m, b) for m, b in zip(mixed[::2], presorted))
+        want, got = MultifrontalLdl(K, presorted), MultifrontalLdl(K, mixed)
+        np.testing.assert_array_equal(want.order, np.concatenate(presorted))
+        np.testing.assert_array_equal(got.order, want.order)
+        assert len(got.fronts) == len(want.fronts) == len(presorted)
+        for (s, e, k1, *arrays), (gs, ge, gk1, *got_arrays) in zip(want.fronts, got.fronts):
+            assert (gs, ge, gk1) == (s, e, k1)
+            for a, g in zip(arrays, got_arrays):  # packed, L21T, beyond
+                assert g.shape == a.shape and g.dtype == a.dtype and g.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("order", [[0, 1, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1]])
+    def test_blocks_that_are_not_a_permutation_raise(self, order):
+        with pytest.raises(DimensionMismatch, match="not a permutation"):
+            MultifrontalLdl(sp.identity(3, format="csc"), [np.array(order[:1]), np.array(order[1:])])
+
+    def test_solve_is_in_the_numbering_of_K(self):
+        """One ``solve`` of the factor, no refinement, is K^{-1} b with b and x in K's numbering."""
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            K, _ = random_sqd(rng)
+            lu = MultifrontalLdl(K, random_blocks(rng, rng.permutation(K.shape[0])))
+            b = rng.standard_normal(K.shape[0])
+            want = np.linalg.solve(K.toarray(), b)
+            assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_a_non_finite_solution_raises(self):
+        rng = np.random.default_rng(20)
+        K, _ = random_sqd(rng)
+        lu = MultifrontalLdl(K, random_blocks(rng, rng.permutation(K.shape[0])))
+        b = rng.standard_normal(K.shape[0])
+        b[3] = np.inf
+        with pytest.raises(SingularSystem, match="non-finite"):
+            lu.solve(b)
 
     def test_chunked_extend_add_matches_one_pass(self):
         """Adding a child's lower-panel update one panel at a time gives the one-pass sum exactly,
@@ -377,7 +424,7 @@ class TestMultifrontalLdl:
         disc = Discretization(mesh, params)
         K = saddle_blocks(elasticity_ff(disc), disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff)
         solver = LuSolver(K, tol=1e-12, order=disc.order("U", "P"))
-        Kp = K[solver.order][:, solver.order].toarray()
+        Kp = K[solver.lu.order][:, solver.lu.order].toarray()
         L = solver.lu.L
         want = dense_ldlt(Kp)
         assert len(solver.lu.fronts) == 7
@@ -388,9 +435,9 @@ class TestMultifrontalLdl:
         assert L.nnz + solver.lu.U.nnz == 56_450  # the fill before the lower-panel updates
         b = np.random.default_rng(17).standard_normal(K.shape[0])
         x, _ = solver.solve(b)
-        y = np.linalg.solve(want, b[solver.order])
+        y = np.linalg.solve(want, b[solver.lu.order])
         x_dense = np.empty_like(b)
-        x_dense[solver.order] = np.linalg.solve(want.T, np.sign(np.diag(Kp)) * y)
+        x_dense[solver.lu.order] = np.linalg.solve(want.T, np.sign(np.diag(Kp)) * y)
         assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
 
     def test_update_stack_is_held_as_lower_trapezoids(self, params):
@@ -400,7 +447,7 @@ class TestMultifrontalLdl:
         disc = Discretization(mesh, params)
         K = saddle_blocks(elasticity_ff(disc), disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff).tocsc()
         solver = LuSolver(K, order=disc.order("U", "P"))
-        blocks = [solver.order[s:e] for s, e, *_ in solver.lu.fronts]
+        blocks = [solver.lu.order[s:e] for s, e, *_ in solver.lu.fronts]
         del solver
         gc.collect()
         tracemalloc.start()

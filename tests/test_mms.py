@@ -13,7 +13,7 @@ import sympy as sym
 import epe.mms
 from conftest import zero_state
 from epe.core import PhysicalParams
-from epe.mms import error_norms, example61, zero_scalar_source, zero_vector_source
+from epe.mms import error_norms, example61
 from epe.fem.dofs import make_layouts
 from epe.mesh import build_unit_cube_mesh
 from epe.schemes import State
@@ -283,8 +283,3 @@ class TestErrorNorms:
         state = zero_state(make_layouts(mesh2))
         with pytest.raises(ValueError):
             error_norms(state, exact, 0.0, mesh2, quad_degree=3)
-
-    def test_zero_sources_evaluate_to_zero(self):
-        pts = np.random.default_rng(0).random((5, 3))
-        assert np.all(zero_vector_source(0.1, pts) == 0.0)
-        assert np.all(zero_scalar_source(0.1, pts) == 0.0)

@@ -815,7 +815,8 @@ class TestSourceLoads:
 
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_quadrature_calls_inside_the_loop(self, scheme, config, params, exact, monkeypatch):
-        """Separable sources need no quadrature per step; plain callables need three."""
+        """Separable sources need no quadrature per step, plain callables need three and absent
+        ones none: a run without forcing leaves the setup tables and the geometry released."""
         calls = []
         in_loop = []
 
@@ -832,12 +833,14 @@ class TestSourceLoads:
             f=lambda t, x: exact.f(t, x),
             g=lambda t, x: exact.g(t, x),
         )
-        for sources, per_step in ((Sources(j=exact.j, f=exact.f, g=exact.g), 0), (plain, 3)):
+        for sources, per_step in ((Sources(j=exact.j, f=exact.f, g=exact.g), 0), (plain, 3),
+                                  (Sources(), 0)):
             calls.clear()
             in_loop.clear()
             run(cfg, sources, exact, disc=disc,
                 observers=[lambda *_: in_loop.append(True)])
             assert sum(calls) == per_step * cfg.grid.N
+        assert disc.setup_tables == {} and "geometry" not in mesh._cache
 
 
 class TestRun:
