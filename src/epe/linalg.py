@@ -1,4 +1,4 @@
-"""Sparse solver contracts: SPD systems, saddle-point systems, direct factorizations.
+"""Sparse solver contracts: CG for SPD systems, one direct LDL^T for quasi-definite ones.
 
 Every solve recomputes its true relative residual from the returned vector
 and reports it; a solve that cannot meet its tolerance raises instead of
@@ -18,8 +18,9 @@ A front's update to later unknowns is symmetric and only its lower triangle
 is read, so it is formed and stored as a lower trapezoid of column panels
 ``EXTEND_ADD_COLUMNS`` wide, about half of the square, and lives only until
 its parent front has added it. A system that is quasi-definite only up to
-the signs of some rows is passed with those rows negated, as
-``SaddleSolver`` does. Every factorization is ordered: the caller gives the
+the signs of some rows is passed with those rows negated: the caller signs
+and stacks its blocks, as ``schemes`` does for both of its systems, and
+splits the solution. Every factorization is ordered: the caller gives the
 order as blocks of unknowns, which are the fronts of the LDL^T. The schemes
 pass ``nested_dissection`` of the unknowns' lattice locations. Any
 permutation gives the exact factorization; the fill is only reduced when
@@ -428,7 +429,9 @@ class LuSolver:
     ``nested_dissection`` returns, in any sign order: the factor sorts,
     checks and permutes them, and solves in K's numbering. A K that is not
     symmetric to ``SYMMETRY_RTOL`` raises ValueError; a K that is symmetric
-    but not quasi-definite raises SingularSystem.
+    but not quasi-definite raises SingularSystem. ``solve`` takes one
+    right-hand side in K's numbering: a block system's caller stacks it and
+    splits the solution.
     """
 
     def __init__(self, K: sp.spmatrix, order, tol: float = 1e-9):
@@ -441,15 +444,13 @@ class LuSolver:
         self.lu = MultifrontalLdl(self.K, order)
 
     def solve(self, rhs: np.ndarray):
-        return self._solve(np.asarray(rhs, dtype=float))
-
-    def _solve(self, rhs: np.ndarray):
         """K^{-1} rhs and its report; raises if the true residual is above ``tol``.
 
         A first solve that misses ``tol`` is refined with the same factors while its
         residual falls, for at most ``REFINE_SWEEPS`` sweeps: the report's iterations.
         """
         start = time.perf_counter()
+        rhs = np.asarray(rhs, dtype=float)
         _check_square(self.K, rhs)
         rnorm = np.linalg.norm(rhs)
         if rnorm == 0.0:
@@ -467,40 +468,13 @@ class LuSolver:
         return x, LinearSolveReport(sweeps, residual, time.perf_counter() - start)
 
 
-def saddle_blocks(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix) -> sp.csc_matrix:
-    """Symmetric indefinite matrix [[A, -B^T], [-B, -C]] of the Biot step."""
-    nu, npp = A.shape[0], C.shape[0]
-    if B.shape != (npp, nu):
-        raise DimensionMismatch(f"coupling block shape {B.shape}, expected ({npp}, {nu})")
-    return sp.bmat([[A, -B.T], [-B, -C]], format="csc")
-
-
 class SaddleSolver(LuSolver):
-    """Solver for a(u,v)/pressure saddle systems with blocks (A, B, C).
+    """The Biot saddle system's ``LuSolver``: the same factor and solve under a name of its own.
 
-    Solves K (u, p) = (f_u, -f_p) for K = ``saddle_blocks(A, B, C)``
-    = [[A, -B^T], [-B, -C]], i.e.
-        A u - B^T p = f_u
-        B u + C   p = f_p
-    with A and C symmetric positive definite: the matrix is quasi-definite.
-    The caller builds K and passes it with the number ``nu`` of u unknowns,
-    so no block outlives K's construction. K is factored once as an LDL^T
-    (``LuSolver``) and reused per solve; the reported residual is that of
-    the stacked system, whose norm the sign of the p rows does not change.
-    ``order`` lists the (u, p) unknowns in blocks, as ``LuSolver`` takes
-    them.
+    ``schemes`` builds, signs and stacks the system and splits the solution;
+    a traced run reports these solves apart from the monolithic system's.
+    ``solve`` is the class's own attribute, so a wrapper on ``LuSolver.solve``
+    sees no saddle solve.
     """
 
-    def __init__(self, K: sp.spmatrix, nu: int, order, tol: float = 1e-9):
-        super().__init__(K, order, tol=tol)
-        self.nu, self.np = nu, K.shape[0] - nu
-
-    def solve(self, f_u: np.ndarray, f_p: np.ndarray):
-        f_u = np.asarray(f_u, dtype=float)
-        f_p = np.asarray(f_p, dtype=float)
-        if f_u.shape != (self.nu,) or f_p.shape != (self.np,):
-            raise DimensionMismatch(
-                f"rhs shapes {f_u.shape}, {f_p.shape} do not match blocks ({self.nu}, {self.np})"
-            )
-        x, report = self._solve(np.concatenate([f_u, -f_p]))
-        return (x[: self.nu], x[self.nu :]), report
+    solve = LuSolver.solve

@@ -52,6 +52,12 @@ on top.
 Every direct factorization is a quasi-definite LDL^T, ordered by nested
 dissection of its unknowns' lattice locations (``Discretization.order``):
 the Biot saddle system, the elasticity block and the monolithic system.
+Each scheme builds, signs and stacks its own system and splits the solution;
+``linalg`` only factors and solves K x = b. The saddle system negates its p
+rows, not its u rows as the monolithic system does: the factor pivots on each
+front's positive-diagonal unknowns first, and in the low-storage,
+low-permeability limit the pressure block is nearly zero, so the fronts pivot
+on the elasticity block (Vanderbei, SIAM J. Optim. 5(1), 1995).
 
 Time-separable sources (``mms.SeparableSource``) have their spatial load
 vectors assembled once, when a scheme is built; a step then combines them
@@ -73,7 +79,7 @@ import scipy.sparse as sp
 from epe.core import PhysicalParams, RunConfig
 from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
-from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection, saddle_blocks
+from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection
 from epe.mesh import TetMesh, build_unit_cube_mesh
 
 
@@ -288,16 +294,21 @@ class BackwardEuler:
 
 
 class SplittingScheme(BackwardEuler):
-    """EM sub-step (H-condensed SPD solve) followed by the Biot sub-step."""
+    """EM sub-step (H-condensed SPD solve) followed by the Biot sub-step.
+
+    The Biot matrix [[A_el, -B^T], [-B, -C_p]] has its p rows negated (see the
+    module docstring), so each step solves for the stacked (f_u, -f_p).
+    """
 
     name = "splitting"
 
     def __init__(self, disc: Discretization, sources: Sources, config: RunConfig):
         super().__init__(disc, sources, config)
+        B = disc.B_ff
         # K in a statement of its own: the blocks are freed before the LDL^T starts
-        K = saddle_blocks(disc.elasticity(), disc.B_ff, self._pressure_block())
-        nu = disc.layouts.U.num_free
-        self._saddle = SaddleSolver(K, nu, disc.order("U", "P"), tol=config.saddle_tol)
+        K = sp.bmat([[disc.elasticity(), -B.T], [-B, -self._pressure_block()]], format="csc")
+        self._saddle = SaddleSolver(K, disc.order("U", "P"), tol=config.saddle_tol)
+        self._nu = disc.layouts.U.num_free
         self._em = SpdSolver(disc.em_matrix(self.tau), tol=config.spd_tol)
 
     def step(self, state: State) -> State:
@@ -307,8 +318,9 @@ class SplittingScheme(BackwardEuler):
         # sub-step A: electromagnetic fields, pressure coupling explicit
         E_free, _ = self._em.solve(rhs_E + coupling * (self.disc.G_ff @ state.p[P_free]))
         # sub-step B: Biot consolidation, driven by the new E
-        (u_free, p_free), _ = self._saddle.solve(f_u, f_p + coupling * (self.disc.G_ff.T @ E_free))
-        return self.advance(state, E_free, u_free, p_free)
+        f_p += coupling * (self.disc.G_ff.T @ E_free)
+        x, _ = self._saddle.solve(np.concatenate([f_u, -f_p]))
+        return self.advance(state, E_free, *np.split(x, [self._nu]))
 
 
 class MonolithicScheme(BackwardEuler):

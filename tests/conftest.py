@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from epe.core import build_config
 from epe.fem.assembly import assemble_matrix, signed_curls
@@ -67,6 +68,11 @@ def blocks(order, size=FRONT_MAX):
     """
     order = np.asarray(order)
     return np.array_split(order, max(1, -(-order.size // size)))
+
+
+def saddle_blocks(A, B, C):
+    """Oracle: the Biot step's symmetric quasi-definite matrix [[A, -B^T], [-B, -C]], as CSC."""
+    return sp.bmat([[A, -B.T], [-B, -C]], format="csc")
 
 
 def elasticity_ff(disc):

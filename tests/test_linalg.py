@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import epe.linalg
-from conftest import blocks, elasticity_ff
+from conftest import blocks, elasticity_ff, saddle_blocks
 from epe.fem.assembly import assemble_matrix
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import (
@@ -28,7 +28,6 @@ from epe.linalg import (
     _panel_views,
     _panels,
     nested_dissection,
-    saddle_blocks,
 )
 from epe.mesh import build_unit_cube_mesh
 from epe.schemes import Discretization
@@ -133,20 +132,22 @@ def test_in_place_pcg_matches_the_allocating_loop(mesh4, params):
 class TestSaddleSolve:
     def test_hand_1x1(self):
         solver = SaddleSolver(
-            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])), 1,
+            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])),
             blocks(np.arange(2)),
         )
-        (u, p), rep = solver.solve(np.array([1.0]), np.array([0.0]))
+        x, rep = solver.solve(np.array([1.0, 0.0]))  # (f_u, -f_p)
+        u, p = np.split(x, [1])
         np.testing.assert_allclose(u, [1 / 3], atol=1e-14)
         np.testing.assert_allclose(p, [-1 / 3], atol=1e-14)
         assert rep.iterations == 0
 
     def test_decoupled_blocks(self):
         solver = SaddleSolver(
-            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[0.0]]), sp.csr_matrix([[4.0]])), 1,
+            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[0.0]]), sp.csr_matrix([[4.0]])),
             blocks(np.arange(2)),
         )
-        (u, p), _ = solver.solve(np.array([2.0]), np.array([8.0]))
+        x, _ = solver.solve(np.array([2.0, -8.0]))  # (f_u, -f_p)
+        u, p = np.split(x, [1])
         np.testing.assert_allclose(u, [1.0])
         np.testing.assert_allclose(p, [2.0])
 
@@ -158,8 +159,9 @@ class TestSaddleSolve:
         rng = np.random.default_rng(3)
         f_u, f_p = rng.standard_normal(A.shape[0]), rng.standard_normal(C.shape[0])
         K = saddle_blocks(A, B, C)
-        solver = SaddleSolver(K, A.shape[0], blocks(np.arange(K.shape[0])), tol=1e-9)
-        (u, p), rep = solver.solve(f_u, f_p)
+        solver = SaddleSolver(K, blocks(np.arange(K.shape[0])), tol=1e-9)
+        x, rep = solver.solve(np.concatenate([f_u, -f_p]))
+        u, p = np.split(x, [A.shape[0]])
         assert rep.relative_residual <= 1e-9
         ru = A @ u - B.T @ p - f_u
         rp = B @ u + C @ p - f_p
@@ -168,17 +170,17 @@ class TestSaddleSolve:
 
     def test_rhs_shape_mismatch(self):
         K = saddle_blocks(sp.identity(2, format="csr"), sp.csr_matrix((1, 2)), sp.identity(1, format="csr"))
-        solver = SaddleSolver(K, 2, blocks(np.arange(3)))
+        solver = SaddleSolver(K, blocks(np.arange(3)))
         with pytest.raises(DimensionMismatch):
-            solver.solve(np.zeros(3), np.zeros(1))
+            solver.solve(np.zeros(4))  # a stacked rhs of 4 for the 3 unknowns
 
     def test_reuse_is_deterministic(self):
         solver = SaddleSolver(
-            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])), 1,
+            saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])),
             blocks(np.arange(2)),
         )
-        results = [solver.solve(np.array([1.0]), np.array([0.5]))[0] for _ in range(2)]
-        assert results[0][0].tobytes() == results[1][0].tobytes()
+        results = [solver.solve(np.array([1.0, -0.5]))[0] for _ in range(2)]
+        assert results[0][:1].tobytes() == results[1][:1].tobytes()
 
 
 class TestLuSolver:
