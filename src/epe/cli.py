@@ -1,4 +1,4 @@
-"""Command-line interface: batch runs, studies, benchmarks, self checks.
+"""Command-line interface: batch runs, studies, benchmarks, mesh statistics.
 
 Exit codes: 0 success, 1 validation error (flags, parameters, coupling
 bound), 2 numerical failure (solver non-convergence), 3 I/O error.
@@ -8,9 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-
-import numpy as np
 
 from epe import core
 from epe.core import (
@@ -21,11 +18,10 @@ from epe.core import (
     build_config,
     parse_config_file,
 )
-from epe.fem.assembly import curl_dof_operator
 from epe.linalg import NotConverged, SingularSystem
 from epe.mesh import InvalidSubdivision, build_unit_cube_mesh, euler_characteristic, mesh_stats
 from epe.mms import error_norms, example61
-from epe.schemes import BhOperator, Discretization, Sources, State, discrete_energy, run
+from epe.schemes import Sources, run
 from epe.studies import (
     DEFAULT_TAU_REF,
     DEFAULT_TAUS,
@@ -133,9 +129,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_int_list, default=None, help="comma list of mesh sizes (default 4,8,12)")
     p.add_argument("--full", action="store_true", help="extend the sweep to n=15")
 
-    p = sub.add_parser("self-check", help="fast invariant suite; exit 0 only if all pass")
-    _add_common(p)
-
     return parser
 
 
@@ -241,82 +234,12 @@ def _cmd_bench(args) -> int:
     return _emit(report, config.out, "bench", notes)
 
 
-def _cmd_self_check(args) -> int:
-    config = _config_from_args(args)
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-        if not ok:
-            failures += 1
-
-    rng = np.random.default_rng(1234)
-    for n in (1, 2):
-        mesh = build_unit_cube_mesh(n)
-        s = mesh_stats(mesh)
-        check(
-            f"mesh n={n}: euler characteristic 1 and unit volume",
-            euler_characteristic(mesh) == 1 and abs(s.total_volume - 1.0) < 1e-12,
-        )
-        # the edge coefficients p_b - p_a of a P1 field are its gradient, which W must map to zero
-        p = rng.standard_normal(mesh.num_vertices)
-        curl = curl_dof_operator(mesh) @ (p[mesh.edges[:, 1]] - p[mesh.edges[:, 0]])
-        dev = float(np.abs(curl).max())
-        check(f"mesh n={n}: discrete curl of a P1 gradient vanishes (max {dev:.2e})", dev < 1e-12)
-
-    # n = 3 is the smallest mesh with a nonzero pressure-to-dilation coupling:
-    # at n = 2 the free block B_ff is 1 x 3 and zero to rounding
-    disc = Discretization(build_unit_cube_mesh(3), config.params)
-    layouts = disc.layouts
-    bh = BhOperator(disc)
-    sym_worst, mono_worst = 0.0, float("inf")
-    for _ in range(5):
-        p_vec = layouts.P.extend(rng.standard_normal(layouts.P.num_free))
-        q_vec = layouts.P.extend(rng.standard_normal(layouts.P.num_free))
-        sym_worst = max(sym_worst, abs(bh.inner(p_vec, q_vec) - bh.inner(q_vec, p_vec)))
-        mono_worst = min(mono_worst, bh.inner(p_vec, p_vec))
-    check(f"pressure-to-dilation operator symmetric (dev {sym_worst:.2e})", sym_worst < 1e-9)
-    check(f"pressure-to-dilation operator monotone (min {mono_worst:.2e})", mono_worst > -1e-12)
-
-    # u starts in mechanical equilibrium with p (a(u, v) = (p, alpha div v)),
-    # which is what (Bh p, p) stands for in the energy
-    p_free = rng.standard_normal(layouts.P.num_free)
-    u_free = bh.displacement(p_free)
-    state = State(
-        E=layouts.E.extend(rng.standard_normal(layouts.E.num_free)),
-        H=rng.standard_normal(layouts.H.count),
-        u=layouts.U.extend(u_free),
-        p=layouts.P.extend(p_free),
-        n=0,
-        t=0.0,
-    )
-    cfg = replace(config, mesh_n=3, grid=core.make_time_grid(0.2, 20))
-    energies = []
-
-    def record_energy(n, t, level, energy, wall):
-        # with the Bh operator above, so the elasticity block is factored once
-        energies.append(discrete_energy(level, cfg.params, cfg.grid.tau, disc, bh))
-
-    run(cfg, Sources(), None, disc=disc, start_state=state, observers=[record_energy])
-    trace = np.array(energies)
-    increases = float(np.max(trace[1:] / trace[:-1])) if trace.size > 1 else 0.0
-    check(
-        f"discrete energy non-increasing under zero forcing (max ratio {increases:.12f})",
-        increases <= 1.0 + 1e-12,
-    )
-
-    print("self-check:", "OK" if failures == 0 else f"{failures} failure(s)")
-    return EXIT_OK if failures == 0 else EXIT_NUMERICAL
-
-
 _COMMANDS = {
     "mesh-info": _cmd_mesh_info,
     "run": _cmd_run,
     "convergence": _cmd_convergence,
     "convergence-time": _cmd_convergence_time,
     "bench": _cmd_bench,
-    "self-check": _cmd_self_check,
 }
 
 

@@ -51,7 +51,7 @@ on top.
 
 Every direct factorization is a quasi-definite LDL^T, ordered by nested
 dissection of its unknowns' lattice locations (``Discretization.order``):
-the Biot saddle system, the elasticity block and the monolithic system.
+the Biot saddle system and the monolithic system.
 Each scheme builds, signs and stacks its own system and splits the solution;
 ``linalg`` only factors and solves K x = b. The saddle system negates its p
 rows, not its u rows as the monolithic system does: the factor pivots on each
@@ -62,9 +62,6 @@ on the elasticity block (Vanderbei, SIAM J. Optim. 5(1), 1995).
 Time-separable sources (``mms.SeparableSource``) have their spatial load
 vectors assembled once, when a scheme is built; a step then combines them
 with the time factors instead of running a quadrature pass.
-
-``run()`` computes no energy, which needs a second LDL^T (``BhOperator``);
-an observer that wants it calls ``discrete_energy`` with a BhOperator.
 """
 
 from __future__ import annotations
@@ -203,41 +200,6 @@ def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State
     bU[L.U.constrained] = 0.0
     bP[L.P.constrained] = 0.0
     return State(E=bE, H=bH, u=bU, p=bP, n=0, t=0.0)
-
-
-class BhOperator:
-    """Discrete pressure-to-dilation map: p -> alpha div u with a(u, v) = (p, alpha div v).
-
-    Self-adjoint and monotone on the constrained pressure space; the inner
-    product (Bh p, q) equals q^T B A^{-1} B^T p on free DOFs.
-    """
-
-    def __init__(self, disc: Discretization):
-        self.disc = disc
-        self._lu_A = LuSolver(disc.elasticity(), disc.order("U"), tol=1e-8)
-
-    def displacement(self, p_free: np.ndarray) -> np.ndarray:
-        """Free U DOFs of the u with a(u, v) = (p, alpha div v), p given on the free P DOFs."""
-        u_free, _ = self._lu_A.solve(self.disc.B_ff.T @ p_free)
-        return u_free
-
-    def inner(self, p_full: np.ndarray, q_full: np.ndarray) -> float:
-        """(Bh p, q) in L2."""
-        L = self.disc.layouts.P
-        return float(L.reduce(q_full) @ (self.disc.B_ff @ self.displacement(L.reduce(p_full))))
-
-
-def discrete_energy(
-    state: State, params: PhysicalParams, tau: float, disc: Discretization, bh: BhOperator
-) -> float:
-    """Energy eps||E||^2 + mu||H||^2 + ((c0 + Bh) p, p) + tau kappa ||grad p||^2."""
-    p_free = disc.layouts.P.reduce(state.p)
-    S = params.epsilon * float(state.E @ (disc.M_E @ state.E))
-    S += params.mu * float(state.H @ (disc.m_H * state.H))
-    S += params.c0 * float(p_free @ (disc.M_P_ff @ p_free))
-    S += bh.inner(state.p, state.p)
-    S += tau * params.kappa * float(p_free @ (disc.K_P_ff @ p_free))
-    return S
 
 
 class BackwardEuler:
@@ -409,7 +371,8 @@ def run(
     sense) unless ``start_state`` passes explicit coefficients. Observers
     are called as obs(n, t, state, None, step_wall_time) after every step,
     including the initial one at n = 0; the fourth argument is always None,
-    a slot kept so that five-argument observers work (see the module docstring).
+    a slot kept because the benchmark tracer's observer and ``VtkObserver``
+    take five arguments.
     """
     t0 = time.perf_counter()
     if disc is None:

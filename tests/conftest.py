@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from epe.core import build_config
+from epe.core import PhysicalParams, build_config
 from epe.fem.assembly import assemble_matrix, signed_curls
 from epe.fem.dofs import reduce_matrix
-from epe.linalg import FRONT_MAX
+from epe.linalg import FRONT_MAX, LuSolver
 from epe.mesh import LOCAL_EDGES, build_unit_cube_mesh
 from epe.schemes import Discretization, State
 
@@ -79,6 +79,41 @@ def elasticity_ff(disc):
     """The elasticity block A_el on the free U DOFs, assembled here."""
     p, L = disc.params, disc.layouts
     return reduce_matrix(full_operator(disc, "ELASTICITY", (p.lambda_c, p.G)), L.U, L.U)
+
+
+class BhOperator:
+    """Discrete pressure-to-dilation map: p -> alpha div u with a(u, v) = (p, alpha div v).
+
+    Self-adjoint and monotone on the constrained pressure space; the inner
+    product (Bh p, q) equals q^T B A^{-1} B^T p on free DOFs.
+    """
+
+    def __init__(self, disc: Discretization):
+        self.disc = disc
+        self._lu_A = LuSolver(disc.elasticity(), disc.order("U"), tol=1e-8)
+
+    def displacement(self, p_free: np.ndarray) -> np.ndarray:
+        """Free U DOFs of the u with a(u, v) = (p, alpha div v), p given on the free P DOFs."""
+        u_free, _ = self._lu_A.solve(self.disc.B_ff.T @ p_free)
+        return u_free
+
+    def inner(self, p_full: np.ndarray, q_full: np.ndarray) -> float:
+        """(Bh p, q) in L2."""
+        L = self.disc.layouts.P
+        return float(L.reduce(q_full) @ (self.disc.B_ff @ self.displacement(L.reduce(p_full))))
+
+
+def discrete_energy(
+    state: State, params: PhysicalParams, tau: float, disc: Discretization, bh: BhOperator
+) -> float:
+    """Energy eps||E||^2 + mu||H||^2 + ((c0 + Bh) p, p) + tau kappa ||grad p||^2."""
+    p_free = disc.layouts.P.reduce(state.p)
+    S = params.epsilon * float(state.E @ (disc.M_E @ state.E))
+    S += params.mu * float(state.H @ (disc.m_H * state.H))
+    S += params.c0 * float(p_free @ (disc.M_P_ff @ p_free))
+    S += bh.inner(state.p, state.p)
+    S += tau * params.kappa * float(p_free @ (disc.K_P_ff @ p_free))
+    return S
 
 
 def cellwise_curl(mesh, coefs):

@@ -1,14 +1,9 @@
 import warnings
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 
-import epe.cli
-import epe.linalg
 import epe.studies
-from epe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from epe.fem.assembly import curl_dof_operator
+from epe.cli import EXIT_OK, EXIT_VALIDATION, main
 
 TINY = ["--T", "0.01", "--tau", "0.005"]
 
@@ -146,40 +141,3 @@ def test_a_repeated_study_value_is_refused_before_any_solve(argv, message, tmp_p
     assert code == EXIT_VALIDATION
     assert f"epe: validation error: {message}" in capsys.readouterr().err
     assert runs == [] and not list(tmp_path.iterdir())
-
-
-def test_self_check_passes(capsys):
-    code, out = run_cli(["self-check"], capsys)
-    assert code == EXIT_OK
-    checks = out.splitlines()[:-1]
-    assert checks and all(line.startswith("[PASS] ") for line in checks)
-    assert out.splitlines()[-1] == "self-check: OK"
-
-
-def test_self_check_fails_on_a_corrupted_discrete_curl(capsys, monkeypatch):
-    def corrupted(mesh):
-        """W with the column of edge 0 scaled by 2."""
-        scale = np.ones(mesh.num_edges)
-        scale[0] = 2.0
-        return curl_dof_operator(mesh) @ sp.diags(scale)
-
-    monkeypatch.setattr(epe.cli, "curl_dof_operator", corrupted)
-    code, out = run_cli(["self-check"], capsys)
-    assert code == EXIT_NUMERICAL
-    failed = [line for line in out.splitlines() if line.startswith("[FAIL] ")]
-    assert len(failed) == 2 and all("discrete curl of a P1 gradient" in line for line in failed)
-
-
-def test_self_check_factors_the_elasticity_block_once(capsys, monkeypatch):
-    """The energy trace reads the self-check's own Bh operator: one (24, 24) LDL^T of A_el at n = 3."""
-    shapes = []
-
-    class Counting(epe.linalg.MultifrontalLdl):
-        def __init__(self, K, blocks):
-            shapes.append(K.shape)
-            super().__init__(K, blocks)
-
-    monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
-    code, _ = run_cli(["self-check"], capsys)
-    assert code == EXIT_OK
-    assert shapes.count((24, 24)) == 1
