@@ -19,7 +19,7 @@ from epe.core import (
     parse_config_file,
 )
 from epe.linalg import NotConverged, SingularSystem
-from epe.mesh import InvalidSubdivision, build_unit_cube_mesh, euler_characteristic, mesh_stats
+from epe.mesh import InvalidSubdivision, build_unit_cube_mesh, mesh_stats
 from epe.mms import error_norms, example61
 from epe.schemes import Sources, run
 from epe.studies import (
@@ -27,7 +27,6 @@ from epe.studies import (
     DEFAULT_TAUS,
     IoError,
     benchmark,
-    distinct,
     emit_report,
     report_markdown,
     spatial_convergence,
@@ -100,7 +99,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mesh-info", parents=[], help="print mesh statistics")
     _add_common(p)
     p.add_argument("--n", type=int, default=None, help="subdivisions per cube edge")
-    p.add_argument("--csv", action="store_true", help="also print one CSV row (n,V,E,F,C,h)")
+    p.add_argument("--csv", action="store_true", help="also print one CSV row (n,V,E,C,h)")
 
     p = sub.add_parser("run", help="single simulation with the built-in manufactured data")
     _add_common(p)
@@ -112,7 +111,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("convergence", help="spatial convergence study (errors vs h)")
     _add_common(p)
     p.add_argument("--n", type=_int_list, default=None, help="comma list of mesh sizes (default 4,8,12)")
-    p.add_argument("--full", action="store_true", help="extend the sweep to n=15,18")
 
     p = sub.add_parser("convergence-time", help="temporal convergence study (errors vs tau)")
     _add_common(p)
@@ -127,7 +125,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="splitting vs monolithic timing comparison")
     _add_common(p)
     p.add_argument("--n", type=_int_list, default=None, help="comma list of mesh sizes (default 4,8,12)")
-    p.add_argument("--full", action="store_true", help="extend the sweep to n=15")
 
     return parser
 
@@ -153,13 +150,10 @@ def _cmd_mesh_info(args) -> int:
         ("subdivisions n", s.n),
         ("vertices", s.V),
         ("edges", s.E),
-        ("faces", s.F),
         ("cells", s.C),
-        ("euler characteristic", euler_characteristic(mesh)),
         ("mesh size h", f"{s.h:.12g}"),
         ("boundary vertices", s.boundary_vertices),
         ("boundary edges", s.boundary_edges),
-        ("boundary faces", s.boundary_faces),
         ("min cell volume", f"{s.min_cell_volume:.12g}"),
         ("max cell volume", f"{s.max_cell_volume:.12g}"),
         ("total volume", f"{s.total_volume:.12g}"),
@@ -168,8 +162,8 @@ def _cmd_mesh_info(args) -> int:
     for key, value in rows:
         print(f"{key:<{width}}  {value}")
     if args.csv:
-        print("n,V,E,F,C,h")
-        print(f"{s.n},{s.V},{s.E},{s.F},{s.C},{s.h:.15e}")
+        print("n,V,E,C,h")
+        print(f"{s.n},{s.V},{s.E},{s.C},{s.h:.15e}")
     return EXIT_OK
 
 
@@ -210,8 +204,6 @@ def _emit(report, out_dir, stem: str, notes=()) -> int:
 def _cmd_convergence(args) -> int:
     config = _config_from_args(args)
     n_values = [4, 8, 12] if args.n is None else args.n
-    if args.full:
-        n_values = sorted(set(distinct(n_values, "mesh size")) | {15, 18})
     return _emit(spatial_convergence(n_values, config), config.out, "convergence")
 
 
@@ -227,8 +219,6 @@ def _cmd_convergence_time(args) -> int:
 def _cmd_bench(args) -> int:
     config = _config_from_args(args)
     n_values = [4, 8, 12] if args.n is None else args.n
-    if args.full:
-        n_values = sorted(set(distinct(n_values, "mesh size")) | {15})
     report = benchmark(n_values, config)
     notes = [f"speedup at n={n}: {ratio:.2f}x" for n, ratio in speedups(report).items()]
     return _emit(report, config.out, "bench", notes)

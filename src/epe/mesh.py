@@ -3,23 +3,23 @@
 Each lattice sub-cube is split into the six tetrahedra that share its main
 diagonal (the Kuhn/Freudenthal pattern), so refinements nest and every cell
 has the same volume 1/(6 n^3). Entities are numbered deterministically:
-vertices lexicographically on the lattice, edges and faces as sorted vertex
-tuples in lexicographic order. Every edge is globally oriented from its
-lower to its higher vertex index; each cell stores, for its six local edges,
-the global edge index and the sign relating local to global direction.
+vertices lexicographically on the lattice, edges as sorted vertex pairs in
+lexicographic order. Every edge is globally oriented from its lower to its
+higher vertex index; each cell stores, for its six local edges, the global
+edge index and the sign relating local to global direction.
 
 Edges are numbered by lattice arithmetic, without a sort: an edge joins a
 vertex v to v + d for one of the seven monotone steps d of ``EDGE_STEPS``,
 whose vertex-id offsets increase in that order, so the lexicographic edge id
 of (v, d) is a running count over the (V, 7) table of steps that stay on
-the lattice (each such step is an edge of some cell). Faces are only needed
-for diagnostics and are numbered (by a sort) on first use.
+the lattice (each such step is an edge of some cell). Faces are not
+numbered: no finite-element space lives on them (E is on edges, H on cells,
+u and p on vertices).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -31,9 +31,6 @@ class InvalidSubdivision(ValueError):
 
 #: Local edges of a tetrahedron as ordered local vertex pairs.
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-#: Local faces (vertex triples) of a tetrahedron.
-LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 #: Lattice steps from an edge's low vertex to its high vertex, in increasing
 #: order of the vertex-id offset (i, j, k) . (s^2, s, 1), s = n + 1.
@@ -66,20 +63,6 @@ class TetMesh:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    @property
-    def num_faces(self) -> int:
-        return self.faces.shape[0]
-
-    @cached_property
-    def _face_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted vertex triples (F, 3) in lexicographic order, and the cells incident to each."""
-        triples = np.sort(self.cells[:, np.asarray(LOCAL_FACES)], axis=2).reshape(-1, 3)
-        faces, counts = np.unique(triples, axis=0, return_counts=True)
-        return faces.astype(np.int64), counts.astype(np.int64)
-
-    faces = property(lambda self: self._face_table[0], doc="(F, 3) sorted face triples")
-    face_cell_count = property(lambda self: self._face_table[1], doc="(F,) cells incident per face")
 
     def cell_geometry(self) -> tuple[np.ndarray, np.ndarray]:
         """Barycentric gradients (C,4,3) and signed volumes (C,) of all cells, in closed form.
@@ -204,12 +187,10 @@ class MeshStats:
     n: int
     V: int
     E: int
-    F: int
     C: int
     h: float
     boundary_vertices: int
     boundary_edges: int
-    boundary_faces: int
     min_cell_volume: float
     max_cell_volume: float
     total_volume: float
@@ -222,17 +203,11 @@ def mesh_stats(mesh: TetMesh) -> MeshStats:
         n=mesh.n,
         V=mesh.num_vertices,
         E=mesh.num_edges,
-        F=mesh.num_faces,
         C=mesh.num_cells,
         h=mesh.h,
         boundary_vertices=int(mesh.boundary_vertex.sum()),
         boundary_edges=int(mesh.boundary_edge.sum()),
-        boundary_faces=int((mesh.face_cell_count == 1).sum()),
         min_cell_volume=float(vols.min()),
         max_cell_volume=float(vols.max()),
         total_volume=float(vols.sum()),
     )
-
-
-def euler_characteristic(mesh: TetMesh) -> int:
-    return mesh.num_vertices - mesh.num_edges + mesh.num_faces - mesh.num_cells

@@ -7,8 +7,8 @@ the O(tau) splitting error). Benchmarks run both schemes serially on a
 shared mesh with identical tolerances and record per-phase wall times,
 the medians over ``BENCH_SOLVES`` solves.
 
-Reports are emitted as CSV (fixed schema), an aligned markdown table, and
-a hand-rolled log-log SVG with slope-1 and slope-2 guide lines.
+Reports are data: each is emitted as CSV (fixed schema) and as an aligned
+markdown table of the same rows, and plotting is left to the reader's tools.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from epe.core import SCHEMES, RunConfig, grid_for_step
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import ErrorNorms, error_norms, example61
-from epe.schemes import Discretization, Sources, run
+from epe.schemes import Discretization, PhaseTimings, Sources, run
 
 ERROR_FIELDS = ("E_L2", "H_L2", "u_L2", "u_H1", "p_L2")
 
@@ -62,7 +62,7 @@ class StudyRow:
 class StudyReport:
     kind: str             # spatial | temporal | benchmark
     rows: list
-    x_field: str          # 'h' or 'tau': abscissa of orders and plots
+    x_field: str          # 'h' or 'tau': abscissa of the orders
 
     def scheme_rows(self, scheme: str) -> list:
         return [r for r in self.rows if r.scheme == scheme]
@@ -97,8 +97,8 @@ def distinct(values: list, what: str) -> list:
     return values
 
 
-def _row(config: RunConfig, errors: ErrorNorms, timings: dict) -> StudyRow:
-    """The report row of one run of ``config``."""
+def _row(config: RunConfig, errors: ErrorNorms, timings: PhaseTimings) -> StudyRow:
+    """The report row of one run of ``config``, with that run's phase timings."""
     return StudyRow(
         scheme=config.scheme,
         n=config.mesh_n,
@@ -106,7 +106,7 @@ def _row(config: RunConfig, errors: ErrorNorms, timings: dict) -> StudyRow:
         tau=config.grid.tau,
         errors=errors.as_dict(),
         orders={},
-        timings=timings,
+        timings={k: getattr(timings, k) for k in TIMING_FIELDS},
     )
 
 
@@ -115,7 +115,7 @@ def _exact_row(config: RunConfig, mesh) -> StudyRow:
     exact = example61(config.params)
     result = run(config, Sources(j=exact.j, f=exact.f, g=exact.g), exact, mesh=mesh)
     errs = error_norms(result.state, exact, config.grid.T, mesh, config.quad_error)
-    return _row(config, errs, {k: getattr(result.timings, k) for k in TIMING_FIELDS})
+    return _row(config, errs, result.timings)
 
 
 def spatial_convergence(n_values, config: RunConfig) -> StudyReport:
@@ -146,7 +146,9 @@ def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: fl
     is effectively converged in time relative to the coarser runs, and every
     step must divide T into whole steps, as ``epe run`` requires; a repeated
     step is refused. Field differences are measured by ``error_norms``, as
-    the error of the difference state against zero fields.
+    the error of the difference state against zero fields. Each row carries
+    the phase timings of its own run; the runs share one discretization, so
+    their ``assemble`` phase is close to 0 s.
     """
     tau_values = distinct(sorted(float(t) for t in tau_values), "step tau")
     if not tau_values or tau_values[0] <= 0.0:
@@ -171,10 +173,11 @@ def temporal_convergence(mesh_n: int, tau_values, config: RunConfig, tau_ref: fl
     rows = []
     for tau in sorted(tau_values, reverse=True):
         cfg = configs[tau]
-        state = run(cfg, sources, exact, disc=disc).state
+        result = run(cfg, sources, exact, disc=disc)
+        state = result.state
         diff = replace(state, **{f: getattr(state, f) - getattr(ref, f) for f in "EHup"})
         errs = error_norms(diff, zero, cfg.grid.T, disc.mesh, cfg.quad_error)
-        rows.append(_row(cfg, errs, dict.fromkeys(TIMING_FIELDS, 0.0)))
+        rows.append(_row(cfg, errs, result.timings))
     _attach_orders(rows, "tau")
     return StudyReport(kind="temporal", rows=rows, x_field="tau")
 
@@ -256,72 +259,8 @@ def _benchmark_markdown(report: StudyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_svg(report: StudyReport) -> str:
-    """Log-log error plot: one polyline per error field + 2 slope guides.
-
-    A zero error has no place on a log axis, so its point is left out.
-    """
-    width, height = 640, 480
-    rows = report.rows
-    xs = np.array([getattr(r, report.x_field) for r in rows], dtype=float)
-    pad, legend_w = 50.0, 120.0
-    x0, x1 = math.log10(xs.min()), math.log10(xs.max())
-    all_errs = np.array([[r.errors[f] for f in ERROR_FIELDS] for r in rows])
-    all_errs = all_errs[all_errs > 0.0]
-    y0, y1 = (math.log10(all_errs.min()), math.log10(all_errs.max())) if all_errs.size else (0.0, 0.0)
-    if x1 - x0 < 1e-12:
-        x1 = x0 + 1.0
-    if y1 - y0 < 1e-12:
-        y1 = y0 + 1.0
-
-    def to_px(lx, ly):
-        px = pad + (lx - x0) / (x1 - x0) * (width - 2 * pad - legend_w)
-        py = height - pad - (ly - y0) / (y1 - y0) * (height - 2 * pad)
-        return px, py
-
-    colors = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd")
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for fname, color in zip(ERROR_FIELDS, colors):
-        pts = " ".join(
-            "{:.2f},{:.2f}".format(*to_px(math.log10(getattr(r, report.x_field)),
-                                          math.log10(r.errors[fname])))
-            for r in rows
-            if r.errors[fname] > 0.0
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-    # slope guides anchored near the data's lower-right corner
-    for slope, dash in ((1, "6,3"), (2, "2,3")):
-        ly_end = y0 + 0.15 * (y1 - y0)
-        ly_start = ly_end - slope * (x1 - x0)
-        pts = "{:.2f},{:.2f} {:.2f},{:.2f}".format(
-            *to_px(x0, ly_start), *to_px(x1, ly_end)
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#888888" '
-            f'stroke-width="1" stroke-dasharray="{dash}"/>'
-        )
-    for i, (fname, color) in enumerate(zip(ERROR_FIELDS, colors)):
-        ypix = pad + 16 * i
-        parts.append(
-            f'<text x="{width - legend_w}" y="{ypix}" fill="{color}" '
-            f'font-size="12" font-family="sans-serif">{fname}</text>'
-        )
-    label = report.x_field
-    parts.append(
-        f'<text x="{width / 2:.0f}" y="{height - 10}" fill="#000" font-size="12" '
-        f'font-family="sans-serif">log10({label})</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def emit_report(report: StudyReport, out_dir, stem: str):
-    """Write ``stem``.csv, ``stem``.md and, unless a benchmark, ``stem``.svg; return their paths."""
+    """Write ``stem``.csv and ``stem``.md; return their paths."""
     if not report.rows:
         raise ValueError("cannot emit an empty report")
     out = Path(out_dir)
@@ -330,9 +269,6 @@ def emit_report(report: StudyReport, out_dir, stem: str):
         paths = {"csv": out / f"{stem}.csv", "md": out / f"{stem}.md"}
         paths["csv"].write_text(report_csv(report))
         paths["md"].write_text(report_markdown(report))
-        if report.kind != "benchmark":
-            paths["svg"] = out / f"{stem}.svg"
-            paths["svg"].write_text(report_svg(report))
     except OSError as exc:
         raise IoError(f"cannot write report to {out}: {exc}") from exc
     return paths

@@ -116,6 +116,17 @@ def discrete_energy(
     return S
 
 
+#: Local faces (vertex triples) of a tetrahedron.
+LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def face_table(mesh):
+    """Oracle for the faces: sorted vertex triples (F, 3) in lexicographic order, and the
+    number of cells incident to each, by ``np.unique`` over the sorted triples of all cells."""
+    triples = np.sort(mesh.cells[:, np.asarray(LOCAL_FACES)], axis=2).reshape(-1, 3)
+    return np.unique(triples, axis=0, return_counts=True)
+
+
 def cellwise_curl(mesh, coefs):
     """Oracle for the discrete curl W: curl of the edge field ``coefs`` per cell, shape (C, 3).
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import epe.schemes
-from conftest import barycentric, cellwise_curl, edge_functions
+from conftest import LOCAL_FACES, barycentric, cellwise_curl, edge_functions, face_table
 from epe.fem.assembly import (
     FORM_SPACES,
     CellPattern,
@@ -376,12 +376,11 @@ class TestConformity:
 
 def tangential_jumps(mesh, coefs, rng, nfaces):
     """Max tangential-trace jumps across randomly chosen interior faces."""
-    interior = np.flatnonzero(mesh.face_cell_count == 2)
+    faces, counts = face_table(mesh)
+    interior = np.flatnonzero(counts == 2)
     chosen = rng.choice(interior, size=min(nfaces, interior.size), replace=False)
 
     face_to_cells = {}
-    from epe.mesh import LOCAL_FACES
-
     for c, cell in enumerate(mesh.cells):
         for tri in LOCAL_FACES:
             key = tuple(sorted(cell[list(tri)]))
@@ -389,7 +388,7 @@ def tangential_jumps(mesh, coefs, rng, nfaces):
 
     jumps = []
     for fidx in chosen:
-        tri = mesh.faces[fidx]
+        tri = faces[fidx]
         cells = face_to_cells[tuple(tri)]
         assert len(cells) == 2
         pts = sample_face_points(mesh.vertices[tri], rng)

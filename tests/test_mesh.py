@@ -3,13 +3,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from epe.mesh import (
-    LOCAL_EDGES,
-    InvalidSubdivision,
-    build_unit_cube_mesh,
-    euler_characteristic,
-    mesh_stats,
-)
+from conftest import face_table
+from epe.mesh import LOCAL_EDGES, InvalidSubdivision, build_unit_cube_mesh, mesh_stats
 
 
 def number_edges_by_sort(cells):
@@ -45,26 +40,25 @@ def kuhn_reference_counts(n):
     return len(verts), len(edges), len(faces), ncells
 
 
+def euler_characteristic(mesh):
+    """V - E + F - C, with the mesh's own V, E and C and the oracle's face count F."""
+    num_faces = len(face_table(mesh)[0])
+    return mesh.num_vertices - mesh.num_edges + num_faces - mesh.num_cells
+
+
 class TestCounts:
     def test_n1_exhaustive(self, mesh1):
-        assert (mesh1.num_vertices, mesh1.num_edges, mesh1.num_faces, mesh1.num_cells) == (
-            8,
-            19,
-            18,
-            6,
-        )
+        num_faces = len(face_table(mesh1)[0])
+        assert (mesh1.num_vertices, mesh1.num_edges, num_faces, mesh1.num_cells) == (8, 19, 18, 6)
         assert kuhn_reference_counts(1) == (8, 19, 18, 6)
         assert euler_characteristic(mesh1) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_counts_match_independent_enumeration(self, n):
         mesh = build_unit_cube_mesh(n)
-        assert kuhn_reference_counts(n) == (
-            mesh.num_vertices,
-            mesh.num_edges,
-            mesh.num_faces,
-            mesh.num_cells,
-        )
+        V, E, F, C = kuhn_reference_counts(n)
+        assert (mesh.num_vertices, mesh.num_edges, mesh.num_cells) == (V, E, C)
+        assert len(face_table(mesh)[0]) == F
 
     def test_n2_counts_and_volume(self, mesh2):
         s = mesh_stats(mesh2)
@@ -112,7 +106,7 @@ class TestGeometry:
 
     def test_determinism(self):
         a, b = build_unit_cube_mesh(3), build_unit_cube_mesh(3)
-        for name in ("vertices", "cells", "edges", "cell_edges", "cell_edge_signs", "faces"):
+        for name in ("vertices", "cells", "edges", "cell_edges", "cell_edge_signs"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
@@ -166,20 +160,14 @@ class TestEdges:
 
 
 class TestConformity:
-    def test_faces_are_numbered_on_first_use(self):
-        mesh = build_unit_cube_mesh(2)
-        assert "_face_table" not in vars(mesh)
-        assert mesh.num_faces == kuhn_reference_counts(2)[2]
-        assert "_face_table" in vars(mesh)
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_face_incidence(self, n):
         mesh = build_unit_cube_mesh(n)
-        counts = mesh.face_cell_count
+        faces, counts = face_table(mesh)
         assert set(counts.tolist()) <= {1, 2}
         boundary = counts == 1
         # every single-cell face lies on a wall of the cube
-        for tri in mesh.faces[boundary]:
+        for tri in faces[boundary]:
             coords = mesh.vertices[tri]
             assert any(
                 np.allclose(coords[:, axis], wall)

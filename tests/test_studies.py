@@ -94,7 +94,8 @@ def mass_matrix_norms(mesh, state, ref) -> dict:
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_temporal_norms_match_the_mass_matrix_norms(config, scheme):
-    """At n = 3 the study's norms equal the mass-matrix norms of the same final states to 1e-12."""
+    """At n = 3 the study's norms equal the mass-matrix norms of the same final states to 1e-12,
+    and each row reports the wall times of its own run."""
     config = replace(config, scheme=scheme)
     taus, tau_ref = (0.05, 0.025), 0.003125
     report = temporal_convergence(3, taus, config, tau_ref)
@@ -111,6 +112,9 @@ def test_temporal_norms_match_the_mass_matrix_norms(config, scheme):
         want = mass_matrix_norms(mesh, final_state(row.tau), ref)
         for field in ERROR_FIELDS:
             assert row.errors[field] == pytest.approx(want[field], rel=1e-12, abs=0.0), field
+        t = row.timings
+        assert t["loop"] > 0.0
+        assert abs(sum(t[k] for k in TIMING_FIELDS[:-1]) - t["total"]) <= 1e-9
 
 
 def test_temporal_orders_are_first_order(config):
