@@ -39,8 +39,10 @@ The curl has no form: curl E_h is cellwise constant, so
 ``curl_dof_operator`` (W) is the whole discrete curl, the curl coupling is
 M_H W and the curl-curl block is W^T M_H W. E vanishes on the constrained
 edges, so ``schemes.Discretization`` keeps only W's free columns (W_f).
-Like every form and load, W reads ``TetMesh.cell_geometry``, which setup
-releases at its end; error norms and VTK output recompute it.
+The gradient has no form either: ``gradient_operator`` (D) is the signed
+edge-vertex incidence, with W D = 0 and M_E D = G_pe. Like every form and
+load, W reads ``TetMesh.cell_geometry``, which setup releases at its end;
+error norms and VTK output recompute it. D reads only the edge table.
 
 Conventions:
   - A cell's Nedelec function for local edge i is multiplied by the stored
@@ -254,6 +256,21 @@ def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
     ).sorted_indices()
     W.eliminate_zeros()
     return W
+
+
+def gradient_operator(mesh: TetMesh) -> sp.csr_matrix:
+    """Map P1 coefficients to the edge coefficients of their gradient (E x V).
+
+    Lowest-order Nedelec and P1 form an exact sequence (Whitney forms), so
+    grad p_h = sum_e (p_b - p_a) N_e for edges e = (a, b): row e holds -1 at
+    a and +1 at b, the signed edge-vertex incidence D. Hence W D = 0 and
+    M_E D is the pressure-gradient coupling G_pe.
+    """
+    E = mesh.num_edges
+    values = np.tile([-1.0, 1.0], E)
+    return sp.csr_matrix(
+        (values, mesh.edges.ravel(), np.arange(0, 2 * E + 1, 2)), shape=(E, mesh.num_vertices)
+    )
 
 
 def assemble_load(

@@ -19,15 +19,16 @@ is read, so it is formed and stored as a lower trapezoid of column panels
 ``EXTEND_ADD_COLUMNS`` wide, about half of the square, and lives only until
 its parent front has added it. A system that is quasi-definite only up to
 the signs of some rows is passed with those rows negated: the caller signs
-and stacks its blocks, as ``schemes`` does for both of its systems, and
-splits the solution. Every factorization is ordered: the caller gives the
-order as blocks of unknowns, which are the fronts of the LDL^T. The schemes
-pass ``nested_dissection`` of the unknowns' lattice locations. Any
-permutation gives the exact factorization; the fill is only reduced when
-the points lie on the unit-cube lattice, where every coupling spans at most
-one sub-cube and a lattice plane therefore separates the unknowns on either
-side of it.
-SPD solves run a Jacobi-preconditioned CG: ``SpdSolver(A, tol).solve(b)``.
+and stacks its blocks, as ``schemes`` does for the Biot saddle, and splits
+the solution; an SPD matrix (the monolithic scheme's EM block) needs no
+signs, and its fronts are all positive. Every factorization is ordered:
+the caller gives the order as blocks of unknowns, which are the fronts of
+the LDL^T. The schemes pass ``nested_dissection`` of the unknowns'
+lattice locations. Any permutation gives the exact factorization; the fill
+is only reduced when the points lie on the unit-cube lattice, where every
+coupling spans at most one sub-cube and a lattice plane therefore separates
+the unknowns on either side of it.
+Iterative SPD solves run a Jacobi-preconditioned CG: ``SpdSolver(A, tol).solve(b)``.
 """
 
 from __future__ import annotations
@@ -285,6 +286,9 @@ class MultifrontalLdl:
             packed, _ = lapack.dtrttp(L, uplo="L")
             self.fronts.append((s, e, k1, packed, L21T, beyond))
             del F11, F22, L  # the packed copy is kept
+        # what a solve reads: each front's L21 (a view of L21T^T) and J as a +-1 vector
+        self._sweep = [(s, e, packed, L21T, L21T.T, R) for s, e, _, packed, L21T, R in self.fronts]
+        self._signs = np.where(positive, 1.0, -1.0)
 
     @property
     def L(self) -> sp.csc_matrix:
@@ -306,20 +310,24 @@ class MultifrontalLdl:
         return sp.csc_matrix(self.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """K^{-1} b: b[order] forward through L, J and back through L^T; raises if not finite."""
+        """K^{-1} b: b[order] forward through L, J and back through L^T; raises if not finite.
+
+        Each front's triangular solve runs in place on its rows of y. J is applied
+        once, after the forward sweep: no front reads another front's signed rows.
+        """
         y = np.asarray(b, dtype=float)[self.order]
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite result raises below
-            for s, e, k1, packed, L21T, R in self.fronts:
-                z = blas.dtpsv(e - s, packed, y[s:e], lower=1)
+            for s, e, packed, _, L21, R in self._sweep:
+                x = y[s:e]
+                blas.dtpsv(e - s, packed, x, lower=1, overwrite_x=1)
                 if R.size:
-                    y[R] -= L21T.T @ z
-                z[k1:] *= -1.0
-                y[s:e] = z
-            for s, e, k1, packed, L21T, R in reversed(self.fronts):
-                z = y[s:e]
+                    y[R] -= L21 @ x
+            y *= self._signs
+            for s, e, packed, L21T, _, R in reversed(self._sweep):
+                x = y[s:e]
                 if R.size:
-                    z = z - L21T @ y[R]
-                y[s:e] = blas.dtpsv(e - s, packed, z, lower=1, trans=1)
+                    x -= L21T @ y[R]
+                blas.dtpsv(e - s, packed, x, lower=1, trans=1, overwrite_x=1)
         if not np.all(np.isfinite(y)):
             raise SingularSystem("factorization produced non-finite solution")
         return y[self.rank]
@@ -472,7 +480,8 @@ class SaddleSolver(LuSolver):
     """The Biot saddle system's ``LuSolver``: the same factor and solve under a name of its own.
 
     ``schemes`` builds, signs and stacks the system and splits the solution;
-    a traced run reports these solves apart from the monolithic system's.
+    a traced run reports these solves apart from those of the monolithic
+    scheme's EM matrix, a plain ``LuSolver``.
     ``solve`` is the class's own attribute, so a wrapper on ``LuSolver.solve``
     sees no saddle solve.
     """

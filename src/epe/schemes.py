@@ -9,8 +9,8 @@ columns of W), and the free-DOF blocks G_ff (pressure gradient), B_ff,
 M_P_ff and K_P_ff; E, u and p vanish on the constrained DOFs, so the free
 columns and blocks suffice.
 What a factorization reads once (the elasticity block, the EM matrix) is
-assembled for it and dropped before its LDL^T starts; the splitting scheme
-builds its EM matrix after the saddle factor, and ``run()`` projects the
+assembled for it and dropped before its LDL^T starts; both schemes build
+their EM matrix after the saddle factor, and ``run()`` projects the
 initial state (with U and P masses of its own) before it factors.
 
 A Discretization owns the setup tables of ``fem.assembly`` (``setup_tables``:
@@ -39,25 +39,26 @@ The splitting scheme advances each step in two sub-steps:
 
 The monolithic reference solves all four equations coupled, with the
 pressure coupling taken implicitly. It eliminates H exactly, as sub-step A
-does, and factors the resulting 3-block system in (E, u, p) once per run;
-H is recovered from E^n by the same update. Its u rows (and their
-right-hand side) are negated, which makes the matrix symmetric; it is then
-quasi-definite in {E, p} | {u}, because the {E, p} block's Schur complement
-is at least c0 M_P + tau (kappa - tau L^2/(eps + tau sigma)) K_P, SPD
-whenever L^2 < sigma kappa. Both schemes build the same history right-hand
-side (``BackwardEuler.history``: the held operators applied to the state,
-plus the loads); the splitting step adds its explicit pressure couplings
-on top.
+does, and then E, also exactly: Nedelec and P1 form an exact sequence, so
+the EM matrix maps the discrete gradient D (``gradient_operator``) onto
+(eps + tau sigma) G, and E^n = y + (tau L/(eps + tau sigma)) D p^n with y the
+EM solve without pressure coupling. What is left is sub-step B driven by y,
+with kappa reduced to kappa - tau L^2/(eps + tau sigma), still positive when
+L^2 < sigma kappa (``MonolithicScheme``). Both schemes build the same
+history right-hand side (``BackwardEuler.history``: the held operators
+applied to the state, plus the loads); the splitting step adds its explicit
+pressure coupling on top.
 
 Every direct factorization is a quasi-definite LDL^T, ordered by nested
 dissection of its unknowns' lattice locations (``Discretization.order``):
-the Biot saddle system and the monolithic system.
-Each scheme builds, signs and stacks its own system and splits the solution;
-``linalg`` only factors and solves K x = b. The saddle system negates its p
-rows, not its u rows as the monolithic system does: the factor pivots on each
-front's positive-diagonal unknowns first, and in the low-storage,
-low-permeability limit the pressure block is nearly zero, so the fronts pivot
-on the elasticity block (Vanderbei, SIAM J. Optim. 5(1), 1995).
+the Biot saddle of both schemes and the monolithic scheme's EM matrix, an
+SPD matrix whose LDL^T is a Cholesky factor. The schemes build, sign and
+stack the saddle in one place (``BackwardEuler._saddle_solver``) and split
+its solution; ``linalg`` only factors and solves K x = b. The saddle
+negates its p rows: the factor pivots on each front's positive-diagonal
+unknowns first, and in the low-storage, low-permeability limit the pressure
+block is nearly zero, so the fronts pivot on the elasticity block
+(Vanderbei, SIAM J. Optim. 5(1), 1995).
 
 Time-separable sources (``mms.SeparableSource``) have their spatial load
 vectors assembled once, when a scheme is built; a step then combines them
@@ -74,7 +75,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from epe.core import PhysicalParams, RunConfig
-from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
+from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator, gradient_operator
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection
 from epe.mesh import TetMesh, build_unit_cube_mesh
@@ -203,7 +204,7 @@ def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State
 
 
 class BackwardEuler:
-    """What both schemes share: the sources, the pressure block and the history terms.
+    """What both schemes share: the sources, the history terms and the Biot saddle solve.
 
     A scheme is built from a Discretization, the sources and the RunConfig,
     whose time step ``grid.tau`` and solver tolerances it reads.
@@ -216,11 +217,25 @@ class BackwardEuler:
         disc.prepare_loads(sources)
         # a view of W_f (no copy) and the diagonal of tau M_H, for the history's curl term
         self._curl_T, self._tau_m_H = disc.W_f.T, tau * disc.m_H
+        self._nu = disc.layouts.U.num_free
 
-    def _pressure_block(self) -> sp.csr_matrix:
-        """C_p = c0 M_P + tau kappa K_P on the free P DOFs."""
-        p = self.disc.params
-        return p.c0 * self.disc.M_P_ff + self.tau * p.kappa * self.disc.K_P_ff
+    def _saddle_solver(self, kappa: float, tol: float) -> SaddleSolver:
+        """The factored Biot saddle [[A_el, -B^T], [-B, -C]], C = c0 M_P + tau kappa K_P.
+
+        Its p rows are negated (see the module docstring); ``_biot`` solves it.
+        """
+        disc, c0, B = self.disc, self.disc.params.c0, self.disc.B_ff
+        C = c0 * disc.M_P_ff + self.tau * kappa * disc.K_P_ff
+        # the blocks are freed before the LDL^T starts
+        K = sp.bmat([[disc.elasticity(), -B.T], [-B, -C]], format="csc")
+        del C
+        return SaddleSolver(K, disc.order("U", "P"), tol=tol)
+
+    def _biot(self, f_u: np.ndarray, f_p: np.ndarray, E_free: np.ndarray) -> list[np.ndarray]:
+        """The free (u, p) of the Biot step driven by E_free: f_p gains tau L G^T E_free in place."""
+        f_p += self.tau * self.disc.params.L * (self.disc.G_ff.T @ E_free)
+        x, _ = self._saddle.solve(np.concatenate([f_u, -f_p]))
+        return np.split(x, [self._nu])
 
     def history(self, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The free-DOF right-hand sides (E, u, p) that both schemes share.
@@ -258,19 +273,15 @@ class BackwardEuler:
 class SplittingScheme(BackwardEuler):
     """EM sub-step (H-condensed SPD solve) followed by the Biot sub-step.
 
-    The Biot matrix [[A_el, -B^T], [-B, -C_p]] has its p rows negated (see the
-    module docstring), so each step solves for the stacked (f_u, -f_p).
+    The EM sub-step takes the pressure coupling from p^{n-1}; the Biot
+    saddle has the pressure block C_p = c0 M_P + tau kappa K_P.
     """
 
     name = "splitting"
 
     def __init__(self, disc: Discretization, sources: Sources, config: RunConfig):
         super().__init__(disc, sources, config)
-        B = disc.B_ff
-        # K in a statement of its own: the blocks are freed before the LDL^T starts
-        K = sp.bmat([[disc.elasticity(), -B.T], [-B, -self._pressure_block()]], format="csc")
-        self._saddle = SaddleSolver(K, disc.order("U", "P"), tol=config.saddle_tol)
-        self._nu = disc.layouts.U.num_free
+        self._saddle = self._saddle_solver(disc.params.kappa, config.saddle_tol)
         self._em = SpdSolver(disc.em_matrix(self.tau), tol=config.spd_tol)
 
     def step(self, state: State) -> State:
@@ -280,43 +291,45 @@ class SplittingScheme(BackwardEuler):
         # sub-step A: electromagnetic fields, pressure coupling explicit
         E_free, _ = self._em.solve(rhs_E + coupling * (self.disc.G_ff @ state.p[P_free]))
         # sub-step B: Biot consolidation, driven by the new E
-        f_p += coupling * (self.disc.G_ff.T @ E_free)
-        x, _ = self._saddle.solve(np.concatenate([f_u, -f_p]))
-        return self.advance(state, E_free, *np.split(x, [self._nu]))
+        return self.advance(state, E_free, *self._biot(f_u, f_p, E_free))
 
 
 class MonolithicScheme(BackwardEuler):
-    """One coupled backward-Euler solve per step for (E, u, p), with H eliminated exactly.
+    """One coupled backward-Euler step for (E, u, p), with H and then E eliminated exactly.
 
-    The system is factored with its u rows negated,
-        [[A_em, 0, -G], [0, -A_el, B^T], [-G^T, B, C_p]],
-    which is symmetric and quasi-definite in {E, p} | {u} since L^2 < sigma kappa
-    (see the module docstring); each step negates the u right-hand side to match.
+    The coupled step solves
+        A_em E - tau L G p = rhs_E,  A_el u - B^T p = f_u,  -tau L G^T E + B u + C_p p = f_p,
+    with A_em = (eps + tau sigma) M_E + (tau^2/mu) W^T M_H W and G = G_ff. Whitney
+    forms give grad p_h = sum_e (D p)_e N_e (``gradient_operator``), so G = M_E D and
+    W D = 0 on the free DOFs, hence A_em D = (eps + tau sigma) G. The E row then gives
+        E = y + (tau L / (eps + tau sigma)) D p,  with A_em y = rhs_E,
+    and, as D^T M_E D = K_P, the p row becomes the Biot step driven by y,
+        B u + C p = f_p + tau L G^T y,  C = c0 M_P + tau (kappa - tau L^2/(eps + tau sigma)) K_P.
+    C is SPD: tau L^2/(eps + tau sigma) < L^2/sigma < kappa by the admissibility bound
+    L^2 < sigma kappa. So the saddle is the splitting scheme's with kappa reduced.
+    Each step is one direct EM solve, one saddle solve and the lift: no iteration and no
+    tolerance beyond the two solves'. The EM factor is an all-positive LDL^T under
+    ``saddle_tol``, like every direct solve, so the step reproduces the coupled system
+    to rounding.
     """
 
     name = "monolithic"
 
     def __init__(self, disc: Discretization, sources: Sources, config: RunConfig):
         super().__init__(disc, sources, config)
-        tau = self.tau
-        G = tau * disc.params.L * disc.G_ff
-        # K in a statement of its own: the blocks are freed before the LDL^T starts
-        K = sp.bmat(
-            [
-                [disc.em_matrix(tau), None, -G],
-                [None, -disc.elasticity(), disc.B_ff.T],
-                [-G.T, disc.B_ff, self._pressure_block()],
-            ],
-            format="csc",
-        )
-        del G
-        self._lu = LuSolver(K, disc.order("E", "U", "P"), tol=config.saddle_tol)
-        self._ends = np.cumsum([disc.layouts.E.num_free, disc.layouts.U.num_free])
+        p, L = disc.params, disc.layouts
+        scale = self.tau / (p.epsilon + self.tau * p.sigma)
+        # the saddle first, while the setup tables hold the elasticity block's pattern
+        self._saddle = self._saddle_solver(p.kappa - scale * p.L**2, config.saddle_tol)
+        self._em = LuSolver(disc.em_matrix(self.tau), disc.order("E"), tol=config.saddle_tol)
+        self._lift = reduce_matrix(gradient_operator(disc.mesh), L.E, L.P)
+        self._lift.data *= scale * p.L
 
     def step(self, state: State) -> State:
         rhs_E, f_u, f_p = self.history(state)
-        x, _ = self._lu.solve(np.concatenate([rhs_E, -f_u, f_p]))
-        return self.advance(state, *np.split(x, self._ends))
+        y, _ = self._em.solve(rhs_E)
+        u_free, p_free = self._biot(f_u, f_p, y)
+        return self.advance(state, y + self._lift @ p_free, u_free, p_free)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,16 @@ def saddle_blocks(A, B, C):
     return sp.bmat([[A, -B.T], [-B, -C]], format="csc")
 
 
+def monolithic_blocks(A_em, A_el, B, G, C):
+    """Oracle: the coupled step's 3-block (E, u, p) matrix with its u rows negated,
+    [[A_em, 0, -G], [0, -A_el, B^T], [-G^T, B, C]], as CSC; G is tau L G_ff.
+
+    Symmetric, and quasi-definite in {E, p} | {u} when L^2 < sigma kappa; its
+    right-hand side is (rhs_E, -f_u, f_p).
+    """
+    return sp.bmat([[A_em, None, -G], [None, -A_el, B.T], [-G.T, B, C]], format="csc")
+
+
 def elasticity_ff(disc):
     """The elasticity block A_el on the free U DOFs, assembled here."""
     p, L = disc.params, disc.layouts

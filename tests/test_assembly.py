@@ -11,6 +11,7 @@ from epe.fem.assembly import (
     assemble_matrix,
     curl_dof_operator,
     evaluate_E,
+    gradient_operator,
     quadrature_cell_weights,
     quadrature_points,
 )
@@ -135,6 +136,18 @@ class TestMatrices:
         W = curl_dof_operator(mesh2)
         assert np.abs(W @ egrad).max() <= 1e-12
         assert np.abs(cellwise_curl(mesh2, egrad)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gradient_operator_is_the_edge_difference(self, n):
+        """``gradient_operator`` maps p to p_b - p_a on each edge (a, b), as built by hand above,
+        storing two entries per edge; M_E D is the pressure-gradient form."""
+        mesh = build_unit_cube_mesh(n)
+        D = gradient_operator(mesh)
+        assert D.shape == (mesh.num_edges, mesh.num_vertices) and D.nnz == 2 * mesh.num_edges
+        p = np.random.default_rng(3).standard_normal(mesh.num_vertices)
+        assert np.array_equal(D @ p, p[mesh.edges[:, 1]] - p[mesh.edges[:, 0]])
+        G = assemble_matrix(mesh, "GRAD_P_TO_E", 1.0)
+        assert abs(assemble_matrix(mesh, "MASS_E", 1.0) @ D - G).max() <= 1e-15 * abs(G).max()
 
 
 def unique_pattern(rows, cols, shape):

@@ -20,11 +20,12 @@ from conftest import (
     discrete_energy,
     elasticity_ff,
     full_operator,
+    monolithic_blocks,
     saddle_blocks,
     zero_state,
 )
 from epe.core import PARAM_NAMES, make_time_grid, validate_params
-from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator
+from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator, gradient_operator
 from epe.fem.dofs import make_layouts, reduce_matrix
 from epe.linalg import LuSolver, MultifrontalLdl, NotConverged, SaddleSolver
 from epe.mesh import build_unit_cube_mesh
@@ -39,6 +40,9 @@ from epe.schemes import (
     run,
 )
 from epe.studies import temporal_convergence
+
+#: LDL^T factors per run: the Biot saddle, and in the monolithic scheme also the EM matrix.
+FACTORS = {"splitting": 1, "monolithic": 2}
 
 
 def curl_coupling(disc):
@@ -444,14 +448,17 @@ class TestMonolithic:
 
     @pytest.mark.parametrize("tau", [1.0, 1e-5])
     def test_factors_at_the_edge_of_quasi_definiteness(self, tau, config, mesh3):
-        """With L = 0.999 sqrt(sigma kappa) the symmetric system factors and steps within saddle_tol."""
+        """With L = 0.999 sqrt(sigma kappa) the EM factor and the saddle, whose pressure block
+        c0 M_P + tau (kappa - tau L^2/(eps + tau sigma)) K_P is then nearly c0 M_P, factor and
+        solve within saddle_tol, and the scheme steps."""
         values = {name: getattr(config.params, name) for name in PARAM_NAMES}
         values["L"] = 0.999 * np.sqrt(values["sigma"] * values["kappa"])
         disc = Discretization(mesh3, validate_params(**values))
         scheme = MonolithicScheme(disc, Sources(), replace(config, grid=make_time_grid(tau, 1)))
         rng = np.random.default_rng(42)
-        _, report = scheme._lu.solve(rng.standard_normal(scheme._lu.K.shape[0]))
-        assert report.relative_residual <= config.saddle_tol
+        for solver in (scheme._em, scheme._saddle):
+            _, report = solver.solve(rng.standard_normal(solver.K.shape[0]))
+            assert report.relative_residual <= config.saddle_tol
         state = random_admissible_state(disc.layouts, rng)
         for _ in range(3):
             state = scheme.step(state)  # raises if a solve misses saddle_tol
@@ -496,6 +503,60 @@ class TestMonolithic:
             have = getattr(got, f)
             assert np.linalg.norm(have - want) <= 1e-12 * np.linalg.norm(want), f
 
+
+class TestExactElimination:
+    """The monolithic step eliminates E exactly (see ``MonolithicScheme``)."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_gradients_are_exact_in_the_edge_space(self, n, config):
+        """On the free DOFs, A_em D_f = (eps + tau sigma) G_ff, W_f D_f = 0 and D_f^T G_ff = K_P_ff
+        to rounding, for the headline and a random admissible set, with D = gradient_operator."""
+        mesh = build_unit_cube_mesh(n)
+        L = make_layouts(mesh)
+        D = reduce_matrix(gradient_operator(mesh), L.E, L.P)
+        for p in (config.params, random_admissible_params(np.random.default_rng(70 + n))):
+            disc = Discretization(mesh, p)
+            assert abs(disc.W_f @ D).max() <= 1e-14 * abs(disc.W_f).max()
+            assert abs(D.T @ disc.G_ff - disc.K_P_ff).max() <= 1e-14 * abs(disc.K_P_ff).max()
+            for tau in (config.grid.tau, 0.1):
+                A = disc.em_matrix(tau)
+                diff = A @ D - (p.epsilon + tau * p.sigma) * disc.G_ff
+                assert abs(diff).max() <= 1e-14 * abs(A).max()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_step_solves_the_three_block_system(self, n, config, params, sources):
+        """A monolithic step equals the ``LuSolver`` solve of the 3-block (E, u, p) oracle, and
+        its relative residual in that system is at most 1e-12, for the headline and a random
+        admissible set; the lift is (tau L / (eps + tau sigma)) D_f."""
+        mesh = build_unit_cube_mesh(n)
+        for p in (params, random_admissible_params(np.random.default_rng(80 + n))):
+            disc = Discretization(mesh, p)
+            L, tau = disc.layouts, config.grid.tau
+            engine = MonolithicScheme(disc, sources, replace(config, params=p))
+            D = reduce_matrix(gradient_operator(mesh), L.E, L.P)
+            assert abs(engine._lift - (tau * p.L / (p.epsilon + tau * p.sigma)) * D).max() <= (
+                1e-15 * abs(engine._lift).max()
+            )
+            # em_matrix is pinned to the full curl formula by TestLiveSet
+            C_p = p.c0 * disc.M_P_ff + tau * p.kappa * disc.K_P_ff
+            K = monolithic_blocks(disc.em_matrix(tau), elasticity_ff(disc), disc.B_ff,
+                                  tau * p.L * disc.G_ff, C_p)
+            oracle = LuSolver(K, blocks(np.arange(K.shape[0])), tol=1e-12)
+            ends = np.cumsum([L.E.num_free, L.U.num_free])
+            rng = np.random.default_rng(90 + n)
+            for _ in range(3):
+                state = replace(random_admissible_state(L, rng), t=rng.uniform(0.0, 0.1))
+                rhs_E, f_u, f_p = np.split(history_oracle(engine, state), ends)
+                b = np.concatenate([rhs_E, -f_u, f_p])
+                want = np.split(oracle.solve(b)[0], ends)
+                new = engine.step(state)
+                have = [L.E.reduce(new.E), L.U.reduce(new.u), L.P.reduce(new.p)]
+                for name, h, w in zip("Eup", have, want):
+                    assert np.linalg.norm(h - w) <= 1e-12 * np.linalg.norm(w), name
+                residual = np.linalg.norm(K @ np.concatenate(have) - b) / np.linalg.norm(b)
+                assert residual <= 1e-12
+
+
 class TestHistory:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("scheme", [SplittingScheme, MonolithicScheme], ids=lambda c: c.name)
@@ -516,33 +577,38 @@ class TestHistory:
 class TestLuOrdering:
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_mesh_order_reduces_lu_fill(self, scheme, config, params, sources):
-        """The nested-dissection factor of the n = 6 scheme matrix stores fewer entries than plain splu.
+        """Each nested-dissection factor of the n = 6 scheme stores fewer entries than plain splu
+        of its matrix: the saddle, and in the monolithic scheme also the EM matrix.
 
-        Both schemes' symmetric matrices get an LDL^T, which stores L alone.
+        Every factor is an LDL^T, which stores L alone.
         """
         mesh = build_unit_cube_mesh(6)
         disc = Discretization(mesh, params)
         if scheme == "splitting":
-            lu = SplittingScheme(disc, sources, config)._saddle
+            solvers = [SplittingScheme(disc, sources, config)._saddle]
         else:
-            lu = MonolithicScheme(disc, sources, config)._lu
-        assert isinstance(lu.lu, MultifrontalLdl) and lu.lu.U.nnz == 0
-        plain = spla.splu(lu.K)
-        assert lu.lu.L.nnz + lu.lu.U.nnz < plain.L.nnz + plain.U.nnz
+            engine = MonolithicScheme(disc, sources, config)
+            solvers = [engine._saddle, engine._em]
+        for lu in solvers:
+            assert isinstance(lu.lu, MultifrontalLdl) and lu.lu.U.nnz == 0
+            plain = spla.splu(lu.K)
+            assert lu.lu.L.nnz + lu.lu.U.nnz < plain.L.nnz + plain.U.nnz
 
     def test_monolithic_fill_depends_on_the_pattern_alone(self, config, mesh4):
-        """The stored entries L.nnz + U.nnz of the n = 4 monolithic factor do not move with the values."""
+        """The stored entries L.nnz + U.nnz of the n = 4 monolithic factors (saddle and EM) do not
+        move with the values."""
         params = (config.params, random_admissible_params(np.random.default_rng(8)))
         assert params[0] != params[1]
         fills = []
         for p in params:
-            lu = MonolithicScheme(Discretization(mesh4, p), Sources(), config)._lu.lu
-            fills.append(lu.L.nnz + lu.U.nnz)
+            engine = MonolithicScheme(Discretization(mesh4, p), Sources(), config)
+            fills.append([lu.L.nnz + lu.U.nnz for lu in (engine._saddle.lu, engine._em.lu)])
         assert fills[0] == fills[1]
 
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_run_factors_once_before_the_loop(self, scheme, config, disc3, sources, exact, monkeypatch):
-        """One LDL^T per run, built before the n = 0 observer call; every step reuses it."""
+        """Each factor is built once per run, before the n = 0 observer call, and every step
+        reuses it: the saddle, and in the monolithic scheme then the EM matrix."""
         built, in_loop = [], []
 
         class Counting(MultifrontalLdl):
@@ -553,14 +619,15 @@ class TestLuOrdering:
         monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
         run(small_config(config, 3, 0.1, 4, scheme=scheme), sources, exact, disc=disc3,
             observers=[lambda *_: in_loop.append(True)])
-        assert built == [False]
+        assert built == [False] * FACTORS[scheme]
 
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_no_one_off_operator_is_alive_at_the_factorization(
         self, scheme, config, params, mesh4, sources, exact, monkeypatch
     ):
-        """When a run's LDL^T starts, no sparse matrix has the shape of A_el_ff, B_div, M_U, M_P
-        or the stacked history operator, nor, in the splitting scheme, of the EM matrix."""
+        """When each of a run's LDL^Ts starts, no sparse matrix has the shape of A_el_ff, B_div,
+        M_U, M_P or the stacked history operator, nor, in the splitting scheme, of the EM matrix.
+        (The monolithic scheme's second LDL^T factors the EM matrix.)"""
         L = make_layouts(mesh4)
         nE, nU, nP = L.E.num_free, L.U.num_free, L.P.num_free
         shapes = {
@@ -585,7 +652,7 @@ class TestLuOrdering:
         probe = SetupTableProbe(monkeypatch)
         disc = Discretization(mesh4, params)
         run(small_config(config, 4, 0.1, 1, scheme=scheme), sources, exact, disc=disc)
-        assert alive == [[]]
+        assert alive == [[]] * FACTORS[scheme]
         assert probe.counts()["scatter"] == 3 and probe.alive() == []
 
     def test_discretization_releases_its_edge_patterns(self, params, mesh4, monkeypatch):
@@ -612,15 +679,16 @@ class TestLuOrdering:
                                    "points": 1, "sin/cos": 1})]
 
     @pytest.mark.parametrize(
-        "site,ldlts",
+        "site,runs",
         [("splitting", 1), ("monolithic", 1), ("temporal splitting", 3), ("temporal monolithic", 3)],
     )
     def test_no_setup_table_is_alive_when_an_ldlt_starts(
-        self, site, ldlts, config, mesh4, sources, exact, monkeypatch
+        self, site, runs, config, mesh4, sources, exact, monkeypatch
     ):
         """Every factorization site ends setup: when its LDL^T starts, no CellPattern, scatter,
-        Gram array, point table or sin/cos table is alive, though the setup built them. The
-        temporal study factors once per run (the reference and two steps)."""
+        Gram array, point table or sin/cos table is alive, though the setup built them. Each run
+        factors its scheme's LDL^Ts; the temporal study makes three runs (the reference and two
+        steps)."""
         probe = SetupTableProbe(monkeypatch)
         alive = []
 
@@ -636,7 +704,7 @@ class TestLuOrdering:
         else:
             run(small_config(config, 4, 0.1, 1, scheme=site), sources, exact, mesh=mesh4)
         assert probe.counts()["scatter"] >= 3 and probe.counts()["gram"] >= 1
-        assert alive == [[]] * ldlts
+        assert alive == [[]] * (runs * FACTORS[site.split()[-1]])
 
     def test_order_ends_setup(self, params, mesh2, monkeypatch):
         """``order`` leaves the setup tables empty, and nothing else holds them."""
@@ -706,26 +774,14 @@ class TestLiveSet:
 
 
 class TestAdmissibleLimits:
-    def test_log_uniform_admissible_sets_run_or_report_their_residual(self, config, mesh4, monkeypatch):
+    def test_log_uniform_admissible_sets_run_or_report_their_residual(self, config, mesh4):
         """Admissible sets drawn log-uniformly toward the low-storage, low-permeability Biot limit
         either run at n = 4, both schemes, or raise NotConverged with a residual above tolerance.
 
         c0 and kappa span 1e-10..1e-4, the other constants 1e-2..1e2, and L / sqrt(sigma kappa)
         1e-4..0.999. There the pressure block is nearly zero and a first direct solve can miss
-        saddle_tol; the draws include solves that refinement brings within it.
+        saddle_tol (``test_low_storage_saddle_solves_are_refined`` covers the refinement).
         """
-        sweeps = []
-
-        def recording(solve):
-            def wrapper(solver, rhs):
-                x, report = solve(solver, rhs)
-                sweeps.append(report.iterations)
-                return x, report
-
-            return wrapper
-
-        for owner in (LuSolver, SaddleSolver):
-            monkeypatch.setattr(owner, "solve", recording(owner.solve))
         rng = np.random.default_rng(40)
         for _ in range(10):
             values = dict(zip(PARAM_NAMES, 10.0 ** rng.uniform(-2, 2, len(PARAM_NAMES))))
@@ -743,7 +799,29 @@ class TestAdmissibleLimits:
                     assert np.isfinite(exc.residual) and exc.residual > min(cfg.spd_tol, cfg.saddle_tol)
                 else:
                     assert all(np.all(np.isfinite(getattr(state, f))) for f in "EHup")
-        assert max(sweeps) >= 1
+
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_low_storage_saddle_solves_are_refined(self, scheme, config, monkeypatch):
+        """The low-storage, low-permeability set c0 = kappa = 1e-8, L = 1e-5 runs at n = 8, and
+        its saddle solves include some whose first residual misses saddle_tol and which
+        refinement brings within it."""
+        reports = []
+
+        def recording(solver, rhs):
+            x, report = solve(solver, rhs)
+            reports.append(report)
+            return x, report
+
+        solve = SaddleSolver.solve
+        monkeypatch.setattr(SaddleSolver, "solve", recording)
+        values = {name: getattr(config.params, name) for name in PARAM_NAMES}
+        params = validate_params(**{**values, "c0": 1e-8, "kappa": 1e-8, "L": 1e-5})
+        exact = example61(params)
+        cfg = replace(config, mesh_n=8, scheme=scheme, params=params)
+        run(cfg, Sources(j=exact.j, f=exact.f, g=exact.g), exact)
+        assert len(reports) == cfg.grid.N
+        assert max(r.iterations for r in reports) >= 1
+        assert max(r.relative_residual for r in reports) <= cfg.saddle_tol
 
 
 def energy_observer(config, disc, energies):
@@ -917,7 +995,8 @@ class TestRun:
         """Each of 100 steps makes the same solve calls, and none factors or assembles.
 
         A splitting step solves once with ``SpdSolver`` and once with
-        ``SaddleSolver``, a monolithic step once with ``LuSolver``; no step
+        ``SaddleSolver``, a monolithic step once with ``LuSolver`` (the EM
+        matrix) and once with ``SaddleSolver``; no step
         builds a ``MultifrontalLdl`` or calls ``assemble_matrix`` or
         ``assemble_load`` (the sources are separable). Calls are counted, not
         timed, so a scheduler hiccup cannot fail the test.
@@ -944,7 +1023,7 @@ class TestRun:
         disc = Discretization(mesh, params)
         expected = {
             "splitting": Counter({"SpdSolver.solve": 1, "SaddleSolver.solve": 1}),
-            "monolithic": Counter({"LuSolver.solve": 1}),
+            "monolithic": Counter({"LuSolver.solve": 1, "SaddleSolver.solve": 1}),
         }
         for scheme, per_step in expected.items():
             calls.clear()
@@ -952,7 +1031,8 @@ class TestRun:
             run(small_config(config, 8, 0.1, 100, scheme=scheme), sources, exact, disc=disc,
                 observers=[lambda n, *_: step.__setitem__(0, n + 1)])
             assert [calls[n] for n in range(1, 101)] == [per_step] * 100, scheme
-            assert calls[0]["linalg.MultifrontalLdl"] == 1, scheme  # the wrappers see the setup
+            # the wrappers see the setup
+            assert calls[0]["linalg.MultifrontalLdl"] == FACTORS[scheme], scheme
 
     def test_doubling_steps_roughly_doubles_loop_time(self, config, sources, exact, params):
         mesh = build_unit_cube_mesh(8)

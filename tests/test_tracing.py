@@ -39,7 +39,9 @@ def test_tracer_wraps_every_name_and_reads_the_factors(tracing, scheme, config, 
     assert tracer.absent == []
     assert (epe.schemes.make_scheme, epe.linalg.LuSolver.__init__) == originals
     layers = tracer.layer_metrics(result.timings.loop)
-    assert layers["linalg.lu_count"] >= 1 and layers["linalg.lu_fill"] > 0
-    # each step's direct solve is counted under one name only
+    assert layers["linalg.lu_count"] == (1 if scheme == "splitting" else 2)
+    assert layers["linalg.lu_fill"] > 0
+    # each direct solve is counted under one name only: every step solves the saddle, and a
+    # monolithic step also the EM matrix
     saddle, lu = layers["linalg.saddle_solves"], layers["linalg.lu_solves"]
-    assert (saddle, lu) == ((cfg.grid.N, 0) if scheme == "splitting" else (0, cfg.grid.N))
+    assert (saddle, lu) == ((cfg.grid.N, 0) if scheme == "splitting" else (cfg.grid.N, cfg.grid.N))
