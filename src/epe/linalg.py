@@ -6,14 +6,18 @@ returning silently wrong results. All paths are deterministic: identical
 inputs produce identical outputs (no randomized pivoting, fixed iteration
 order), so two factorizations of one matrix give bit-identical solves.
 
-Every direct solve is one quasi-definite LDL^T. ``MultifrontalLdl`` owns
-its numbering: it sorts each block of unknowns by diagonal sign, factors
-K[order][:, order] with dense Cholesky kernels front by front and solves in
-K's numbering. ``LuSolver`` keeps K, the tolerance, the residual and the
-refinement; a matrix that is not symmetric (to rounding) raises ValueError.
-The factorization reads the permuted matrix from K's own columns, so K is
-held once. Each front keeps its pivot factor as a packed lower triangle and
-its off-diagonal block of L (transposed) in full, exactly the entries of L.
+Every direct solve is one quasi-definite LDL^T. ``LuSolver`` owns the
+numbering: it sorts each block of unknowns by diagonal sign, checks that K
+is symmetric (to rounding; else ValueError) and permutes K once into that
+order, keeping only the lower triangle T of K[order][:, order] in CSC,
+about half of K. It does not keep K: a caller that drops its own K before
+``factor`` holds T alone through the factorization. ``MultifrontalLdl``
+factors T with dense Cholesky kernels front by front, reading each front's
+columns as one contiguous slice of T, and solves in T's numbering; the
+residual check and refinement apply T + T^T - diag(T) there, so a solve
+permutes its right-hand side in and its solution out once. Each front
+keeps its pivot factor as a packed lower triangle and its off-diagonal
+block of L (transposed) in full, exactly the entries of L.
 A front's update to later unknowns is symmetric and only its lower triangle
 is read, so it is formed and stored as a lower trapezoid of column panels
 ``EXTEND_ADD_COLUMNS`` wide, about half of the square, and lives only until
@@ -200,15 +204,14 @@ def nested_dissection(points: np.ndarray) -> list[np.ndarray]:
 
 
 class MultifrontalLdl:
-    """Multifrontal LDL^T of a symmetric quasi-definite matrix K, front by front.
+    """Multifrontal LDL^T of a symmetric quasi-definite matrix, front by front.
 
-    ``blocks`` lists K's unknowns in elimination order, cut into blocks in any
-    sign order: each nonempty block is one front, and ``order`` concatenates
-    them with each block's positive-diagonal unknowns first. Blocks that are
-    not a permutation of K's unknowns raise DimensionMismatch. Only the lower
-    triangle of K in that order is read, straight from the columns of the
-    CSC matrix ``K``, so no permuted copy of K is made. The factorization is
-    K[order][:, order] = L J L^T with L lower triangular and J = diag(+-1)
+    ``T`` is the lower triangle (diagonal included) of the matrix in
+    elimination order, as CSC; ``starts`` are the fronts' first unknowns
+    and, last, the size: front f is unknowns starts[f]..starts[f+1]-1, its
+    positive-diagonal unknowns first (``LuSolver`` builds both). Each front
+    reads its columns of T as one contiguous slice. The factorization is
+    T + T^T - diag(T) = L J L^T with L lower triangular and J = diag(+-1)
     the sign of the diagonal. A front's pivot block [[P, Q], [Q^T, -R]] is
     factored by Cholesky: L_P = chol(P), X = L_P^{-1} Q, L_S = chol(R + X^T X);
     the block of L below it is L21 = F21 (pivot factor)^{-T} J, and its
@@ -230,34 +233,20 @@ class MultifrontalLdl:
     before the parent is factored.
     """
 
-    def __init__(self, K: sp.csc_matrix, blocks) -> None:
-        n = K.shape[0]
-        self.shape = K.shape
-        sizes = [b.size for b in blocks if b.size]
-        order = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            raise DimensionMismatch(f"blocks are not a permutation of the {n} unknowns")
-        diag = K.diagonal()
-        front = np.repeat(np.arange(len(sizes)), sizes)  # sorted by front, then by sign, stably
-        self.order = order = order[np.lexsort((diag[order] <= 0.0, front))]
-        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        indptr, indices, data = K.indptr, K.indices, K.data
-        lengths = np.diff(indptr)
-        self.rank = rank = np.empty(n, dtype=np.int64)  # unknown of K -> position in ``order``
-        rank[order] = np.arange(n)
-        positive = diag[order] > 0.0
+    def __init__(self, T: sp.csc_matrix, starts: np.ndarray) -> None:
+        n = T.shape[0]
+        self.shape = T.shape
+        indptr, indices, data = T.indptr, T.indices, T.data
+        positive = T.diagonal() > 0.0
         pos = np.empty(n, dtype=np.int64)  # position -> row of the current front
         pending: dict[int, list] = {}
         self.fronts = []
         for f in range(len(starts) - 1):
             s, e = int(starts[f]), int(starts[f + 1])
             k, k1 = e - s, int(positive[s:e].sum())
-            first, counts = indptr[order[s:e]], lengths[order[s:e]]  # the front's columns of K
-            entries = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-            rows, vals = rank[indices[entries]], data[entries]
-            cols = np.repeat(np.arange(k), counts)
-            lower = rows >= cols + s
-            rows, vals, cols = rows[lower], vals[lower], cols[lower]
+            rows = indices[indptr[s] : indptr[e]].astype(np.intp)  # a solve indexes by these
+            vals = data[indptr[s] : indptr[e]]
+            cols = np.repeat(np.arange(k), np.diff(indptr[s : e + 1]))
             children = pending.pop(f, [])
             beyond = np.unique(np.concatenate([rows[rows >= e]] + [R[R >= e] for R, _ in children]))
             r = beyond.size
@@ -292,7 +281,7 @@ class MultifrontalLdl:
 
     @property
     def L(self) -> sp.csc_matrix:
-        """The lower-triangular factor L of K[order][:, order] = L J L^T, assembled from the fronts."""
+        """The lower-triangular factor L of T + T^T - diag(T) = L J L^T, assembled from the fronts."""
         rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for s, e, k1, packed, L21T, R in self.fronts:
             j, i = np.triu_indices(e - s)  # the packed lower triangle runs down each column
@@ -310,12 +299,13 @@ class MultifrontalLdl:
         return sp.csc_matrix(self.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """K^{-1} b: b[order] forward through L, J and back through L^T; raises if not finite.
+        """(L J L^T)^{-1} b, b and the result in T's numbering: forward through L, J and back
+        through L^T; raises if not finite.
 
-        Each front's triangular solve runs in place on its rows of y. J is applied
+        Each front's triangular solve runs in place on its rows of a copy of b. J is applied
         once, after the forward sweep: no front reads another front's signed rows.
         """
-        y = np.asarray(b, dtype=float)[self.order]
+        y = np.array(b, dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite result raises below
             for s, e, packed, _, L21, R in self._sweep:
                 x = y[s:e]
@@ -330,7 +320,7 @@ class MultifrontalLdl:
                 blas.dtpsv(e - s, packed, x, lower=1, trans=1, overwrite_x=1)
         if not np.all(np.isfinite(y)):
             raise SingularSystem("factorization produced non-finite solution")
-        return y[self.rank]
+        return y
 
 
 def _panels(r: int):
@@ -430,50 +420,82 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
 class LuSolver:
     """Direct factorization with honest residual reporting; reusable across solves.
 
-    Factors K as a quasi-definite LDL^T (``lu``, a ``MultifrontalLdl``),
-    which reads the permuted matrix straight from K: the solver holds the one
-    sparse copy ``K``, which the residual check also uses. ``order`` is the
-    list of blocks of unknowns in elimination order, such as
-    ``nested_dissection`` returns, in any sign order: the factor sorts,
-    checks and permutes them, and solves in K's numbering. A K that is not
-    symmetric to ``SYMMETRY_RTOL`` raises ValueError; a K that is symmetric
-    but not quasi-definite raises SingularSystem. ``solve`` takes one
-    right-hand side in K's numbering: a block system's caller stacks it and
-    splits the solution.
+    ``order`` is the list of blocks of unknowns in elimination order, such as
+    ``nested_dissection`` returns, in any sign order; blocks that are not a
+    permutation of K's unknowns raise DimensionMismatch. The constructor
+    sorts each block by the sign of K's diagonal, positive first (``order``
+    then holds K's unknowns in the factor's numbering and ``rank`` the
+    inverse), and keeps K's lower triangle in that numbering (``lower``, T,
+    CSC) and its diagonal; K itself is not kept. A K that is not symmetric
+    to ``SYMMETRY_RTOL`` raises ValueError. ``factor`` runs the numeric
+    LDL^T of T (``lu``, a ``MultifrontalLdl``); a symmetric K that is not
+    quasi-definite raises SingularSystem there. A caller that drops K
+    between the two holds T alone while the factor is built. ``solve``
+    takes one right-hand side in K's numbering: a block system's caller
+    stacks it and splits the solution.
     """
 
     def __init__(self, K: sp.spmatrix, order, tol: float = 1e-9):
-        self.K = K.tocsc()
-        self.K.sum_duplicates()
+        K = K.tocsc()
+        K.sum_duplicates()
         self.tol = tol
-        n = self.K.shape[0]
-        if n and abs(self.K - self.K.T).max() > SYMMETRY_RTOL * abs(self.K).max():
+        n = K.shape[0]
+        if n and abs(K - K.T).max() > SYMMETRY_RTOL * abs(K).max():
             raise ValueError("LuSolver factors symmetric matrices only; K is not symmetric")
-        self.lu = MultifrontalLdl(self.K, order)
+        sizes = [b.size for b in order if b.size]
+        perm = np.concatenate([np.zeros(0, dtype=np.int64), *order])
+        if not np.array_equal(np.sort(perm), np.arange(n)):
+            raise DimensionMismatch(f"blocks are not a permutation of the {n} unknowns")
+        diag = K.diagonal()
+        front = np.repeat(np.arange(len(sizes)), sizes)  # sorted by front, then by sign, stably
+        self.order = perm = perm[np.lexsort((diag[perm] <= 0.0, front))]
+        self.rank = np.empty(n, dtype=np.int64)  # unknown of K -> position in ``order``
+        self.rank[perm] = np.arange(n)
+        self._starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        self._diag = diag[perm]
+        self.lower = sp.tril(K[perm][:, perm], format="csc")
+        self.lu: MultifrontalLdl | None = None
+
+    def factor(self) -> "LuSolver":
+        """Build the LDL^T of T (``lu``) and return the solver."""
+        self.lu = MultifrontalLdl(self.lower, self._starts)
+        self._upper = self.lower.T  # T^T in CSR: a view of T's arrays, built once for the solves
+        return self
+
+    def _residual(self, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """b - (T + T^T - diag(T)) y, the residual in the factor's numbering."""
+        r = b - self.lower @ y
+        r -= self._upper @ y
+        r += self._diag * y
+        return r
 
     def solve(self, rhs: np.ndarray):
         """K^{-1} rhs and its report; raises if the true residual is above ``tol``.
 
-        A first solve that misses ``tol`` is refined with the same factors while its
-        residual falls, for at most ``REFINE_SWEEPS`` sweeps: the report's iterations.
+        The residual is that of K's lower triangle mirrored, in the factor's numbering. A
+        first solve that misses ``tol`` is refined with the same factors while its residual
+        falls, for at most ``REFINE_SWEEPS`` sweeps: the report's iterations.
         """
         start = time.perf_counter()
         rhs = np.asarray(rhs, dtype=float)
-        _check_square(self.K, rhs)
-        rnorm = np.linalg.norm(rhs)
-        if rnorm == 0.0:
-            return np.zeros(self.K.shape[0]), LinearSolveReport(0, 0.0, time.perf_counter() - start)
-        x, sweeps = self.lu.solve(rhs), 0
-        residual = float(np.linalg.norm(rhs - self.K @ x) / rnorm)
+        _check_square(self.lower, rhs)
+        b = rhs[self.order]
+        bnorm = np.linalg.norm(b)
+        if bnorm == 0.0:
+            return np.zeros(b.size), LinearSolveReport(0, 0.0, time.perf_counter() - start)
+        y, sweeps = self.lu.solve(b), 0
+        r = self._residual(b, y)
+        residual = float(np.linalg.norm(r) / bnorm)
         while residual > self.tol and sweeps < REFINE_SWEEPS:
-            x_next = x + self.lu.solve(rhs - self.K @ x)
-            residual_next = float(np.linalg.norm(rhs - self.K @ x_next) / rnorm)
+            y_next = y + self.lu.solve(r)
+            r_next = self._residual(b, y_next)
+            residual_next = float(np.linalg.norm(r_next) / bnorm)
             if not residual_next < residual:
                 break
-            x, residual, sweeps = x_next, residual_next, sweeps + 1
+            y, r, residual, sweeps = y_next, r_next, residual_next, sweeps + 1
         if residual > self.tol:
             raise NotConverged("direct solve residual above tolerance", sweeps, residual)
-        return x, LinearSolveReport(sweeps, residual, time.perf_counter() - start)
+        return y[self.rank], LinearSolveReport(sweeps, residual, time.perf_counter() - start)
 
 
 class SaddleSolver(LuSolver):

@@ -11,7 +11,13 @@ columns and blocks suffice.
 What a factorization reads once (the elasticity block, the EM matrix) is
 assembled for it and dropped before its LDL^T starts; both schemes build
 their EM matrix after the saddle factor, and ``run()`` projects the
-initial state (with U and P masses of its own) before it factors.
+initial state (with U and P masses of its own) before it factors. A scheme
+hands its K to ``linalg.LuSolver``, which keeps only K's lower triangle T in
+the factor's numbering, and drops K before ``factor`` runs: through the
+factorization T is the one copy of K alive. The EM matrix is built after the
+saddle factor, at its size, in the pattern of M_E's free block; beyond the
+result, its build holds one eighth of the curl-curl product and its index
+arrays at a time, less than the product itself (``Discretization.em_matrix``).
 
 A Discretization owns the setup tables of ``fem.assembly`` (``setup_tables``:
 the CellPatterns, the gradient Gram matrices and the load rule's point table,
@@ -147,15 +153,35 @@ class Discretization:
     def em_matrix(self, tau: float) -> sp.csr_matrix:
         """(eps + tau sigma) M_E + (tau^2 / mu) W_f^T M_H W_f on the free E DOFs, from M_E, W_f, m_H.
 
-        M_H is diagonal, so the curl-curl block stays sparse; both terms are
-        scaled in place and summed once.
+        Built at its size in the pattern of M_E's free block, which holds every curl-curl
+        entry (both couple the edges of a cell), and equal bit for bit to scipy's sum of the
+        two scaled terms. The curl-curl block is formed by scipy's product in eight slices of
+        its rows, each entry summed as in the whole product, and added in place: beyond the
+        result, the build holds one slice and its index arrays, less than the whole product.
         """
-        p, L = self.params, self.layouts
-        K = (self.W_f.T @ sp.diags(self.m_H) @ self.W_f).tocsr()
-        K.data *= tau**2 / p.mu
-        M = reduce_matrix(self.M_E, L.E, L.E)
-        M.data *= p.epsilon + tau * p.sigma
-        return M + K
+        p, M, W, free = self.params, self.M_E, self.W_f, ~self.layouts.E.constrained
+        keep = free[M.indices] & np.repeat(free, np.diff(M.indptr))  # a free row and column
+        counts = np.add.reduceat(keep, M.indptr[:-1], dtype=M.indptr.dtype)  # each row holds its diagonal
+        indptr = np.concatenate([[0], np.cumsum(counts[free])]).astype(M.indices.dtype)
+        indices = (np.cumsum(free) - 1).astype(M.indices.dtype)[M.indices[keep]]
+        data = M.data[keep]
+        data *= p.epsilon + tau * p.sigma
+        del keep
+        n = indptr.size - 1
+        W_rows = np.repeat(np.arange(W.shape[0], dtype=W.indices.dtype), np.diff(W.indptr))
+        cuts = np.linspace(0, n, 9).astype(np.int64).tolist()
+        for k0, k1 in zip(cuts[:-1], cuts[1:]):
+            K = _weighted_gram_rows(W, W_rows, self.m_H, k0, k1)
+            K.data *= tau**2 / p.mu
+            if K.nnz:  # scipy answers an empty lookup with a sparse matrix
+                a, b = indptr[k0], indptr[k1]  # the positions of K's entries in the result's rows
+                where = sp.csr_matrix((np.arange(a, b, dtype=indices.dtype), indices[a:b], indptr[k0 : k1 + 1] - a),
+                                      shape=K.shape)
+                rows = np.repeat(np.arange(k1 - k0, dtype=K.indices.dtype), np.diff(K.indptr))
+                data[np.asarray(where[rows, K.indices]).ravel()] += K.data
+        A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        A.eliminate_zeros()  # as scipy's sum drops them
+        return A
 
     def order(self, *spaces: str) -> list[np.ndarray]:
         """Nested-dissection blocks of the free DOFs of ``spaces``, in order; ends setup (module doc)."""
@@ -183,6 +209,17 @@ class Discretization:
         if key not in self._term_loads:
             self._term_loads[key] = self.load(space, lambda t, pts: phi(pts), 0.0)
         return self._term_loads[key]
+
+
+def _weighted_gram_rows(W: sp.csr_matrix, W_rows: np.ndarray, m: np.ndarray, k0: int, k1: int):
+    """Rows k0..k1-1 of W^T diag(m) W (CSR), each entry summed as scipy's product of the whole
+    sums it: (W_ck m_c) W_ci over the rows c of W in increasing order. ``W_rows`` is the row
+    of each of W's entries."""
+    at = np.flatnonzero((W.indices >= k0) & (W.indices < k1))
+    c = W_rows[at]
+    X = sp.csr_matrix((m[c] * W.data[at], (W.indices[at] - k0, c)), shape=(k1 - k0, W.shape[0]))
+    del at, c
+    return X @ W
 
 
 def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State:
@@ -226,10 +263,12 @@ class BackwardEuler:
         """
         disc, c0, B = self.disc, self.disc.params.c0, self.disc.B_ff
         C = c0 * disc.M_P_ff + self.tau * kappa * disc.K_P_ff
-        # the blocks are freed before the LDL^T starts
+        # the blocks, and then K itself, are freed before the LDL^T starts: it reads T alone
         K = sp.bmat([[disc.elasticity(), -B.T], [-B, -C]], format="csc")
         del C
-        return SaddleSolver(K, disc.order("U", "P"), tol=tol)
+        solver = SaddleSolver(K, disc.order("U", "P"), tol=tol)
+        del K
+        return solver.factor()
 
     def _biot(self, f_u: np.ndarray, f_p: np.ndarray, E_free: np.ndarray) -> list[np.ndarray]:
         """The free (u, p) of the Biot step driven by E_free: f_p gains tau L G^T E_free in place."""
@@ -321,7 +360,8 @@ class MonolithicScheme(BackwardEuler):
         scale = self.tau / (p.epsilon + self.tau * p.sigma)
         # the saddle first, while the setup tables hold the elasticity block's pattern
         self._saddle = self._saddle_solver(p.kappa - scale * p.L**2, config.saddle_tol)
-        self._em = LuSolver(disc.em_matrix(self.tau), disc.order("E"), tol=config.saddle_tol)
+        # the EM matrix lives only while LuSolver takes its lower triangle
+        self._em = LuSolver(disc.em_matrix(self.tau), disc.order("E"), tol=config.saddle_tol).factor()
         self._lift = reduce_matrix(gradient_operator(disc.mesh), L.E, L.P)
         self._lift.data *= scale * p.L
 

@@ -100,7 +100,7 @@ class BhOperator:
 
     def __init__(self, disc: Discretization):
         self.disc = disc
-        self._lu_A = LuSolver(disc.elasticity(), disc.order("U"), tol=1e-8)
+        self._lu_A = LuSolver(disc.elasticity(), disc.order("U"), tol=1e-8).factor()
 
     def displacement(self, p_free: np.ndarray) -> np.ndarray:
         """Free U DOFs of the u with a(u, v) = (p, alpha div v), p given on the free P DOFs."""

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from epe.linalg import (
     LuSolver,
     MultifrontalLdl,
     REFINE_SWEEPS,
+    SYMMETRY_RTOL,
     NotConverged,
     SaddleSolver,
     SingularSystem,
@@ -134,7 +136,7 @@ class TestSaddleSolve:
         solver = SaddleSolver(
             saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])),
             blocks(np.arange(2)),
-        )
+        ).factor()
         x, rep = solver.solve(np.array([1.0, 0.0]))  # (f_u, -f_p)
         u, p = np.split(x, [1])
         np.testing.assert_allclose(u, [1 / 3], atol=1e-14)
@@ -145,7 +147,7 @@ class TestSaddleSolve:
         solver = SaddleSolver(
             saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[0.0]]), sp.csr_matrix([[4.0]])),
             blocks(np.arange(2)),
-        )
+        ).factor()
         x, _ = solver.solve(np.array([2.0, -8.0]))  # (f_u, -f_p)
         u, p = np.split(x, [1])
         np.testing.assert_allclose(u, [1.0])
@@ -159,7 +161,7 @@ class TestSaddleSolve:
         rng = np.random.default_rng(3)
         f_u, f_p = rng.standard_normal(A.shape[0]), rng.standard_normal(C.shape[0])
         K = saddle_blocks(A, B, C)
-        solver = SaddleSolver(K, blocks(np.arange(K.shape[0])), tol=1e-9)
+        solver = SaddleSolver(K, blocks(np.arange(K.shape[0])), tol=1e-9).factor()
         x, rep = solver.solve(np.concatenate([f_u, -f_p]))
         u, p = np.split(x, [A.shape[0]])
         assert rep.relative_residual <= 1e-9
@@ -170,7 +172,7 @@ class TestSaddleSolve:
 
     def test_rhs_shape_mismatch(self):
         K = saddle_blocks(sp.identity(2, format="csr"), sp.csr_matrix((1, 2)), sp.identity(1, format="csr"))
-        solver = SaddleSolver(K, blocks(np.arange(3)))
+        solver = SaddleSolver(K, blocks(np.arange(3))).factor()
         with pytest.raises(DimensionMismatch):
             solver.solve(np.zeros(4))  # a stacked rhs of 4 for the 3 unknowns
 
@@ -178,7 +180,7 @@ class TestSaddleSolve:
         solver = SaddleSolver(
             saddle_blocks(sp.csr_matrix([[2.0]]), sp.csr_matrix([[1.0]]), sp.csr_matrix([[1.0]])),
             blocks(np.arange(2)),
-        )
+        ).factor()
         results = [solver.solve(np.array([1.0, -0.5]))[0] for _ in range(2)]
         assert results[0][:1].tobytes() == results[1][:1].tobytes()
 
@@ -195,7 +197,7 @@ class TestLuSolver:
     def test_residual_recomputed(self):
         rng = np.random.default_rng(5)
         K, _ = random_sqd(rng, n_pos=8, n_neg=4)
-        solver = LuSolver(K, blocks(np.arange(12)), tol=1e-10)
+        solver = LuSolver(K, blocks(np.arange(12)), tol=1e-10).factor()
         b = rng.standard_normal(12)
         x, rep = solver.solve(b)
         assert isinstance(rep, LinearSolveReport)
@@ -206,8 +208,8 @@ class TestLuSolver:
         rng = np.random.default_rng(6)
         K, _ = random_sqd(rng, n_pos=20, n_neg=10)
         b = rng.standard_normal(30)
-        x0, _ = LuSolver(K, blocks(np.arange(30)), tol=1e-12).solve(b)
-        x1, rep = LuSolver(K, blocks(rng.permutation(30), 1), tol=1e-12).solve(b)
+        x0, _ = LuSolver(K, blocks(np.arange(30)), tol=1e-12).factor().solve(b)
+        x1, rep = LuSolver(K, blocks(rng.permutation(30), 1), tol=1e-12).factor().solve(b)
         np.testing.assert_allclose(x1, x0, atol=1e-12)
         assert rep.relative_residual <= 1e-12
 
@@ -216,24 +218,68 @@ class TestLuSolver:
             LuSolver(sp.identity(3, format="csc"), blocks(np.array([0, 1, 1])))
 
     def test_one_sparse_copy_of_K(self, monkeypatch):
-        """While the LDL^T is factored and after it, the one sparse matrix of K's shape is K itself."""
+        """The solver keeps T, K's lower triangle in the factor's numbering ((nnz(K) + n)/2 entries
+        for a K with a full diagonal), and no reference to K: once the caller drops K, T is the one
+        sparse matrix of K's shape alive while the LDL^T is factored, and after it T's arrays are
+        the only ones (the solves read T^T through a view of them)."""
         rng = np.random.default_rng(14)
         K = random_sqd(rng, n_pos=41, n_neg=16)[0].tocsc()
+        shape, dense = K.shape, K.toarray()
+        assert np.all(np.diag(dense) != 0.0)
+        solver = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0])))
+        assert solver.lower.nnz == (K.nnz + K.shape[0]) // 2
+        np.testing.assert_array_equal(solver.lower.toarray(), np.tril(dense[solver.order][:, solver.order]))
+        dropped = weakref.ref(K)
+        del K
+        gc.collect()
+        assert dropped() is None
+
+        def live():
+            gc.collect()
+            return [o for o in gc.get_objects() if sp.issparse(o) and o.shape == shape]
+
         alive = []
 
         class Counting(MultifrontalLdl):
             def __init__(self, *args):
-                gc.collect()
-                alive.append([o for o in gc.get_objects() if sp.issparse(o) and o.shape == K.shape])
+                alive.append(live())
                 super().__init__(*args)
 
         monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
-        solver = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0])))
-        assert len(alive) == 1 and len(alive[0]) == 1 and alive[0][0] is K
-        assert solver.K is K
-        b = rng.standard_normal(K.shape[0])
-        x, rep = solver.solve(b)
-        assert rep.relative_residual == np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+        solver.factor()
+        T = solver.lower
+        assert len(alive) == 1 and len(alive[0]) == 1 and alive[0][0] is T
+        # after it, the solves' transposed view of T holds T's own arrays
+        after = sorted(live(), key=lambda A: A is not T)
+        assert len(after) == 2 and after[0] is T and after[1].format == "csr"
+        for a, b in ((getattr(after[1], k), getattr(T, k)) for k in ("data", "indices", "indptr")):
+            assert a.shape == b.shape and np.shares_memory(a, b)
+        b = rng.standard_normal(shape[0])
+        x, _ = solver.solve(b)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=0.0, atol=1e-12 * np.abs(x).max())
+
+    @pytest.mark.parametrize("asymmetry", [0.0, 0.5 * SYMMETRY_RTOL])
+    @pytest.mark.parametrize("exact_factor", [True, False])
+    def test_reported_residual_is_that_of_K(self, asymmetry, exact_factor):
+        """The reported residual, computed from T + T^T - diag(T) in the factor's numbering, is
+        ||b - K x|| / ||b|| to rounding, also for a K symmetric only to ``SYMMETRY_RTOL``: they
+        differ by at most what rounding and K's asymmetry move b - K x by. With the factor of a
+        perturbed K the solves are refined, and the refined residual is K's as well."""
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            K, _ = random_sqd(rng)
+            upper = sp.triu(K, 1, format="csc")
+            upper.data = rng.uniform(-1.0, 1.0, upper.nnz) * asymmetry * abs(K).max()
+            K = (K + upper).tocsc()
+            order = random_blocks(rng, rng.permutation(K.shape[0]))
+            solver = LuSolver(K, order, tol=1e-13).factor()
+            if not exact_factor:
+                solver.lu = LuSolver(K + 1e-7 * sp.diags(K.diagonal()), order).factor().lu
+            b = rng.standard_normal(K.shape[0])
+            x, rep = solver.solve(b)
+            assert exact_factor or rep.iterations >= 1
+            true = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+            assert abs(rep.relative_residual - true) <= residual_rounding(K, x, b)
 
 
     def test_only_a_solve_that_misses_tol_is_refined(self):
@@ -242,9 +288,9 @@ class TestLuSolver:
         rng = np.random.default_rng(15)
         K, _ = random_sqd(rng, n_pos=30, n_neg=12)
         b = rng.standard_normal(K.shape[0])
-        solver = LuSolver(K, blocks(np.arange(K.shape[0])), tol=1e-10)
+        solver = LuSolver(K, blocks(np.arange(K.shape[0])), tol=1e-10).factor()
         x, rep = solver.solve(b)
-        assert rep.iterations == 0 and np.array_equal(x, solver.lu.solve(b))
+        assert rep.iterations == 0 and np.array_equal(x, solver.lu.solve(b[solver.order])[solver.rank])
         solver.tol = 1e-30
         with pytest.raises(NotConverged) as info:
             solver.solve(b)
@@ -257,13 +303,23 @@ class TestLuSolver:
         rng = np.random.default_rng(16)
         K, _ = random_sqd(rng, n_pos=30, n_neg=12)
         order = blocks(np.arange(K.shape[0]))
-        solver = LuSolver(K, order, tol=1e-13)
-        solver.lu = LuSolver(K + 1e-6 * sp.diags(K.diagonal()), order).lu
+        solver = LuSolver(K, order, tol=1e-13).factor()
+        solver.lu = LuSolver(K + 1e-6 * sp.diags(K.diagonal()), order).factor().lu
         b = rng.standard_normal(K.shape[0])
-        first = np.linalg.norm(b - K @ solver.lu.solve(b)) / np.linalg.norm(b)
+        first = np.linalg.norm(b - K @ solver.lu.solve(b[solver.order])[solver.rank]) / np.linalg.norm(b)
         x, rep = solver.solve(b)
-        assert first > 1e-9 and 1 <= rep.iterations <= REFINE_SWEEPS
-        assert rep.relative_residual == np.linalg.norm(b - K @ x) / np.linalg.norm(b) <= 1e-13
+        assert first > 1e-9 and 1 <= rep.iterations <= REFINE_SWEEPS and rep.relative_residual <= 1e-13
+        true = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+        assert abs(rep.relative_residual - true) <= residual_rounding(K, x, b)
+
+
+def residual_rounding(K, x, b):
+    """How far rounding and K's asymmetry may move ||b - K x|| / ||b|| when K x is summed in
+    another order from K's lower triangle mirrored: 2 m eps |K| |x| (m the most entries of a
+    row) plus |K - K^T| |x|, in norm, over ||b||."""
+    absK, m = abs(K), int(np.diff(K.tocsr().indptr).max())
+    slack = 2 * m * np.finfo(float).eps * (absK @ abs(x)) + abs(K - K.T) @ abs(x)
+    return float(np.linalg.norm(slack) / np.linalg.norm(b))
 
 
 def random_sqd(rng, n_pos=40, n_neg=20, density=0.15):
@@ -318,7 +374,7 @@ class TestMultifrontalLdl:
                 order = blocks(perm, 1)
             else:  # the natural numbering
                 order = blocks(np.arange(n))
-            solver = LuSolver(K, tol=1e-12, order=order)
+            solver = LuSolver(K, tol=1e-12, order=order).factor()
             assert isinstance(solver.lu, MultifrontalLdl)
             b = rng.standard_normal(n)
             x, rep = solver.solve(b)
@@ -329,10 +385,10 @@ class TestMultifrontalLdl:
     def test_factor_reproduces_the_permuted_matrix(self):
         rng = np.random.default_rng(10)
         K, positive = random_sqd(rng)
-        solver = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0])))
-        Kp = K[solver.lu.order][:, solver.lu.order].toarray()
+        solver = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0]))).factor()
+        Kp = K[solver.order][:, solver.order].toarray()
         L, J = solver.lu.L.toarray(), np.sign(np.diag(Kp))
-        np.testing.assert_array_equal(J > 0, positive[solver.lu.order])
+        np.testing.assert_array_equal(J > 0, positive[solver.order])
         assert np.abs(np.triu(L, 1)).max() == 0.0 and np.all(np.diag(L) > 0.0)
         np.testing.assert_allclose(L @ (J[:, None] * L.T), Kp, atol=1e-12 * np.abs(Kp).max())
         assert solver.lu.U.nnz == 0
@@ -341,7 +397,7 @@ class TestMultifrontalLdl:
         """The fronts keep packed pivot factors and V: as many numbers as L has entries."""
         rng = np.random.default_rng(15)
         K, _ = random_sqd(rng)
-        lu = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0]), max_size=20)).lu
+        lu = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0]), max_size=20)).factor().lu
         arrays = [a for front in lu.fronts for a in front if isinstance(a, np.ndarray)]
         assert sum(a.size for a in arrays if a.dtype == np.float64) == lu.L.nnz
 
@@ -359,11 +415,11 @@ class TestMultifrontalLdl:
             m[np.sort(slots[:k1])], m[np.sort(slots[k1:])] = presorted[-1][:k1], presorted[-1][k1:]
             mixed += [m, b[:0]]
         assert any(not np.array_equal(m, b) for m, b in zip(mixed[::2], presorted))
-        want, got = MultifrontalLdl(K, presorted), MultifrontalLdl(K, mixed)
+        want, got = LuSolver(K, presorted).factor(), LuSolver(K, mixed).factor()
         np.testing.assert_array_equal(want.order, np.concatenate(presorted))
         np.testing.assert_array_equal(got.order, want.order)
-        assert len(got.fronts) == len(want.fronts) == len(presorted)
-        for (s, e, k1, *arrays), (gs, ge, gk1, *got_arrays) in zip(want.fronts, got.fronts):
+        assert len(got.lu.fronts) == len(want.lu.fronts) == len(presorted)
+        for (s, e, k1, *arrays), (gs, ge, gk1, *got_arrays) in zip(want.lu.fronts, got.lu.fronts):
             assert (gs, ge, gk1) == (s, e, k1)
             for a, g in zip(arrays, got_arrays):  # packed, L21T, beyond
                 assert g.shape == a.shape and g.dtype == a.dtype and g.tobytes() == a.tobytes()
@@ -371,22 +427,25 @@ class TestMultifrontalLdl:
     @pytest.mark.parametrize("order", [[0, 1, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1]])
     def test_blocks_that_are_not_a_permutation_raise(self, order):
         with pytest.raises(DimensionMismatch, match="not a permutation"):
-            MultifrontalLdl(sp.identity(3, format="csc"), [np.array(order[:1]), np.array(order[1:])])
+            LuSolver(sp.identity(3, format="csc"), [np.array(order[:1]), np.array(order[1:])])
 
     def test_solve_is_in_the_numbering_of_K(self):
-        """One ``solve`` of the factor, no refinement, is K^{-1} b with b and x in K's numbering."""
+        """One ``solve`` of the factor, no refinement, is K^{-1} b with b permuted into T's numbering
+        by ``order`` and the solution back into K's by ``rank``."""
         rng = np.random.default_rng(19)
         for _ in range(5):
             K, _ = random_sqd(rng)
-            lu = MultifrontalLdl(K, random_blocks(rng, rng.permutation(K.shape[0])))
+            solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0]))).factor()
+            np.testing.assert_array_equal(solver.order[solver.rank], np.arange(K.shape[0]))
             b = rng.standard_normal(K.shape[0])
             want = np.linalg.solve(K.toarray(), b)
-            assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+            x = solver.lu.solve(b[solver.order])[solver.rank]
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_a_non_finite_solution_raises(self):
         rng = np.random.default_rng(20)
         K, _ = random_sqd(rng)
-        lu = MultifrontalLdl(K, random_blocks(rng, rng.permutation(K.shape[0])))
+        lu = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0]))).factor().lu
         b = rng.standard_normal(K.shape[0])
         b[3] = np.inf
         with pytest.raises(SingularSystem, match="non-finite"):
@@ -425,8 +484,8 @@ class TestMultifrontalLdl:
         mesh = build_unit_cube_mesh(6)
         disc = Discretization(mesh, params)
         K = saddle_blocks(elasticity_ff(disc), disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff)
-        solver = LuSolver(K, tol=1e-12, order=disc.order("U", "P"))
-        Kp = K[solver.lu.order][:, solver.lu.order].toarray()
+        solver = LuSolver(K, tol=1e-12, order=disc.order("U", "P")).factor()
+        Kp = K[solver.order][:, solver.order].toarray()
         L = solver.lu.L
         want = dense_ldlt(Kp)
         assert len(solver.lu.fronts) == 7
@@ -437,9 +496,9 @@ class TestMultifrontalLdl:
         assert L.nnz + solver.lu.U.nnz == 56_450  # the fill before the lower-panel updates
         b = np.random.default_rng(17).standard_normal(K.shape[0])
         x, _ = solver.solve(b)
-        y = np.linalg.solve(want, b[solver.lu.order])
+        y = np.linalg.solve(want, b[solver.order])
         x_dense = np.empty_like(b)
-        x_dense[solver.lu.order] = np.linalg.solve(want.T, np.sign(np.diag(Kp)) * y)
+        x_dense[solver.order] = np.linalg.solve(want.T, np.sign(np.diag(Kp)) * y)
         assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
 
     def test_update_stack_is_held_as_lower_trapezoids(self, params):
@@ -449,12 +508,11 @@ class TestMultifrontalLdl:
         disc = Discretization(mesh, params)
         K = saddle_blocks(elasticity_ff(disc), disc.B_ff, params.c0 * disc.M_P_ff + disc.K_P_ff).tocsc()
         solver = LuSolver(K, order=disc.order("U", "P"))
-        blocks = [solver.lu.order[s:e] for s, e, *_ in solver.lu.fronts]
-        del solver
+        del K
         gc.collect()
         tracemalloc.start()
         try:
-            lu = MultifrontalLdl(K, blocks)
+            lu = solver.factor().lu
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -470,7 +528,7 @@ class TestMultifrontalLdl:
 
     def test_pure_spd_elasticity_block(self, disc3):
         A = elasticity_ff(disc3)
-        solver = LuSolver(A, tol=1e-12, order=disc3.order("U"))
+        solver = LuSolver(A, tol=1e-12, order=disc3.order("U")).factor()
         assert all(k1 == e - s for s, e, k1, *_ in solver.lu.fronts)  # Cholesky only
         b = np.random.default_rng(11).standard_normal(A.shape[0])
         x, _ = solver.solve(b)
@@ -479,14 +537,14 @@ class TestMultifrontalLdl:
 
     def test_symmetric_but_not_quasi_definite_raises(self):
         with pytest.raises(SingularSystem):
-            LuSolver(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), blocks(np.arange(2)))
+            LuSolver(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), blocks(np.arange(2))).factor()
 
     def test_two_factorizations_give_bit_identical_solves(self, disc3, params):
         K = saddle_blocks(elasticity_ff(disc3), disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
         b = np.random.default_rng(12).standard_normal(K.shape[0])
         order = disc3.order("U", "P")
-        x1, _ = LuSolver(K, order=order).solve(b)
-        x2, _ = LuSolver(K, order=order).solve(b)
+        x1, _ = LuSolver(K, order=order).factor().solve(b)
+        x2, _ = LuSolver(K, order=order).factor().solve(b)
         assert x1.tobytes() == x2.tobytes()
 
     def test_superlu_only_for_nonsymmetric_matrices(self, disc3, params, monkeypatch):
@@ -495,7 +553,7 @@ class TestMultifrontalLdl:
         K = saddle_blocks(elasticity_ff(disc3), disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
         calls = []
         monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append(1))
-        solver = LuSolver(K, order=disc3.order("U", "P"))
+        solver = LuSolver(K, order=disc3.order("U", "P")).factor()
         assert isinstance(solver.lu, MultifrontalLdl) and solver.lu.U.nnz == 0
         solver.solve(np.ones(K.shape[0]))
         with pytest.raises(ValueError, match="not symmetric"):

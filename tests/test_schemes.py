@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from collections import Counter, defaultdict
 
@@ -60,6 +61,22 @@ def free_E_mass(disc):
     return reduce_matrix(disc.M_E, disc.layouts.E, disc.layouts.E)
 
 
+def symmetric(T):
+    """The symmetric matrix whose lower triangle is T."""
+    return (T + T.T - sp.diags(T.diagonal())).tocsc()
+
+
+def scipy_em_matrix(disc, tau):
+    """The EM matrix as scipy's sum of its two scaled terms on the free E DOFs, with the
+    curl-curl product W_f^T M_H W_f: (M + K, K)."""
+    p, L = disc.params, disc.layouts
+    K = (disc.W_f.T @ sp.diags(disc.m_H) @ disc.W_f).tocsr()
+    K.data *= tau**2 / p.mu
+    M = reduce_matrix(disc.M_E, L.E, L.E)
+    M.data *= p.epsilon + tau * p.sigma
+    return M + K, K
+
+
 def random_admissible_state(layouts, rng):
     return State(
         E=layouts.E.extend(rng.standard_normal(layouts.E.num_free)),
@@ -79,7 +96,7 @@ def equilibrium_state(disc, rng):
     L = disc.layouts
     p_free = rng.standard_normal(L.P.num_free)
     A = elasticity_ff(disc)
-    u_free, _ = LuSolver(A, blocks(np.arange(A.shape[0]))).solve(disc.B_ff.T @ p_free)
+    u_free, _ = LuSolver(A, blocks(np.arange(A.shape[0]))).factor().solve(disc.B_ff.T @ p_free)
     state = random_admissible_state(L, rng)
     return replace(state, u=L.U.extend(u_free), p=L.P.extend(p_free))
 
@@ -181,7 +198,7 @@ class UncondensedSplitting(SplittingScheme):
         self._M_P = full_operator(disc, "P_MASS")
         self._B_div = full_operator(disc, "DIV_COUPLING", p.alpha)
         K = sp.bmat([[A0, -tau * C_f.T], [-tau * C_f, -p.mu * sp.diags(disc.m_H)]], format="csc")
-        self._em_block = LuSolver(K, blocks(np.arange(K.shape[0])), tol=config.spd_tol * 10)
+        self._em_block = LuSolver(K, blocks(np.arange(K.shape[0])), tol=config.spd_tol * 10).factor()
 
     def step(self, state):
         disc, p, tau = self.disc, self.disc.params, self.tau
@@ -360,12 +377,16 @@ class TestSplittingStep:
         assert worst <= 1e-13
 
     def test_saddle_matrix_keeps_the_u_rows_positive(self, config, disc2):
-        """The factored Biot matrix is [[A_el, -B^T], [-B, -C_p]] entry for entry: p rows negated."""
+        """The factored Biot matrix is [[A_el, -B^T], [-B, -C_p]] entry for entry, p rows negated:
+        the saddle solver's T is that matrix's lower triangle in the factor's numbering."""
         cfg = small_config(config, 2, 0.1, 4)
         p = disc2.params
         C_p = p.c0 * disc2.M_P_ff + cfg.grid.tau * p.kappa * disc2.K_P_ff
         want = saddle_blocks(elasticity_ff(disc2), disc2.B_ff, C_p)
-        got = SplittingScheme(disc2, Sources(), cfg)._saddle.K
+        solver = SplittingScheme(disc2, Sources(), cfg)._saddle
+        want = sp.tril(want[solver.order][:, solver.order], format="csc")
+        got = solver.lower.copy()
+        got.sort_indices()
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
@@ -457,7 +478,7 @@ class TestMonolithic:
         scheme = MonolithicScheme(disc, Sources(), replace(config, grid=make_time_grid(tau, 1)))
         rng = np.random.default_rng(42)
         for solver in (scheme._em, scheme._saddle):
-            _, report = solver.solve(rng.standard_normal(solver.K.shape[0]))
+            _, report = solver.solve(rng.standard_normal(solver.lower.shape[0]))
             assert report.relative_residual <= config.saddle_tol
         state = random_admissible_state(disc.layouts, rng)
         for _ in range(3):
@@ -541,7 +562,7 @@ class TestExactElimination:
             C_p = p.c0 * disc.M_P_ff + tau * p.kappa * disc.K_P_ff
             K = monolithic_blocks(disc.em_matrix(tau), elasticity_ff(disc), disc.B_ff,
                                   tau * p.L * disc.G_ff, C_p)
-            oracle = LuSolver(K, blocks(np.arange(K.shape[0])), tol=1e-12)
+            oracle = LuSolver(K, blocks(np.arange(K.shape[0])), tol=1e-12).factor()
             ends = np.cumsum([L.E.num_free, L.U.num_free])
             rng = np.random.default_rng(90 + n)
             for _ in range(3):
@@ -591,7 +612,7 @@ class TestLuOrdering:
             solvers = [engine._saddle, engine._em]
         for lu in solvers:
             assert isinstance(lu.lu, MultifrontalLdl) and lu.lu.U.nnz == 0
-            plain = spla.splu(lu.K)
+            plain = spla.splu(symmetric(lu.lower))
             assert lu.lu.L.nnz + lu.lu.U.nnz < plain.L.nnz + plain.U.nnz
 
     def test_monolithic_fill_depends_on_the_pattern_alone(self, config, mesh4):
@@ -620,6 +641,23 @@ class TestLuOrdering:
         run(small_config(config, 3, 0.1, 4, scheme=scheme), sources, exact, disc=disc3,
             observers=[lambda *_: in_loop.append(True)])
         assert built == [False] * FACTORS[scheme]
+
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_each_factorization_holds_its_matrix_once(self, scheme, config, params, mesh4, sources,
+                                                      exact, monkeypatch):
+        """When each of a run's LDL^Ts starts, the one sparse matrix of its shape alive is the T it
+        factors: the scheme has dropped the K that T was taken from."""
+        alive = []
+
+        class Counting(MultifrontalLdl):
+            def __init__(self, T, *args):
+                gc.collect()
+                alive.append([o is T for o in gc.get_objects() if sp.issparse(o) and o.shape == T.shape])
+                super().__init__(T, *args)
+
+        monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Counting)
+        run(small_config(config, 4, 0.1, 1, scheme=scheme), sources, exact, mesh=mesh4)
+        assert alive == [[True]] * FACTORS[scheme]
 
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_no_one_off_operator_is_alive_at_the_factorization(
@@ -737,6 +775,41 @@ class TestLiveSet:
                 got = disc.em_matrix(tau)
                 assert got.shape == want.shape
                 assert abs(got - want).max() <= 1e-15 * abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_em_matrix_is_the_scipy_sum_at_its_size(self, n, config):
+        """em_matrix(tau) equals scipy's sum of its two scaled terms bit for bit (pattern, order and
+        values), and its arrays are allocated at its size, for headline and random admissible sets."""
+        mesh = build_unit_cube_mesh(n)
+        for p in (config.params, random_admissible_params(np.random.default_rng(70 + n))):
+            disc = Discretization(mesh, p)
+            for tau in (config.grid.tau, 0.1):
+                want, _ = scipy_em_matrix(disc, tau)
+                got = disc.em_matrix(tau)
+                for attr in ("indptr", "indices", "data"):
+                    a, b = getattr(got, attr), getattr(want, attr)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+                assert got.data.size == got.indices.size == got.nnz
+                for a in (got.data, got.indices):
+                    assert (a if a.base is None else a.base).nbytes == got.nnz * a.itemsize
+
+    def test_em_matrix_build_holds_less_than_the_curl_product(self, config):
+        """At n = 8, after the saddle factor, the traced peak of em_matrix exceeds what it returns by
+        at most the bytes of the curl-curl product W_f^T M_H W_f."""
+        disc = Discretization(build_unit_cube_mesh(8), config.params)
+        engine = SplittingScheme(disc, Sources(), small_config(config, 8, 0.01, 4))
+        _, K = scipy_em_matrix(disc, engine.tau)
+        product = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+        del K
+        gc.collect()
+        tracemalloc.start()
+        try:
+            A = disc.em_matrix(engine.tau)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        assert peak - kept <= product
 
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_setup_end_keeps_the_free_curl_and_no_geometry(self, scheme, config, sources, exact,
