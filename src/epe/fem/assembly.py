@@ -24,25 +24,24 @@ Loads are integrated by the degree-2 rule ``LOAD_DEGREE`` (exact for
 sources linear in x) through per-cell vertex moments F_m = int_K lam_m f;
 the Nedelec load of edge (a, b) is F_a . grad lam_b - F_b . grad lam_a.
 
-Setup tables: a ``tables`` dict passed to ``assemble_matrix`` and
-``assemble_load`` keeps what more than one form or load reads: each
-``CellPattern`` (keyed by whether its rows and columns hang on edges), the
-cells' gradient Gram matrices ("gram") and the read-only point table of
+Setup tables: a ``tables`` dict keeps what more than one form, load or
+operator reads: each ``CellPattern`` (keyed by whether its rows and columns
+hang on edges), the whole mesh's ``TetMesh.cell_geometry`` ("geometry"),
+the cells' gradient Gram matrices ("gram") and the read-only point table of
 the load rule ("points"). Only this module knows the keys, and only
 ``schemes.Discretization`` passes a dict (its ``setup_tables``): a run
 builds each table once, until ``Discretization.order`` clears them.
 
 Forms (``FORM_SPACES``): the E, P and U masses, the pressure-gradient
 coupling into E, elasticity, the divergence coupling and the P stiffness.
-The diagonal H mass is ``schemes.Discretization.m_H``, the cell volumes.
+The H mass is diagonal, held as its diagonal ``h_mass``: the cell volumes.
 The curl has no form: curl E_h is cellwise constant, so
 ``curl_dof_operator`` (W) is the whole discrete curl, the curl coupling is
 M_H W and the curl-curl block is W^T M_H W. E vanishes on the constrained
 edges, so ``schemes.Discretization`` keeps only W's free columns (W_f).
 The gradient has no form either: ``gradient_operator`` (D) is the signed
-edge-vertex incidence, with W D = 0 and M_E D = G_pe. Like every form and
-load, W reads ``TetMesh.cell_geometry``, which setup releases at its end;
-error norms and VTK output recompute it. D reads only the edge table.
+edge-vertex incidence, with W D = 0 and M_E D = G_pe. The field evaluators
+(error norms, output) take the gradients of the cells they evaluate.
 
 Conventions:
   - A cell's Nedelec function for local edge i is multiplied by the stored
@@ -103,9 +102,9 @@ def _edge_tables() -> tuple[np.ndarray, np.ndarray]:
 _EDGE_MASS, _EDGE_GRAD = _edge_tables()
 
 
-def signed_curls(mesh: TetMesh) -> np.ndarray:
-    """Signed constant curls of the cell edge functions, shape (C, 6, 3); computed, not cached."""
-    g, _ = mesh.cell_geometry()
+def signed_curls(mesh: TetMesh, tables: dict | None = None) -> np.ndarray:
+    """Signed constant curls of the cell edge functions (C, 6, 3); ``tables`` as in ``assemble_matrix``."""
+    g, _ = _geometry(mesh, tables)
     curls = 2.0 * np.cross(g[:, _A, :], g[:, _B, :])
     return curls * mesh.cell_edge_signs[:, :, None]
 
@@ -159,10 +158,17 @@ def _pattern(mesh: TetMesh, key: tuple[bool, bool], tables: dict) -> CellPattern
     return tables[key]
 
 
+def _geometry(mesh: TetMesh, tables: dict | None) -> tuple[np.ndarray, np.ndarray]:
+    """``mesh.cell_geometry()`` of all cells, kept in ``tables`` when one is given."""
+    if tables is not None and "geometry" not in tables:
+        tables["geometry"] = mesh.cell_geometry()
+    return mesh.cell_geometry() if tables is None else tables["geometry"]
+
+
 def _gram(mesh: TetMesh, tables: dict) -> np.ndarray:
     """gg[c, l, m] = grad lam_l . grad lam_m on cell c, shape (C, 4, 4), kept in ``tables``."""
     if "gram" not in tables:
-        g, _ = mesh.cell_geometry()
+        g, _ = _geometry(mesh, tables)
         tables["gram"] = g @ g.transpose(0, 2, 1)
     return tables["gram"]
 
@@ -182,7 +188,7 @@ def _load_points(mesh: TetMesh, tables: dict) -> np.ndarray:
 
 def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern, tables: dict):
     """Stored values of ``form`` on ``pattern``: (nnz,), or (nnz, br, bc) blocks for U columns."""
-    g, vols = mesh.cell_geometry()
+    g, vols = _geometry(mesh, tables)
     V = vols[:, None, None]
     gg = _gram(mesh, tables)
     eye3 = np.eye(3)
@@ -240,7 +246,7 @@ def assemble_matrix(mesh: TetMesh, form: str, coeff=1.0, tables: dict | None = N
     return A
 
 
-def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
+def curl_dof_operator(mesh: TetMesh, tables: dict | None = None) -> sp.csr_matrix:
     """Map E coefficients to the cellwise-constant curl components (3C x E).
 
     Row 3c+d holds (curl E_h)_d on cell c; no volume weighting. This is the
@@ -249,13 +255,18 @@ def curl_dof_operator(mesh: TetMesh) -> sp.csr_matrix:
     M_H W and W^T M_H W. Zero curl components are not stored.
     """
     # row 3c+d holds the d-th curl component of cell c's six edge functions
-    values = np.transpose(signed_curls(mesh), (0, 2, 1)).ravel()
+    values = np.transpose(signed_curls(mesh, tables), (0, 2, 1)).ravel()
     cols = np.repeat(mesh.cell_edges, 3, axis=0).ravel()
     W = sp.csr_matrix(
         (values, cols, np.arange(0, values.size + 1, 6)), shape=(3 * mesh.num_cells, mesh.num_edges)
     ).sorted_indices()
     W.eliminate_zeros()
     return W
+
+
+def h_mass(mesh: TetMesh, tables: dict | None = None) -> np.ndarray:
+    """The diagonal of the H mass M_H (3C,): each cell's volume, once per component."""
+    return np.repeat(_geometry(mesh, tables)[1], 3)
 
 
 def gradient_operator(mesh: TetMesh) -> sp.csr_matrix:
@@ -284,12 +295,12 @@ def assemble_load(
 
     ``f(t, pts)`` takes read-only points of shape (m, 3) and returns (m, 3)
     for the vector spaces E, H, U and (m,) for P. ``tables`` keeps the
-    rule's point table, as in ``assemble_matrix``.
+    rule's point table and the geometry, as in ``assemble_matrix``.
     """
     rule = quadrature_rule(LOAD_DEGREE)
     w, lam = rule.weights, rule.barycentric()
     pts = _load_points(mesh, {} if tables is None else tables)
-    g, vols = mesh.cell_geometry()
+    g, vols = _geometry(mesh, tables)
     fvals = np.asarray(f(t, pts)).reshape(mesh.num_cells, w.size, -1)
     six_v = 6.0 * vols[:, None, None]
     if layout.space == "H":
@@ -308,18 +319,17 @@ def assemble_load(
 # Field evaluation at quadrature points (error norms, output) -----------------
 
 
-def evaluate_E(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
+def evaluate_E(mesh: TetMesh, coefs: np.ndarray, g: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
     """Discrete E field at the rule points of ``cells`` (default all), shape (C, nq, 3).
 
-    With K the antisymmetric (4, 4) matrix of the signed edge coefficients
-    (K_ab = -K_ba = e for edge (a, b)), the field is lam^T K grad lam.
+    With K the antisymmetric (4, 4) matrix of the signed edge coefficients (K_ab = -K_ba = e
+    for edge (a, b)), the field is lam^T K g, g the barycentric gradients of ``cells``.
     """
-    g, _ = mesh.cell_geometry()
     signed = coefs[mesh.cell_edges[cells]] * mesh.cell_edge_signs[cells]     # (C, 6)
     K = np.zeros((signed.shape[0], 4, 4))
     K[:, _A, _B] = signed
     K[:, _B, _A] = -signed
-    return quadrature_rule(quad_degree).barycentric() @ (K @ g[cells])
+    return quadrature_rule(quad_degree).barycentric() @ (K @ g)
 
 
 def evaluate_H(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarray:
@@ -332,11 +342,10 @@ def evaluate_U(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(N
     return quadrature_rule(quad_degree).barycentric() @ coefs.reshape(-1, 3)[mesh.cells[cells]]
 
 
-def evaluate_grad_U(mesh: TetMesh, coefs: np.ndarray, cells=slice(None)) -> np.ndarray:
-    """Cellwise-constant displacement gradient of ``cells``, shape (C, 3, 3): [r, x] = d_x u_r."""
-    g, _ = mesh.cell_geometry()
+def evaluate_grad_U(mesh: TetMesh, coefs: np.ndarray, g: np.ndarray, cells=slice(None)) -> np.ndarray:
+    """Cellwise-constant grad u of ``cells`` (``g`` as in ``evaluate_E``), (C, 3, 3): [r, x] = d_x u_r."""
     nodal = coefs.reshape(-1, 3)[mesh.cells[cells]]
-    return np.einsum("cmr,cmx->crx", nodal, g[cells])
+    return np.einsum("cmr,cmx->crx", nodal, g)
 
 
 def evaluate_P(mesh: TetMesh, coefs: np.ndarray, quad_degree: int, cells=slice(None)) -> np.ndarray:
@@ -348,8 +357,3 @@ def quadrature_points(mesh: TetMesh, quad_degree: int, cells=slice(None)) -> np.
     """Physical rule points of ``cells`` (default all), shape (C, nq, 3); computed, not cached."""
     return quadrature_rule(quad_degree).barycentric() @ mesh.vertices[mesh.cells[cells]]
 
-
-def quadrature_cell_weights(mesh: TetMesh, quad_degree: int):
-    """(weights (nq,), 6*volumes (C,)) so that int_K f = 6V_K sum_q w_q f(x_q)."""
-    _, vols = mesh.cell_geometry()
-    return quadrature_rule(quad_degree).weights, 6.0 * vols

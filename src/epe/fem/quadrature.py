@@ -15,7 +15,7 @@ this needs, so no module of the package imports ``scipy.special``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class QuadratureRule:
         return np.column_stack([lam0, x])
 
 
-@lru_cache(maxsize=None)
+@cache
 def quadrature_rule(degree: int) -> QuadratureRule:
     """Rule integrating all polynomials of total degree <= ``degree`` exactly."""
     if not (isinstance(degree, int) and 1 <= degree <= MAX_DEGREE):

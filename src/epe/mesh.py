@@ -15,11 +15,15 @@ of (v, d) is a running count over the (V, 7) table of steps that stay on
 the lattice (each such step is an edge of some cell). Faces are not
 numbered: no finite-element space lives on them (E is on edges, H on cells,
 u and p on vertices).
+
+A mesh caches nothing: ``TetMesh.cell_geometry`` computes the cells'
+gradients and volumes on every call. Setup keeps the whole mesh's in the
+setup tables of ``fem.assembly``; error norms take them block by block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -50,7 +54,6 @@ class TetMesh:
     boundary_vertex: np.ndarray   # (V,) bool
     boundary_edge: np.ndarray     # (E,) bool
     h: float                      # max cell diameter = sqrt(3)/n
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -64,33 +67,22 @@ class TetMesh:
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    def cell_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Barycentric gradients (C,4,3) and signed volumes (C,) of all cells, in closed form.
+    def cell_geometry(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Barycentric gradients (C,4,3) and signed volumes (C,) of ``cells`` (default all), in closed form.
 
-        With e_k = x_k - x_0 the edges from a cell's first vertex, the signed
-        volume is det / 6, det = e_1 . (e_2 x e_3), and grad lam_k (k = 1, 2, 3)
-        is the cross product of the other two edges (cyclically) over det;
-        grad lam_0 = -(grad lam_1 + grad lam_2 + grad lam_3). Cached until
-        ``release_geometry``; the next call then computes the same bits anew.
+        With e_k = x_k - x_0 the edges from a cell's first vertex, the signed volume is det / 6,
+        det = e_1 . (e_2 x e_3), and grad lam_k (k = 1, 2, 3) is the cross product of the other two
+        edges (cyclically) over det; grad lam_0 = -(grad lam_1 + grad lam_2 + grad lam_3). Computed
+        row by row on every call: a block's rows equal those of all cells bit for bit.
         """
-        if "geometry" not in self._cache:
-            self._cache["geometry"] = _cell_geometry(self.vertices, self.cells)
-        return self._cache["geometry"]
-
-    def release_geometry(self) -> None:
-        """Drop the cached ``cell_geometry`` (13 floats per cell); it is recomputed on next use."""
-        self._cache.pop("geometry", None)
-
-
-def _cell_geometry(vertices: np.ndarray, cells: np.ndarray):
-    verts = vertices[cells]                      # (C, 4, 3)
-    e = verts[:, 1:, :] - verts[:, :1, :]        # (C, 3, 3) edges from vertex 0
-    grads = np.empty(verts.shape)
-    grads[:, 1:, :] = np.cross(e[:, [1, 2, 0], :], e[:, [2, 0, 1], :])   # e2 x e3, e3 x e1, e1 x e2
-    det = np.einsum("cj,cj->c", e[:, 0, :], grads[:, 1, :])
-    grads[:, 1:, :] /= det[:, None, None]
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return grads, det / 6.0
+        verts = self.vertices[self.cells[cells]]     # (C, 4, 3)
+        e = verts[:, 1:, :] - verts[:, :1, :]        # (C, 3, 3) edges from vertex 0
+        grads = np.empty(verts.shape)
+        grads[:, 1:, :] = np.cross(e[:, [1, 2, 0], :], e[:, [2, 0, 1], :])   # e2 x e3, e3 x e1, e1 x e2
+        det = np.einsum("cj,cj->c", e[:, 0, :], grads[:, 1, :])
+        grads[:, 1:, :] /= det[:, None, None]
+        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+        return grads, det / 6.0
 
 
 def build_unit_cube_mesh(n: int) -> TetMesh:
@@ -149,8 +141,8 @@ def build_unit_cube_mesh(n: int) -> TetMesh:
         boundary_edge=edge_boundary,
         h=np.sqrt(3.0) / n,
     )
-    _, vols = mesh.cell_geometry()
-    assert np.all(vols > 0.0), "cell orientation must be positive"
+    edges_from_0 = vertices[cells[:, 1:]] - vertices[cells[:, :1]]   # their det is 6 x signed volume
+    assert np.all(np.linalg.det(edges_from_0) > 0.0), "cell orientation must be positive"
     return mesh
 
 

@@ -17,6 +17,9 @@ Every field and source term reads one table of sines and cosines of the
 points (``_sin_cos``). The loads of one setup all receive the same read-only
 point table, so each ``ExactSolution`` computes its sin/cos table once
 (``_trig_table``) and frees it with the points.
+
+Error norms take the cell geometry block by block: each block of cells has
+its gradients and volumes computed once, for its fields and its weights.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 from epe.core import PhysicalParams
 from epe.fem import assembly
+from epe.fem.quadrature import quadrature_rule
 from epe.mesh import TetMesh
 
 Vec = Callable[[float, np.ndarray], np.ndarray]
@@ -262,27 +266,29 @@ def error_norms(
     """L2 errors of E, H, u, p and the full H1 error of u at time t.
 
     The H1 norm includes the L2 part: ||v||_1^2 = ||v||^2 + ||grad v||^2.
-    The quadrature runs over blocks of ``ERROR_BLOCK_CELLS`` cells.
+    The quadrature runs over blocks of ``ERROR_BLOCK_CELLS`` cells: int_K f = 6 V_K sum_q w_q f(x_q).
     """
     if quad_degree < 4:
         raise ValueError(f"error quadrature degree must be >= 4, got {quad_degree}")
-    w, cell_w = assembly.quadrature_cell_weights(mesh, quad_degree)
+    w = quadrature_rule(quad_degree).weights
     nq = w.size
     sq = np.zeros(5)  # squared errors of E, H, u, grad u, p
     for start in range(0, mesh.num_cells, ERROR_BLOCK_CELLS):
         cells = slice(start, start + ERROR_BLOCK_CELLS)
+        g, vols = mesh.cell_geometry(cells)
+        cell_w = 6.0 * vols
         discrete = (
-            assembly.evaluate_E(mesh, state.E, quad_degree, cells),
+            assembly.evaluate_E(mesh, state.E, g, quad_degree, cells),
             assembly.evaluate_H(mesh, state.H, cells)[:, None, :],
             assembly.evaluate_U(mesh, state.u, quad_degree, cells),
-            assembly.evaluate_grad_U(mesh, state.u, cells)[:, None, :, :],
+            assembly.evaluate_grad_U(mesh, state.u, g, cells)[:, None, :, :],
             assembly.evaluate_P(mesh, state.p, quad_degree, cells),
         )
         pts = assembly.quadrature_points(mesh, quad_degree, cells).reshape(-1, 3)
         for k, (h, ex) in enumerate(zip(discrete, exact.fields(t, pts))):
             nc = h.shape[0]
             diff = (h - ex.reshape(nc, nq, *ex.shape[1:])).reshape(nc, nq, -1)
-            sq[k] += (np.einsum("cqx,cqx->cq", diff, diff) @ w) @ cell_w[cells]
+            sq[k] += (np.einsum("cqx,cqx->cq", diff, diff) @ w) @ cell_w
     err_E, err_H, err_u, err_gu, err_p = sq
     return ErrorNorms(*np.sqrt([err_E, err_H, err_u, err_u + err_gu, err_p]))
 

@@ -9,26 +9,23 @@ columns of W), and the free-DOF blocks G_ff (pressure gradient), B_ff,
 M_P_ff and K_P_ff; E, u and p vanish on the constrained DOFs, so the free
 columns and blocks suffice.
 What a factorization reads once (the elasticity block, the EM matrix) is
-assembled for it and dropped before its LDL^T starts; both schemes build
-their EM matrix after the saddle factor, and ``run()`` projects the
+assembled for it and dropped before its LDL^T starts; ``run()`` projects the
 initial state (with U and P masses of its own) before it factors. A scheme
 hands its K to ``linalg.LuSolver``, which keeps only K's lower triangle T in
 the factor's numbering, and drops K before ``factor`` runs: through the
-factorization T is the one copy of K alive. The EM matrix is built after the
-saddle factor, at its size, in the pattern of M_E's free block; beyond the
-result, its build holds one eighth of the curl-curl product and its index
-arrays at a time, less than the product itself (``Discretization.em_matrix``).
+factorization T is the one copy of K alive. Both schemes build the EM matrix
+after the saddle factor, at its size, in the pattern of M_E's free block;
+beyond the result, its build holds one eighth of the curl-curl product and
+its index arrays at a time, less than the product (``Discretization.em_matrix``).
 
 A Discretization owns the setup tables of ``fem.assembly`` (``setup_tables``:
-the CellPatterns, the gradient Gram matrices and the load rule's point table,
-with ``mms``'s sin/cos table of those points); no other code touches them.
-Its operators, the initial projection, the source loads and the elasticity
-block all assemble through ``form`` and ``load``, so a run builds each table
-once. The edge patterns, which only M_E and G_pe read, die with a copy of the
-tables in the constructor. Setup ends at ``order``, which every factorization
-calls just before its LDL^T: it clears the tables and releases the mesh's
-cell geometry (``TetMesh.release_geometry``), which error norms and VTK
-output recompute on first use.
+the CellPatterns, the cell geometry, the gradient Gram matrices and the load
+rule's point table, with ``mms``'s sin/cos table of those points), and only
+it: its operators, the initial projection, the source loads and the
+elasticity block all read them, so a run builds each table once. The edge
+patterns, which only M_E and G_pe read, die with a copy of the tables in the
+constructor. Setup ends at ``order``, which every factorization calls just
+before its LDL^T: it clears the tables, the geometry with them.
 
 The splitting scheme advances each step in two sub-steps:
 
@@ -81,7 +78,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from epe.core import PhysicalParams, RunConfig
-from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator, gradient_operator
+from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator, gradient_operator, h_mass
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection
 from epe.mesh import TetMesh, build_unit_cube_mesh
@@ -133,8 +130,8 @@ class Discretization:
         self.B_ff = reduce_matrix(self.form("DIV_COUPLING", params.alpha), L.P, L.U)
         self.M_P_ff = reduce_matrix(self.form("P_MASS"), L.P, L.P)
         self.K_P_ff = reduce_matrix(self.form("P_STIFF"), L.P, L.P)
-        self.m_H = np.repeat(mesh.cell_geometry()[1], 3)
-        self.W_f = curl_dof_operator(mesh)[:, L.E.free]
+        self.m_H = h_mass(mesh, self.setup_tables)
+        self.W_f = curl_dof_operator(mesh, self.setup_tables)[:, L.E.free]
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
         # the edge patterns, read by M_E and G_pe alone, die with this copy of the tables
         edge_tables = dict(self.setup_tables)
@@ -186,7 +183,6 @@ class Discretization:
     def order(self, *spaces: str) -> list[np.ndarray]:
         """Nested-dissection blocks of the free DOFs of ``spaces``, in order; ends setup (module doc)."""
         self.setup_tables.clear()
-        self.mesh.release_geometry()
         points = [free_dof_points(self.mesh, getattr(self.layouts, s)) for s in spaces]
         return nested_dissection(np.vstack(points))
 

@@ -17,7 +17,8 @@ def write_vtk(path, mesh: TetMesh, state) -> Path:
     """
     path = Path(path)
     centroid_rule = 1
-    E_cell = assembly.evaluate_E(mesh, state.E, centroid_rule)[:, 0, :]
+    g, _ = mesh.cell_geometry()
+    E_cell = assembly.evaluate_E(mesh, state.E, g, centroid_rule)[:, 0, :]
     H_cell = assembly.evaluate_H(mesh, state.H)
     u_pts = state.u.reshape(-1, 3)
 

@@ -29,7 +29,7 @@ def skewed():
     if np.linalg.det(A) < 0:
         A[:, 0] *= -1.0
     verts = (mesh.vertices + rng.uniform(-0.04, 0.04, mesh.vertices.shape)) @ A.T + rng.random(3)
-    skewed = replace(mesh, vertices=verts, _cache={})
+    skewed = replace(mesh, vertices=verts)
     assert np.all(skewed.cell_geometry()[1] > 0.0)
     return skewed
 

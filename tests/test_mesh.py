@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -88,16 +89,29 @@ class TestGeometry:
     def test_mesh_size(self):
         assert build_unit_cube_mesh(4).h == pytest.approx(np.sqrt(3) / 4, rel=1e-15)
 
-    def test_released_geometry_is_recomputed_bit_for_bit(self):
-        """After ``release_geometry`` the mesh holds no geometry; the next call builds new arrays
-        with the same bytes, and a second release is harmless."""
+    def test_block_geometry_is_the_rows_of_the_whole_bit_for_bit(self):
+        """The geometry of a block of cells (a slice, as error norms take it, or any index array)
+        equals those rows of the whole mesh's geometry bit for bit, and each call computes new
+        arrays: the mesh keeps none."""
         mesh = build_unit_cube_mesh(3)
-        before = mesh.cell_geometry()
-        mesh.release_geometry()
-        mesh.release_geometry()
-        after = mesh.cell_geometry()
-        assert all(a is not b and a.tobytes() == b.tobytes() for a, b in zip(after, before))
-        assert mesh.cell_geometry() is after
+        whole = mesh.cell_geometry()
+        rng = np.random.default_rng(5)
+        for cells in (slice(0, 17), slice(100, None), rng.permutation(mesh.num_cells)[:40]):
+            for a, b in zip(mesh.cell_geometry(cells), whole):
+                assert a.tobytes() == b[cells].tobytes()
+        assert all(a is not b for a, b in zip(mesh.cell_geometry(), whole))
+
+    def test_replaced_vertices_give_the_new_geometry(self):
+        """``dataclasses.replace`` with new vertices reads the new mesh's geometry: doubling the
+        unit cube multiplies every volume by 8 (total 8) and divides every gradient by 2."""
+        mesh = build_unit_cube_mesh(2)
+        g, vols = mesh.cell_geometry()
+        big = replace(mesh, vertices=2.0 * mesh.vertices)
+        g2, vols2 = big.cell_geometry()
+        assert float(vols2.sum()) == pytest.approx(8.0, rel=1e-14)
+        np.testing.assert_array_equal(vols2, 8.0 * vols)
+        np.testing.assert_array_equal(g2, 0.5 * g)
+        assert mesh_stats(big).total_volume == pytest.approx(8.0, rel=1e-14)
 
     def test_positive_orientation(self, mesh3):
         verts = mesh3.vertices[mesh3.cells]

@@ -30,7 +30,7 @@ from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator, 
 from epe.fem.dofs import make_layouts, reduce_matrix
 from epe.linalg import LuSolver, MultifrontalLdl, NotConverged, SaddleSolver
 from epe.mesh import build_unit_cube_mesh
-from epe.mms import error_norms, example61
+from epe.mms import ERROR_BLOCK_CELLS, error_norms, example61
 from epe.schemes import (
     Discretization,
     MonolithicScheme,
@@ -109,8 +109,9 @@ def bh_apply(disc, p_full):
 
 
 class SetupTableProbe:
-    """Weak references to every setup table built: CellPatterns (with their scatter), gradient
-    Gram arrays, load point tables and sin/cos tables, each listed once, in build order."""
+    """Weak references to every setup table built: CellPatterns (with their scatter), cell
+    geometries (their gradient arrays: every one a mesh computes), gradient Gram arrays, load
+    point tables and sin/cos tables, each listed once, in build order."""
 
     def __init__(self, monkeypatch):
         self.built = defaultdict(list)      # kind -> weak references
@@ -124,6 +125,7 @@ class SetupTableProbe:
 
         monkeypatch.setattr(epe.fem.assembly, "CellPattern", Recording)
         for owner, name, kind in (
+            (epe.mesh.TetMesh, "cell_geometry", "geometry"),
             (epe.fem.assembly, "_gram", "gram"),
             (epe.fem.assembly, "_load_points", "points"),
             (epe.mms, "_sin_cos", "sin/cos"),
@@ -131,8 +133,8 @@ class SetupTableProbe:
             monkeypatch.setattr(owner, name, self._recording(getattr(owner, name), kind))
 
     def _recording(self, fn, kind):
-        def wrapper(*args):
-            out = fn(*args)
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
             self.note(kind, out[0] if isinstance(out, tuple) else out)
             return out
 
@@ -578,6 +580,62 @@ class TestExactElimination:
                 assert residual <= 1e-12
 
 
+def splitting_steps(n, config, sources, seed):
+    """Steps of the splitting scheme at mesh size n from random admissible states, for the headline
+    and two random admissible parameter sets: (params, discretization, history, old state, new)."""
+    mesh = build_unit_cube_mesh(n)
+    rng = np.random.default_rng(seed)
+    for p in (config.params, *(random_admissible_params(rng) for _ in range(2))):
+        disc = Discretization(mesh, p)
+        engine = SplittingScheme(disc, sources, replace(config, params=p))
+        for _ in range(3):
+            state = replace(random_admissible_state(disc.layouts, rng), t=rng.uniform(0.0, 0.1))
+            yield p, disc, engine.history(state), state, engine.step(state)
+
+
+class TestSplittingIdentity:
+    """The splitting step is the coupled step plus a pressure-increment term.
+
+    With c = tau L/(eps + tau sigma), beta = tau L^2/(eps + tau sigma) = c L and y the EM solve
+    without pressure coupling, A_em D_f = (eps + tau sigma) G_ff (``TestExactElimination``) gives
+    the splitting E^n = y + c D_f p^{n-1}; and, as D_f^T G_ff = K_P_ff, its Biot step is the
+    coupled one (kappa reduced by beta) with tau beta K_P (p^n - p^{n-1}) added to the p row.
+    """
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_splitting_E_is_the_pressure_free_solve_lifted_by_the_old_pressure(self, n, config, sources):
+        """E^n = y + c D_f p^{n-1} within 10 spd_tol relative (the EM CG's tolerance), with y the
+        direct solve of the EM matrix against the history's E part."""
+        tau = config.grid.tau
+        for p, disc, (rhs_E, _, _), state, new in splitting_steps(n, config, sources, 100 + n):
+            L = disc.layouts
+            D = reduce_matrix(gradient_operator(disc.mesh), L.E, L.P)
+            y = spla.spsolve(disc.em_matrix(tau).tocsc(), rhs_E)
+            want = y + (tau * p.L / (p.epsilon + tau * p.sigma)) * (D @ L.P.reduce(state.p))
+            have = L.E.reduce(new.E)
+            assert np.linalg.norm(have - want) <= 10 * config.spd_tol * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_splitting_biot_step_is_the_coupled_one_plus_a_pressure_increment(self, n, config, sources):
+        """(u^n, p^n) solves [[A_el, -B^T], [B, C_beta]] (u, p) + (0, tau beta K_P (p - p^{n-1}))
+        = (f_u, f_p + tau L G^T y), C_beta = c0 M_P + tau (kappa - beta) K_P, to a relative
+        residual of at most 1e-12; y = E^n - c D_f p^{n-1} is the coupled step's E driver."""
+        tau = config.grid.tau
+        for p, disc, (_, f_u, f_p), state, new in splitting_steps(n, config, sources, 110 + n):
+            L = disc.layouts
+            D = reduce_matrix(gradient_operator(disc.mesh), L.E, L.P)
+            c = tau * p.L / (p.epsilon + tau * p.sigma)
+            beta = c * p.L
+            C_beta = p.c0 * disc.M_P_ff + tau * (p.kappa - beta) * disc.K_P_ff
+            E, u, p_new, p_old = L.E.reduce(new.E), L.U.reduce(new.u), L.P.reduce(new.p), L.P.reduce(state.p)
+            rhs = np.concatenate([f_u, f_p + tau * p.L * (disc.G_ff.T @ (E - c * (D @ p_old)))])
+            lhs = np.concatenate([
+                elasticity_ff(disc) @ u - disc.B_ff.T @ p_new,
+                disc.B_ff @ u + C_beta @ p_new + tau * beta * (disc.K_P_ff @ (p_new - p_old)),
+            ])
+            assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
 class TestHistory:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("scheme", [SplittingScheme, MonolithicScheme], ids=lambda c: c.name)
@@ -695,25 +753,29 @@ class TestLuOrdering:
 
     def test_discretization_releases_its_edge_patterns(self, params, mesh4, monkeypatch):
         """Right after construction, no edge-keyed CellPattern or its scatter is alive (only M_E
-        and G_pe read them); the vertex pattern and the Gram array stay for the setup after it."""
+        and G_pe read them); the vertex pattern, the cell geometry (computed once, for the forms,
+        m_H and W_f) and the Gram array stay in the tables for the setup after it."""
         probe = SetupTableProbe(monkeypatch)
         disc = Discretization(mesh4, params)
         V = mesh4.num_vertices
-        assert probe.counts()["scatter"] == 3
-        assert probe.alive() == sorted(["gram", str(("pattern", (V, V))), "scatter"])
-        assert set(disc.setup_tables) == {(False, False), "gram"}
+        assert probe.counts()["scatter"] == 3 and probe.counts()["geometry"] == 1
+        assert probe.alive() == sorted(["geometry", "gram", str(("pattern", (V, V))), "scatter"])
+        assert set(disc.setup_tables) == {(False, False), "geometry", "gram"}
 
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
-    def test_setup_builds_each_table_once(self, scheme, config, mesh4, sources, exact, monkeypatch):
-        """Up to the n = 0 observer call, a run builds one CellPattern per entity pair (E x E,
-        E x V, V x V), one gradient Gram array, one load point table and one sin/cos table."""
+    def test_setup_builds_each_table_once(self, scheme, config, sources, exact, monkeypatch):
+        """From the mesh build up to the n = 0 observer call, a run builds one CellPattern per
+        entity pair (E x E, E x V, V x V), one cell geometry (in the setup tables, none in the
+        mesh build), one gradient Gram array, one load point table and one sin/cos table."""
         probe = SetupTableProbe(monkeypatch)
+        mesh = build_unit_cube_mesh(4)
+        assert probe.counts() == Counter()
         counts = []
-        run(small_config(config, 4, 0.1, 2, scheme=scheme), sources, exact, mesh=mesh4,
+        run(small_config(config, 4, 0.1, 2, scheme=scheme), sources, exact, mesh=mesh,
             observers=[lambda n, *_: counts.append(probe.counts()) if n == 0 else None])
-        E, V = mesh4.num_edges, mesh4.num_vertices
+        E, V = mesh.num_edges, mesh.num_vertices
         pairs = [("pattern", (E, E)), ("pattern", (E, V)), ("pattern", (V, V))]
-        assert counts == [Counter({**dict.fromkeys(pairs, 1), "scatter": 3, "gram": 1,
+        assert counts == [Counter({**dict.fromkeys(pairs, 1), "scatter": 3, "geometry": 1, "gram": 1,
                                    "points": 1, "sin/cos": 1})]
 
     @pytest.mark.parametrize(
@@ -724,9 +786,9 @@ class TestLuOrdering:
         self, site, runs, config, mesh4, sources, exact, monkeypatch
     ):
         """Every factorization site ends setup: when its LDL^T starts, no CellPattern, scatter,
-        Gram array, point table or sin/cos table is alive, though the setup built them. Each run
-        factors its scheme's LDL^Ts; the temporal study makes three runs (the reference and two
-        steps)."""
+        cell geometry (no (C, 4, 3) gradient array), Gram array, point table or sin/cos table is
+        alive, though the setup built them. Each run factors its scheme's LDL^Ts; the temporal
+        study makes three runs (the reference and two steps), with error norms between them."""
         probe = SetupTableProbe(monkeypatch)
         alive = []
 
@@ -742,6 +804,7 @@ class TestLuOrdering:
         else:
             run(small_config(config, 4, 0.1, 1, scheme=site), sources, exact, mesh=mesh4)
         assert probe.counts()["scatter"] >= 3 and probe.counts()["gram"] >= 1
+        assert probe.counts()["geometry"] >= runs
         assert alive == [[]] * (runs * FACTORS[site.split()[-1]])
 
     def test_order_ends_setup(self, params, mesh2, monkeypatch):
@@ -815,35 +878,38 @@ class TestLiveSet:
     def test_setup_end_keeps_the_free_curl_and_no_geometry(self, scheme, config, sources, exact,
                                                            monkeypatch):
         """After ``make_scheme`` no sparse matrix has the full curl's shape (3C, E), the held curl
-        W_f is its free columns, and the mesh's cell geometry is gone: the first error norms
-        recompute it and read the same norms, bit for bit, as on a mesh that kept its cache."""
+        W_f is its free columns, and no cell geometry is alive. Error norms then compute each
+        cell's geometry exactly once, block by block (the block sizes sum to C), and read the same
+        norms, bit for bit, as on a mesh that no run has set up."""
         n = 5
         cfg = small_config(config, n, 0.01, 4, scheme=scheme)
         mesh = build_unit_cube_mesh(n)
-        kept = build_unit_cube_mesh(n)
-        g_kept = kept.cell_geometry()
+        fresh = build_unit_cube_mesh(n)
         L = make_layouts(mesh)
+        probe = SetupTableProbe(monkeypatch)
         disc = Discretization(mesh, cfg.params)
         state = initial_state(disc, exact)
         engine = epe.schemes.make_scheme(disc, sources, cfg)
         gc.collect()
         live = [o.shape for o in gc.get_objects() if sp.issparse(o)]
         assert (3 * mesh.num_cells, mesh.num_edges) not in live
+        assert probe.counts()["geometry"] == 1 and probe.alive() == []
         assert disc.W_f.shape == (3 * mesh.num_cells, L.E.num_free)
-        assert (disc.W_f != curl_dof_operator(kept)[:, L.E.free]).nnz == 0
+        assert (disc.W_f != curl_dof_operator(fresh)[:, L.E.free]).nnz == 0
         for _ in range(cfg.grid.N):
             state = engine.step(state)
 
-        computed = []
-        geometry = epe.mesh._cell_geometry
-        monkeypatch.setattr(epe.mesh, "_cell_geometry",
-                            lambda *args: computed.append(1) or geometry(*args))
+        blocks = []
+        geometry = epe.mesh.TetMesh.cell_geometry
+
+        def counting(self, cells=slice(None)):
+            blocks.append(len(self.cells[cells]))
+            return geometry(self, cells)
+
+        monkeypatch.setattr(epe.mesh.TetMesh, "cell_geometry", counting)
         got = error_norms(state, exact, cfg.grid.T, mesh, cfg.quad_error).as_dict()
-        want = error_norms(state, exact, cfg.grid.T, kept, cfg.quad_error).as_dict()
-        assert computed == [1]
-        assert got == want
-        for a, b in zip(mesh.cell_geometry(), g_kept):
-            assert a.tobytes() == b.tobytes()
+        assert sum(blocks) == mesh.num_cells and max(blocks) == ERROR_BLOCK_CELLS
+        assert got == error_norms(state, exact, cfg.grid.T, fresh, cfg.quad_error).as_dict()
 
 
 class TestAdmissibleLimits:
@@ -998,7 +1064,8 @@ class TestSourceLoads:
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_quadrature_calls_inside_the_loop(self, scheme, config, params, exact, monkeypatch):
         """Separable sources need no quadrature per step, plain callables need three and absent
-        ones none: a run without forcing leaves the setup tables and the geometry released."""
+        ones none: a run without forcing leaves the setup tables empty, no cell geometry alive."""
+        probe = SetupTableProbe(monkeypatch)
         calls = []
         in_loop = []
 
@@ -1022,7 +1089,7 @@ class TestSourceLoads:
             run(cfg, sources, exact, disc=disc,
                 observers=[lambda *_: in_loop.append(True)])
             assert sum(calls) == per_step * cfg.grid.N
-        assert disc.setup_tables == {} and "geometry" not in mesh._cache
+        assert disc.setup_tables == {} and probe.alive() == []
 
 
 class TestRun:

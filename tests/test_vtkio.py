@@ -65,7 +65,7 @@ def test_grid_section_counts(tmp_path, mesh2, random_state):
 def test_cell_E_is_the_centroid_value(tmp_path, mesh2, random_state):
     sec = sections(write_vtk(tmp_path / "s.vtk", mesh2, random_state))
     E_cell = np.array([line.split() for line in sec["E"][1][: mesh2.num_cells]], dtype=float)
-    want = evaluate_E(mesh2, random_state.E, 1)[:, 0, :]
+    want = evaluate_E(mesh2, random_state.E, mesh2.cell_geometry()[0], 1)[:, 0, :]
     np.testing.assert_allclose(E_cell, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
 
 
