@@ -32,6 +32,27 @@ lattice locations. Any permutation gives the exact factorization; the fill
 is only reduced when the points lie on the unit-cube lattice, where every
 coupling spans at most one sub-cube and a lattice plane therefore separates
 the unknowns on either side of it.
+
+A factorization runs in two phases: a symbolic pass finds each front's rows
+beyond its pivots (``_beyond_sets``), and with them the factor's entry
+count, and the numeric pass reads those sets. A factor of more than
+``FLOAT32_ENTRIES`` entries (32 MiB as float64) stores its packed pivot
+factors and L21^T in float32, a smaller one in float64; at the schemes'
+sizes that is the Biot saddle from n = 16 and the monolithic EM matrix from
+n = 16 (every n <= 12 factor has at most 2.4M entries). Only the stored
+copy is rounded: every front is extend-added, factored and updated in
+float64. The sweeps run in the factor's dtype (``stpsv`` or ``dtpsv``, J in
+that dtype) and return float64; T, every residual and the refinement stay
+float64 (Buttari et al., ACM TOMS 34(4), 2008; Carson-Higham, SISC 40(2),
+2018). If refinement on a float32 factor stalls above the tolerance,
+``LuSolver`` factors T again in float64 and keeps that factor; a solve that
+still misses raises ``NotConverged`` with the true residual. The size rule
+follows the measured costs (one BLAS thread): a small factor's sweep is
+call-bound (0.2-0.7 ms at n = 8 in either dtype), so the refinement sweep a
+float32 factor needs would double its solve, while a large one is
+byte-bound (the n = 16 saddle's float32 sweep takes 4.8 ms against 8.0 ms,
+46 against 55 ms at n = 24) and its bytes halve: 24.8 instead of 49.6 MB
+for the n = 16 saddle (``BENCH_mixed_precision.json``).
 Iterative SPD solves run a Jacobi-preconditioned CG: ``SpdSolver(A, tol).solve(b)``.
 """
 
@@ -75,6 +96,9 @@ SYMMETRY_RTOL = 1e-14
 
 #: Most refinement sweeps of a direct solve whose first residual misses its tolerance.
 REFINE_SWEEPS = 3
+
+#: An LDL^T of more entries than this (32 MiB as float64) stores them in float32 (module doc).
+FLOAT32_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -180,27 +204,30 @@ def nested_dissection(points: np.ndarray) -> list[np.ndarray]:
     ``arange(N)``.
     """
     coords = np.asarray(points, dtype=float).T.copy()
+    return [b for b in _dissect(coords, np.arange(coords.shape[1])) if b.size]
 
-    def dissect(idx):
-        n = len(idx)
-        if n > ND_LEAF:
-            xs = [c[idx] for c in coords]
-            lo = [float(x.min()) for x in xs]
-            hi = [float(x.max()) for x in xs]
-            extent = [h - l for l, h in zip(lo, hi)]
-            axis = extent.index(max(extent))  # the first widest, as np.argmax
-            if extent[axis] >= 1.0:  # else all lie within one lattice slab
-                x = xs[axis]
-                k = n // 2
-                part = np.partition(x, (k - 1, k))
-                median = float(part[k]) if n % 2 else (float(part[k - 1]) + float(part[k])) / 2.0
-                nearest = max(math.floor(median + 0.5), math.ceil(lo[axis]))
-                mid = float(min(nearest, math.floor(hi[axis])))
-                blocks = dissect(idx[x < mid]) + dissect(idx[x > mid]) + [idx[x == mid]]
-                return [np.concatenate(blocks)] if n <= FRONT_MAX else blocks
-        return [idx]
 
-    return [b for b in dissect(np.arange(coords.shape[1])) if b.size]
+def _dissect(coords: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
+    """The blocks of ``nested_dissection`` for the unknowns ``idx``, ``coords`` (3, N) their
+    locations. A module function, not a closure: a closure that calls itself is a reference
+    cycle, which would keep ``coords`` alive until the cycle collector runs."""
+    n = len(idx)
+    if n > ND_LEAF:
+        xs = [c[idx] for c in coords]
+        lo = [float(x.min()) for x in xs]
+        hi = [float(x.max()) for x in xs]
+        extent = [h - l for l, h in zip(lo, hi)]
+        axis = extent.index(max(extent))  # the first widest, as np.argmax
+        if extent[axis] >= 1.0:  # else all lie within one lattice slab
+            x = xs[axis]
+            k = n // 2
+            part = np.partition(x, (k - 1, k))
+            median = float(part[k]) if n % 2 else (float(part[k - 1]) + float(part[k])) / 2.0
+            nearest = max(math.floor(median + 0.5), math.ceil(lo[axis]))
+            mid = float(min(nearest, math.floor(hi[axis])))
+            blocks = _dissect(coords, idx[x < mid]) + _dissect(coords, idx[x > mid]) + [idx[x == mid]]
+            return [np.concatenate(blocks)] if n <= FRONT_MAX else blocks
+    return [idx]
 
 
 class MultifrontalLdl:
@@ -231,25 +258,33 @@ class MultifrontalLdl:
     square. A child's update is extend-added into its parent panel by panel,
     its lower triangle only, and released as soon as it has been added,
     before the parent is factored.
+
+    ``entries`` is the number of stored entries, from the symbolic phase;
+    ``dtype`` the stored one: float32 when ``entries`` exceeds
+    ``FLOAT32_ENTRIES`` unless the caller gives it (module docstring).
     """
 
-    def __init__(self, T: sp.csc_matrix, starts: np.ndarray) -> None:
+    def __init__(self, T: sp.csc_matrix, starts: np.ndarray, dtype=None) -> None:
         n = T.shape[0]
         self.shape = T.shape
         indptr, indices, data = T.indptr, T.indices, T.data
         positive = T.diagonal() > 0.0
+        beyonds = _beyond_sets(T, starts)
+        sizes = np.diff(starts).tolist()
+        self.entries = int(sum(k * (k + 1) // 2 + k * R.size for k, R in zip(sizes, beyonds)))
+        if dtype is None:
+            dtype = np.float32 if self.entries > FLOAT32_ENTRIES else np.float64
+        self.dtype = np.dtype(dtype)
         pos = np.empty(n, dtype=np.int64)  # position -> row of the current front
         pending: dict[int, list] = {}
         self.fronts = []
-        for f in range(len(starts) - 1):
+        for f, beyond in enumerate(beyonds):
             s, e = int(starts[f]), int(starts[f + 1])
-            k, k1 = e - s, int(positive[s:e].sum())
-            rows = indices[indptr[s] : indptr[e]].astype(np.intp)  # a solve indexes by these
+            k, k1, r = e - s, int(positive[s:e].sum()), beyond.size
+            rows = indices[indptr[s] : indptr[e]]
             vals = data[indptr[s] : indptr[e]]
             cols = np.repeat(np.arange(k), np.diff(indptr[s : e + 1]))
             children = pending.pop(f, [])
-            beyond = np.unique(np.concatenate([rows[rows >= e]] + [R[R >= e] for R, _ in children]))
-            r = beyond.size
             pos[s:e] = np.arange(k)
             pos[beyond] = np.arange(r)
             F11 = np.zeros((k, k), order="F")
@@ -273,11 +308,14 @@ class MultifrontalLdl:
                 pending.setdefault(parent, []).append((beyond, F22))
             del V, F21
             packed, _ = lapack.dtrttp(L, uplo="L")
+            # the stored copies, rounded to the factor's dtype (no copy in float64)
+            packed, L21T = packed.astype(self.dtype, copy=False), L21T.astype(self.dtype, copy=False)
             self.fronts.append((s, e, k1, packed, L21T, beyond))
             del F11, F22, L  # the packed copy is kept
         # what a solve reads: each front's L21 (a view of L21T^T) and J as a +-1 vector
         self._sweep = [(s, e, packed, L21T, L21T.T, R) for s, e, _, packed, L21T, R in self.fronts]
-        self._signs = np.where(positive, 1.0, -1.0)
+        self._signs = np.where(positive, 1.0, -1.0).astype(self.dtype)
+        self._tpsv = blas.get_blas_funcs("tpsv", dtype=self.dtype)
 
     @property
     def L(self) -> sp.csc_matrix:
@@ -300,16 +338,16 @@ class MultifrontalLdl:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(L J L^T)^{-1} b, b and the result in T's numbering: forward through L, J and back
-        through L^T; raises if not finite.
+        through L^T, in the factor's dtype; returns float64 and raises if not finite.
 
         Each front's triangular solve runs in place on its rows of a copy of b. J is applied
         once, after the forward sweep: no front reads another front's signed rows.
         """
-        y = np.array(b, dtype=float)
+        y, tpsv = np.array(b, dtype=self.dtype), self._tpsv
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite result raises below
             for s, e, packed, _, L21, R in self._sweep:
                 x = y[s:e]
-                blas.dtpsv(e - s, packed, x, lower=1, overwrite_x=1)
+                tpsv(e - s, packed, x, lower=1, overwrite_x=1)
                 if R.size:
                     y[R] -= L21 @ x
             y *= self._signs
@@ -317,10 +355,28 @@ class MultifrontalLdl:
                 x = y[s:e]
                 if R.size:
                     x -= L21T @ y[R]
-                blas.dtpsv(e - s, packed, x, lower=1, trans=1, overwrite_x=1)
+                tpsv(e - s, packed, x, lower=1, trans=1, overwrite_x=1)
         if not np.all(np.isfinite(y)):
             raise SingularSystem("factorization produced non-finite solution")
-        return y
+        return y.astype(np.float64, copy=False)
+
+
+def _beyond_sets(T: sp.csc_matrix, starts: np.ndarray) -> list[np.ndarray]:
+    """The symbolic phase: each front's rows beyond its pivots, sorted.
+
+    They are the front's own rows of T below its last pivot and its children's rows
+    beyond it; a front is the child of the front holding its first row beyond its pivots.
+    """
+    indptr, indices = T.indptr, T.indices
+    beyonds, children = [], {}
+    for f in range(len(starts) - 1):
+        s, e = int(starts[f]), int(starts[f + 1])
+        rows = indices[indptr[s] : indptr[e]].astype(np.intp)  # a solve indexes by these
+        R = np.unique(np.concatenate([rows[rows >= e]] + [R[R >= e] for R in children.pop(f, [])]))
+        if R.size:
+            children.setdefault(int(np.searchsorted(starts, R[0], side="right")) - 1, []).append(R)
+        beyonds.append(R)
+    return beyonds
 
 
 def _panels(r: int):
@@ -427,12 +483,12 @@ class LuSolver:
     then holds K's unknowns in the factor's numbering and ``rank`` the
     inverse), and keeps K's lower triangle in that numbering (``lower``, T,
     CSC) and its diagonal; K itself is not kept. A K that is not symmetric
-    to ``SYMMETRY_RTOL`` raises ValueError. ``factor`` runs the numeric
-    LDL^T of T (``lu``, a ``MultifrontalLdl``); a symmetric K that is not
-    quasi-definite raises SingularSystem there. A caller that drops K
-    between the two holds T alone while the factor is built. ``solve``
-    takes one right-hand side in K's numbering: a block system's caller
-    stacks it and splits the solution.
+    to ``SYMMETRY_RTOL`` raises ValueError. ``factor`` runs the LDL^T of T
+    (``lu``, a ``MultifrontalLdl``, stored in float32 or float64 by its
+    size); a symmetric K that is not quasi-definite raises SingularSystem
+    there. A caller that drops K between the two holds T alone while the
+    factor is built. ``solve`` takes one right-hand side in K's numbering: a
+    block system's caller stacks it and splits the solution.
     """
 
     def __init__(self, K: sp.spmatrix, order, tol: float = 1e-9):
@@ -456,9 +512,11 @@ class LuSolver:
         self.lower = sp.tril(K[perm][:, perm], format="csc")
         self.lu: MultifrontalLdl | None = None
 
-    def factor(self) -> "LuSolver":
-        """Build the LDL^T of T (``lu``) and return the solver."""
-        self.lu = MultifrontalLdl(self.lower, self._starts)
+    def factor(self, dtype=None) -> "LuSolver":
+        """Build the LDL^T of T (``lu``), stored in ``dtype`` (by default by ``FLOAT32_ENTRIES``),
+        and return the solver."""
+        self.lu = None  # a factor built again frees the old one first
+        self.lu = MultifrontalLdl(self.lower, self._starts, dtype)
         self._upper = self.lower.T  # T^T in CSR: a view of T's arrays, built once for the solves
         return self
 
@@ -474,7 +532,9 @@ class LuSolver:
 
         The residual is that of K's lower triangle mirrored, in the factor's numbering. A
         first solve that misses ``tol`` is refined with the same factors while its residual
-        falls, for at most ``REFINE_SWEEPS`` sweeps: the report's iterations.
+        falls, for at most ``REFINE_SWEEPS`` sweeps: the report's iterations. If a float32
+        factor leaves the residual above ``tol``, T is factored again in float64, which the
+        solver keeps, and the solve starts over on it.
         """
         start = time.perf_counter()
         rhs = np.asarray(rhs, dtype=float)
@@ -483,6 +543,16 @@ class LuSolver:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(b.size), LinearSolveReport(0, 0.0, time.perf_counter() - start)
+        y, sweeps, residual = self._refined(b, bnorm)
+        if residual > self.tol and self.lu.dtype != np.float64:
+            y, sweeps, residual = self.factor(np.float64)._refined(b, bnorm)
+        if residual > self.tol:
+            raise NotConverged("direct solve residual above tolerance", sweeps, residual)
+        return y[self.rank], LinearSolveReport(sweeps, residual, time.perf_counter() - start)
+
+    def _refined(self, b: np.ndarray, bnorm: float):
+        """(y, sweeps, residual): a solve of the factor, refined while its residual is above
+        ``tol`` and falls, for at most ``REFINE_SWEEPS`` sweeps."""
         y, sweeps = self.lu.solve(b), 0
         r = self._residual(b, y)
         residual = float(np.linalg.norm(r) / bnorm)
@@ -493,9 +563,7 @@ class LuSolver:
             if not residual_next < residual:
                 break
             y, r, residual, sweeps = y_next, r_next, residual_next, sweeps + 1
-        if residual > self.tol:
-            raise NotConverged("direct solve residual above tolerance", sweeps, residual)
-        return y[self.rank], LinearSolveReport(sweeps, residual, time.perf_counter() - start)
+        return y, sweeps, residual
 
 
 class SaddleSolver(LuSolver):

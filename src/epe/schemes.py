@@ -61,7 +61,14 @@ its solution; ``linalg`` only factors and solves K x = b. The saddle
 negates its p rows: the factor pivots on each front's positive-diagonal
 unknowns first, and in the low-storage, low-permeability limit the pressure
 block is nearly zero, so the fronts pivot on the elasticity block
-(Vanderbei, SIAM J. Optim. 5(1), 1995).
+(Vanderbei, SIAM J. Optim. 5(1), 1995). ``linalg`` stores a factor of more
+than ``linalg.FLOAT32_ENTRIES`` entries in float32: the saddle from n = 16
+(6,198,422 entries there) and the monolithic EM matrix from n = 16
+(6,445,784); every n <= 12 factor stays float64. Each solve refines in
+float64 against T, the lower triangle of K, and reports that float64
+residual; a saddle solve at n = 16 takes one refinement sweep. A float32
+factor whose refinement stalls above ``saddle_tol`` is replaced by a float64
+one (see ``linalg``).
 
 Time-separable sources (``mms.SeparableSource``) have their spatial load
 vectors assembled once, when a scheme is built; a step then combines them

@@ -13,6 +13,7 @@ from epe.fem.assembly import assemble_matrix
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import (
     EXTEND_ADD_COLUMNS,
+    FLOAT32_ENTRIES,
     FRONT_MAX,
     ND_LEAF,
     DimensionMismatch,
@@ -31,8 +32,10 @@ from epe.linalg import (
     _panels,
     nested_dissection,
 )
+from epe.core import build_config
 from epe.mesh import build_unit_cube_mesh
-from epe.schemes import Discretization
+from epe.mms import example61
+from epe.schemes import Discretization, Sources, run
 
 
 class TestSpdSolve:
@@ -394,12 +397,16 @@ class TestMultifrontalLdl:
         assert solver.lu.U.nnz == 0
 
     def test_factor_keeps_exactly_the_entries_of_L(self):
-        """The fronts keep packed pivot factors and V: as many numbers as L has entries."""
+        """The fronts keep packed pivot factors and V: as many numbers of the factor's dtype as L
+        has entries, as the symbolic phase counts them, in either dtype."""
         rng = np.random.default_rng(15)
         K, _ = random_sqd(rng)
-        lu = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0]), max_size=20)).factor().lu
-        arrays = [a for front in lu.fronts for a in front if isinstance(a, np.ndarray)]
-        assert sum(a.size for a in arrays if a.dtype == np.float64) == lu.L.nnz
+        solver = LuSolver(K, order=random_blocks(rng, rng.permutation(K.shape[0]), max_size=20))
+        for dtype in (np.float64, np.float32):
+            lu = solver.factor(dtype).lu
+            arrays = [a for front in lu.fronts for a in front if isinstance(a, np.ndarray)]
+            assert lu.dtype == dtype
+            assert sum(a.size for a in arrays if a.dtype == dtype) == lu.L.nnz == lu.entries
 
     def test_blocks_in_any_sign_order_give_the_same_fronts(self):
         """Blocks holding their signs mixed in any order, empty blocks among them, factor bit for
@@ -610,6 +617,18 @@ class TestNestedDissection:
         size = sum(getattr(disc3.layouts, s).num_free for s in spaces)
         assert np.array_equal(np.sort(order), np.arange(size))
 
+    def test_a_call_leaves_no_reference_cycle(self):
+        """The coordinates die when the call returns: with the cycle collector off, one call
+        leaves nothing for ``gc.collect()`` to find."""
+        pts = np.random.default_rng(8).integers(0, 9, size=(500, 3)).astype(float)
+        gc.collect()
+        gc.disable()
+        try:
+            nested_dissection(pts)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_any_point_set_gives_a_permutation(self):
         pts = np.random.default_rng(7).random((500, 3)) * 5.0
         assert np.array_equal(np.sort(np.concatenate(nested_dissection(pts))), np.arange(500))
@@ -648,3 +667,133 @@ class TestNestedDissection:
         assert np.all(x[order[len(lo) + len(hi) :]] == 2)
         assert K[lo][:, hi].nnz == 0 and K[hi][:, lo].nnz == 0
         assert K[lo][:, x == 2].nnz > 0 and K[hi][:, x == 2].nnz > 0
+
+
+@pytest.fixture
+def float32_factors(monkeypatch):
+    """Every LDL^T stored in float32, as the size rule stores a large one."""
+    monkeypatch.setattr(epe.linalg, "FLOAT32_ENTRIES", 0)
+
+
+def ill_conditioned_sqd(rng, scale=1e9):
+    """A random SQD matrix whose SPD block gains ``scale`` R R^T, R of half rank: kappa about
+    10 scale, too ill-conditioned for refinement with a float32 factor."""
+    K, positive = random_sqd(rng)
+    R = sp.random(K.shape[0], K.shape[0] // 2, density=0.1, random_state=rng)
+    P = sp.diags(positive * 1.0)
+    return (K + scale * P @ (R @ R.T) @ P).tocsc()
+
+
+class TestFloat32Factor:
+    def test_the_size_rule_stores_only_a_large_factor_in_float32(self, monkeypatch):
+        """A factor of more than ``FLOAT32_ENTRIES`` entries, counted by the symbolic phase, is
+        stored in float32; one of at most that many in float64."""
+        rng = np.random.default_rng(30)
+        K, _ = random_sqd(rng)
+        order = random_blocks(rng, rng.permutation(K.shape[0]))
+        lu = LuSolver(K, order).factor().lu
+        assert lu.entries == lu.L.nnz < FLOAT32_ENTRIES and lu.dtype == np.float64
+        monkeypatch.setattr(epe.linalg, "FLOAT32_ENTRIES", lu.entries)
+        assert LuSolver(K, order).factor().lu.dtype == np.float64
+        monkeypatch.setattr(epe.linalg, "FLOAT32_ENTRIES", lu.entries - 1)
+        assert LuSolver(K, order).factor().lu.dtype == np.float32
+
+    def test_fronts_hold_the_float64_factor_rounded(self, float32_factors):
+        """The fronts hold only float32 numbers, each the float64 factor's entry rounded; a sweep
+        runs in float32 and returns float64."""
+        rng = np.random.default_rng(31)
+        K, _ = random_sqd(rng)
+        order = random_blocks(rng, rng.permutation(K.shape[0]), max_size=20)
+        lu = LuSolver(K, order).factor().lu
+        assert lu.dtype == np.float32 and all(a.dtype == np.float32 for f in lu.fronts for a in f[3:5])
+        want = LuSolver(K, order).factor(np.float64).lu.L
+        np.testing.assert_array_equal(lu.L.toarray(), want.toarray().astype(np.float32))
+        assert lu.solve(rng.standard_normal(K.shape[0])).dtype == np.float64
+
+    def test_refined_solves_meet_tol_with_their_float64_residual(self, float32_factors):
+        rng = np.random.default_rng(32)
+        K, _ = random_sqd(rng)
+        solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0])), tol=1e-13).factor()
+        b = rng.standard_normal(K.shape[0])
+        x, rep = solver.solve(b)
+        assert solver.lu.dtype == np.float32 and rep.iterations >= 1 and rep.relative_residual <= 1e-13
+        true = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+        assert abs(rep.relative_residual - true) <= residual_rounding(K, x, b)
+
+    def test_too_ill_conditioned_for_float32_falls_back_to_float64(self, float32_factors, monkeypatch):
+        """Refinement with the float32 factor stalls above tol; T is factored once more, in
+        float64, which meets tol and serves the later solves."""
+        rng = np.random.default_rng(1)
+        K = ill_conditioned_sqd(rng)
+        assert 1e9 < np.linalg.cond(K.toarray()) < 1e11
+        dtypes = []
+
+        class Recording(MultifrontalLdl):
+            def __init__(self, *args):
+                super().__init__(*args)
+                dtypes.append(self.dtype)
+
+        monkeypatch.setattr(epe.linalg, "MultifrontalLdl", Recording)
+        solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0])), tol=1e-9).factor()
+        b = K @ rng.standard_normal(K.shape[0])
+        for _ in range(2):
+            x, rep = solver.solve(b)
+            assert dtypes == [np.float32, np.float64] and rep.relative_residual <= 1e-9
+            true = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+            assert abs(rep.relative_residual - true) <= residual_rounding(K, x, b)
+
+    def test_a_miss_in_float64_too_raises_with_the_true_residual(self, float32_factors):
+        """Past the float64 fallback, ``NotConverged`` carries the residual of the float64 factor's
+        refined solve, which is that solve's true residual."""
+        rng = np.random.default_rng(33)
+        K, _ = random_sqd(rng)
+        order = random_blocks(rng, rng.permutation(K.shape[0]))
+        b = rng.standard_normal(K.shape[0])
+        solver = LuSolver(K, order, tol=1e-30).factor()
+        assert solver.lu.dtype == np.float32
+        with pytest.raises(NotConverged) as info:
+            solver.solve(b)
+        assert solver.lu.dtype == np.float64
+        reference = LuSolver(K, order, tol=1e-30).factor(np.float64)
+        with pytest.raises(NotConverged) as want:
+            reference.solve(b)
+        assert (info.value.residual, info.value.iterations) == (want.value.residual, want.value.iterations)
+        reference.tol = want.value.residual  # the same refined solve, now returned
+        x, rep = reference.solve(b)
+        assert rep.relative_residual == info.value.residual
+        true = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+        assert abs(info.value.residual - true) <= residual_rounding(K, x, b)
+
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_n4_runs_with_float32_factors_match_the_float64_run(self, scheme, monkeypatch):
+        """Every direct solve of an n = 4 run (the saddle's, and the monolithic EM matrix's) with
+        float32 factors meets its tol with the residual of K in float64, and the final state lies
+        within 1e-10 relative of the float64 run."""
+        config = build_config(None, {"mesh_n": 4, "scheme": scheme})
+        exact = example61(config.params)
+        sources, mesh = Sources(j=exact.j, f=exact.f, g=exact.g), build_unit_cube_mesh(4)
+        want = run(config, sources, exact, mesh=mesh).state
+        monkeypatch.setattr(epe.linalg, "FLOAT32_ENTRIES", 0)
+        solves, original = [], LuSolver.solve
+
+        def recording(solver, rhs):
+            x, rep = original(solver, rhs)
+            T = solver.lower
+            K = (T + T.T - sp.diags(T.diagonal())).tocsr()
+            b, y = rhs[solver.order], x[solver.order]
+            true = np.linalg.norm(b - K @ y) / np.linalg.norm(b)
+            solves.append((type(solver), solver.lu.dtype, rep, solver.tol, true, residual_rounding(K, y, b)))
+            return x, rep
+
+        monkeypatch.setattr(LuSolver, "solve", recording)
+        monkeypatch.setattr(SaddleSolver, "solve", recording)
+        got = run(config, sources, exact, mesh=mesh).state
+        kinds = {SaddleSolver} if scheme == "splitting" else {SaddleSolver, LuSolver}
+        assert {kind for kind, *_ in solves} == kinds and len(solves) == len(kinds) * config.grid.N
+        assert all(dtype == np.float32 for _, dtype, *_ in solves)
+        assert any(rep.iterations >= 1 for _, _, rep, *_ in solves)
+        for _, _, rep, tol, true, rounding in solves:
+            assert rep.relative_residual <= tol and abs(rep.relative_residual - true) <= rounding
+        for name in ("E", "H", "u", "p"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), name
