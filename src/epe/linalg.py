@@ -454,22 +454,21 @@ def _pivot_factor(F11: np.ndarray, k1: int) -> np.ndarray:
     L_S = chol(R + X^T X), in place of F11's lower triangle.
     """
     if k1 == F11.shape[0]:
-        return _cholesky(F11)
+        return _cholesky(F11, "the matrix is not positive definite to working precision")
     if k1 == 0:
-        return _cholesky(-F11)
-    F11[:k1, :k1] = L_P = _cholesky(F11[:k1, :k1])
+        return _cholesky(-F11, "the matrix is not quasi-definite (a front of non-positive pivots)")
+    F11[:k1, :k1] = L_P = _cholesky(F11[:k1, :k1], "the matrix is not quasi-definite (a mixed front's P)")
     F11[k1:, :k1] = XT = blas.dtrsm(1.0, L_P, F11[k1:, :k1], side=1, lower=1, trans_a=1)
-    F11[k1:, k1:] = _cholesky(blas.dsyrk(1.0, XT, -1.0, F11[k1:, k1:], lower=1))
+    F11[k1:, k1:] = _cholesky(blas.dsyrk(1.0, XT, -1.0, F11[k1:, k1:], lower=1),
+                              "the matrix is not quasi-definite (a mixed front's R + X^T X)")
     return F11
 
 
-def _cholesky(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the SPD matrix whose lower triangle is A's."""
+def _cholesky(A: np.ndarray, why: str) -> np.ndarray:
+    """Lower Cholesky factor of the SPD matrix whose lower triangle is A's; else SingularSystem(why)."""
     c, info = lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
     if info != 0:
-        raise SingularSystem(
-            "Cholesky step of the LDL^T failed: the symmetric matrix is not quasi-definite"
-        )
+        raise SingularSystem(f"Cholesky step of the LDL^T failed: {why}")
     return c
 
 

@@ -14,9 +14,9 @@ initial state (with U and P masses of its own) before it factors. A scheme
 hands its K to ``linalg.LuSolver``, which keeps only K's lower triangle T in
 the factor's numbering, and drops K before ``factor`` runs: through the
 factorization T is the one copy of K alive. Both schemes build the EM matrix
-after the saddle factor, at its size, in the pattern of M_E's free block;
-beyond the result, its build holds one eighth of the curl-curl product and
-its index arrays at a time, less than the product (``Discretization.em_matrix``).
+after the saddle factor (``Discretization.em_matrix``). At n = 16 its build
+lifts the traced heap peak of a splitting setup from 37.5 to 45.9 MiB, past
+the saddle LDL^T's 44.2, but not the process peak RSS: it reuses freed pages.
 
 A Discretization owns the setup tables of ``fem.assembly`` (``setup_tables``:
 the CellPatterns, the cell geometry, the gradient Gram matrices and the load
@@ -155,37 +155,15 @@ class Discretization:
         return reduce_matrix(self.form("ELASTICITY", (p.lambda_c, p.G)), L.U, L.U)
 
     def em_matrix(self, tau: float) -> sp.csr_matrix:
-        """(eps + tau sigma) M_E + (tau^2 / mu) W_f^T M_H W_f on the free E DOFs, from M_E, W_f, m_H.
-
-        Built at its size in the pattern of M_E's free block, which holds every curl-curl
-        entry (both couple the edges of a cell), and equal bit for bit to scipy's sum of the
-        two scaled terms. The curl-curl block is formed by scipy's product in eight slices of
-        its rows, each entry summed as in the whole product, and added in place: beyond the
-        result, the build holds one slice and its index arrays, less than the whole product.
-        """
-        p, M, W, free = self.params, self.M_E, self.W_f, ~self.layouts.E.constrained
-        keep = free[M.indices] & np.repeat(free, np.diff(M.indptr))  # a free row and column
-        counts = np.add.reduceat(keep, M.indptr[:-1], dtype=M.indptr.dtype)  # each row holds its diagonal
-        indptr = np.concatenate([[0], np.cumsum(counts[free])]).astype(M.indices.dtype)
-        indices = (np.cumsum(free) - 1).astype(M.indices.dtype)[M.indices[keep]]
-        data = M.data[keep]
-        data *= p.epsilon + tau * p.sigma
-        del keep
-        n = indptr.size - 1
-        W_rows = np.repeat(np.arange(W.shape[0], dtype=W.indices.dtype), np.diff(W.indptr))
-        cuts = np.linspace(0, n, 9).astype(np.int64).tolist()
-        for k0, k1 in zip(cuts[:-1], cuts[1:]):
-            K = _weighted_gram_rows(W, W_rows, self.m_H, k0, k1)
-            K.data *= tau**2 / p.mu
-            if K.nnz:  # scipy answers an empty lookup with a sparse matrix
-                a, b = indptr[k0], indptr[k1]  # the positions of K's entries in the result's rows
-                where = sp.csr_matrix((np.arange(a, b, dtype=indices.dtype), indices[a:b], indptr[k0 : k1 + 1] - a),
-                                      shape=K.shape)
-                rows = np.repeat(np.arange(k1 - k0, dtype=K.indices.dtype), np.diff(K.indptr))
-                data[np.asarray(where[rows, K.indices]).ravel()] += K.data
-        A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        A.eliminate_zeros()  # as scipy's sum drops them
-        return A
+        """(eps + tau sigma) M_E + (tau^2 / mu) W_f^T M_H W_f on the free E DOFs, as scipy's sum of
+        the two scaled terms. Run after the saddle factor, the build holds both terms and the sum
+        (whose arrays keep scipy's slack) in the pages the factorization freed (module doc)."""
+        p, L = self.params, self.layouts
+        M = reduce_matrix(self.M_E, L.E, L.E)
+        M.data *= p.epsilon + tau * p.sigma
+        K = (self.W_f.T @ sp.diags(self.m_H) @ self.W_f).tocsr()
+        K.data *= tau**2 / p.mu
+        return M + K
 
     def order(self, *spaces: str) -> list[np.ndarray]:
         """Nested-dissection blocks of the free DOFs of ``spaces``, in order; ends setup (module doc)."""
@@ -212,17 +190,6 @@ class Discretization:
         if key not in self._term_loads:
             self._term_loads[key] = self.load(space, lambda t, pts: phi(pts), 0.0)
         return self._term_loads[key]
-
-
-def _weighted_gram_rows(W: sp.csr_matrix, W_rows: np.ndarray, m: np.ndarray, k0: int, k1: int):
-    """Rows k0..k1-1 of W^T diag(m) W (CSR), each entry summed as scipy's product of the whole
-    sums it: (W_ck m_c) W_ci over the rows c of W in increasing order. ``W_rows`` is the row
-    of each of W's entries."""
-    at = np.flatnonzero((W.indices >= k0) & (W.indices < k1))
-    c = W_rows[at]
-    X = sp.csr_matrix((m[c] * W.data[at], (W.indices[at] - k0, c)), shape=(k1 - k0, W.shape[0]))
-    del at, c
-    return X @ W
 
 
 def initial_state(disc: Discretization, fields, spd_tol: float = 1e-12) -> State:

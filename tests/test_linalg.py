@@ -1,4 +1,6 @@
 import gc
+import re
+import time
 import tracemalloc
 import weakref
 
@@ -543,8 +545,23 @@ class TestMultifrontalLdl:
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_symmetric_but_not_quasi_definite_raises(self):
-        with pytest.raises(SingularSystem):
+        with pytest.raises(SingularSystem, match=re.escape("not quasi-definite (a front of non-positive")):
             LuSolver(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), blocks(np.arange(2))).factor()
+
+    def test_an_indefinite_matrix_of_positive_pivots_is_not_positive_definite(self):
+        """[[1, 2], [2, 1]] has a positive diagonal, so its one front is all positive pivots."""
+        with pytest.raises(SingularSystem, match="not positive definite to working precision"):
+            LuSolver(sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])), blocks(np.arange(2))).factor()
+
+    @pytest.mark.parametrize("K,block", [
+        ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]], "P"),
+        ([[1.0, 0.0, 0.0], [0.0, -1.0, 2.0], [0.0, 2.0, -1.0]], "R + X^T X"),
+    ])
+    def test_a_mixed_front_names_the_block_that_failed(self, K, block):
+        """One front of mixed signs: P, the positive pivots' block, or the Schur complement of the
+        negative ones is indefinite."""
+        with pytest.raises(SingularSystem, match=re.escape(f"not quasi-definite (a mixed front's {block})")):
+            LuSolver(sp.csc_matrix(np.array(K)), blocks(np.arange(3))).factor()
 
     def test_two_factorizations_give_bit_identical_solves(self, disc3, params):
         K = saddle_blocks(elasticity_ff(disc3), disc3.B_ff, params.c0 * disc3.M_P_ff + disc3.K_P_ff)
@@ -797,3 +814,25 @@ class TestFloat32Factor:
         for name in ("E", "H", "u", "p"):
             a, b = getattr(got, name), getattr(want, name)
             assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), name
+
+
+@pytest.mark.parametrize("kind", ["spd", "float64", "float32"])
+def test_report_wall_time_is_within_the_callers_span(kind, monkeypatch):
+    """A solve's reported wall time is positive and at most the caller's own span of the call: a CG
+    solve, a float64 LDL^T solve and a float32 one refined in float64."""
+    rng = np.random.default_rng(34)
+    K, _ = random_sqd(rng)
+    b = rng.standard_normal(K.shape[0])
+    if kind == "spd":
+        solver = SpdSolver((K.T @ K + sp.identity(K.shape[0])).tocsr(), tol=1e-12)
+    else:
+        if kind == "float32":
+            monkeypatch.setattr(epe.linalg, "FLOAT32_ENTRIES", 0)
+        solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0])), tol=1e-13).factor()
+        assert solver.lu.dtype == {"float64": np.float64, "float32": np.float32}[kind]
+    start = time.perf_counter()
+    _, rep = solver.solve(b)
+    span = time.perf_counter() - start
+    assert 0.0 < rep.wall_time <= span
+    if kind == "float32":
+        assert rep.iterations >= 1 and solver.lu.dtype == np.float32
