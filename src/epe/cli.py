@@ -10,22 +10,14 @@ import argparse
 import sys
 
 from epe import core
-from epe.core import (
-    PARAM_NAMES,
-    ConfigError,
-    InvalidGrid,
-    ParameterError,
-    build_config,
-    parse_config_file,
-)
+from epe.core import PARAM_NAMES, build_config, parse_config_file
 from epe.linalg import NotConverged, SingularSystem
-from epe.mesh import InvalidSubdivision, build_unit_cube_mesh, mesh_stats
+from epe.mesh import build_unit_cube_mesh, mesh_stats
 from epe.mms import error_norms, example61
 from epe.schemes import Sources, run
 from epe.studies import (
     DEFAULT_TAU_REF,
     DEFAULT_TAUS,
-    IoError,
     benchmark,
     emit_report,
     report_markdown,
@@ -241,13 +233,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, ConfigError, InvalidGrid, InvalidSubdivision, ValueError) as exc:
+    except ValueError as exc:
         print(f"epe: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NotConverged, SingularSystem) as exc:
         print(f"epe: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (IoError, OSError) as exc:
+    except OSError as exc:
         print(f"epe: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -8,10 +8,9 @@ Local matrices are closed forms. Every lowest-order integrand is a product
 of barycentric coordinates lam_m and their constant gradients, and
 int_K lam_i lam_j = V (1 + delta_ij) / 20. So each local matrix is the cell
 volume V times a constant, a product of gradients or, for the Nedelec
-forms, a fixed linear map of gg = grad lam . grad lam (C, 4, 4): for edges
-i = (a, b) and j = (c, d),
-  int N_i . N_j          = V/20 [S_ac gg_bd - S_ad gg_bc - S_bc gg_ad + S_bd gg_ac],
-  int N_i . grad lam_k   = V/4 (gg_bk - gg_ak),      S = 1 + delta.
+mass, a fixed linear map of gg = grad lam . grad lam (C, 4, 4): for edges
+i = (a, b) and j = (c, d), with S = 1 + delta,
+  int N_i . N_j = V/20 [S_ac gg_bd - S_ad gg_bc - S_bc gg_ad + S_bd gg_ac].
 Cell-local values are summed into CSR through a ``CellPattern``: the
 pattern of one pair of cell index maps (edges or vertices) and a sparse 0/1
 scatter of every local entry into it, both from one stable argsort of the
@@ -26,22 +25,26 @@ the Nedelec load of edge (a, b) is F_a . grad lam_b - F_b . grad lam_a.
 
 Setup tables: a ``tables`` dict keeps what more than one form, load or
 operator reads: each ``CellPattern`` (keyed by whether its rows and columns
-hang on edges), the whole mesh's ``TetMesh.cell_geometry`` ("geometry"),
-the cells' gradient Gram matrices ("gram") and the read-only point table of
-the load rule ("points"). Only this module knows the keys, and only
-``schemes.Discretization`` passes a dict (its ``setup_tables``): a run
-builds each table once, until ``Discretization.order`` clears them.
+hang on edges; only M_E reads the edge pattern), the whole mesh's
+``TetMesh.cell_geometry`` ("geometry"), the cells' gradient Gram matrices
+("gram") and the read-only point table of the load rule ("points"). Only
+this module knows the keys, and only ``schemes.Discretization`` passes a
+dict (its ``setup_tables``): a run builds each table once, until
+``Discretization.order`` clears them.
 
-Forms (``FORM_SPACES``): the E, P and U masses, the pressure-gradient
-coupling into E, elasticity, the divergence coupling and the P stiffness.
+Forms (``FORM_SPACES``): the E, P and U masses, elasticity, the divergence
+coupling and the P stiffness.
 The H mass is diagonal, held as its diagonal ``h_mass``: the cell volumes.
 The curl has no form: curl E_h is cellwise constant, so
 ``curl_dof_operator`` (W) is the whole discrete curl, the curl coupling is
 M_H W and the curl-curl block is W^T M_H W. E vanishes on the constrained
 edges, so ``schemes.Discretization`` keeps only W's free columns (W_f).
 The gradient has no form either: ``gradient_operator`` (D) is the signed
-edge-vertex incidence, with W D = 0 and M_E D = G_pe. The field evaluators
-(error norms, output) take the gradients of the cells they evaluate.
+edge-vertex incidence, with W D = 0, and grad(P1) lies in the Nedelec space,
+so the pressure-gradient coupling (grad p, N_e) is exactly M_E D:
+``schemes.Discretization`` builds its free block G_ff as the product of the
+free blocks of M_E and D. The field evaluators (error norms, output) take
+the gradients of the cells they evaluate.
 
 Conventions:
   - A cell's Nedelec function for local edge i is multiplied by the stored
@@ -66,7 +69,6 @@ LOAD_DEGREE = 2
 #: test space x trial space of every supported form tag
 FORM_SPACES = {
     "MASS_E": ("E", "E"),
-    "GRAD_P_TO_E": ("E", "P"),
     "ELASTICITY": ("U", "U"),
     "DIV_COUPLING": ("P", "U"),
     "P_MASS": ("P", "P"),
@@ -81,11 +83,9 @@ _A, _B = np.array(LOCAL_EDGES).T
 _P1_MASS = (1.0 + np.eye(4)) / 20.0
 
 
-def _edge_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of gg_lm in the unsigned int N_i . N_j / V (16, 36) and
-    int N_i . grad lam_k / V (16, 24)."""
+def _edge_mass_table() -> np.ndarray:
+    """Coefficients of gg_lm in the unsigned int N_i . N_j / V, (16, 36)."""
     mass = np.zeros((4, 4, 6, 6))
-    grad = np.zeros((4, 4, 6, 4))
     S = _P1_MASS
     for i, (a, b) in enumerate(LOCAL_EDGES):
         for j, (c, d) in enumerate(LOCAL_EDGES):
@@ -93,13 +93,10 @@ def _edge_tables() -> tuple[np.ndarray, np.ndarray]:
             mass[b, c, i, j] -= S[a, d]
             mass[a, d, i, j] -= S[b, c]
             mass[a, c, i, j] += S[b, d]
-        for k in range(4):
-            grad[b, k, i, k] += 0.25
-            grad[a, k, i, k] -= 0.25
-    return mass.reshape(16, 36), grad.reshape(16, 24)
+    return mass.reshape(16, 36)
 
 
-_EDGE_MASS, _EDGE_GRAD = _edge_tables()
+_EDGE_MASS = _edge_mass_table()
 
 
 def signed_curls(mesh: TetMesh, tables: dict | None = None) -> np.ndarray:
@@ -197,10 +194,6 @@ def _assembled_values(mesh: TetMesh, form: str, coeff, pattern: CellPattern, tab
         loc = (gg.reshape(-1, 16) @ _EDGE_MASS).reshape(-1, 6, 6)
         loc *= coeff * V
         loc *= s[:, :, None] * s[:, None, :]
-        return pattern.sum(loc)
-    if form == "GRAD_P_TO_E":
-        loc = (gg.reshape(-1, 16) @ _EDGE_GRAD).reshape(-1, 6, 4)
-        loc *= coeff * V * mesh.cell_edge_signs[:, :, None]
         return pattern.sum(loc)
     if form == "P_MASS":
         return pattern.sum(coeff * V * _P1_MASS)

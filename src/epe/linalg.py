@@ -82,10 +82,7 @@ class SingularSystem(RuntimeError):
     """Factorization failed or produced non-finite values."""
 
 
-#: Index sets of at most this many unknowns are not dissected further.
-ND_LEAF = 16
-
-#: Nested-dissection subtrees of at most this many unknowns form one block.
+#: Nested dissection splits index sets of more than this many unknowns; a smaller one is one block.
 FRONT_MAX = 128
 
 #: Width of the column panels an update is stored, formed and extend-added in.
@@ -194,14 +191,14 @@ def nested_dissection(points: np.ndarray) -> list[np.ndarray]:
     """Nested-dissection elimination order of unknowns located at ``points``, as blocks.
 
     ``points`` are (N, 3) coordinates in lattice units: the lattice planes
-    sit at integer coordinates. Each index set is split at the lattice plane
-    nearest the median of its widest axis; the points below the plane come
-    first, then those above, then those on it (the separator), each half
-    ordered recursively down to leaves of ``ND_LEAF`` unknowns. Every
-    subtree of at most ``FRONT_MAX`` unknowns is handed out as one block,
-    a larger one as its halves' blocks followed by its separator. The
-    blocks are nonempty and their concatenation is a permutation of
-    ``arange(N)``.
+    sit at integer coordinates. Each index set of more than ``FRONT_MAX``
+    unknowns is split at the lattice plane nearest the median of its widest
+    axis, into the blocks of the points below the plane, then those of the
+    points above it, then the points on it (the separator) as one block. A
+    set of at most ``FRONT_MAX`` unknowns, or one within a single lattice
+    slab, is one block in its given order: a block is one dense front, so
+    the order inside it changes no fill. The blocks are nonempty and their
+    concatenation is a permutation of ``arange(N)``.
     """
     coords = np.asarray(points, dtype=float).T.copy()
     return [b for b in _dissect(coords, np.arange(coords.shape[1])) if b.size]
@@ -212,7 +209,7 @@ def _dissect(coords: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
     locations. A module function, not a closure: a closure that calls itself is a reference
     cycle, which would keep ``coords`` alive until the cycle collector runs."""
     n = len(idx)
-    if n > ND_LEAF:
+    if n > FRONT_MAX:
         xs = [c[idx] for c in coords]
         lo = [float(x.min()) for x in xs]
         hi = [float(x.max()) for x in xs]
@@ -225,8 +222,7 @@ def _dissect(coords: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
             median = float(part[k]) if n % 2 else (float(part[k - 1]) + float(part[k])) / 2.0
             nearest = max(math.floor(median + 0.5), math.ceil(lo[axis]))
             mid = float(min(nearest, math.floor(hi[axis])))
-            blocks = _dissect(coords, idx[x < mid]) + _dissect(coords, idx[x > mid]) + [idx[x == mid]]
-            return [np.concatenate(blocks)] if n <= FRONT_MAX else blocks
+            return _dissect(coords, idx[x < mid]) + _dissect(coords, idx[x > mid]) + [idx[x == mid]]
     return [idx]
 
 

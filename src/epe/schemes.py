@@ -5,9 +5,13 @@ are time-independent, so every matrix is built once per run and factorized
 once). W is the discrete curl (``curl_dof_operator``); the H mass M_H is
 diagonal and held as its diagonal m_H. A Discretization holds only what a
 time step reads: the full M_E, m_H, the curl on the free edges W_f (its
-columns of W), and the free-DOF blocks G_ff (pressure gradient), B_ff,
-M_P_ff and K_P_ff; E, u and p vanish on the constrained DOFs, so the free
-columns and blocks suffice.
+columns of W), and the free-DOF blocks G_ff, B_ff, M_P_ff and K_P_ff; E, u
+and p vanish on the constrained DOFs, so the free columns and blocks
+suffice. G_ff, the pressure-gradient coupling, is the product of the free
+blocks of M_E and of the edge-vertex incidence D (``fem.assembly``); it is
+only applied, never factored, so the cancellation residues the product
+stores where the exact coupling is zero (about 1e-16 relative) change no
+factor.
 What a factorization reads once (the elasticity block, the EM matrix) is
 assembled for it and dropped before its LDL^T starts; ``run()`` projects the
 initial state (with U and P masses of its own) before it factors. A scheme
@@ -23,7 +27,7 @@ the CellPatterns, the cell geometry, the gradient Gram matrices and the load
 rule's point table, with ``mms``'s sin/cos table of those points), and only
 it: its operators, the initial projection, the source loads and the
 elasticity block all read them, so a run builds each table once. The edge
-patterns, which only M_E and G_pe read, die with a copy of the tables in the
+pattern, which only M_E reads, dies with a copy of the tables in the
 constructor. Setup ends at ``order``, which every factorization calls just
 before its LDL^T: it clears the tables, the geometry with them.
 
@@ -140,10 +144,9 @@ class Discretization:
         self.m_H = h_mass(mesh, self.setup_tables)
         self.W_f = curl_dof_operator(mesh, self.setup_tables)[:, L.E.free]
         self._term_loads: dict[tuple[str, Callable], np.ndarray] = {}
-        # the edge patterns, read by M_E and G_pe alone, die with this copy of the tables
-        edge_tables = dict(self.setup_tables)
-        self.M_E = assemble_matrix(mesh, "MASS_E", 1.0, edge_tables)
-        self.G_ff = reduce_matrix(assemble_matrix(mesh, "GRAD_P_TO_E", 1.0, edge_tables), L.E, L.P)
+        # the edge pattern, read by M_E alone, dies with this copy of the tables
+        self.M_E = assemble_matrix(mesh, "MASS_E", 1.0, dict(self.setup_tables))
+        self.G_ff = reduce_matrix(self.M_E, L.E, L.E) @ reduce_matrix(gradient_operator(mesh), L.E, L.P)
 
     def form(self, name: str, coeff=1.0) -> sp.csr_matrix:
         """The full matrix of the form ``name`` (``fem.assembly.FORM_SPACES``), from the setup tables."""

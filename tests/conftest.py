@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from epe.core import PhysicalParams, build_config
 from epe.fem.assembly import assemble_matrix, signed_curls
 from epe.fem.dofs import reduce_matrix
+from epe.fem.quadrature import quadrature_rule
 from epe.linalg import FRONT_MAX, LuSolver
 from epe.mesh import LOCAL_EDGES, build_unit_cube_mesh
 from epe.schemes import Discretization, State
@@ -155,6 +156,33 @@ def edge_functions(g, lam):
     a, b = np.array(LOCAL_EDGES).T
     lam = np.broadcast_to(lam, (g.shape[0],) + np.shape(lam)[-2:])
     return lam[:, :, a, None] * g[:, None, b, :] - lam[:, :, b, None] * g[:, None, a, :]
+
+
+def signed_edge_values(mesh, degree):
+    """Oracle: the signed lam_a grad lam_b - lam_b grad lam_a at the rule points, (C, nq, 6, 3)."""
+    g, _ = mesh.cell_geometry()
+    vals = edge_functions(g, quadrature_rule(degree).barycentric())
+    return vals * mesh.cell_edge_signs[:, None, :, None]
+
+
+def quadrature_forms(mesh, lay):
+    """Oracle: the full E mass ("MASS_E") and (grad p, N_e) coupling ("grad") by the degree-2 rule,
+    which integrates both exactly; it goes through neither the closed forms nor ``gradient_operator``."""
+    w = quadrature_rule(2).weights
+    g, vols = mesh.cell_geometry()
+    vals = signed_edge_values(mesh, 2)
+    mass = 6.0 * vols[:, None, None] * np.einsum("q,cqix,cqjx->cij", w, vals, vals)
+    grad = 6.0 * vols[:, None, None] * np.einsum("q,cqix,cmx->cim", w, vals, g)
+    ce = mesh.cell_edges
+    M_E = sp.coo_matrix(
+        (mass.ravel(), (np.repeat(ce, 6, axis=1).ravel(), np.tile(ce, 6).ravel())),
+        shape=(lay.E.count, lay.E.count),
+    )
+    G = sp.coo_matrix(
+        (grad.ravel(), (np.repeat(ce, 4, axis=1).ravel(), np.tile(mesh.cells, 6).ravel())),
+        shape=(lay.E.count, lay.P.count),
+    )
+    return {"MASS_E": M_E.tocsr(), "grad": G.tocsr()}
 
 
 def barycentric(mesh, cells, pts):

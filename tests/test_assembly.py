@@ -3,7 +3,15 @@ import pytest
 import scipy.sparse as sp
 
 import epe.schemes
-from conftest import LOCAL_FACES, barycentric, cellwise_curl, edge_functions, face_table
+from conftest import (
+    LOCAL_FACES,
+    barycentric,
+    cellwise_curl,
+    edge_functions,
+    face_table,
+    quadrature_forms,
+    signed_edge_values,
+)
 from epe.fem.assembly import (
     FORM_SPACES,
     CellPattern,
@@ -105,8 +113,8 @@ class TestMatrices:
         assert W.nnz and np.all(W.data != 0.0) and W.has_sorted_indices
 
     def test_grad_form_of_linear_pressure(self, mesh2, lay2):
-        # p = x_0 lies in P1, so G @ p = (grad p, N_i) = (e_0, N_i)
-        G = assemble_matrix(mesh2, "GRAD_P_TO_E", 1.0)
+        # p = x_0 lies in P1, so G @ p = (grad p, N_i) = (e_0, N_i), with G = M_E D
+        G = assemble_matrix(mesh2, "MASS_E", 1.0) @ gradient_operator(mesh2)
         e0 = lambda t, x: np.tile([1.0, 0.0, 0.0], (x.shape[0], 1))
         ref = assemble_load(mesh2, lay2.E, e0, 0.0)
         np.testing.assert_allclose(G @ mesh2.vertices[:, 0], ref, rtol=0.0, atol=1e-13)
@@ -139,13 +147,13 @@ class TestMatrices:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gradient_operator_is_the_edge_difference(self, n):
         """``gradient_operator`` maps p to p_b - p_a on each edge (a, b), as built by hand above,
-        storing two entries per edge; M_E D is the pressure-gradient form."""
+        storing two entries per edge; M_E D is the quadrature oracle's (grad p, N_e) coupling."""
         mesh = build_unit_cube_mesh(n)
         D = gradient_operator(mesh)
         assert D.shape == (mesh.num_edges, mesh.num_vertices) and D.nnz == 2 * mesh.num_edges
         p = np.random.default_rng(3).standard_normal(mesh.num_vertices)
         assert np.array_equal(D @ p, p[mesh.edges[:, 1]] - p[mesh.edges[:, 0]])
-        G = assemble_matrix(mesh, "GRAD_P_TO_E", 1.0)
+        G = quadrature_forms(mesh, make_layouts(mesh))["grad"]
         assert abs(assemble_matrix(mesh, "MASS_E", 1.0) @ D - G).max() <= 1e-15 * abs(G).max()
 
 
@@ -203,32 +211,6 @@ class TestCellPattern:
         assert_pattern_matches_unique(entity_maps(mesh4, *perms), pair, rng)
 
 
-def signed_edge_values(mesh, degree):
-    """Oracle: the signed lam_a grad lam_b - lam_b grad lam_a at the rule points, (C, nq, 6, 3)."""
-    g, _ = mesh.cell_geometry()
-    vals = edge_functions(g, quadrature_rule(degree).barycentric())
-    return vals * mesh.cell_edge_signs[:, None, :, None]
-
-
-def quadrature_forms(mesh, lay):
-    """Oracle: MASS_E and GRAD_P_TO_E by the degree-2 rule, which integrates both exactly."""
-    w = quadrature_rule(2).weights
-    g, vols = mesh.cell_geometry()
-    vals = signed_edge_values(mesh, 2)
-    mass = 6.0 * vols[:, None, None] * np.einsum("q,cqix,cqjx->cij", w, vals, vals)
-    grad = 6.0 * vols[:, None, None] * np.einsum("q,cqix,cmx->cim", w, vals, g)
-    ce = mesh.cell_edges
-    M_E = sp.coo_matrix(
-        (mass.ravel(), (np.repeat(ce, 6, axis=1).ravel(), np.tile(ce, 6).ravel())),
-        shape=(lay.E.count, lay.E.count),
-    )
-    G = sp.coo_matrix(
-        (grad.ravel(), (np.repeat(ce, 4, axis=1).ravel(), np.tile(mesh.cells, 6).ravel())),
-        shape=(lay.E.count, lay.P.count),
-    )
-    return {"MASS_E": M_E.tocsr(), "GRAD_P_TO_E": G.tocsr()}
-
-
 def quadrature_load_E(mesh, lay, f):
     """Oracle: the E load by the degree-2 rule over the signed Nedelec values."""
     w = quadrature_rule(2).weights
@@ -273,12 +255,22 @@ def rel_max(got, want):
 class TestClosedForms:
     """Closed-form local matrices, loads and E values against cellwise and quadrature oracles."""
 
-    @pytest.mark.parametrize("form", ["MASS_E", "GRAD_P_TO_E"])
+    @pytest.mark.parametrize("form", ["MASS_E"])
     def test_edge_forms_match_quadrature(self, mesh3, form):
         lay = make_layouts(mesh3)
         want = quadrature_forms(mesh3, lay)[form]
         got = assemble_matrix(mesh3, form)
         assert rel_max(got.toarray(), want.toarray()) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_grad_coupling_matches_quadrature(self, n, params):
+        """The discretization's G_ff, built as M_E D on the free DOFs, is the quadrature oracle's
+        (grad p, N_e) coupling there."""
+        disc = Discretization(build_unit_cube_mesh(n), params)
+        L = disc.layouts
+        want = reduce_matrix(quadrature_forms(disc.mesh, L)["grad"], L.E, L.P)
+        assert disc.G_ff.shape == want.shape
+        assert rel_max(disc.G_ff.toarray(), want.toarray()) <= 1e-14
 
     def test_p1_forms_match_the_cellwise_sum(self, mesh2, lay2, params):
         coeffs = {"ELASTICITY": (params.lambda_c, params.G), "DIV_COUPLING": params.alpha}

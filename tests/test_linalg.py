@@ -17,7 +17,6 @@ from epe.linalg import (
     EXTEND_ADD_COLUMNS,
     FLOAT32_ENTRIES,
     FRONT_MAX,
-    ND_LEAF,
     DimensionMismatch,
     LinearSolveReport,
     LuSolver,
@@ -586,18 +585,18 @@ class TestMultifrontalLdl:
 
 
 def nested_dissection_oracle(points):
-    """Nested dissection as first written, with ``np.ptp`` and ``np.median`` on (k, 3) gathers."""
+    """Nested dissection with ``np.ptp`` and ``np.median`` on (k, 3) gathers: sets of more than
+    FRONT_MAX unknowns are split, a smaller one is one block in its given order."""
     points = np.asarray(points, dtype=float)
 
     def dissect(idx):
-        if len(idx) > ND_LEAF:
+        if len(idx) > FRONT_MAX:
             extent = np.ptp(points[idx], axis=0)
             axis = int(np.argmax(extent))
             if extent[axis] >= 1.0:
                 x = points[idx, axis]
                 mid = np.clip(np.floor(np.median(x) + 0.5), np.ceil(x.min()), np.floor(x.max()))
-                blocks = dissect(idx[x < mid]) + dissect(idx[x > mid]) + [idx[x == mid]]
-                return [np.concatenate(blocks)] if len(idx) <= FRONT_MAX else blocks
+                return dissect(idx[x < mid]) + dissect(idx[x > mid]) + [idx[x == mid]]
         return [idx]
 
     return [b for b in dissect(np.arange(points.shape[0])) if b.size]
@@ -670,20 +669,22 @@ class TestNestedDissection:
             assert np.all((pts >= 0.0) & (pts <= 3.0))
             assert np.array_equal(pts * 2, np.rint(pts * 2))
 
-    def test_top_separator_splits_the_saddle_matrix(self, mesh4, params):
-        """At n = 4 the plane x = 2 splits U and P; no matrix entry couples its two sides."""
-        disc = Discretization(mesh4, params)
+    def test_top_separator_splits_the_saddle_matrix(self, params):
+        """At n = 6 (500 unknowns, more than FRONT_MAX) the plane x = 3 splits U and P; no matrix
+        entry couples its two sides. (At n = 4 the 108 unknowns are one front.)"""
+        mesh = build_unit_cube_mesh(6)
+        disc = Discretization(mesh, params)
         lay = disc.layouts
-        x = np.concatenate([free_dof_points(mesh4, lay.U), free_dof_points(mesh4, lay.P)])[:, 0]
+        x = np.concatenate([free_dof_points(mesh, lay.U), free_dof_points(mesh, lay.P)])[:, 0]
         K = saddle_blocks(elasticity_ff(disc), disc.B_ff, disc.M_P_ff + disc.K_P_ff).tocsr()
         order = np.concatenate(disc.order("U", "P"))
-        lo, hi = np.flatnonzero(x < 2), np.flatnonzero(x > 2)
+        lo, hi = np.flatnonzero(x < 3), np.flatnonzero(x > 3)
         # lower half first, then the upper half, then the separator
         assert set(order[: len(lo)]) == set(lo)
         assert set(order[len(lo) : len(lo) + len(hi)]) == set(hi)
-        assert np.all(x[order[len(lo) + len(hi) :]] == 2)
+        assert np.all(x[order[len(lo) + len(hi) :]] == 3)
         assert K[lo][:, hi].nnz == 0 and K[hi][:, lo].nnz == 0
-        assert K[lo][:, x == 2].nnz > 0 and K[hi][:, x == 2].nnz > 0
+        assert K[lo][:, x == 3].nnz > 0 and K[hi][:, x == 3].nnz > 0
 
 
 @pytest.fixture

@@ -21,11 +21,12 @@ from conftest import (
     elasticity_ff,
     full_operator,
     monolithic_blocks,
+    quadrature_forms,
     saddle_blocks,
     zero_state,
 )
 from epe.core import PARAM_NAMES, make_time_grid, validate_params
-from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator, gradient_operator
+from epe.fem.assembly import assemble_load, curl_dof_operator, gradient_operator
 from epe.fem.dofs import make_layouts, reduce_matrix
 from epe.linalg import LuSolver, MultifrontalLdl, NotConverged, SaddleSolver
 from epe.mesh import build_unit_cube_mesh
@@ -51,9 +52,9 @@ def curl_coupling(disc):
 
 
 def grad_coupling(disc):
-    """G_pe: the full (grad p, E) coupling, assembled here (the discretization keeps its free block)."""
-    L = disc.layouts
-    return assemble_matrix(disc.mesh, "GRAD_P_TO_E").tocsr()
+    """G_pe: the full (grad p, E) coupling by the quadrature oracle (the discretization keeps
+    its free block, built as M_E D)."""
+    return quadrature_forms(disc.mesh, disc.layouts)["grad"]
 
 
 def free_E_mass(disc):
@@ -747,24 +748,24 @@ class TestLuOrdering:
         disc = Discretization(mesh4, params)
         run(small_config(config, 4, 0.1, 1, scheme=scheme), sources, exact, disc=disc)
         assert alive == [[]] * FACTORS[scheme]
-        assert probe.counts()["scatter"] == 3 and probe.alive() == []
+        assert probe.counts()["scatter"] == 2 and probe.alive() == []
 
     def test_discretization_releases_its_edge_patterns(self, params, mesh4, monkeypatch):
         """Right after construction, no edge-keyed CellPattern or its scatter is alive (only M_E
-        and G_pe read them); the vertex pattern, the cell geometry (computed once, for the forms,
-        m_H and W_f) and the Gram array stay in the tables for the setup after it."""
+        reads it); the vertex pattern, the cell geometry (computed once, for the forms, m_H and
+        W_f) and the Gram array stay in the tables for the setup after it."""
         probe = SetupTableProbe(monkeypatch)
         disc = Discretization(mesh4, params)
         V = mesh4.num_vertices
-        assert probe.counts()["scatter"] == 3 and probe.counts()["geometry"] == 1
+        assert probe.counts()["scatter"] == 2 and probe.counts()["geometry"] == 1
         assert probe.alive() == sorted(["geometry", "gram", str(("pattern", (V, V))), "scatter"])
         assert set(disc.setup_tables) == {(False, False), "geometry", "gram"}
 
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_setup_builds_each_table_once(self, scheme, config, sources, exact, monkeypatch):
         """From the mesh build up to the n = 0 observer call, a run builds one CellPattern per
-        entity pair (E x E, E x V, V x V), one cell geometry (in the setup tables, none in the
-        mesh build), one gradient Gram array, one load point table and one sin/cos table."""
+        entity pair a form reads (E x E, V x V), one cell geometry (in the setup tables, none in
+        the mesh build), one gradient Gram array, one load point table and one sin/cos table."""
         probe = SetupTableProbe(monkeypatch)
         mesh = build_unit_cube_mesh(4)
         assert probe.counts() == Counter()
@@ -772,8 +773,8 @@ class TestLuOrdering:
         run(small_config(config, 4, 0.1, 2, scheme=scheme), sources, exact, mesh=mesh,
             observers=[lambda n, *_: counts.append(probe.counts()) if n == 0 else None])
         E, V = mesh.num_edges, mesh.num_vertices
-        pairs = [("pattern", (E, E)), ("pattern", (E, V)), ("pattern", (V, V))]
-        assert counts == [Counter({**dict.fromkeys(pairs, 1), "scatter": 3, "geometry": 1, "gram": 1,
+        pairs = [("pattern", (E, E)), ("pattern", (V, V))]
+        assert counts == [Counter({**dict.fromkeys(pairs, 1), "scatter": 2, "geometry": 1, "gram": 1,
                                    "points": 1, "sin/cos": 1})]
 
     @pytest.mark.parametrize(
@@ -801,7 +802,7 @@ class TestLuOrdering:
             temporal_convergence(4, (0.05, 0.025), cfg, 0.003125)
         else:
             run(small_config(config, 4, 0.1, 1, scheme=site), sources, exact, mesh=mesh4)
-        assert probe.counts()["scatter"] >= 3 and probe.counts()["gram"] >= 1
+        assert probe.counts()["scatter"] >= 2 and probe.counts()["gram"] >= 1
         assert probe.counts()["geometry"] >= runs
         assert alive == [[]] * (runs * FACTORS[site.split()[-1]])
 
