@@ -12,14 +12,13 @@ import sys
 from epe import core
 from epe.core import PARAM_NAMES, build_config, parse_config_file
 from epe.linalg import NotConverged, SingularSystem
-from epe.mesh import build_unit_cube_mesh, mesh_stats
-from epe.mms import error_norms, example61
-from epe.schemes import Sources, run
+from epe.mesh import build_unit_cube_mesh
 from epe.studies import (
     DEFAULT_TAU_REF,
     DEFAULT_TAUS,
     benchmark,
     emit_report,
+    exact_row,
     report_markdown,
     spatial_convergence,
     speedups,
@@ -137,48 +136,45 @@ def _config_from_args(args) -> core.RunConfig:
 def _cmd_mesh_info(args) -> int:
     config = _config_from_args(args)
     mesh = build_unit_cube_mesh(config.mesh_n)
-    s = mesh_stats(mesh)
+    _, vols = mesh.cell_geometry()
     rows = [
-        ("subdivisions n", s.n),
-        ("vertices", s.V),
-        ("edges", s.E),
-        ("cells", s.C),
-        ("mesh size h", f"{s.h:.12g}"),
-        ("boundary vertices", s.boundary_vertices),
-        ("boundary edges", s.boundary_edges),
-        ("min cell volume", f"{s.min_cell_volume:.12g}"),
-        ("max cell volume", f"{s.max_cell_volume:.12g}"),
-        ("total volume", f"{s.total_volume:.12g}"),
+        ("subdivisions n", mesh.n),
+        ("vertices", mesh.num_vertices),
+        ("edges", mesh.num_edges),
+        ("cells", mesh.num_cells),
+        ("mesh size h", f"{mesh.h:.12g}"),
+        ("boundary vertices", int(mesh.boundary_vertex.sum())),
+        ("boundary edges", int(mesh.boundary_edge.sum())),
+        ("min cell volume", f"{vols.min():.12g}"),
+        ("max cell volume", f"{vols.max():.12g}"),
+        ("total volume", f"{vols.sum():.12g}"),
     ]
     width = max(len(k) for k, _ in rows)
     for key, value in rows:
         print(f"{key:<{width}}  {value}")
     if args.csv:
         print("n,V,E,C,h")
-        print(f"{s.n},{s.V},{s.E},{s.C},{s.h:.15e}")
+        print(f"{mesh.n},{mesh.num_vertices},{mesh.num_edges},{mesh.num_cells},{mesh.h:.15e}")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
-    exact = example61(config.params)
-    sources = Sources(j=exact.j, f=exact.f, g=exact.g)
     mesh = build_unit_cube_mesh(config.mesh_n)
     observers = []
     if args.vtk_every is not None:
         observers.append(VtkObserver(config.out, mesh, every=args.vtk_every))
-    result = run(config, sources, exact, observers=observers, mesh=mesh)
-    errs = error_norms(result.state, exact, config.grid.T, mesh, config.quad_error)
+    row = exact_row(config, mesh, observers)
     print(
         f"scheme={config.scheme} n={config.mesh_n} tau={config.grid.tau:.6g} "
         f"T={config.grid.T:.6g} steps={config.grid.N}"
     )
-    for name, val in errs.as_dict().items():
+    for name, val in row.errors.items():
         print(f"err_{name} = {val:.6e}")
-    t = result.timings
+    t = row.timings
     print(
-        f"wall seconds: assemble={t.assemble:.3f} factorize={t.factorize:.3f} "
-        f"initial={t.initial:.3f} loop={t.loop:.3f} total={t.total:.3f}"
+        f"wall seconds: assemble={t['assemble']:.3f} factorize={t['factorize']:.3f} "
+        f"initial={t['initial']:.3f} loop={t['loop']:.3f} total={t['total']:.3f}"
     )
     return EXIT_OK
 

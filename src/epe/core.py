@@ -13,8 +13,6 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from epe.fem.quadrature import MAX_DEGREE
 
 
@@ -45,7 +43,7 @@ class H1Violated(ParameterError):
 
 
 class InvalidGrid(ValueError):
-    """Nonpositive final time or step count."""
+    """Nonpositive final time or step, or a step that does not divide the final time."""
 
 
 class ConfigError(ValueError):
@@ -119,18 +117,8 @@ class TimeGrid:
     tau: float
 
 
-def make_time_grid(T: float, N: int) -> TimeGrid:
-    """Build the grid t_n = n*tau, tau = T/N, with t_0 = 0 and t_N = T."""
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise InvalidGrid(f"step count must be an integer >= 1, got {N!r}")
-    T = float(T)
-    if not (math.isfinite(T) and T > 0.0):
-        raise InvalidGrid(f"final time must be positive, got {T!r}")
-    return TimeGrid(T=T, N=int(N), tau=T / N)
-
-
 def grid_for_step(T: float, tau: float) -> TimeGrid:
-    """The grid of [0, T] with step ``tau``, which must divide T into whole steps."""
+    """The grid t_n = n*T/N of [0, T] with step ``tau``, which must divide T into N whole steps."""
     T, tau = float(T), float(tau)
     if not tau > 0.0:
         raise InvalidGrid(f"tau must be positive, got {tau!r}")
@@ -139,7 +127,9 @@ def grid_for_step(T: float, tau: float) -> TimeGrid:
     N = max(1, round(T / tau))
     if abs(N * tau - T) > 1e-9 * max(1.0, T):
         raise InvalidGrid(f"tau={tau!r} does not divide T={T!r} into whole steps")
-    return make_time_grid(T, N)
+    if not T > 0.0:
+        raise InvalidGrid(f"final time must be positive, got {T!r}")
+    return TimeGrid(T=T, N=N, tau=T / N)
 
 
 SCHEMES = ("splitting", "monolithic")

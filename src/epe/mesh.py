@@ -172,34 +172,3 @@ def _boundary_edges(lattice: np.ndarray, edges: np.ndarray, n: int) -> np.ndarra
     a, b = lattice[edges[:, 0]], lattice[edges[:, 1]]
     on_common_wall = ((a == 0) & (b == 0)) | ((a == n) & (b == n))
     return np.any(on_common_wall, axis=1)
-
-
-@dataclass(frozen=True)
-class MeshStats:
-    n: int
-    V: int
-    E: int
-    C: int
-    h: float
-    boundary_vertices: int
-    boundary_edges: int
-    min_cell_volume: float
-    max_cell_volume: float
-    total_volume: float
-
-
-def mesh_stats(mesh: TetMesh) -> MeshStats:
-    """Entity counts, mesh size, boundary counts, and cell-volume range."""
-    _, vols = mesh.cell_geometry()
-    return MeshStats(
-        n=mesh.n,
-        V=mesh.num_vertices,
-        E=mesh.num_edges,
-        C=mesh.num_cells,
-        h=mesh.h,
-        boundary_vertices=int(mesh.boundary_vertex.sum()),
-        boundary_edges=int(mesh.boundary_edge.sum()),
-        min_cell_volume=float(vols.min()),
-        max_cell_volume=float(vols.max()),
-        total_volume=float(vols.sum()),
-    )

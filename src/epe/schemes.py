@@ -3,15 +3,15 @@
 Both schemes share one Discretization (assembled operators; coefficients
 are time-independent, so every matrix is built once per run and factorized
 once). W is the discrete curl (``curl_dof_operator``); the H mass M_H is
-diagonal and held as its diagonal m_H. A Discretization holds only what a
-time step reads: the full M_E, m_H, the curl on the free edges W_f (its
-columns of W), and the free-DOF blocks G_ff, B_ff, M_P_ff and K_P_ff; E, u
-and p vanish on the constrained DOFs, so the free columns and blocks
-suffice. G_ff, the pressure-gradient coupling, is the product of the free
-blocks of M_E and of the edge-vertex incidence D (``fem.assembly``); it is
-only applied, never factored, so the cancellation residues the product
-stores where the exact coupling is zero (about 1e-16 relative) change no
-factor.
+diagonal and held as its diagonal m_H. A Discretization holds what a time
+step reads: the full M_E, m_H, the curl on the free edges W_f (its columns
+of W), and the free-DOF blocks G_ff, B_ff and M_P_ff. It also holds the free
+block K_P_ff, which only the saddle factorization reads, at setup. E, u and
+p vanish on the constrained DOFs, so the free columns and blocks suffice.
+G_ff, the pressure-gradient coupling, is the product of the free blocks of
+M_E and of the edge-vertex incidence D (``fem.assembly``); it is only
+applied, never factored, so the cancellation residues the product stores
+where the exact coupling is zero (about 1e-16 relative) change no factor.
 What a factorization reads once (the elasticity block, the EM matrix) is
 assembled for it and dropped before its LDL^T starts; ``run()`` projects the
 initial state (with U and P masses of its own) before it factors. A scheme
@@ -126,11 +126,12 @@ class Sources:
 class Discretization:
     """Assembled operators for one mesh and parameter set (see the module docstring).
 
-    Holds the mesh's DOF ``layouts`` (built here) and the operators a time
-    step applies: M_E, the diagonal m_H of M_H, W_f, G_ff, B_ff, M_P_ff and
-    K_P_ff. A factorization's one-off blocks are assembled on request
-    (``form``), from the ``setup_tables`` that every assembly on this mesh
-    shares until ``order`` ends setup.
+    Holds the mesh's DOF ``layouts`` (built here), the operators a time step
+    applies (M_E, the diagonal m_H of M_H, W_f, G_ff, B_ff and M_P_ff) and
+    K_P_ff, which only the saddle factorization reads. A factorization's
+    other one-off blocks are assembled on request (``form``), from the
+    ``setup_tables`` that every assembly on this mesh shares until ``order``
+    ends setup.
     """
 
     def __init__(self, mesh: TetMesh, params: PhysicalParams):

@@ -43,10 +43,6 @@ CSV_HEADER = (
 )
 
 
-class IoError(OSError):
-    """Report files could not be written."""
-
-
 @dataclass
 class StudyRow:
     scheme: str
@@ -110,10 +106,11 @@ def _row(config: RunConfig, errors: ErrorNorms, timings: PhaseTimings) -> StudyR
     )
 
 
-def _exact_row(config: RunConfig, mesh) -> StudyRow:
-    """Run example 6.1 with ``config`` on ``mesh``; errors against the exact solution at T."""
+def exact_row(config: RunConfig, mesh, observers=()) -> StudyRow:
+    """Run example 6.1 with ``config`` on ``mesh``, calling ``observers`` as ``run`` does; errors
+    against the exact solution at T."""
     exact = example61(config.params)
-    result = run(config, Sources(j=exact.j, f=exact.f, g=exact.g), exact, mesh=mesh)
+    result = run(config, Sources(j=exact.j, f=exact.f, g=exact.g), exact, observers=observers, mesh=mesh)
     errs = error_norms(result.state, exact, config.grid.T, mesh, config.quad_error)
     return _row(config, errs, result.timings)
 
@@ -129,7 +126,7 @@ def spatial_convergence(n_values, config: RunConfig) -> StudyReport:
     rows = []
     for n in distinct([int(n) for n in n_values], "mesh size"):
         cfg = replace(config, mesh_n=n)
-        rows.append(_exact_row(cfg, build_unit_cube_mesh(n)))
+        rows.append(exact_row(cfg, build_unit_cube_mesh(n)))
     _attach_orders(rows, "h")
     return StudyReport(kind="spatial", rows=rows, x_field="h")
 
@@ -197,7 +194,7 @@ def benchmark(n_values, config: RunConfig) -> StudyReport:
     for n in distinct([int(n) for n in n_values], "mesh size"):
         mesh = build_unit_cube_mesh(n)
         configs = [replace(config, mesh_n=n, scheme=s) for s in SCHEMES]
-        solves = [[_exact_row(cfg, mesh) for cfg in configs] for _ in range(BENCH_SOLVES)]
+        solves = [[exact_row(cfg, mesh) for cfg in configs] for _ in range(BENCH_SOLVES)]
         for runs in zip(*solves):
             phases = {k: float(np.median([r.timings[k] for r in runs])) for k in TIMING_FIELDS[:-1]}
             rows.append(replace(runs[0], timings={**phases, "total": sum(phases.values())}))
@@ -264,11 +261,8 @@ def emit_report(report: StudyReport, out_dir, stem: str):
     if not report.rows:
         raise ValueError("cannot emit an empty report")
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        paths = {"csv": out / f"{stem}.csv", "md": out / f"{stem}.md"}
-        paths["csv"].write_text(report_csv(report))
-        paths["md"].write_text(report_markdown(report))
-    except OSError as exc:
-        raise IoError(f"cannot write report to {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"csv": out / f"{stem}.csv", "md": out / f"{stem}.md"}
+    paths["csv"].write_text(report_csv(report))
+    paths["md"].write_text(report_markdown(report))
     return paths

@@ -62,10 +62,7 @@ class VtkObserver:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.mesh = mesh
         self.every = every
-        self.written: list[Path] = []
 
     def __call__(self, n, t, state, energy, wall):
         if n % self.every == 0:
-            self.written.append(
-                write_vtk(self.out_dir / f"state_{n:05d}.vtk", self.mesh, state)
-            )
+            write_vtk(self.out_dir / f"state_{n:05d}.vtk", self.mesh, state)

@@ -3,7 +3,7 @@ import warnings
 import pytest
 
 import epe.studies
-from epe.cli import EXIT_OK, EXIT_VALIDATION, main
+from epe.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 TINY = ["--T", "0.01", "--tau", "0.005"]
 
@@ -41,6 +41,39 @@ def test_studies_print_the_table_they_write(argv, stem, tmp_path, capsys):
     assert {p.name for p in tmp_path.iterdir()} == {f"{stem}.csv", f"{stem}.md"}
     assert (tmp_path / f"{stem}.md").read_text() in out
     assert out.rstrip().splitlines()[-1].startswith(f"wrote {tmp_path / stem}.csv")
+
+
+def test_mesh_info_reports_the_n2_mesh(capsys):
+    code, out = run_cli(["mesh-info", "--n", "2", "--csv"], capsys)
+    assert code == EXIT_OK
+    rows = dict(line.rsplit("  ", 1) for line in out.splitlines()[:10])
+    assert {k.strip(): v for k, v in rows.items()} == {
+        "subdivisions n": "2",
+        "vertices": "27",
+        "edges": "98",
+        "cells": "48",
+        "mesh size h": "0.866025403784",
+        "boundary vertices": "26",
+        "boundary edges": "72",
+        "min cell volume": "0.0208333333333",
+        "max cell volume": "0.0208333333333",
+        "total volume": "1",
+    }
+    assert out.splitlines()[10:] == ["n,V,E,C,h", "2,27,98,48,8.660254037844386e-01"]
+
+
+def test_an_unwritable_report_directory_exits_with_the_io_code(tmp_path, capsys):
+    """A report directory under a regular file cannot be made: the study runs, then nothing is
+    written and the OS error, which names the path, is reported with exit code 3."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out_dir = blocker / "sub"
+    code = main(["convergence", "--n", "2"] + TINY + ["--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("epe: i/o error:") and str(out_dir) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("scheme,n", [("monolithic", 4), ("monolithic", 8), ("splitting", 8)])

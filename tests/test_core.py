@@ -14,7 +14,7 @@ from epe.core import (
     NonPositiveParameter,
     RunConfig,
     build_config,
-    make_time_grid,
+    grid_for_step,
     parse_config_file,
     validate_params,
 )
@@ -72,23 +72,24 @@ class TestValidateParams:
 
 class TestTimeGrid:
     def test_headline_grid(self):
-        g = make_time_grid(0.1, 40)
+        g = grid_for_step(0.1, 0.1 / 40)
         assert g.tau == 0.0025
         assert (g.T, g.N) == (0.1, 40)
 
     def test_single_step(self):
-        g = make_time_grid(1.0, 1)
-        assert g.tau == 1.0 and g.N == 1
+        g = grid_for_step(1.0, 1.0)
+        assert (g.T, g.N, g.tau) == (1.0, 1, 1.0)
 
     def test_zero_steps_rejected(self):
-        with pytest.raises(InvalidGrid):
-            make_time_grid(0.1, 0)
-        with pytest.raises(InvalidGrid):
-            make_time_grid(-1.0, 4)
+        # T = 0 is zero steps of any tau; a tau below the divisibility slack passes that check,
+        # so the final-time check is what refuses it
+        with pytest.raises(InvalidGrid, match="final time must be positive"):
+            grid_for_step(0.0, 1e-10)
 
     def test_uniform_spacing_to_rounding(self, config, disc2):
         # the time levels a run steps through: t_n = t_{n-1} + tau, ending at T
-        g = make_time_grid(0.3, 7)
+        g = grid_for_step(0.3, 0.3 / 7)
+        assert (g.T, g.N, g.tau) == (0.3, 7, 0.3 / 7)
         levels = []
         run(
             replace(config, mesh_n=2, grid=g), Sources(), None, disc=disc2,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import face_table
-from epe.mesh import LOCAL_EDGES, InvalidSubdivision, build_unit_cube_mesh, mesh_stats
+from epe.mesh import LOCAL_EDGES, InvalidSubdivision, build_unit_cube_mesh
 
 
 def number_edges_by_sort(cells):
@@ -62,17 +62,16 @@ class TestCounts:
         assert len(face_table(mesh)[0]) == F
 
     def test_n2_counts_and_volume(self, mesh2):
-        s = mesh_stats(mesh2)
-        assert (s.V, s.C) == (27, 48)
-        assert abs(s.total_volume - 1.0) <= 1e-12
-        np.testing.assert_allclose(s.min_cell_volume, 1 / 48)
-        np.testing.assert_allclose(s.max_cell_volume, 1 / 48)
+        _, vols = mesh2.cell_geometry()
+        assert (mesh2.num_vertices, mesh2.num_cells) == (27, 48)
+        assert abs(vols.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(vols, 1 / 48)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_euler_and_volume(self, n):
         mesh = build_unit_cube_mesh(n)
         assert euler_characteristic(mesh) == 1
-        assert abs(mesh_stats(mesh).total_volume - 1.0) <= 1e-12
+        assert abs(mesh.cell_geometry()[1].sum() - 1.0) <= 1e-12
 
     def test_rejects_bad_subdivision(self):
         with pytest.raises(InvalidSubdivision):
@@ -111,7 +110,6 @@ class TestGeometry:
         assert float(vols2.sum()) == pytest.approx(8.0, rel=1e-14)
         np.testing.assert_array_equal(vols2, 8.0 * vols)
         np.testing.assert_array_equal(g2, 0.5 * g)
-        assert mesh_stats(big).total_volume == pytest.approx(8.0, rel=1e-14)
 
     def test_positive_orientation(self, mesh3):
         verts = mesh3.vertices[mesh3.cells]

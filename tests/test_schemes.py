@@ -25,7 +25,7 @@ from conftest import (
     saddle_blocks,
     zero_state,
 )
-from epe.core import PARAM_NAMES, make_time_grid, validate_params
+from epe.core import PARAM_NAMES, grid_for_step, validate_params
 from epe.fem.assembly import assemble_load, curl_dof_operator, gradient_operator
 from epe.fem.dofs import make_layouts, reduce_matrix
 from epe.linalg import LuSolver, MultifrontalLdl, NotConverged, SaddleSolver
@@ -339,7 +339,7 @@ class TestBhOperator:
 
 
 def small_config(config, n, T, N, **changes):
-    return replace(config, mesh_n=n, grid=make_time_grid(T, N), **changes)
+    return replace(config, mesh_n=n, grid=grid_for_step(T, T / N), **changes)
 
 
 class TestSplittingStep:
@@ -476,7 +476,7 @@ class TestMonolithic:
         values = {name: getattr(config.params, name) for name in PARAM_NAMES}
         values["L"] = 0.999 * np.sqrt(values["sigma"] * values["kappa"])
         disc = Discretization(mesh3, validate_params(**values))
-        scheme = MonolithicScheme(disc, Sources(), replace(config, grid=make_time_grid(tau, 1)))
+        scheme = MonolithicScheme(disc, Sources(), replace(config, grid=grid_for_step(tau, tau)))
         rng = np.random.default_rng(42)
         for solver in (scheme._em, scheme._saddle):
             _, report = solver.solve(rng.standard_normal(solver.lower.shape[0]))
