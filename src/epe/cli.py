@@ -181,7 +181,13 @@ def _cmd_run(args) -> int:
 
 def _emit(report, out_dir, stem: str, notes=()) -> int:
     """Write the report files, print the markdown table and ``notes``, then what was written."""
-    paths = emit_report(report, out_dir, stem)
+    try:
+        paths = emit_report(report, out_dir, stem)
+    except OSError as exc:
+        # a failed write or close (ENOSPC, EIO) names no file; name the report directory
+        if exc.filename is None:
+            exc.filename = str(out_dir)
+        raise
     sys.stdout.write(report_markdown(report))
     for line in notes:
         print(line)

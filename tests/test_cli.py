@@ -1,3 +1,6 @@
+import errno
+import os
+import pathlib
 import warnings
 
 import pytest
@@ -74,6 +77,21 @@ def test_an_unwritable_report_directory_exits_with_the_io_code(tmp_path, capsys)
     assert err.startswith("epe: i/o error:") and str(out_dir) in err
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
     assert blocker.read_text() == "kept\n"
+
+
+def test_a_failed_report_write_names_the_report_directory(tmp_path, capsys, monkeypatch):
+    """A write that fails (here a full disk) raises an OSError with no file name; the message
+    still says which report directory could not be written."""
+
+    def full_disk(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(pathlib.Path, "write_text", full_disk)
+    code = main(["convergence", "--n", "2"] + TINY + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("epe: i/o error:") and os.strerror(errno.ENOSPC) in err
+    assert str(tmp_path) in err
 
 
 @pytest.mark.parametrize("scheme,n", [("monolithic", 4), ("monolithic", 8), ("splitting", 8)])

@@ -86,6 +86,13 @@ class TestTimeGrid:
         with pytest.raises(InvalidGrid, match="final time must be positive"):
             grid_for_step(0.0, 1e-10)
 
+    def test_negative_final_time_rejected(self):
+        with pytest.raises(InvalidGrid, match="does not divide"):
+            grid_for_step(-1.0, 0.25)
+        # |T| below the divisibility slack passes that check and reaches the final-time check
+        with pytest.raises(InvalidGrid, match="final time must be positive"):
+            grid_for_step(-1e-10, 1e-10)
+
     def test_uniform_spacing_to_rounding(self, config, disc2):
         # the time levels a run steps through: t_n = t_{n-1} + tau, ending at T
         g = grid_for_step(0.3, 0.3 / 7)
