@@ -160,6 +160,8 @@ def _cmd_mesh_info(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
+    if args.out is not None and args.vtk_every is None:
+        raise ValueError("epe run writes only VTK snapshots: --out needs --vtk-every")
     mesh = build_unit_cube_mesh(config.mesh_n)
     observers = []
     if args.vtk_every is not None:

@@ -48,11 +48,17 @@ float64 (Buttari et al., ACM TOMS 34(4), 2008; Carson-Higham, SISC 40(2),
 ``LuSolver`` factors T again in float64 and keeps that factor; a solve that
 still misses raises ``NotConverged`` with the true residual. The size rule
 follows the measured costs (one BLAS thread): a small factor's sweep is
-call-bound (0.2-0.7 ms at n = 8 in either dtype), so the refinement sweep a
-float32 factor needs would double its solve, while a large one is
-byte-bound (the n = 16 saddle's float32 sweep takes 4.8 ms against 8.0 ms,
-46 against 55 ms at n = 24) and its bytes halve: 24.8 instead of 49.6 MB
-for the n = 16 saddle (``BENCH_mixed_precision.json``).
+call-bound (0.2-0.7 ms at n = 8 in either dtype), so a float32 factor would
+gain nothing there, while a large one is byte-bound (the n = 16 saddle's
+float32 sweep takes 4.8 ms against 8.0 ms, 46 against 55 ms at n = 24) and
+its bytes halve: 24.8 instead of 49.6 MB for the n = 16 saddle
+(``BENCH_mixed_precision.json``). A solve may be given a ``start``, an
+estimate of the solution: a float32 factor then sweeps for the correction
+b - K start, which from the schemes' starts meets the tolerance in one sweep
+where a cold solve needs two (``BENCH_warm_start.json``). Refinement
+converges from any start (Moler, J. ACM 14(2), 1967), so a start changes how
+many sweeps a solve takes, never whether it meets ``tol``; a float64 factor
+ignores it.
 Iterative SPD solves run a Jacobi-preconditioned CG: ``SpdSolver(A, tol).solve(b)``.
 """
 
@@ -522,33 +528,41 @@ class LuSolver:
         r += self._diag * y
         return r
 
-    def solve(self, rhs: np.ndarray):
+    def solve(self, rhs: np.ndarray, start: np.ndarray | None = None):
         """K^{-1} rhs and its report; raises if the true residual is above ``tol``.
 
-        The residual is that of K's lower triangle mirrored, in the factor's numbering. A
-        first solve that misses ``tol`` is refined with the same factors while its residual
-        falls, for at most ``REFINE_SWEEPS`` sweeps: the report's iterations. If a float32
-        factor leaves the residual above ``tol``, T is factored again in float64, which the
-        solver keeps, and the solve starts over on it.
+        The residual is that of K's lower triangle mirrored, in the factor's numbering. The
+        first sweep solves for rhs, or, given ``start`` (an estimate of the solution in K's
+        numbering) and a float32 factor, for the correction y = start + solve(rhs - K start);
+        a float64 factor ignores ``start``. A first sweep that misses ``tol`` is refined with
+        the same factors while its residual falls, for at most ``REFINE_SWEEPS`` sweeps: the
+        report's iterations, which do not count the first sweep. If a float32 factor leaves
+        the residual above ``tol``, T is factored again in float64, which the solver keeps,
+        and the solve starts over on it, cold.
         """
-        start = time.perf_counter()
+        t0 = time.perf_counter()
         rhs = np.asarray(rhs, dtype=float)
         _check_square(self.lower, rhs)
         b = rhs[self.order]
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
-            return np.zeros(b.size), LinearSolveReport(0, 0.0, time.perf_counter() - start)
-        y, sweeps, residual = self._refined(b, bnorm)
+            return np.zeros(b.size), LinearSolveReport(0, 0.0, time.perf_counter() - t0)
+        if start is not None:
+            start = np.asarray(start, dtype=float)
+            _check_square(self.lower, start)
+        warm = start is not None and self.lu.dtype != np.float64
+        y, sweeps, residual = self._refined(b, bnorm, start[self.order] if warm else None)
         if residual > self.tol and self.lu.dtype != np.float64:
             y, sweeps, residual = self.factor(np.float64)._refined(b, bnorm)
         if residual > self.tol:
             raise NotConverged("direct solve residual above tolerance", sweeps, residual)
-        return y[self.rank], LinearSolveReport(sweeps, residual, time.perf_counter() - start)
+        return y[self.rank], LinearSolveReport(sweeps, residual, time.perf_counter() - t0)
 
-    def _refined(self, b: np.ndarray, bnorm: float):
-        """(y, sweeps, residual): a solve of the factor, refined while its residual is above
-        ``tol`` and falls, for at most ``REFINE_SWEEPS`` sweeps."""
-        y, sweeps = self.lu.solve(b), 0
+    def _refined(self, b: np.ndarray, bnorm: float, y0: np.ndarray | None = None):
+        """(y, sweeps, residual): a sweep from ``y0`` (cold without it), refined while its
+        residual is above ``tol`` and falls, for at most ``REFINE_SWEEPS`` sweeps."""
+        y = self.lu.solve(b) if y0 is None else y0 + self.lu.solve(self._residual(b, y0))
+        sweeps = 0
         r = self._residual(b, y)
         residual = float(np.linalg.norm(r) / bnorm)
         while residual > self.tol and sweeps < REFINE_SWEEPS:

@@ -79,6 +79,18 @@ def test_an_unwritable_report_directory_exits_with_the_io_code(tmp_path, capsys)
     assert blocker.read_text() == "kept\n"
 
 
+def test_run_out_without_vtk_every_is_refused(tmp_path, capsys):
+    """``epe run`` writes only VTK snapshots, so ``--out`` alone would write nothing: it exits 1
+    with a message, before any solve, and makes no directory."""
+    out_dir = tmp_path / "run"
+    code = main(["run", "--n", "2"] + TINY + ["--out", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert "epe: validation error: epe run writes only VTK snapshots: --out needs --vtk-every" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists() and not list(tmp_path.iterdir())
+
+
 def test_a_failed_report_write_names_the_report_directory(tmp_path, capsys, monkeypatch):
     """A write that fails (here a full disk) raises an OSError with no file name; the message
     still says which report directory could not be written."""

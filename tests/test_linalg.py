@@ -317,6 +317,24 @@ class TestLuSolver:
         assert abs(rep.relative_residual - true) <= residual_rounding(K, x, b)
 
 
+def count_sweeps(monkeypatch):
+    """Spy on ``MultifrontalLdl.solve``: the returned list gains, per ``LuSolver.solve`` call,
+    the sweeps that call made."""
+    sweeps, sweep, solve = [], MultifrontalLdl.solve, LuSolver.solve
+
+    def counting(lu, b):
+        sweeps[-1] += 1
+        return sweep(lu, b)
+
+    def recording(solver, rhs, start=None):
+        sweeps.append(0)
+        return solve(solver, rhs, start)
+
+    monkeypatch.setattr(MultifrontalLdl, "solve", counting)
+    monkeypatch.setattr(LuSolver, "solve", recording)
+    return sweeps
+
+
 def residual_rounding(K, x, b):
     """How far rounding and K's asymmetry may move ||b - K x|| / ||b|| when K x is summed in
     another order from K's lower triangle mirrored: 2 m eps |K| |x| (m the most entries of a
@@ -782,6 +800,59 @@ class TestFloat32Factor:
         true = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
         assert abs(info.value.residual - true) <= residual_rounding(K, x, b)
 
+    def test_a_start_near_the_solution_takes_one_sweep(self, float32_factors, monkeypatch):
+        """From a start within 1e-4 of the solution, one sweep for the correction meets a tol
+        that the cold solve meets only after a refinement sweep."""
+        rng = np.random.default_rng(35)
+        K, _ = random_sqd(rng)
+        x = rng.standard_normal(K.shape[0])
+        b = K @ x
+        solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0])), tol=1e-11).factor()
+        sweeps = count_sweeps(monkeypatch)
+        _, rep = solver.solve(b)
+        assert solver.lu.dtype == np.float32 and sweeps == [2] and rep.iterations == 1
+        y, rep = solver.solve(b, x * (1.0 + 1e-4 * rng.standard_normal(x.size)))
+        assert sweeps == [2, 1] and rep.iterations == 0 and rep.relative_residual <= 1e-11
+        true = np.linalg.norm(b - K @ y) / np.linalg.norm(b)
+        assert abs(rep.relative_residual - true) <= residual_rounding(K, y, b)
+
+    @pytest.mark.parametrize("poor", ["zeros", "scaled"])
+    @pytest.mark.parametrize("ill_conditioned", [False, True])
+    def test_a_poor_start_still_ends_within_tol(self, poor, ill_conditioned, float32_factors, monkeypatch):
+        """A start of zeros, or the solution times 1e3, is refined to tol with the float32 factor;
+        where that refinement stalls (the matrix of the float64 fallback test), the float64
+        refactor meets it. No start returns above tol."""
+        rng = np.random.default_rng(1 if ill_conditioned else 36)
+        K = ill_conditioned_sqd(rng) if ill_conditioned else random_sqd(rng)[0]
+        solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0])), tol=1e-9).factor()
+        x = rng.standard_normal(K.shape[0])
+        b = K @ x
+        sweeps = count_sweeps(monkeypatch)
+        y, rep = solver.solve(b, np.zeros(x.size) if poor == "zeros" else 1e3 * x)
+        assert rep.relative_residual <= 1e-9
+        if ill_conditioned:
+            assert solver.lu.dtype == np.float64 and sweeps[0] > rep.iterations + 1
+        else:
+            assert solver.lu.dtype == np.float32 and sweeps == [rep.iterations + 1]
+            assert rep.iterations >= 1
+        true = np.linalg.norm(b - K @ y) / np.linalg.norm(b)
+        assert abs(rep.relative_residual - true) <= residual_rounding(K, y, b)
+
+    def test_a_float64_factor_ignores_the_start(self):
+        """On a float64 factor, ``solve(b, start)`` returns the bytes of ``solve(b)``; a start of
+        the wrong shape is refused all the same."""
+        rng = np.random.default_rng(37)
+        K, _ = random_sqd(rng)
+        solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0])), tol=1e-13).factor()
+        b = rng.standard_normal(K.shape[0])
+        x, rep = solver.solve(b)
+        for start in (np.zeros(b.size), 1e3 * x, x + 1e-3):
+            y, rep_start = solver.solve(b, start)
+            assert solver.lu.dtype == np.float64 and y.tobytes() == x.tobytes()
+            assert (rep_start.iterations, rep_start.relative_residual) == (rep.iterations, rep.relative_residual)
+        with pytest.raises(DimensionMismatch):
+            solver.solve(b, np.zeros(b.size + 1))
+
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_n4_runs_with_float32_factors_match_the_float64_run(self, scheme, monkeypatch):
         """Every direct solve of an n = 4 run (the saddle's, and the monolithic EM matrix's) with
@@ -794,8 +865,8 @@ class TestFloat32Factor:
         monkeypatch.setattr(epe.linalg, "FLOAT32_ENTRIES", 0)
         solves, original = [], LuSolver.solve
 
-        def recording(solver, rhs):
-            x, rep = original(solver, rhs)
+        def recording(solver, rhs, start=None):
+            x, rep = original(solver, rhs, start)
             T = solver.lower
             K = (T + T.T - sp.diags(T.diagonal())).tocsr()
             b, y = rhs[solver.order], x[solver.order]

@@ -32,6 +32,7 @@ from epe.linalg import LuSolver, MultifrontalLdl, NotConverged, SaddleSolver
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import ERROR_BLOCK_CELLS, error_norms, example61
 from epe.schemes import (
+    START_SOLUTIONS,
     Discretization,
     MonolithicScheme,
     Sources,
@@ -924,8 +925,8 @@ class TestAdmissibleLimits:
         refinement brings within it."""
         reports = []
 
-        def recording(solver, rhs):
-            x, report = solve(solver, rhs)
+        def recording(solver, rhs, start=None):
+            x, report = solve(solver, rhs, start)
             reports.append(report)
             return x, report
 
@@ -1068,6 +1069,54 @@ class TestSourceLoads:
                 observers=[lambda *_: in_loop.append(True)])
             assert sum(calls) == per_step * cfg.grid.N
         assert disc.setup_tables == {} and probe.alive() == []
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
+    def test_started_solves_take_one_sweep_on_float32_factors(self, scheme, config, sources, exact,
+                                                              mesh4, monkeypatch):
+        """With every factor in float32, each direct solve after the first ``START_SOLUTIONS``
+        steps starts from a combination of its earlier solutions and meets ``saddle_tol`` in one
+        sweep, where a cold solve takes two. The final state lies within 1e-9 relative of the
+        same run with every start dropped."""
+        monkeypatch.setattr(epe.linalg, "FLOAT32_ENTRIES", 0)
+        cfg = small_config(config, 4, 0.025, 10, scheme=scheme)
+        sweeps, solves, step = [0], [], [0]
+        lu_solve, solve = MultifrontalLdl.solve, LuSolver.solve
+
+        def counting(lu, b):
+            sweeps[0] += 1
+            return lu_solve(lu, b)
+
+        def recording(solver, rhs, start=None):
+            before = sweeps[0]
+            x, rep = solve(solver, rhs, start)
+            solves.append((step[0], start is not None, sweeps[0] - before, rep))
+            return x, rep
+
+        def cold(solver, rhs, start=None):
+            return recording(solver, rhs)
+
+        monkeypatch.setattr(MultifrontalLdl, "solve", counting)
+        states = {}
+        for name, wrapper in (("cold", cold), ("started", recording)):
+            solves.clear()
+            monkeypatch.setattr(LuSolver, "solve", wrapper)
+            monkeypatch.setattr(SaddleSolver, "solve", wrapper)
+            states[name] = run(cfg, sources, exact, mesh=mesh4,
+                               observers=[lambda n, *_: step.__setitem__(0, n + 1)]).state
+            assert len(solves) == FACTORS[scheme] * cfg.grid.N
+            assert all(rep.relative_residual <= cfg.saddle_tol for *_, rep in solves)
+            assert all(rep.iterations == count - 1 for *_, count, rep in solves)
+            if name == "cold":
+                assert all(count == 2 for *_, count, _ in solves)
+        assert [started for _, started, *_ in solves] == [n > START_SOLUTIONS for n, *_ in solves]
+        assert [count for _, started, count, _ in solves if started] == [1] * (
+            FACTORS[scheme] * (cfg.grid.N - START_SOLUTIONS)
+        )
+        for field in ("E", "H", "u", "p"):
+            got, want = getattr(states["started"], field), getattr(states["cold"], field)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), field
 
 
 class TestRun:
