@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mesh-info", parents=[], help="print mesh statistics")
     _add_common(p)
     p.add_argument("--n", type=int, default=None, help="subdivisions per cube edge")
-    p.add_argument("--csv", action="store_true", help="also print one CSV row (n,V,E,C,h)")
+    p.add_argument("--csv", action="store_true", help="also print one CSV row (n,V,E,C,diameter)")
 
     p = sub.add_parser("run", help="single simulation with the built-in manufactured data")
     _add_common(p)
@@ -142,7 +142,7 @@ def _cmd_mesh_info(args) -> int:
         ("vertices", mesh.num_vertices),
         ("edges", mesh.num_edges),
         ("cells", mesh.num_cells),
-        ("mesh size h", f"{mesh.h:.12g}"),
+        ("max cell diameter", f"{mesh.h:.12g}"),
         ("boundary vertices", int(mesh.boundary_vertex.sum())),
         ("boundary edges", int(mesh.boundary_edge.sum())),
         ("min cell volume", f"{vols.min():.12g}"),
@@ -153,7 +153,7 @@ def _cmd_mesh_info(args) -> int:
     for key, value in rows:
         print(f"{key:<{width}}  {value}")
     if args.csv:
-        print("n,V,E,C,h")
+        print("n,V,E,C,diameter")
         print(f"{mesh.n},{mesh.num_vertices},{mesh.num_edges},{mesh.num_cells},{mesh.h:.15e}")
     return EXIT_OK
 

@@ -122,13 +122,13 @@ def grid_for_step(T: float, tau: float) -> TimeGrid:
     T, tau = float(T), float(tau)
     if not tau > 0.0:
         raise InvalidGrid(f"tau must be positive, got {tau!r}")
+    if not T > 0.0:
+        raise InvalidGrid(f"final time must be positive, got {T!r}")
     if not math.isfinite(T / tau):
         raise InvalidGrid(f"T / tau must be a finite number of steps, got T={T!r}, tau={tau!r}")
     N = max(1, round(T / tau))
     if abs(N * tau - T) > 1e-9 * max(1.0, T):
         raise InvalidGrid(f"tau={tau!r} does not divide T={T!r} into whole steps")
-    if not T > 0.0:
-        raise InvalidGrid(f"final time must be positive, got {T!r}")
     return TimeGrid(T=T, N=N, tau=T / N)
 
 
@@ -187,9 +187,9 @@ CONFIG_KEYS = frozenset(DEFAULT_OPTIONS)
 def parse_config_file(path: str | Path) -> dict:
     """Parse a line-oriented ``key = value`` file with ``#`` comments.
 
-    Returns a dict of typed values; unknown keys raise ConfigError.
+    Returns a dict of typed values; unknown and repeated keys raise ConfigError.
     """
-    values: dict = {}
+    values, lines = {}, {}
     text = Path(path).read_text()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -201,7 +201,9 @@ def parse_config_file(path: str | Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, value, where=f"{path}:{lineno}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = _coerce(key, value, where=f"{path}:{lineno}"), lineno
     return values
 
 

@@ -3,8 +3,9 @@
 Every solve recomputes its true relative residual from the returned vector
 and reports it; a solve that cannot meet its tolerance raises instead of
 returning silently wrong results. All paths are deterministic: identical
-inputs produce identical outputs (no randomized pivoting, fixed iteration
-order), so two factorizations of one matrix give bit-identical solves.
+sequences of solves produce identical outputs (no randomized pivoting,
+fixed iteration order), so two factorizations of one matrix given the same
+right-hand sides in the same order give bit-identical solutions.
 
 Every direct solve is one quasi-definite LDL^T. ``LuSolver`` owns the
 numbering: it sorts each block of unknowns by diagonal sign, checks that K
@@ -52,13 +53,19 @@ call-bound (0.2-0.7 ms at n = 8 in either dtype), so a float32 factor would
 gain nothing there, while a large one is byte-bound (the n = 16 saddle's
 float32 sweep takes 4.8 ms against 8.0 ms, 46 against 55 ms at n = 24) and
 its bytes halve: 24.8 instead of 49.6 MB for the n = 16 saddle
-(``BENCH_mixed_precision.json``). A solve may be given a ``start``, an
-estimate of the solution: a float32 factor then sweeps for the correction
-b - K start, which from the schemes' starts meets the tolerance in one sweep
-where a cold solve needs two (``BENCH_warm_start.json``). Refinement
-converges from any start (Moler, J. ACM 14(2), 1967), so a start changes how
-many sweeps a solve takes, never whether it meets ``tol``; a float64 factor
-ignores it.
+(``BENCH_mixed_precision.json``). A solver whose factor is float32 keeps
+its last ``START_SOLUTIONS`` solutions X and right-hand sides B = K X (to the
+tolerance) in the factor's numbering, and once it holds that many, a solve
+of b starts from X c, c the least-squares solution of B c = b: a projection
+onto earlier solutions (Fischer, CMAME 163, 1998) in the residual norm, as
+K may be indefinite; the first sweep solves for the correction. From
+the schemes' time steps this meets the tolerance in one sweep where a cold
+solve needs two (``BENCH_warm_start.json``): the span holds the
+extrapolation 2 x_{n-1} - x_{n-2} and follows modes that decay
+geometrically. Refinement converges from any start (Moler, J. ACM 14(2),
+1967), so a start changes how many sweeps a solve takes, never whether it
+meets ``tol``. A float64 factor, the refactor after a stall included,
+keeps no solutions and solves cold.
 Iterative SPD solves run a Jacobi-preconditioned CG: ``SpdSolver(A, tol).solve(b)``.
 """
 
@@ -102,6 +109,9 @@ REFINE_SWEEPS = 3
 
 #: An LDL^T of more entries than this (32 MiB as float64) stores them in float32 (module doc).
 FLOAT32_ENTRIES = 2**22
+
+#: A solve on a float32 factor starts from a combination of this many earlier solutions (module doc).
+START_SOLUTIONS = 4
 
 
 @dataclass(frozen=True)
@@ -489,7 +499,10 @@ class LuSolver:
     size); a symmetric K that is not quasi-definite raises SingularSystem
     there. A caller that drops K between the two holds T alone while the
     factor is built. ``solve`` takes one right-hand side in K's numbering: a
-    block system's caller stacks it and splits the solution.
+    block system's caller stacks it and splits the solution. A float32
+    factor comes with ``kept``, the (2, n, ``START_SOLUTIONS``) store of the
+    solver's latest solutions and right-hand sides that a solve starts from
+    (module docstring); any other factor has ``kept`` None.
     """
 
     def __init__(self, K: sp.spmatrix, order, tol: float = 1e-9):
@@ -511,14 +524,16 @@ class LuSolver:
         self._starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self._diag = diag[perm]
         self.lower = sp.tril(K[perm][:, perm], format="csc")
-        self.lu: MultifrontalLdl | None = None
+        self.lu = self.kept = None  # set by ``factor``
 
     def factor(self, dtype=None) -> "LuSolver":
         """Build the LDL^T of T (``lu``), stored in ``dtype`` (by default by ``FLOAT32_ENTRIES``),
         and return the solver."""
-        self.lu = None  # a factor built again frees the old one first
+        self.lu = self.kept = None  # a factor built again frees the old one first
         self.lu = MultifrontalLdl(self.lower, self._starts, dtype)
         self._upper = self.lower.T  # T^T in CSR: a view of T's arrays, built once for the solves
+        if self.lu.dtype != np.float64:
+            self.kept, self._solves = np.zeros((2, self.lower.shape[0], START_SOLUTIONS)), 0
         return self
 
     def _residual(self, b: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -528,17 +543,17 @@ class LuSolver:
         r += self._diag * y
         return r
 
-    def solve(self, rhs: np.ndarray, start: np.ndarray | None = None):
+    def solve(self, rhs: np.ndarray):
         """K^{-1} rhs and its report; raises if the true residual is above ``tol``.
 
         The residual is that of K's lower triangle mirrored, in the factor's numbering. The
-        first sweep solves for rhs, or, given ``start`` (an estimate of the solution in K's
-        numbering) and a float32 factor, for the correction y = start + solve(rhs - K start);
-        a float64 factor ignores ``start``. A first sweep that misses ``tol`` is refined with
-        the same factors while its residual falls, for at most ``REFINE_SWEEPS`` sweeps: the
-        report's iterations, which do not count the first sweep. If a float32 factor leaves
-        the residual above ``tol``, T is factored again in float64, which the solver keeps,
-        and the solve starts over on it, cold.
+        first sweep solves for rhs, or, once a float32 factor's ``kept`` is full, for the
+        correction to the start X c (module docstring). A first sweep that misses ``tol`` is
+        refined with the same factors while its residual falls, for at most ``REFINE_SWEEPS``
+        sweeps: the report's iterations, which do not count the first sweep. If a float32
+        factor leaves the residual above ``tol``, T is factored again in float64, which the
+        solver keeps, and the solve starts over on it, cold. Each nonzero rhs and its solution
+        replace the oldest pair in ``kept``; the projection does not depend on their order.
         """
         t0 = time.perf_counter()
         rhs = np.asarray(rhs, dtype=float)
@@ -547,15 +562,18 @@ class LuSolver:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(b.size), LinearSolveReport(0, 0.0, time.perf_counter() - t0)
-        if start is not None:
-            start = np.asarray(start, dtype=float)
-            _check_square(self.lower, start)
-        warm = start is not None and self.lu.dtype != np.float64
-        y, sweeps, residual = self._refined(b, bnorm, start[self.order] if warm else None)
+        start = None
+        if self.kept is not None and self._solves >= START_SOLUTIONS:
+            X, B = self.kept
+            start = X @ np.linalg.lstsq(B, b, rcond=None)[0]
+        y, sweeps, residual = self._refined(b, bnorm, start)
         if residual > self.tol and self.lu.dtype != np.float64:
             y, sweeps, residual = self.factor(np.float64)._refined(b, bnorm)
         if residual > self.tol:
             raise NotConverged("direct solve residual above tolerance", sweeps, residual)
+        if self.kept is not None:
+            self.kept[:, :, self._solves % START_SOLUTIONS] = y, b
+            self._solves += 1
         return y[self.rank], LinearSolveReport(sweeps, residual, time.perf_counter() - t0)
 
     def _refined(self, b: np.ndarray, bnorm: float, y0: np.ndarray | None = None):

@@ -65,25 +65,11 @@ its solution; ``linalg`` only factors and solves K x = b. The saddle
 negates its p rows: the factor pivots on each front's positive-diagonal
 unknowns first, and in the low-storage, low-permeability limit the pressure
 block is nearly zero, so the fronts pivot on the elasticity block
-(Vanderbei, SIAM J. Optim. 5(1), 1995). ``linalg`` stores a factor of more
-than ``linalg.FLOAT32_ENTRIES`` entries in float32: the saddle from n = 16
-(6,198,422 entries there) and the monolithic EM matrix from n = 16
-(6,445,784); every n <= 12 factor stays float64. Each solve refines in
-float64 against T, the lower triangle of K, and reports that float64
-residual. A float32 factor whose refinement stalls above ``saddle_tol`` is
-replaced by a float64 one (see ``linalg``).
-
-The scheme owns the time history of its direct solves: the last
-``START_SOLUTIONS`` solutions X and right-hand sides B (B = K X to the solve
-tolerance). A solve on a float32 factor starts from X c, c the least-squares
-solution of B c = b: a projection onto earlier solutions (Fischer, CMAME
-163, 1998) in the residual norm, as the saddle is indefinite. Its span holds
-the extrapolation 2 x_{n-1} - x_{n-2}, and it also follows the modes that
-decay geometrically from the projected initial state, which the
-extrapolation misses; from it every measured first sweep meets
-``saddle_tol`` (``BENCH_warm_start.json``). The monolithic EM
-solutions y are not in the State, so that scheme keeps them too. No start is
-formed for a float64 factor, so every n <= 12 step is the cold one.
+(Vanderbei, SIAM J. Optim. 5(1), 1995). A large factor is stored in
+float32, every solve refines in float64 against T, the lower triangle of
+K, and a solve on a float32 factor starts from the solver's own earlier
+solutions: ``linalg``'s module docstring gives the sizes, the fallback and
+the start, and the schemes call ``solve`` as on any factor.
 
 Time-separable sources (``mms.SeparableSource``) have their spatial load
 vectors assembled once, when a scheme is built; a step then combines them
@@ -104,10 +90,6 @@ from epe.fem.assembly import assemble_load, assemble_matrix, curl_dof_operator, 
 from epe.fem.dofs import free_dof_points, make_layouts, reduce_matrix
 from epe.linalg import LuSolver, SaddleSolver, SpdSolver, nested_dissection
 from epe.mesh import TetMesh, build_unit_cube_mesh
-
-
-#: A direct solve on a float32 factor starts from a combination of this many earlier solutions.
-START_SOLUTIONS = 4
 
 
 @dataclass(frozen=True)
@@ -244,7 +226,6 @@ class BackwardEuler:
         # a view of W_f (no copy) and the diagonal of tau M_H, for the history's curl term
         self._curl_T, self._tau_m_H = disc.W_f.T, tau * disc.m_H
         self._nu = disc.layouts.U.num_free
-        self._saddle_solutions: list = []
 
     def _saddle_solver(self, kappa: float, tol: float) -> SaddleSolver:
         """The factored Biot saddle [[A_el, -B^T], [-B, -C]], C = c0 M_P + tau kappa K_P.
@@ -263,7 +244,7 @@ class BackwardEuler:
     def _biot(self, f_u: np.ndarray, f_p: np.ndarray, E_free: np.ndarray) -> list[np.ndarray]:
         """The free (u, p) of the Biot step driven by E_free: f_p gains tau L G^T E_free in place."""
         f_p += self.tau * self.disc.params.L * (self.disc.G_ff.T @ E_free)
-        x = _warm_solve(self._saddle, np.concatenate([f_u, -f_p]), self._saddle_solutions)
+        x, _ = self._saddle.solve(np.concatenate([f_u, -f_p]))
         return np.split(x, [self._nu])
 
     def history(self, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,19 +278,6 @@ class BackwardEuler:
             n=state.n + 1,
             t=state.t + self.tau,
         )
-
-
-def _warm_solve(solver: LuSolver, rhs: np.ndarray, history: list) -> np.ndarray:
-    """``solver``'s solution of ``rhs``, started from the projection onto the solutions in
-    ``history`` (module doc): (solution, right-hand side) pairs, oldest first, to which the new
-    pair is added, keeping ``START_SOLUTIONS``. Cold until it is full, and on a float64 factor."""
-    start = None
-    if len(history) == START_SOLUTIONS and solver.lu.dtype != np.float64:
-        X, B = (np.column_stack(vectors) for vectors in zip(*history))
-        start = X @ np.linalg.lstsq(B, rhs, rcond=None)[0]
-    x, _ = solver.solve(rhs, start)
-    history[:] = history[1 - START_SOLUTIONS :] + [(x, rhs)]
-    return x
 
 
 class SplittingScheme(BackwardEuler):
@@ -367,11 +335,10 @@ class MonolithicScheme(BackwardEuler):
         self._em = LuSolver(disc.em_matrix(self.tau), disc.order("E"), tol=config.saddle_tol).factor()
         self._lift = reduce_matrix(gradient_operator(disc.mesh), L.E, L.P)
         self._lift.data *= scale * p.L
-        self._em_solutions: list = []
 
     def step(self, state: State) -> State:
         rhs_E, f_u, f_p = self.history(state)
-        y = _warm_solve(self._em, rhs_E, self._em_solutions)
+        y, _ = self._em.solve(rhs_E)
         u_free, p_free = self._biot(f_u, f_p, y)
         return self.advance(state, y + self._lift @ p_free, u_free, p_free)
 

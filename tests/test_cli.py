@@ -55,14 +55,14 @@ def test_mesh_info_reports_the_n2_mesh(capsys):
         "vertices": "27",
         "edges": "98",
         "cells": "48",
-        "mesh size h": "0.866025403784",
+        "max cell diameter": "0.866025403784",
         "boundary vertices": "26",
         "boundary edges": "72",
         "min cell volume": "0.0208333333333",
         "max cell volume": "0.0208333333333",
         "total volume": "1",
     }
-    assert out.splitlines()[10:] == ["n,V,E,C,h", "2,27,98,48,8.660254037844386e-01"]
+    assert out.splitlines()[10:] == ["n,V,E,C,diameter", "2,27,98,48,8.660254037844386e-01"]
 
 
 def test_an_unwritable_report_directory_exits_with_the_io_code(tmp_path, capsys):

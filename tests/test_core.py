@@ -87,11 +87,10 @@ class TestTimeGrid:
             grid_for_step(0.0, 1e-10)
 
     def test_negative_final_time_rejected(self):
-        with pytest.raises(InvalidGrid, match="does not divide"):
-            grid_for_step(-1.0, 0.25)
-        # |T| below the divisibility slack passes that check and reaches the final-time check
-        with pytest.raises(InvalidGrid, match="final time must be positive"):
-            grid_for_step(-1e-10, 1e-10)
+        """A negative final time is refused as such, whether or not tau divides it."""
+        for T, tau in ((-1.0, 0.25), (-1.0, 0.3), (-1e-10, 1e-10)):
+            with pytest.raises(InvalidGrid, match="final time must be positive"):
+                grid_for_step(T, tau)
 
     def test_uniform_spacing_to_rounding(self, config, disc2):
         # the time levels a run steps through: t_n = t_{n-1} + tau, ending at T
@@ -154,6 +153,13 @@ class TestConfigFile:
         cfg = tmp_path / "study.cfg"
         cfg.write_text("frobnicate = 1\n")
         with pytest.raises(ConfigError):
+            parse_config_file(cfg)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        """A key given twice is refused with both of its line numbers, not read as the last."""
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("kappa = 4.0\n# a comment\ntau = 0.05\nkappa = 8.0\n")
+        with pytest.raises(ConfigError, match=r"study.cfg:4: key 'kappa' repeats line 1"):
             parse_config_file(cfg)
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -25,6 +25,7 @@ from epe.linalg import (
     SYMMETRY_RTOL,
     NotConverged,
     SaddleSolver,
+    START_SOLUTIONS,
     SingularSystem,
     SpdSolver,
     _extend_add,
@@ -326,13 +327,22 @@ def count_sweeps(monkeypatch):
         sweeps[-1] += 1
         return sweep(lu, b)
 
-    def recording(solver, rhs, start=None):
+    def recording(solver, rhs):
         sweeps.append(0)
-        return solve(solver, rhs, start)
+        return solve(solver, rhs)
 
     monkeypatch.setattr(MultifrontalLdl, "solve", counting)
     monkeypatch.setattr(LuSolver, "solve", recording)
     return sweeps
+
+
+def refined_from(solver, b, start):
+    """``solver._refined`` of ``b`` from ``start``, both in K's numbering: the first sweep and the
+    refinement of a started solve, from any start. Returns (y in K's numbering, refinement
+    sweeps, residual)."""
+    bf = b[solver.order]
+    y, refinements, residual = solver._refined(bf, np.linalg.norm(bf), start[solver.order])
+    return y[solver.rank], refinements, residual
 
 
 def residual_rounding(K, x, b):
@@ -811,47 +821,105 @@ class TestFloat32Factor:
         sweeps = count_sweeps(monkeypatch)
         _, rep = solver.solve(b)
         assert solver.lu.dtype == np.float32 and sweeps == [2] and rep.iterations == 1
-        y, rep = solver.solve(b, x * (1.0 + 1e-4 * rng.standard_normal(x.size)))
-        assert sweeps == [2, 1] and rep.iterations == 0 and rep.relative_residual <= 1e-11
+        sweeps.append(0)
+        start = x * (1.0 + 1e-4 * rng.standard_normal(x.size))
+        y, refinements, residual = refined_from(solver, b, start)
+        assert sweeps == [2, 1] and refinements == 0 and residual <= 1e-11
         true = np.linalg.norm(b - K @ y) / np.linalg.norm(b)
-        assert abs(rep.relative_residual - true) <= residual_rounding(K, y, b)
+        assert abs(residual - true) <= residual_rounding(K, y, b)
 
     @pytest.mark.parametrize("poor", ["zeros", "scaled"])
     @pytest.mark.parametrize("ill_conditioned", [False, True])
     def test_a_poor_start_still_ends_within_tol(self, poor, ill_conditioned, float32_factors, monkeypatch):
         """A start of zeros, or the solution times 1e3, is refined to tol with the float32 factor;
-        where that refinement stalls (the matrix of the float64 fallback test), the float64
-        refactor meets it. No start returns above tol."""
+        where that refinement stalls (the matrix of the float64 fallback test), it ends above
+        tol, where ``solve`` factors T in float64, which meets tol."""
         rng = np.random.default_rng(1 if ill_conditioned else 36)
         K = ill_conditioned_sqd(rng) if ill_conditioned else random_sqd(rng)[0]
         solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0])), tol=1e-9).factor()
         x = rng.standard_normal(K.shape[0])
         b = K @ x
         sweeps = count_sweeps(monkeypatch)
-        y, rep = solver.solve(b, np.zeros(x.size) if poor == "zeros" else 1e3 * x)
-        assert rep.relative_residual <= 1e-9
-        if ill_conditioned:
-            assert solver.lu.dtype == np.float64 and sweeps[0] > rep.iterations + 1
+        sweeps.append(0)
+        start = np.zeros(x.size) if poor == "zeros" else 1e3 * x
+        y, refinements, residual = refined_from(solver, b, start)
+        assert solver.lu.dtype == np.float32
+        if ill_conditioned:  # the sweep that did not lower the residual is not kept
+            assert residual > 1e-9 and sweeps == [refinements + 2]
+            y, rep = solver.solve(b)
+            residual = rep.relative_residual
+            assert solver.lu.dtype == np.float64 and sweeps[1] > rep.iterations + 1
         else:
-            assert solver.lu.dtype == np.float32 and sweeps == [rep.iterations + 1]
-            assert rep.iterations >= 1
+            assert refinements >= 1 and sweeps == [refinements + 1]
+        assert residual <= 1e-9
         true = np.linalg.norm(b - K @ y) / np.linalg.norm(b)
-        assert abs(rep.relative_residual - true) <= residual_rounding(K, y, b)
+        assert abs(residual - true) <= residual_rounding(K, y, b)
 
     def test_a_float64_factor_ignores_the_start(self):
-        """On a float64 factor, ``solve(b, start)`` returns the bytes of ``solve(b)``; a start of
-        the wrong shape is refused all the same."""
+        """A float64 factor keeps no earlier solutions, so no start is formed: a solve after
+        others returns the bytes and the report of the same solve made first."""
         rng = np.random.default_rng(37)
         K, _ = random_sqd(rng)
         solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0])), tol=1e-13).factor()
+        assert solver.lu.dtype == np.float64 and solver.kept is None
         b = rng.standard_normal(K.shape[0])
         x, rep = solver.solve(b)
-        for start in (np.zeros(b.size), 1e3 * x, x + 1e-3):
-            y, rep_start = solver.solve(b, start)
-            assert solver.lu.dtype == np.float64 and y.tobytes() == x.tobytes()
-            assert (rep_start.iterations, rep_start.relative_residual) == (rep.iterations, rep.relative_residual)
-        with pytest.raises(DimensionMismatch):
-            solver.solve(b, np.zeros(b.size + 1))
+        for other in [np.zeros(b.size), 1e3 * x, x + 1e-3] * START_SOLUTIONS:
+            solver.solve(other)
+        y, rep_later = solver.solve(b)
+        assert solver.kept is None and y.tobytes() == x.tobytes()
+        assert (rep_later.iterations, rep_later.relative_residual) == (rep.iterations, rep.relative_residual)
+
+    def test_a_full_store_starts_the_solve_from_the_projection(self, float32_factors, monkeypatch):
+        """A float32 factor keeps each nonzero right-hand side and its solution, the newest over
+        the oldest; once ``START_SOLUTIONS`` are kept, a right-hand side in their span starts at
+        its solution and takes one sweep, where the cold solves took two. A zero one is not kept."""
+        rng = np.random.default_rng(38)
+        K, _ = random_sqd(rng)
+        solver = LuSolver(K, random_blocks(rng, rng.permutation(K.shape[0])), tol=1e-11).factor()
+        assert solver.kept.shape == (2, K.shape[0], START_SOLUTIONS) and not solver.kept.any()
+        sweeps = count_sweeps(monkeypatch)
+        bs = rng.standard_normal((START_SOLUTIONS, K.shape[0]))
+        xs = [solver.solve(b)[0] for b in bs]
+        assert sweeps == [2] * START_SOLUTIONS
+        assert np.array_equal(solver.kept, np.stack([xs, bs])[:, :, solver.order].transpose(0, 2, 1))
+        assert np.array_equal(solver.solve(np.zeros(K.shape[0]))[0], np.zeros(K.shape[0]))
+        assert sweeps[-1] == 0
+        b = rng.standard_normal(START_SOLUTIONS) @ bs
+        x, rep = solver.solve(b)
+        assert sweeps[-1] == 1 and rep.iterations == 0 and rep.relative_residual <= 1e-11
+        want = np.stack([[x] + xs[1:], [b] + list(bs[1:])])[:, :, solver.order].transpose(0, 2, 1)
+        assert np.array_equal(solver.kept, want)
+
+    def test_two_solvers_given_the_same_sequence_return_the_same_bytes(self, float32_factors):
+        """Two factorizations of one matrix, each given the same right-hand sides in the same
+        order, return bit-identical solutions and reports, started solves included."""
+        rng = np.random.default_rng(39)
+        K, _ = random_sqd(rng)
+        order = random_blocks(rng, rng.permutation(K.shape[0]))
+        first, second = (LuSolver(K, order, tol=1e-9).factor() for _ in range(2))
+        x = rng.standard_normal(K.shape[0])
+        for step in range(3 * START_SOLUTIONS):  # a smooth sequence, as a time loop gives
+            b = K @ (np.cos(0.1 * step) * x + np.sin(0.1 * step))
+            (y1, rep1), (y2, rep2) = first.solve(b), second.solve(b)
+            assert y1.tobytes() == y2.tobytes()
+            assert (rep1.iterations, rep1.relative_residual) == (rep2.iterations, rep2.relative_residual)
+        assert first.lu.dtype == np.float32 and first.kept.tobytes() == second.kept.tobytes()
+
+    def test_the_float64_refactor_drops_the_store(self, float32_factors):
+        """A float32 factor whose refinement stalls is replaced by a float64 one, which keeps no
+        store: its later solves are cold, and equal to those of a float64 factor from the start."""
+        rng = np.random.default_rng(1)
+        K = ill_conditioned_sqd(rng)
+        order = random_blocks(rng, rng.permutation(K.shape[0]))
+        solver = LuSolver(K, order, tol=1e-9).factor()
+        assert solver.lu.dtype == np.float32 and solver.kept is not None
+        reference = LuSolver(K, order, tol=1e-9).factor(np.float64)
+        for b in rng.standard_normal((START_SOLUTIONS + 2, K.shape[0])) @ K.T:
+            (x, rep), (want, rep_want) = solver.solve(b), reference.solve(b)
+            assert solver.lu.dtype == np.float64 and solver.kept is None
+            assert x.tobytes() == want.tobytes()
+            assert (rep.iterations, rep.relative_residual) == (rep_want.iterations, rep_want.relative_residual)
 
     @pytest.mark.parametrize("scheme", ["splitting", "monolithic"])
     def test_n4_runs_with_float32_factors_match_the_float64_run(self, scheme, monkeypatch):
@@ -865,8 +933,8 @@ class TestFloat32Factor:
         monkeypatch.setattr(epe.linalg, "FLOAT32_ENTRIES", 0)
         solves, original = [], LuSolver.solve
 
-        def recording(solver, rhs, start=None):
-            x, rep = original(solver, rhs, start)
+        def recording(solver, rhs):
+            x, rep = original(solver, rhs)
             T = solver.lower
             K = (T + T.T - sp.diags(T.diagonal())).tocsr()
             b, y = rhs[solver.order], x[solver.order]

@@ -28,11 +28,10 @@ from conftest import (
 from epe.core import PARAM_NAMES, grid_for_step, validate_params
 from epe.fem.assembly import assemble_load, curl_dof_operator, gradient_operator
 from epe.fem.dofs import make_layouts, reduce_matrix
-from epe.linalg import LuSolver, MultifrontalLdl, NotConverged, SaddleSolver
+from epe.linalg import START_SOLUTIONS, LuSolver, MultifrontalLdl, NotConverged, SaddleSolver
 from epe.mesh import build_unit_cube_mesh
 from epe.mms import ERROR_BLOCK_CELLS, error_norms, example61
 from epe.schemes import (
-    START_SOLUTIONS,
     Discretization,
     MonolithicScheme,
     Sources,
@@ -925,8 +924,8 @@ class TestAdmissibleLimits:
         refinement brings within it."""
         reports = []
 
-        def recording(solver, rhs, start=None):
-            x, report = solve(solver, rhs, start)
+        def recording(solver, rhs):
+            x, report = solve(solver, rhs)
             reports.append(report)
             return x, report
 
@@ -1081,28 +1080,33 @@ class TestWarmStart:
         same run with every start dropped."""
         monkeypatch.setattr(epe.linalg, "FLOAT32_ENTRIES", 0)
         cfg = small_config(config, 4, 0.025, 10, scheme=scheme)
-        sweeps, solves, step = [0], [], [0]
-        lu_solve, solve = MultifrontalLdl.solve, LuSolver.solve
+        sweeps, solves, step, started = [0], [], [0], [False]
+        lu_solve, solve, refined = MultifrontalLdl.solve, LuSolver.solve, LuSolver._refined
 
         def counting(lu, b):
             sweeps[0] += 1
             return lu_solve(lu, b)
 
-        def recording(solver, rhs, start=None):
+        def recording(solver, rhs):
             before = sweeps[0]
-            x, rep = solve(solver, rhs, start)
-            solves.append((step[0], start is not None, sweeps[0] - before, rep))
+            x, rep = solve(solver, rhs)
+            solves.append((step[0], started[0], sweeps[0] - before, rep))
             return x, rep
 
-        def cold(solver, rhs, start=None):
-            return recording(solver, rhs)
+        def starting(solver, b, bnorm, y0=None):
+            started[0] = y0 is not None
+            return refined(solver, b, bnorm, y0)
+
+        def cold(solver, b, bnorm, y0=None):
+            return starting(solver, b, bnorm)
 
         monkeypatch.setattr(MultifrontalLdl, "solve", counting)
+        monkeypatch.setattr(LuSolver, "solve", recording)
+        monkeypatch.setattr(SaddleSolver, "solve", recording)
         states = {}
-        for name, wrapper in (("cold", cold), ("started", recording)):
+        for name, wrapper in (("cold", cold), ("started", starting)):
             solves.clear()
-            monkeypatch.setattr(LuSolver, "solve", wrapper)
-            monkeypatch.setattr(SaddleSolver, "solve", wrapper)
+            monkeypatch.setattr(LuSolver, "_refined", wrapper)
             states[name] = run(cfg, sources, exact, mesh=mesh4,
                                observers=[lambda n, *_: step.__setitem__(0, n + 1)]).state
             assert len(solves) == FACTORS[scheme] * cfg.grid.N
